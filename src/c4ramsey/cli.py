@@ -61,14 +61,12 @@ def _budget(args) -> SearchBudget:
     return SearchBudget(
         node_limit=args.node_limit,
         time_limit=args.time_limit,
-        thread_hint=args.threads,
     )
 
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--node-limit", type=int, default=50_000_000)
     p.add_argument("--time-limit", type=float, default=600.0, metavar="SECS")
-    p.add_argument("--threads", type=int, default=1, metavar="N")
 
 
 def _emit(args, doc: dict, text: str) -> None:
@@ -157,10 +155,11 @@ def _write_witness(args, outcome) -> None:
 def _cmd_search(args) -> int:
     targets = parse_target_sequence(args.targets)
     budget = _budget(args)
-    caps = args.degree_caps
     if args.n_min is not None or args.n_max is not None:
         if args.n_min is None or args.n_max is None:
             raise SystemExit("--n-min and --n-max go together")
+        if args.degree_caps is not None:
+            raise SystemExit("--degree-caps needs --n; it does not apply to --n-min/--n-max")
         outcomes = ramsey_by_search(targets, args.n_min, args.n_max, budget)
         value = computed_ramsey(outcomes)
         doc = {
@@ -177,7 +176,7 @@ def _cmd_search(args) -> int:
         return EXIT_OK
     if args.n is None:
         raise SystemExit("need --n or --n-min/--n-max")
-    outcome = search_coloring(args.n, targets, budget, caps)
+    outcome = search_coloring(args.n, targets, budget, args.degree_caps)
     _write_witness(args, outcome)
     _emit(
         args,
@@ -279,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--n-min", type=int)
     p.add_argument("--n-max", type=int)
-    p.add_argument("--exhaustive", action="store_true")
     p.add_argument("--degree-caps", type=int, nargs="+")
     p.add_argument("--witness-out", metavar="PATH")
     p.add_argument("--json", action="store_true")
@@ -326,7 +324,7 @@ def run(argv: Optional[list[str]] = None) -> int:
             print(e.code, file=sys.stderr)
             return EXIT_USAGE
         return e.code if e.code is not None else EXIT_OK
-    except (ValueError, OSError) as e:
+    except (ValueError, OverflowError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -15,19 +15,6 @@ from .bounds import BoundQuery, isqrt_ceil, parsons_bound, stars_bound, theorem_
 from .registry import RamseyFact, Registry
 from .targets import TargetGraph, TargetList, parse_targets, strip_k2, union_k1_rewrite
 
-RULES = (
-    "Registry",
-    "TheoremMT",
-    "Lemma2",
-    "LemmaP3",
-    "UnionK1",
-    "Parsons",
-    "BookCor",
-    "StarsCor",
-    "TrivialEmpty",
-    "MaxWithVertexCount",
-)
-
 
 @dataclass(frozen=True)
 class DerivationTree:

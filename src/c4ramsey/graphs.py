@@ -115,28 +115,21 @@ class SimpleGraph:
         return f"SimpleGraph(n={self.n}, edges={self.edges()})"
 
 
-def _has_clique(g: SimpleGraph, k: int) -> bool:
-    """Branch-and-bound clique search over candidate bitsets."""
-    if k <= 1:
-        return g.n >= k
-    adj = g.adj
-
-    def grow(cand: int, need: int) -> bool:
-        if need == 0:
-            return True
-        if cand.bit_count() < need:
-            return False
-        while cand:
-            b = cand & -cand
-            v = b.bit_length() - 1
-            cand ^= b
-            if cand.bit_count() + 1 < need:
-                return False
-            if grow(cand & adj[v], need - 1):
-                return True
+def _clique_in(adj: list[int], cand: int, need: int) -> bool:
+    """Branch and bound: do the vertices of bitset cand hold a clique of size need?"""
+    if need == 0:
+        return True
+    if cand.bit_count() < need:
         return False
-
-    return grow((1 << g.n) - 1, k)
+    while cand:
+        b = cand & -cand
+        v = b.bit_length() - 1
+        cand ^= b
+        if cand.bit_count() + 1 < need:
+            return False
+        if _clique_in(adj, cand & adj[v], need - 1):
+            return True
+    return False
 
 
 def contains_target(g: SimpleGraph, t: TargetGraph) -> bool:
@@ -150,7 +143,7 @@ def contains_target(g: SimpleGraph, t: TargetGraph) -> bool:
             (adj[u] & adj[v]).bit_count() >= 2 for u in range(n) for v in range(u + 1, n)
         )
     if t.kind == tg.CLIQUE:
-        return n >= t.k and _has_clique(g, t.k)
+        return n >= t.k and _clique_in(adj, (1 << n) - 1, t.k)
     if t.kind == tg.STAR:
         return any(a.bit_count() >= t.k for a in adj)
     if t.kind == tg.BOOK:
@@ -426,10 +419,14 @@ def coloring_from_text(text: str) -> EdgeColoring:
         if len(parts) != 3:
             raise ValueError(f"bad pair line {line!r}; expected 'u v color'")
         u, v = int(parts[0]), int(parts[1])
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"vertex out of range for n={n} in line {line!r}")
         idx = pair_index(u, v)
         if idx in seen:
             raise ValueError(f"duplicate pair {u} {v}")
         seen.add(idx)
         col = UNASSIGNED if parts[2] == "-" else int(parts[2])
+        if not (col == UNASSIGNED or 0 <= col < c):
+            raise ValueError(f"color out of range for c={c} in line {line!r}")
         coloring.set(u, v, col)
     return coloring

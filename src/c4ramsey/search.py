@@ -9,13 +9,19 @@ first edge); budget exhaustion is always reported as Unknown.
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import targets as tg
-from .graphs import EdgeColoring, SimpleGraph, contains_target, is_good_coloring, pair_iter
+from .graphs import (
+    EdgeColoring,
+    SimpleGraph,
+    _clique_in,
+    contains_target,
+    is_good_coloring,
+    pair_iter,
+)
 from .targets import CYCLE4, TargetGraph, clique
 
 FEASIBLE = "feasible"
@@ -27,10 +33,9 @@ UNKNOWN = "unknown"
 class SearchBudget:
     node_limit: int = 50_000_000
     time_limit: float = 600.0
-    thread_hint: int = 1
 
     def __post_init__(self):
-        if self.node_limit < 1 or self.time_limit <= 0 or self.thread_hint < 1:
+        if self.node_limit < 1 or self.time_limit <= 0:
             raise ValueError("budget limits must be positive")
 
 
@@ -54,34 +59,11 @@ class SearchOutcome:
         }
 
 
-class _Budget(Exception):
-    pass
-
-
 def _effective_target(t: TargetGraph, n: int) -> Optional[TargetGraph]:
     """Reduce a target for an n-vertex search; None means unconstrainable."""
     if t.kind == tg.WITH_ISOLATED:
         return _effective_target(t.base, n) if n >= t.vertex_count else None
-    if t.kind == tg.EMPTY:
-        # handled by the caller as an immediate outcome
-        return t
     return t if n >= t.vertex_count else None
-
-
-def _clique_in(adj: list[int], cand: int, need: int) -> bool:
-    if need == 0:
-        return True
-    if cand.bit_count() < need:
-        return False
-    while cand:
-        b = cand & -cand
-        v = b.bit_length() - 1
-        cand ^= b
-        if cand.bit_count() + 1 < need:
-            return False
-        if _clique_in(adj, cand & adj[v], need - 1):
-            return True
-    return False
 
 
 def _creates(t: TargetGraph, adj: list[int], u: int, v: int) -> bool:
@@ -96,20 +78,16 @@ def _creates(t: TargetGraph, adj: list[int], u: int, v: int) -> bool:
     if kind == tg.STAR:
         return adj[u].bit_count() >= t.k - 1 or adj[v].bit_count() >= t.k - 1
     if kind == tg.CYCLE4_KIND:
-        # a new 4-cycle contains both u and v, hence some vertex pair
-        # involving u or v gains a second common neighbor
-        au = adj[u] | 1 << v
-        av = adj[v] | 1 << u
-        for x in range(len(adj)):
-            ax = au if x == u else av if x == v else adj[x]
-            if x != u and (au & ax).bit_count() >= 2:
+        # a new 4-cycle is uv plus a path u-a-b-v already in the class
+        rest, av = adj[u], adj[v]
+        while rest:
+            b = rest & -rest
+            if adj[b.bit_length() - 1] & av:
                 return True
-            if x != v and (av & ax).bit_count() >= 2:
-                return True
+            rest ^= b
         return False
     if kind == tg.CLIQUE:
-        common = adj[u] & adj[v]
-        return _clique_in(adj, common, t.k - 2)
+        return _clique_in(adj, adj[u] & adj[v], t.k - 2)
     if kind == tg.BOOK:
         # spine uv: pages are common neighbors of u and v; otherwise uv is a
         # page edge and the spine is (u, x) or (v, x) for an existing edge
@@ -135,92 +113,74 @@ def _search_edges(
     targets: Sequence[TargetGraph],
     budget: SearchBudget,
     degree_caps: Optional[Sequence[int]] = None,
-    symmetry_break: bool = True,
 ) -> tuple[str, Optional[list[int]], int]:
-    """Core backtracking over a fixed edge list.
+    """Core backtracking over a fixed edge list, as a loop over edge indices.
 
     Returns (status, assignment or None, nodes).  The assignment is indexed
-    parallel to edge_list.
+    parallel to edge_list.  A node is one color tried on one edge.
     """
+    targets = list(targets)
     c = len(targets)
     if degree_caps is not None and len(degree_caps) != c:
         raise ValueError(f"need {c} degree caps, got {len(degree_caps)}")
+    if any(_is_forced_empty(t, n) for t in targets):
+        return INFEASIBLE, None, 0
     eff = [_effective_target(t, n) for t in targets]
-    for i, t in enumerate(targets):
-        if _is_forced_empty(t, n):
-            return INFEASIBLE, None, 0
     adj = [[0] * n for _ in range(c)]
-    deg = [[0] * n for _ in range(c)]
-    assignment = [-1] * len(edge_list)
-    nodes = 0
-    start = time.monotonic()
-    deadline = start + budget.time_limit
-
+    remaining_at = None if degree_caps is None else _remaining_degree_table(n, edge_list)
     # color-permutation reduction: on the first edge, only the first color of
     # each group of identical declared targets is tried
-    if symmetry_break and edge_list:
-        seen: dict[TargetGraph, int] = {}
-        first_allowed = []
-        for i, t in enumerate(targets):
-            if t not in seen:
-                seen[t] = i
-                first_allowed.append(i)
-    else:
-        first_allowed = list(range(c))
-
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), len(edge_list) + 100))
-
-    def rec(idx: int) -> bool:
-        nonlocal nodes
-        if idx == len(edge_list):
-            return True
+    first = [i for i, t in enumerate(targets) if targets.index(t) == i]
+    every = range(c)
+    m = len(edge_list)
+    assignment = [-1] * m
+    cursors = []  # cursors[i]: the colors not yet tried on edge i
+    colors = iter(first)
+    idx = nodes = 0
+    node_limit = budget.node_limit
+    deadline = time.monotonic() + budget.time_limit
+    while idx < m:
         u, v = edge_list[idx]
-        for col in first_allowed if idx == 0 else range(c):
+        for col in colors:
             nodes += 1
-            if nodes > budget.node_limit:
-                raise _Budget
-            if nodes % 4096 == 0 and time.monotonic() > deadline:
-                raise _Budget
+            if nodes > node_limit or nodes % 4096 == 0 and time.monotonic() > deadline:
+                return UNKNOWN, None, nodes
+            a = adj[col]
             if degree_caps is not None and (
-                deg[col][u] + 1 > degree_caps[col] or deg[col][v] + 1 > degree_caps[col]
+                a[u].bit_count() >= degree_caps[col] or a[v].bit_count() >= degree_caps[col]
             ):
                 continue
             t = eff[col]
-            if t is not None and t.kind != tg.EMPTY and _creates(t, adj[col], u, v):
+            if t is not None and _creates(t, a, u, v):
                 continue
-            adj[col][u] |= 1 << v
-            adj[col][v] |= 1 << u
-            deg[col][u] += 1
-            deg[col][v] += 1
-            assignment[idx] = col
-            if degree_caps is None or _caps_feasible(deg, degree_caps, u, v, idx):
-                if rec(idx + 1):
-                    return True
-            adj[col][u] &= ~(1 << v)
-            adj[col][v] &= ~(1 << u)
-            deg[col][u] -= 1
-            deg[col][v] -= 1
-            assignment[idx] = -1
-        return False
-
-    remaining_at = _remaining_degree_table(n, edge_list)
-
-    def _caps_feasible(deg, caps, u, v, idx) -> bool:
-        # counting cut: a vertex must be able to host all its unassigned edges
-        # within the per-color degree headroom
-        for w in (u, v):
-            headroom = sum(caps[i] - deg[i][w] for i in range(c))
-            if remaining_at[idx + 1][w] > headroom:
-                return False
-        return True
-
-    try:
-        found = rec(0)
-    except _Budget:
-        return UNKNOWN, None, nodes
-    if found:
-        return FEASIBLE, list(assignment), nodes
-    return INFEASIBLE, None, nodes
+            a[u] |= 1 << v
+            a[v] |= 1 << u
+            # counting cut: u and v must each be able to host their
+            # unassigned edges within the per-color degree headroom
+            if remaining_at is None or all(
+                remaining_at[idx + 1][w]
+                <= sum(cap - adj[i][w].bit_count() for i, cap in enumerate(degree_caps))
+                for w in (u, v)
+            ):
+                break
+            a[u] ^= 1 << v
+            a[v] ^= 1 << u
+        else:
+            # every color failed here: undo the previous edge and resume it
+            if idx == 0:
+                return INFEASIBLE, None, nodes
+            idx -= 1
+            colors = cursors.pop()
+            u, v = edge_list[idx]
+            a = adj[assignment[idx]]
+            a[u] ^= 1 << v
+            a[v] ^= 1 << u
+            continue
+        assignment[idx] = col
+        cursors.append(colors)
+        colors = iter(every)
+        idx += 1
+    return FEASIBLE, assignment, nodes
 
 
 def _is_forced_empty(t: TargetGraph, n: int) -> bool:
@@ -314,10 +274,7 @@ def partition_check(
     budget = budget or SearchBudget()
     start = time.monotonic()
     comp_edges = g.complement().edges()
-    status, assignment, nodes = _search_edges(
-        g.n, comp_edges, list(pair_targets), budget,
-        symmetry_break=pair_targets[0] == pair_targets[1],
-    )
+    status, assignment, nodes = _search_edges(g.n, comp_edges, pair_targets, budget)
     wall = time.monotonic() - start
     if status == FEASIBLE:
         witness = EdgeColoring(g.n, 3)

@@ -50,6 +50,11 @@ class TestBound:
     def test_n_mismatch_is_usage_error(self, capsys):
         assert run(["bound", "--mt", "--m", "1", "--n", "2", "--r", "36"]) == 1
 
+    def test_overflowing_r_is_usage_error(self, capsys):
+        assert run(["bound", "--mt", "--m", "1", "--r", "1" + "0" * 49]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:") and "\n" not in err
+
 
 class TestDerive:
     def test_k11(self, capsys):
@@ -76,6 +81,15 @@ class TestDerive:
 
 
 class TestVerify:
+    def test_out_of_range_vertex_is_usage_error(self, capsys):
+        assert run(["verify", "C4,K3", "--coloring", "3 2\n0 5 1"]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error:") and "'0 5 1'" in err and "\n" not in err
+
+    def test_out_of_range_color_is_usage_error(self, capsys):
+        assert run(["verify", "C4,K3", "--coloring", "3 2\n0 1 7"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_good_witness_fact_line(self, tmp_path, capsys):
         path = tmp_path / "w.txt"
         path.write_text(coloring_to_text(two_five_cycles()))
@@ -107,7 +121,7 @@ class TestVerify:
 
 class TestSearch:
     def test_single_n_infeasible(self, capsys):
-        assert run(["search", "--targets", "C4,C4", "--n", "6", "--exhaustive"]) == 0
+        assert run(["search", "--targets", "C4,C4", "--n", "6"]) == 0
         assert out_of(capsys).startswith("Infeasible")
 
     def test_range_reports_ramsey_number(self, capsys):
@@ -144,6 +158,13 @@ class TestSearch:
 
     def test_half_range_is_usage_error(self, capsys):
         assert run(["search", "--targets", "C4,C4", "--n-min", "4"]) == 1
+
+    def test_degree_caps_with_range_is_usage_error(self, capsys):
+        argv = ["search", "--targets", "C4,C4", "--n-min", "4", "--n-max", "5"]
+        assert run(argv + ["--degree-caps", "1", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--degree-caps" in captured.err and captured.err.count("\n") == 1
 
 
 class TestPartitionCheck:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -16,9 +17,10 @@ from c4ramsey import (
     search_coloring,
 )
 from c4ramsey.graphs import pair_iter
-from c4ramsey.targets import CYCLE4, PATH3, clique, empty_graph, star, with_isolated
+from c4ramsey.search import _creates
+from c4ramsey.targets import CYCLE4, PATH3, book, clique, empty_graph, star, with_isolated
 
-from conftest import random_graph
+from conftest import brute_contains, random_graph
 
 
 def naive_feasible(n, targets):
@@ -223,3 +225,54 @@ class TestMergeColors:
         out = search_coloring(5, [CYCLE4, CYCLE4])
         with pytest.raises(ValueError):
             merge_colors(out.witness, 1, 1)
+
+
+class TestKernel:
+    @pytest.mark.parametrize(
+        "target",
+        [CYCLE4, PATH3, clique(3), clique(4), star(3), book(2), book(3)],
+        ids=str,
+    )
+    def test_creates_matches_brute_force(self, target):
+        # grow a random target-free graph edge by edge; every non-edge of
+        # every intermediate graph is checked against the brute-force oracle
+        rng = random.Random(f"creates-{target}")
+        answers = []
+        for _ in range(6):
+            n = rng.randint(5, 7)
+            g = SimpleGraph(n)
+            pairs = list(pair_iter(n))
+            rng.shuffle(pairs)
+            for u, v in pairs:
+                grown = g.copy()
+                grown.add_edge(u, v)
+                hit = brute_contains(grown, target)
+                assert _creates(target, g.adj, u, v) == hit
+                answers.append(hit)
+                if not hit and rng.random() < 0.7:
+                    g = grown
+        assert len(answers) > 60 and set(answers) == {True, False}
+
+    @pytest.mark.parametrize(
+        "n,targets,caps,status,nodes",
+        [
+            (6, [CYCLE4, CYCLE4], None, "infeasible", 1059),
+            (7, [CYCLE4, clique(3)], None, "infeasible", 4694),
+            (8, [CYCLE4, book(3)], None, "feasible", 1783),
+            (8, [clique(3), clique(4)], None, "feasible", 1512),
+            (8, [CYCLE4, star(5)], None, "infeasible", 294516),
+            (5, [PATH3, star(3)], None, "infeasible", 40),
+            (9, [CYCLE4, clique(4)], [6, 6], "feasible", 282),
+        ],
+    )
+    def test_pinned_node_counts(self, n, targets, caps, status, nodes):
+        out = search_coloring(n, targets, degree_caps=caps)
+        assert (out.status, out.nodes_explored) == (status, nodes)
+
+    def test_n128_needs_no_recursion_limit(self):
+        limit = sys.getrecursionlimit()
+        out = search_coloring(128, [clique(128)])
+        assert (out.status, out.nodes_explored) == ("infeasible", 8128)
+        out = search_coloring(128, [clique(128), clique(128)])
+        assert (out.status, out.nodes_explored) == ("feasible", 8129)
+        assert sys.getrecursionlimit() == limit
