@@ -158,40 +158,74 @@ def contains_target(g: SimpleGraph, t: TargetGraph) -> bool:
 
 
 def find_target_copy(g: SimpleGraph, t: TargetGraph) -> Optional[tuple[int, ...]]:
-    """A concrete vertex tuple hosting a copy of t, or None.
+    """The lexicographically first vertex tuple hosting a copy of t, or None.
 
-    Brute-force injection search; used for counterexample reporting, not on
-    the hot search path.
+    Witness verification runs this on every color class, so it decides
+    containment from targets.target_edges alone, independently of the
+    search kernel.  Target vertex i goes to a vertex of the bitset
+    candidates: the AND of the rows of its earlier neighbours' images,
+    minus the used vertices, taken lowest bit first.
+
+    Target vertices j < i are twins when N(i) - {j} == N(j) - {i}; swapping
+    them is then an automorphism of t (a clique's vertices, a star's leaves,
+    a book's two spine vertices and its pages, C4's opposite corners).  The
+    search asks assign[i] > assign[j] of every twin pair, which drops the
+    repeats of one copy under these swaps.  The result is still the
+    lexicographically first injective copy: if that copy had
+    assign[i] < assign[j] for twins j < i, swapping their images would give
+    another copy that is smaller at position j.  Twins form equivalence
+    classes, so comparing with the nearest earlier twin orders the whole
+    class, and i and its later twins need distinct candidates of i's set,
+    which bounds the search by a count.
     """
     k = t.vertex_count
-    if g.n < k:
+    n = g.n
+    if n < k:
         return None
-    edges = tg.target_edges(t)
+    nbrs = [0] * k
+    for a, b in tg.target_edges(t):
+        nbrs[a] |= 1 << b
+        nbrs[b] |= 1 << a
+    earlier = []
+    prev_twin = [-1] * k
+    need = [1] * k
+    for i in range(k):
+        earlier.append([a for a in range(i) if nbrs[i] >> a & 1])
+        for j in range(i):
+            if nbrs[i] & ~(1 << j) == nbrs[j] & ~(1 << i):
+                prev_twin[i] = j
+        j = prev_twin[i]
+        while j >= 0:
+            need[j] += 1
+            j = prev_twin[j]
 
-    def extend(assign: list[int], used: int) -> Optional[tuple[int, ...]]:
-        i = len(assign)
-        if i == k:
+    adj = g.adj
+    everyone = (1 << n) - 1
+    assign = [0] * k
+    cands = [everyone] + [0] * (k - 1)
+    used = 0
+    i = 0
+    while True:
+        cand = cands[i]
+        if cand.bit_count() < need[i]:
+            if i == 0:
+                return None
+            i -= 1
+            used ^= 1 << assign[i]
+            continue
+        low = cand & -cand
+        cands[i] = cand ^ low
+        assign[i] = low.bit_length() - 1
+        if i + 1 == k:
             return tuple(assign)
-        for v in range(g.n):
-            if used >> v & 1:
-                continue
-            ok = True
-            for (a, b) in edges:
-                if b == i and a < i and not (g.adj[assign[a]] >> v & 1):
-                    ok = False
-                    break
-                if a == i and b < i and not (g.adj[assign[b]] >> v & 1):
-                    ok = False
-                    break
-            if ok:
-                assign.append(v)
-                res = extend(assign, used | 1 << v)
-                if res is not None:
-                    return res
-                assign.pop()
-        return None
-
-    return extend([], 0)
+        used |= low
+        i += 1
+        cand = everyone & ~used
+        for a in earlier[i]:
+            cand &= adj[assign[a]]
+        if prev_twin[i] >= 0:
+            cand &= -2 << assign[prev_twin[i]]
+        cands[i] = cand
 
 
 class EdgeColoring:
@@ -247,9 +281,18 @@ class EdgeColoring:
     def color_class(self, i: int) -> SimpleGraph:
         self._check_color(i)
         g = SimpleGraph(self.n)
-        for (u, v) in pair_iter(self.n):
-            if self.colors[pair_index(u, v)] == i:
-                g.add_edge(u, v)
+        adj = g.adj
+        colors = self.colors
+        start = 0
+        for v in range(1, self.n):
+            bit = 1 << v
+            row = 0
+            for u, col in enumerate(colors[start : start + v]):
+                if col == i:
+                    row |= 1 << u
+                    adj[u] |= bit
+            adj[v] |= row
+            start += v
         return g
 
     def degree(self, color: int, v: int) -> int:
@@ -325,26 +368,18 @@ class Graph6Error(ValueError):
     pass
 
 
-def _g6_pack(bits: list[int]) -> str:
-    out = []
-    for i in range(0, len(bits), 6):
-        chunk = bits[i : i + 6]
-        chunk += [0] * (6 - len(chunk))
-        val = 0
-        for b in chunk:
-            val = val << 1 | b
-        out.append(chr(val + 63))
-    return "".join(out)
+def _g6_pack(bits: str) -> str:
+    """Six '0'/'1' characters per byte, zero-padded, offset 63."""
+    bits += "0" * (-len(bits) % 6)
+    return "".join(chr(int(bits[i : i + 6], 2) + 63) for i in range(0, len(bits), 6))
 
 
 def graph6_encode(g: SimpleGraph) -> str:
     n = g.n
-    if n <= 62:
-        head = chr(n + 63)
-    else:
-        head = chr(126) + _g6_pack([(n >> (17 - i)) & 1 for i in range(18)])
-    bits = [1 if g.adj[u] >> v & 1 else 0 for (u, v) in pair_iter(n)]
-    return head + _g6_pack(bits)
+    head = chr(n + 63) if n <= 62 else chr(126) + _g6_pack(format(n, "018b"))
+    # column v holds the pairs (0, v), ..., (v-1, v): v's lower row, bit 0 first
+    body = "".join(format(g.adj[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, n))
+    return head + _g6_pack(body)
 
 
 def graph6_decode(text: str) -> SimpleGraph:
@@ -374,29 +409,39 @@ def graph6_decode(text: str) -> SimpleGraph:
         raise Graph6Error(
             f"expected {expected} body bytes for n={n}, got {len(body)}"
         )
-    bits = []
-    for ch in body:
-        val = ord(ch) - 63
-        bits.extend((val >> (5 - i)) & 1 for i in range(6))
-    if any(bits[npairs:]):
+    bits = "".join(format(ord(ch) - 63, "06b") for ch in body)
+    if "1" in bits[npairs:]:
         raise Graph6Error("nonzero padding bits")
     g = SimpleGraph(n)
-    for bit, (u, v) in zip(bits, pair_iter(n)):
-        if bit:
-            g.add_edge(u, v)
+    adj = g.adj
+    start = 0
+    for v in range(1, n):
+        row = int(bits[start : start + v][::-1], 2)
+        start += v
+        adj[v] |= row
+        bit = 1 << v
+        while row:
+            low = row & -row
+            adj[low.bit_length() - 1] |= bit
+            row ^= low
     return g
 
 
 # ---------------------------------------------------------------------------
 # Coloring text format: line 1 "N c", then "u v color" per pair in canonical
-# order ('-' for unassigned); '#' starts a comment.
+# order ('-', and only '-', for unassigned); '#' starts a comment.
 
 
 def coloring_to_text(coloring: EdgeColoring) -> str:
     lines = [f"{coloring.n} {coloring.c}"]
-    for (u, v) in pair_iter(coloring.n):
-        col = coloring.colors[pair_index(u, v)]
-        lines.append(f"{u} {v} {col if col != UNASSIGNED else '-'}")
+    colors = coloring.colors
+    start = 0
+    for v in range(1, coloring.n):
+        lines.extend(
+            f"{u} {v} {'-' if col == UNASSIGNED else col}"
+            for u, col in enumerate(colors[start : start + v])
+        )
+        start += v
     return "\n".join(lines) + "\n"
 
 
@@ -413,7 +458,8 @@ def coloring_from_text(text: str) -> EdgeColoring:
         raise ValueError(f"bad header {rows[0]!r}; expected 'N c'")
     n, c = int(head[0]), int(head[1])
     coloring = EdgeColoring(n, c)
-    seen = set()
+    colors = coloring.colors
+    seen = bytearray(len(colors))
     for line in rows[1:]:
         parts = line.split()
         if len(parts) != 3:
@@ -421,12 +467,16 @@ def coloring_from_text(text: str) -> EdgeColoring:
         u, v = int(parts[0]), int(parts[1])
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"vertex out of range for n={n} in line {line!r}")
-        idx = pair_index(u, v)
-        if idx in seen:
+        if u == v:
+            raise ValueError(f"self pair in line {line!r}")
+        idx = v * (v - 1) // 2 + u if u < v else u * (u - 1) // 2 + v
+        if seen[idx]:
             raise ValueError(f"duplicate pair {u} {v}")
-        seen.add(idx)
-        col = UNASSIGNED if parts[2] == "-" else int(parts[2])
-        if not (col == UNASSIGNED or 0 <= col < c):
+        seen[idx] = 1
+        if parts[2] == "-":
+            continue
+        col = int(parts[2])
+        if not 0 <= col < c:
             raise ValueError(f"color out of range for c={c} in line {line!r}")
-        coloring.set(u, v, col)
+        colors[idx] = col
     return coloring

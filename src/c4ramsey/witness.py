@@ -26,7 +26,8 @@ def verify_lower_bound(
 ) -> RamseyFact:
     """Certify R(targets) >= N+1 from a good coloring of K_N.
 
-    Raises BadWitnessError naming a concrete violating copy otherwise.
+    Raises BadWitnessError otherwise, naming the lexicographically first
+    violating copy (graphs.find_target_copy) in the lowest bad color.
     """
     targets = list(targets)
     if len(targets) != witness.c:

@@ -42,16 +42,18 @@ def oracle_edges(t) -> list[tuple[int, int]]:
     raise ValueError(t)
 
 
+def brute_first_copy(g: SimpleGraph, t):
+    """The first vertex tuple, in itertools.permutations order, hosting t."""
+    edges = oracle_edges(t)
+    for perm in itertools.permutations(range(g.n), oracle_vertex_count(t)):
+        if all(g.has_edge(perm[a], perm[b]) for (a, b) in edges):
+            return perm
+    return None
+
+
 def brute_contains(g: SimpleGraph, t) -> bool:
     """Subgraph containment by enumerating all vertex injections."""
-    k = oracle_vertex_count(t)
-    if g.n < k:
-        return False
-    edges = oracle_edges(t)
-    for perm in itertools.permutations(range(g.n), k):
-        if all(g.has_edge(perm[a], perm[b]) for (a, b) in edges):
-            return True
-    return False
+    return brute_first_copy(g, t) is not None
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> SimpleGraph:

@@ -1,11 +1,26 @@
 import json
 
+from hypothesis import given, settings, strategies as st
+
 from c4ramsey import DerivationTree, RamseyFact, Registry, load_registry, replay
 from c4ramsey.cli import run
 from c4ramsey.graphs import EdgeColoring, coloring_from_text, coloring_to_text, pair_iter
 from c4ramsey.targets import parse_targets
 
 from conftest import two_five_cycles
+
+# Coloring documents, from arbitrary text to near-valid ones: small headers and
+# pair lines whose fields are numbers, '-', comments or junk.  A leading '@'
+# names a file instead, so it is left out.
+_FIELD = st.one_of(
+    st.integers(-2, 4).map(str),
+    st.sampled_from(["-", "#", "--1", "1.0", "\u0663"]),
+    st.text(max_size=3),
+)
+COLORING_TEXT = st.one_of(
+    st.text(),
+    st.lists(st.lists(_FIELD, max_size=4).map(" ".join), max_size=8).map("\n".join),
+).filter(lambda text: not text.startswith("@"))
 
 
 def out_of(capsys):
@@ -89,6 +104,16 @@ class TestVerify:
     def test_out_of_range_color_is_usage_error(self, capsys):
         assert run(["verify", "C4,K3", "--coloring", "3 2\n0 1 7"]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_minus_one_color_is_usage_error(self, capsys):
+        assert run(["verify", "C4,K3", "--coloring", "3 2\n0 1 -1"]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("error: color out of range") and "\n" not in err
+
+    @settings(max_examples=300, deadline=None)
+    @given(COLORING_TEXT)
+    def test_any_coloring_text_ends_in_an_exit_code(self, text):
+        assert run(["verify", "C4,K3", "--coloring", text]) in (0, 1, 2)
 
     def test_good_witness_fact_line(self, tmp_path, capsys):
         path = tmp_path / "w.txt"

@@ -69,6 +69,16 @@ def test_header_stripped():
     assert graph6_decode(">>graph6<<A_").n == 2
 
 
+@pytest.mark.parametrize("n", [1, 2, 62, 63, 127, 128])
+def test_round_trip_at_size_boundaries(n):
+    rng = random.Random(n)
+    for p in (0.0, 0.5, 1.0):
+        g = random_graph(rng, n, p)
+        s = graph6_encode(g)
+        assert (ord(s[0]) == 126) == (n > 62)
+        assert graph6_decode(s) == g
+
+
 def test_bad_inputs():
     with pytest.raises(Graph6Error):
         graph6_decode("")
@@ -76,3 +86,22 @@ def test_bad_inputs():
         graph6_decode("A")  # missing body byte
     with pytest.raises(Graph6Error):
         graph6_decode("A_\x05")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "A_\x7f",  # byte above the range
+        "~~???????",  # 8-byte size form
+        "~??",  # size form cut short
+        "~??~" + "?" * 325,  # n = 63 needs 326 body bytes
+        "?",  # n = 0
+        "~?A@",  # n = 129 exceeds the vertex cap
+        "A_?",  # extra body byte
+        "A`",  # padding bit set
+        "D??@",  # n = 5: 10 pairs, padding bit set in the last byte
+    ],
+)
+def test_malformed_rejected(text):
+    with pytest.raises(Graph6Error):
+        graph6_decode(text)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from c4ramsey import (
     EdgeColoring,
@@ -16,7 +17,7 @@ from c4ramsey import (
 from c4ramsey.graphs import IncompleteColoringError, pair_iter
 from c4ramsey.targets import CYCLE4, PATH3, book, clique, empty_graph, star, with_isolated
 
-from conftest import brute_contains, random_graph, two_five_cycles
+from conftest import brute_contains, brute_first_copy, random_graph, two_five_cycles
 
 
 def complete_mono(n, c=1, color=0):
@@ -168,6 +169,21 @@ class TestFindTargetCopy:
         g = SimpleGraph(4, [(0, 1)])
         assert find_target_copy(g, clique(3)) is None
 
+    TARGETS = [
+        CYCLE4, PATH3, clique(2), clique(3), clique(4), clique(5),
+        star(1), star(2), star(3), star(4), book(1), book(2), book(3),
+        empty_graph(3), with_isolated(CYCLE4), with_isolated(PATH3),
+        with_isolated(clique(3)), with_isolated(star(2)), with_isolated(book(1)),
+        with_isolated(clique(2), 2),
+    ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 8), st.sampled_from([0.3, 0.6, 0.9]), st.integers(0, 2**32))
+    def test_lexicographically_first_copy(self, n, p, seed):
+        g = random_graph(random.Random(seed), n, p)
+        for t in self.TARGETS:
+            assert find_target_copy(g, t) == brute_first_copy(g, t), (g, t)
+
 
 class TestIsGoodColoring:
     def test_two_cycles_good_for_c4_c4(self):
@@ -229,3 +245,51 @@ class TestColoringTextFormat:
     def test_duplicate_pair_rejected(self):
         with pytest.raises(ValueError):
             coloring_from_text("3 2\n0 1 0\n1 0 1\n")
+
+    @pytest.mark.parametrize("n", [1, 2, 62, 63, 127, 128])
+    def test_round_trip_at_size_boundaries(self, n):
+        rng = random.Random(n)
+        col = EdgeColoring(n, 3, [rng.randrange(-1, 3) for _ in pair_iter(n)])
+        assert coloring_from_text(coloring_to_text(col)) == col
+
+    def test_minus_one_is_not_unassigned(self):
+        with pytest.raises(ValueError, match="color out of range"):
+            coloring_from_text("3 2\n0 1 -1\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",  # empty document
+            "# only a comment\n",
+            "3\n",  # header needs N and c
+            "x 2\n",
+            "0 2\n",  # N below 1
+            "129 2\n",  # N above the cap
+            "3 0\n",  # no colors
+            "3 2\n0 1\n",  # pair line needs three fields
+            "3 2\n0 1 0 0\n",
+            "3 2\n0 y 0\n",
+            "3 2\n0 1 z\n",
+            "3 2\n1 1 0\n",  # self pair
+            "3 2\n0 1 0\n1 0 -\n",  # duplicate pair
+            "3 2\n0 3 0\n",  # vertex out of range
+            "3 2\n-1 2 0\n",
+            "3 2\n0 1 2\n",  # color out of range
+        ],
+    )
+    def test_malformed_rejected(self, text):
+        with pytest.raises(ValueError):
+            coloring_from_text(text)
+
+
+class TestColorClass:
+    @pytest.mark.parametrize("n", [1, 2, 9, 62, 128])
+    def test_matches_per_pair_oracle(self, n):
+        rng = random.Random(n)
+        col = EdgeColoring(n, 3, [rng.randrange(-1, 3) for _ in pair_iter(n)])
+        for i in range(3):
+            oracle = SimpleGraph(n)
+            for u, v in pair_iter(n):
+                if col.get(u, v) == i:
+                    oracle.add_edge(u, v)
+            assert col.color_class(i) == oracle

@@ -107,6 +107,18 @@ class TestExtendWithDisjointClique:
         with pytest.raises(ValueError):
             extend_with_disjoint_clique(col, [CYCLE4, clique(3)], 3, 0, 1)
 
+    def test_chain_to_n18_verifies(self):
+        # C4,K3@6 -> C4,K4@9 -> C4,K5@12 -> C4,K6@15, then one more step,
+        # which verifies the C4,K7 witness at N=18 before returning it
+        w, targets = self.base_witness(), [CYCLE4, clique(3)]
+        for _ in range(3):
+            w, targets = extend_with_disjoint_clique(w, targets, 3, 0, 1)
+        assert w.n == 15 and targets == [CYCLE4, clique(6)]
+        assert verify_lower_bound(w, targets).value == 16
+        w, targets = extend_with_disjoint_clique(w, targets, 3, 0, 1)
+        assert w.n == 18 and targets == [CYCLE4, clique(7)]
+        assert verify_lower_bound(w, targets).value == 19
+
     def test_pipeline_over_search_found_bases(self):
         # every search-found (C4, K3) witness on 4..6 vertices extends cleanly
         for n in (4, 5, 6):
