@@ -7,6 +7,7 @@ derive / infeasible where feasibility was asserted, 3 budget exhausted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -115,8 +116,10 @@ def _cmd_derive(args) -> int:
             print(msg, file=sys.stderr)
         return EXIT_VERIFY
     replay(tree)
-    doc = {"command": "derive", "status": "ok", "tree": tree.to_dict()}
-    _emit(args, doc, f"{tree.value}\n{tree.render_text()}")
+    if args.json:
+        print(json.dumps({"command": "derive", "status": "ok", "tree": tree.to_dict()}, indent=2))
+    else:
+        print(f"{tree.value}\n{tree.render_text()}")
     return EXIT_OK
 
 
@@ -311,10 +314,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args keeps no state between calls: each one fills a new Namespace
+    # from the defaults, so one parser serves every run() in the process
+    return build_parser()
+
+
 def run(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:

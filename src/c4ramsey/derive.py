@@ -122,7 +122,7 @@ class CannotDeriveError(ValueError):
 
 
 def _option_sort_key(opt: TargetGraph) -> tuple:
-    return (opt.vertex_count, tg.render_target(opt))
+    return (opt.vertex_count, str(opt))
 
 
 def derive(targets: TargetList, registry: Registry, depth_limit: int = 8) -> DerivationTree:
@@ -313,7 +313,7 @@ def _theorem_mt_candidate(tl, depth, go, missing) -> Optional[DerivationTree]:
         if best_child is None:
             return None
         chosen.append(best_child)
-        deletions.append(f"{tg.render_target(gi)}->{tg.render_target(best_opt)}")
+        deletions.append(f"{gi}->{best_opt}")
     r = tuple(c.value for c in chosen)
     q = BoundQuery(m, r)
     if m == 1 and q.s < 1:

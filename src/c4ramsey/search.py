@@ -121,13 +121,10 @@ def _search_edges(
     """
     targets = list(targets)
     c = len(targets)
-    if degree_caps is not None and len(degree_caps) != c:
-        raise ValueError(f"need {c} degree caps, got {len(degree_caps)}")
     if any(_is_forced_empty(t, n) for t in targets):
         return INFEASIBLE, None, 0
     eff = [_effective_target(t, n) for t in targets]
     adj = [[0] * n for _ in range(c)]
-    remaining_at = None if degree_caps is None else _remaining_degree_table(n, edge_list)
     # color-permutation reduction: on the first edge, only the first color of
     # each group of identical declared targets is tried
     first = [i for i, t in enumerate(targets) if targets.index(t) == i]
@@ -155,16 +152,7 @@ def _search_edges(
                 continue
             a[u] |= 1 << v
             a[v] |= 1 << u
-            # counting cut: u and v must each be able to host their
-            # unassigned edges within the per-color degree headroom
-            if remaining_at is None or all(
-                remaining_at[idx + 1][w]
-                <= sum(cap - adj[i][w].bit_count() for i, cap in enumerate(degree_caps))
-                for w in (u, v)
-            ):
-                break
-            a[u] ^= 1 << v
-            a[v] ^= 1 << u
+            break
         else:
             # every color failed here: undo the previous edge and resume it
             if idx == 0:
@@ -192,18 +180,6 @@ def _is_forced_empty(t: TargetGraph, n: int) -> bool:
     return False
 
 
-def _remaining_degree_table(n: int, edge_list: list[tuple[int, int]]) -> list[list[int]]:
-    """remaining[i][v] = number of edges at v among edge_list[i:]."""
-    remaining = [[0] * n for _ in range(len(edge_list) + 1)]
-    for i in range(len(edge_list) - 1, -1, -1):
-        u, v = edge_list[i]
-        row = list(remaining[i + 1])
-        row[u] += 1
-        row[v] += 1
-        remaining[i] = row
-    return remaining
-
-
 def search_coloring(
     n: int,
     targets: Sequence[TargetGraph],
@@ -215,6 +191,18 @@ def search_coloring(
         raise ValueError(f"n must be in [1, 128], got {n}")
     budget = budget or SearchBudget()
     start = time.monotonic()
+    if degree_caps is not None:
+        if len(degree_caps) != len(targets):
+            raise ValueError(f"need {len(targets)} degree caps, got {len(degree_caps)}")
+        if any(cap < 0 for cap in degree_caps):
+            raise ValueError(f"degree caps must be >= 0, got {list(degree_caps)}")
+        # counting cut: each vertex has n-1 edges and color i takes at most
+        # degree_caps[i] of them, so no coloring exists when the caps sum lower
+        if sum(degree_caps) < n - 1:
+            return SearchOutcome(
+                INFEASIBLE, 0, time.monotonic() - start, None,
+                f"degree caps sum to {sum(degree_caps)} < n - 1 = {n - 1}",
+            )
     edge_list = list(pair_iter(n))
     status, assignment, nodes = _search_edges(n, edge_list, targets, budget, degree_caps)
     wall = time.monotonic() - start

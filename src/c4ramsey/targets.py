@@ -10,7 +10,7 @@ total.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 CLIQUE = "clique"
@@ -34,27 +34,33 @@ class TargetGraph:
     kind: str
     k: int = 0
     base: Optional["TargetGraph"] = None
+    # derived once here; equality, hashing and repr use (kind, k, base) only
+    vertex_count: int = field(init=False, repr=False, compare=False)
+    _name: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def vertex_count(self) -> int:
-        if self.kind == CLIQUE:
-            return self.k
-        if self.kind == CYCLE4_KIND:
-            return 4
-        if self.kind == STAR:
-            return self.k + 1
-        if self.kind == BOOK:
-            return self.k + 2
-        if self.kind == EMPTY:
-            return self.k
-        if self.kind == PATH3_KIND:
-            return 3
-        if self.kind == WITH_ISOLATED:
-            return self.base.vertex_count + self.k
-        raise ValueError(f"unknown target kind {self.kind!r}")
+    def __post_init__(self):
+        kind, k = self.kind, self.k
+        if kind == CLIQUE:
+            count, name = k, f"K{k}"
+        elif kind == CYCLE4_KIND:
+            count, name = 4, "C4"
+        elif kind == STAR:
+            count, name = k + 1, f"S{k}"
+        elif kind == BOOK:
+            count, name = k + 2, f"B{k}"
+        elif kind == EMPTY:
+            count, name = k, f"{k}K1"
+        elif kind == PATH3_KIND:
+            count, name = 3, "P3"
+        elif kind == WITH_ISOLATED:
+            count, name = self.base.vertex_count + k, f"{self.base._name}+{k}K1"
+        else:
+            raise ValueError(f"unknown target kind {kind!r}")
+        object.__setattr__(self, "vertex_count", count)
+        object.__setattr__(self, "_name", name)
 
     def __str__(self) -> str:
-        return render_target(self)
+        return self._name
 
 
 CYCLE4 = TargetGraph(CYCLE4_KIND)
@@ -146,21 +152,7 @@ def delete_options(t: TargetGraph) -> set[TargetGraph]:
 
 
 def render_target(t: TargetGraph) -> str:
-    if t.kind == CLIQUE:
-        return f"K{t.k}"
-    if t.kind == CYCLE4_KIND:
-        return "C4"
-    if t.kind == STAR:
-        return f"S{t.k}"
-    if t.kind == BOOK:
-        return f"B{t.k}"
-    if t.kind == EMPTY:
-        return f"{t.k}K1"
-    if t.kind == PATH3_KIND:
-        return "P3"
-    if t.kind == WITH_ISOLATED:
-        return f"{render_target(t.base)}+{t.k}K1"
-    raise ValueError(f"unknown target kind {t.kind!r}")
+    return t._name
 
 
 class TargetParseError(ValueError):
@@ -222,7 +214,7 @@ def parse_target(text: str) -> TargetGraph:
 
 
 def _sort_key(t: TargetGraph) -> tuple:
-    return (t.vertex_count, render_target(t))
+    return (t.vertex_count, t._name)
 
 
 @dataclass(frozen=True)
@@ -234,15 +226,17 @@ class TargetList:
     """
 
     targets: tuple[TargetGraph, ...]
+    # derived once here; equality and hashing use targets only
+    m: int = field(init=False, repr=False, compare=False)
+    _key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         c4s = tuple(t for t in self.targets if t.kind == CYCLE4_KIND)
         rest = sorted((t for t in self.targets if t.kind != CYCLE4_KIND), key=_sort_key)
-        object.__setattr__(self, "targets", c4s + tuple(rest))
-
-    @property
-    def m(self) -> int:
-        return sum(1 for t in self.targets if t.kind == CYCLE4_KIND)
+        ordered = c4s + tuple(rest)
+        object.__setattr__(self, "targets", ordered)
+        object.__setattr__(self, "m", len(c4s))
+        object.__setattr__(self, "_key", ",".join(t._name for t in ordered))
 
     @property
     def n(self) -> int:
@@ -253,7 +247,7 @@ class TargetList:
         return self.targets[self.m:]
 
     def key(self) -> str:
-        return ",".join(render_target(t) for t in self.targets)
+        return self._key
 
     def __iter__(self) -> Iterator[TargetGraph]:
         return iter(self.targets)
@@ -309,9 +303,9 @@ def union_k1_rewrite(targets: TargetList) -> tuple[TargetList, list[int]]:
 def strip_k2(targets: TargetList) -> tuple[TargetList, int]:
     """Drop K2 entries: a color that may not contain a single edge is unused,
     so the Ramsey number is unchanged.  Returns (stripped list, #dropped).
-    Keeps the list nonempty."""
+    Keeps the list nonempty; a list without K2 comes back as the same object."""
     kept = tuple(t for t in targets if not (t.kind == CLIQUE and t.k == 2))
     dropped = len(targets) - len(kept)
-    if not kept:
+    if not kept or not dropped:
         return targets, 0
     return TargetList(kept), dropped

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+import c4ramsey
 from c4ramsey import DerivationTree, RamseyFact, Registry, load_registry, replay
 from c4ramsey.cli import run
 from c4ramsey.graphs import EdgeColoring, coloring_from_text, coloring_to_text, pair_iter
@@ -270,3 +275,35 @@ class TestTopLevel:
 
     def test_no_args(self, capsys):
         assert run([]) == 1
+
+
+class TestParserReuse:
+    # one parser serves every run() in a process; no call may see another's
+    # options, so each answer must match the same call in a fresh interpreter
+    SEQUENCE = [
+        ["derive"],
+        ["derive", "C4,K3,K4", "--json"],
+        ["derive", "C4,K3,K4"],
+        ["search", "--targets", "C4,C4", "--n", "6"],
+        ["derive", "C4,K11", "--depth"],
+        ["bound", "--parsons", "7", "--json"],
+        ["bound", "--parsons", "7"],
+    ]
+
+    @staticmethod
+    def fresh(argv):
+        src = Path(c4ramsey.__file__).resolve().parents[1]
+        code = "import sys; from c4ramsey.cli import run; sys.exit(run(sys.argv[1:]))"
+        done = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        return done.returncode, done.stdout
+
+    def test_in_process_calls_match_fresh_processes(self, capsys):
+        in_process = []
+        for argv in self.SEQUENCE:
+            code = run(argv)
+            in_process.append((code, capsys.readouterr().out))
+        assert [code for code, _ in in_process] == [1, 0, 0, 0, 1, 0, 0]
+        assert in_process == [self.fresh(argv) for argv in self.SEQUENCE]

@@ -75,6 +75,25 @@ class TestSearchColoring:
         with pytest.raises(ValueError):
             search_coloring(5, [CYCLE4, CYCLE4], degree_caps=[3])
 
+    def test_negative_cap_rejected(self):
+        with pytest.raises(ValueError):
+            search_coloring(5, [CYCLE4, clique(3)], degree_caps=[-1, 9])
+
+    @pytest.mark.parametrize("n,caps", [(6, [2, 2]), (9, [3, 4]), (9, [0, 7]), (128, [63, 63])])
+    def test_caps_below_n_minus_one_are_infeasible_without_search(self, n, caps):
+        # every vertex has n-1 edges, and color i can hold at most caps[i]
+        out = search_coloring(n, [CYCLE4, clique(4)], degree_caps=caps)
+        assert (out.status, out.nodes_explored) == ("infeasible", 0)
+
+    @pytest.mark.parametrize(
+        "caps,status,nodes",
+        [([8, 0], "infeasible", 10), ([1, 7], "infeasible", 438), ([2, 6], "feasible", 63),
+         ([6, 2], "infeasible", 598), ([5, 3], "infeasible", 11434), ([6, 6], "feasible", 282)],
+    )
+    def test_caps_summing_to_n_minus_one_or_more_search_as_before(self, caps, status, nodes):
+        out = search_coloring(9, [CYCLE4, clique(4)], degree_caps=caps)
+        assert (out.status, out.nodes_explored) == (status, nodes)
+
     def test_n_out_of_range(self):
         with pytest.raises(ValueError):
             search_coloring(129, [CYCLE4])

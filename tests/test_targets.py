@@ -14,7 +14,52 @@ from c4ramsey import (
     star,
     with_isolated,
 )
-from c4ramsey.targets import CYCLE4, PATH3, TargetParseError, strip_k2, union_k1_rewrite
+from c4ramsey import targets as tg
+from c4ramsey.targets import (
+    CYCLE4,
+    PATH3,
+    TargetGraph,
+    TargetList,
+    TargetParseError,
+    strip_k2,
+    target_edges,
+    union_k1_rewrite,
+)
+
+# Targets from the factory functions, nested with_isolated included.
+TARGETS = st.recursive(
+    st.one_of(
+        st.builds(clique, st.integers(1, 12)),
+        st.builds(star, st.integers(1, 20)),
+        st.builds(book, st.integers(1, 20)),
+        st.builds(empty_graph, st.integers(1, 9)),
+        st.sampled_from([CYCLE4, PATH3]),
+    ),
+    lambda inner: st.builds(with_isolated, inner, st.integers(1, 4)),
+    max_leaves=4,
+)
+
+
+def written_name(t) -> str:
+    """The written form of a target, built up from its fields."""
+    if t.kind == tg.WITH_ISOLATED:
+        return f"{written_name(t.base)}+{t.k}K1"
+    return {
+        tg.CLIQUE: f"K{t.k}",
+        tg.CYCLE4_KIND: "C4",
+        tg.STAR: f"S{t.k}",
+        tg.BOOK: f"B{t.k}",
+        tg.EMPTY: f"{t.k}K1",
+        tg.PATH3_KIND: "P3",
+    }[t.kind]
+
+
+def isolated_count(t) -> int:
+    if t.kind == tg.EMPTY:
+        return t.k
+    if t.kind == tg.WITH_ISOLATED:
+        return isolated_count(t.base) + t.k
+    return 0
 
 
 class TestVertexCounts:
@@ -32,6 +77,23 @@ class TestVertexCounts:
     )
     def test_counts(self, t, count):
         assert t.vertex_count == count
+
+
+class TestStoredFields:
+    @given(TARGETS)
+    def test_name_and_size_match_the_definitions(self, t):
+        assert render_target(t) == str(t) == written_name(t)
+        assert parse_target(render_target(t)) == t
+        on_edges = {v for edge in target_edges(t) for v in edge}
+        assert t.vertex_count == len(on_edges) + isolated_count(t)
+
+    @given(TARGETS)
+    def test_equal_targets_hash_equal(self, t):
+        twin = TargetGraph(t.kind, t.k, t.base)
+        parsed = parse_target(written_name(t))
+        for other in (twin, parsed):
+            assert other == t and hash(other) == hash(t)
+        assert repr(t) == f"TargetGraph(kind={t.kind!r}, k={t.k!r}, base={t.base!r})"
 
 
 class TestNormalization:
@@ -151,6 +213,24 @@ class TestTargetList:
         assert tl.key() == "C4,K3,K3" and dropped == 1
         tl, dropped = strip_k2(parse_targets("K2,K2"))
         assert dropped == 0  # never strips to empty
+
+    def test_strip_k2_without_k2_returns_its_input(self):
+        tl = parse_targets("C4,K3,S2")
+        assert strip_k2(tl) == (tl, 0) and strip_k2(tl)[0] is tl
+
+    @given(st.lists(st.one_of(TARGETS, st.just(CYCLE4)), min_size=1, max_size=5))
+    def test_stored_key_and_m_match_a_recomputation(self, entries):
+        tl = TargetList(tuple(entries))
+        c4s = [t for t in entries if t.kind == tg.CYCLE4_KIND]
+        rest = sorted(
+            (t for t in entries if t.kind != tg.CYCLE4_KIND),
+            key=lambda t: (t.vertex_count, written_name(t)),
+        )
+        assert tl.targets == tuple(c4s + rest)
+        assert tl.m == len(c4s) and tl.n == len(rest)
+        assert tl.key() == ",".join(written_name(t) for t in c4s + rest)
+        again = TargetList(tuple(reversed(entries)))
+        assert again == tl and hash(again) == hash(tl) and again.key() == tl.key()
 
 
 class TestUnionK1Rewrite:
