@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import targets as tg
 from .graphs import (
@@ -66,44 +66,78 @@ def _effective_target(t: TargetGraph, n: int) -> Optional[TargetGraph]:
     return t if n >= t.vertex_count else None
 
 
-def _creates(t: TargetGraph, adj: list[int], u: int, v: int) -> bool:
-    """Would adding edge uv to the class with adjacency adj create target t?
+def _never(adj: list[int], u: int, v: int) -> bool:
+    """The test of a target too large to fit: no edge creates it."""
+    return False
 
-    The class is assumed target-free before the addition, so only copies
-    through the new edge need checking.
+
+def _creates_test(t: TargetGraph) -> Callable[[list[int], int, int], int]:
+    """Compile target t into a test (adj, u, v) -> truthy.
+
+    The test says whether adding edge uv to the class with adjacency adj
+    would create a copy of t.  The class is assumed t-free before the
+    addition, so only copies through the new edge need checking.
     """
-    kind = t.kind
+    kind, k = t.kind, t.k
     if kind == tg.PATH3_KIND:
-        return adj[u] != 0 or adj[v] != 0
+        return lambda adj, u, v: adj[u] or adj[v]
     if kind == tg.STAR:
-        return adj[u].bit_count() >= t.k - 1 or adj[v].bit_count() >= t.k - 1
+        d = k - 1
+        return lambda adj, u, v: adj[u].bit_count() >= d or adj[v].bit_count() >= d
     if kind == tg.CYCLE4_KIND:
-        # a new 4-cycle is uv plus a path u-a-b-v already in the class
-        rest, av = adj[u], adj[v]
-        while rest:
-            b = rest & -rest
-            if adj[b.bit_length() - 1] & av:
-                return True
-            rest ^= b
-        return False
-    if kind == tg.CLIQUE:
-        return _clique_in(adj, adj[u] & adj[v], t.k - 2)
-    if kind == tg.BOOK:
-        # spine uv: pages are common neighbors of u and v; otherwise uv is a
-        # page edge and the spine is (u, x) or (v, x) for an existing edge
-        if (adj[u] & adj[v]).bit_count() >= t.k:
-            return True
-        au = adj[u] | 1 << v
-        av = adj[v] | 1 << u
-        for end, anew in ((u, au), (v, av)):
-            rest = adj[end]
+
+        def c4(adj, u, v):
+            # a new 4-cycle is uv plus a path u-a-b-v already in the class
+            rest, av = adj[u], adj[v]
             while rest:
                 b = rest & -rest
-                x = b.bit_length() - 1
-                rest ^= b
-                if (anew & adj[x]).bit_count() >= t.k:
+                if adj[b.bit_length() - 1] & av:
                     return True
-        return False
+                rest ^= b
+            return False
+
+        return c4
+    if kind == tg.CLIQUE and k == 3:
+        return lambda adj, u, v: adj[u] & adj[v]
+    if kind == tg.CLIQUE and k == 4:
+
+        def k4(adj, u, v):
+            # a new K4 is uv plus an edge among the common neighbours
+            rest = adj[u] & adj[v]
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                if adj[b.bit_length() - 1] & rest:
+                    return True
+            return False
+
+        return k4
+    if kind == tg.CLIQUE:
+        need = k - 2
+        return lambda adj, u, v: _clique_in(adj, adj[u] & adj[v], need)
+    if kind == tg.BOOK:
+        pages = k - 1
+
+        def bk(adj, u, v):
+            # spine uv: the pages are the common neighbours of u and v
+            common = adj[u] & adj[v]
+            if common.bit_count() >= k:
+                return True
+            # page edge uv: the spine is ux (or vx) and v (or u) is its new
+            # page, so x lies in N(u) & N(v).  Spine ux had |N(u) & N(x)|
+            # pages before and gains v; the class was B_k-free, so the book
+            # appears exactly when that count was k-1.  A neighbour x of u
+            # outside N(v) gains no page, so no other x can complete a book.
+            au, av = adj[u], adj[v]
+            while common:
+                b = common & -common
+                common ^= b
+                ax = adj[b.bit_length() - 1]
+                if (au & ax).bit_count() >= pages or (av & ax).bit_count() >= pages:
+                    return True
+            return False
+
+        return bk
     raise ValueError(f"unsupported incremental target {t}")
 
 
@@ -123,35 +157,42 @@ def _search_edges(
     c = len(targets)
     if any(_is_forced_empty(t, n) for t in targets):
         return INFEASIBLE, None, 0
-    eff = [_effective_target(t, n) for t in targets]
-    adj = [[0] * n for _ in range(c)]
+    # one slot per color: its compiled target test, its adjacency rows and its
+    # degree cap (None: uncapped)
+    slots = []
+    for col, t in enumerate(targets):
+        eff = _effective_target(t, n)
+        test = _creates_test(eff) if eff is not None else _never
+        slots.append((test, [0] * n, None if degree_caps is None else degree_caps[col]))
     # color-permutation reduction: on the first edge, only the first color of
     # each group of identical declared targets is tried
     first = [i for i, t in enumerate(targets) if targets.index(t) == i]
     every = range(c)
-    m = len(edge_list)
+    edges = [(u, v, 1 << u, 1 << v) for u, v in edge_list]
+    m = len(edges)
     assignment = [-1] * m
     cursors = []  # cursors[i]: the colors not yet tried on edge i
     colors = iter(first)
     idx = nodes = 0
     node_limit = budget.node_limit
     deadline = time.monotonic() + budget.time_limit
+    # the budget is checked at every multiple of 4096 nodes and at node_limit + 1
+    check = min(4096, node_limit + 1)
     while idx < m:
-        u, v = edge_list[idx]
+        u, v, bu, bv = edges[idx]
         for col in colors:
             nodes += 1
-            if nodes > node_limit or nodes % 4096 == 0 and time.monotonic() > deadline:
-                return UNKNOWN, None, nodes
-            a = adj[col]
-            if degree_caps is not None and (
-                a[u].bit_count() >= degree_caps[col] or a[v].bit_count() >= degree_caps[col]
-            ):
+            if nodes >= check:
+                if nodes > node_limit or time.monotonic() > deadline:
+                    return UNKNOWN, None, nodes
+                check = min(check + 4096, node_limit + 1)
+            test, a, cap = slots[col]
+            if cap is not None and (a[u].bit_count() >= cap or a[v].bit_count() >= cap):
                 continue
-            t = eff[col]
-            if t is not None and _creates(t, a, u, v):
+            if test(a, u, v):
                 continue
-            a[u] |= 1 << v
-            a[v] |= 1 << u
+            a[u] |= bv
+            a[v] |= bu
             break
         else:
             # every color failed here: undo the previous edge and resume it
@@ -159,10 +200,10 @@ def _search_edges(
                 return INFEASIBLE, None, nodes
             idx -= 1
             colors = cursors.pop()
-            u, v = edge_list[idx]
-            a = adj[assignment[idx]]
-            a[u] ^= 1 << v
-            a[v] ^= 1 << u
+            u, v, bu, bv = edges[idx]
+            a = slots[assignment[idx]][1]
+            a[u] ^= bv
+            a[v] ^= bu
             continue
         assignment[idx] = col
         cursors.append(colors)

@@ -132,6 +132,7 @@ def test_criterion_5_stretch_r_c4_k4():
         out = search_coloring(10, [CYCLE4, clique(4)], budget)
         assert out.status in ("infeasible", "unknown")
         assert out.status == "infeasible", "expected full enumeration within budget"
+        assert out.nodes_explored == 38_580_170
 
     report("5s-b", "R(C4,K4) infeasible at N=10", check_10, 600.0)
 

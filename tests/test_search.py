@@ -17,7 +17,7 @@ from c4ramsey import (
     search_coloring,
 )
 from c4ramsey.graphs import pair_iter
-from c4ramsey.search import _creates
+from c4ramsey.search import _creates_test
 from c4ramsey.targets import CYCLE4, PATH3, book, clique, empty_graph, star, with_isolated
 
 from conftest import brute_contains, random_graph
@@ -249,16 +249,21 @@ class TestMergeColors:
 class TestKernel:
     @pytest.mark.parametrize(
         "target",
-        [CYCLE4, PATH3, clique(3), clique(4), star(3), book(2), book(3)],
+        [clique(2), clique(3), clique(4), clique(5), book(1), book(2), book(3), book(4),
+         star(1), star(3), PATH3, CYCLE4],
         ids=str,
     )
     def test_creates_matches_brute_force(self, target):
         # grow a random target-free graph edge by edge; every non-edge of
-        # every intermediate graph is checked against the brute-force oracle
+        # every intermediate graph is checked against the brute-force oracle.
+        # Odd rounds keep every edge they can, so the graph ends maximal and
+        # even K5 gets created.
         rng = random.Random(f"creates-{target}")
+        test = _creates_test(target)
         answers = []
-        for _ in range(6):
+        for round_ in range(6):
             n = rng.randint(5, 7)
+            keep = 1.0 if round_ % 2 else 0.7
             g = SimpleGraph(n)
             pairs = list(pair_iter(n))
             rng.shuffle(pairs)
@@ -266,11 +271,13 @@ class TestKernel:
                 grown = g.copy()
                 grown.add_edge(u, v)
                 hit = brute_contains(grown, target)
-                assert _creates(target, g.adj, u, v) == hit
+                assert bool(test(g.adj, u, v)) == hit
                 answers.append(hit)
-                if not hit and rng.random() < 0.7:
+                if not hit and rng.random() < keep:
                     g = grown
-        assert len(answers) > 60 and set(answers) == {True, False}
+        assert len(answers) > 60
+        # K2 and S1 are single edges: every addition creates them
+        assert set(answers) == ({True} if target in (clique(2), star(1)) else {True, False})
 
     @pytest.mark.parametrize(
         "n,targets,caps,status,nodes",
@@ -282,11 +289,23 @@ class TestKernel:
             (8, [CYCLE4, star(5)], None, "infeasible", 294516),
             (5, [PATH3, star(3)], None, "infeasible", 40),
             (9, [CYCLE4, clique(4)], [6, 6], "feasible", 282),
+            (9, [CYCLE4, book(3)], None, "infeasible", 1342278),
+            (9, [clique(3), clique(4)], None, "infeasible", 2540750),
         ],
     )
     def test_pinned_node_counts(self, n, targets, caps, status, nodes):
         out = search_coloring(n, targets, degree_caps=caps)
         assert (out.status, out.nodes_explored) == (status, nodes)
+
+    @pytest.mark.parametrize("limit", [1, 4095, 4096, 4097, 8193, 200000])
+    def test_node_limit_stops_one_node_past_it(self, limit):
+        # S100,S100 at N=128 is feasible but runs far past every limit here
+        out = search_coloring(128, [star(100), star(100)], SearchBudget(node_limit=limit))
+        assert (out.status, out.nodes_explored) == ("unknown", limit + 1)
+
+    def test_time_limit_is_checked_at_the_4096th_node(self):
+        out = search_coloring(10, [CYCLE4, clique(4)], SearchBudget(time_limit=1e-9))
+        assert (out.status, out.nodes_explored) == ("unknown", 4096)
 
     def test_n128_needs_no_recursion_limit(self):
         limit = sys.getrecursionlimit()
