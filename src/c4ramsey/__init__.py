@@ -49,7 +49,6 @@ from .targets import (
     parse_target,
     parse_target_sequence,
     parse_targets,
-    render_target,
     star,
     with_isolated,
 )

@@ -2,6 +2,14 @@
 
 Exit codes: 0 success, 1 usage error, 2 verification failure / cannot
 derive / infeasible where feasibility was asserted, 3 budget exhausted.
+Exit 1 also covers two derive results too large to print.  A tree whose
+written form exceeds MAX_WRITTEN_NODES nodes is refused: shared subtrees
+are written out in full, so C4,C4,K12,K12 would need 335,919 nodes and
+C4,C4,K20,K20 about 1.7e10.  A tree nested past Python's recursion limit
+cannot be encoded: DerivationTree.to_dict and the JSON encoder each stop
+at about 500 tree levels under the default limit of 1000, so under --json
+`derive C4,K500` prints and `derive C4,K1200` does not.  Text mode has no
+such limit.
 """
 
 from __future__ import annotations
@@ -45,6 +53,8 @@ EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_BUDGET = 3
 
+MAX_WRITTEN_NODES = 20_000
+
 
 def _load_registry_arg(path: Optional[str]) -> Registry:
     if path is None:
@@ -79,10 +89,7 @@ def _emit(args, doc: dict, text: str) -> None:
 
 def _cmd_bound(args) -> int:
     if args.mt or args.lemma2 or args.p3:
-        r = tuple(args.r or [])
-        if args.n is not None and args.n != len(r):
-            raise SystemExit("--n disagrees with the number of --r values")
-        q = BoundQuery(args.m, r)
+        q = BoundQuery(args.m, tuple(args.r or []))
         if args.mt:
             value, formula = theorem_mt_bound(q), "mt"
         elif args.p3:
@@ -107,7 +114,7 @@ def _cmd_derive(args) -> int:
     reg = _load_registry_arg(args.registry)
     targets = parse_targets(args.targets)
     try:
-        tree = derive(targets, reg, depth_limit=args.depth)
+        tree = derive(targets, reg)
     except CannotDeriveError as e:
         msg = "cannot derive; missing facts for: " + ", ".join(e.missing)
         if args.json:
@@ -116,6 +123,12 @@ def _cmd_derive(args) -> int:
             print(msg, file=sys.stderr)
         return EXIT_VERIFY
     replay(tree)
+    size = tree.written_size()
+    if size > MAX_WRITTEN_NODES:
+        raise ValueError(
+            f"R({tree.targets.key()}) <= {tree.value}, but its tree has {size} nodes written out "
+            f"(shared subtrees repeat); more than {MAX_WRITTEN_NODES} are not printed"
+        )
     if args.json:
         print(json.dumps({"command": "derive", "status": "ok", "tree": tree.to_dict()}, indent=2))
     else:
@@ -257,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--book", type=int, metavar="K")
     p.add_argument("--stars", type=int, nargs="+", metavar="K")
     p.add_argument("--m", type=int, default=1)
-    p.add_argument("--n", type=int)
     p.add_argument("--r", type=int, nargs="*")
     p.add_argument("--registry", metavar="PATH")
     p.add_argument("--json", action="store_true")
@@ -266,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("derive", help="derive an upper bound with an audit tree")
     p.add_argument("targets")
     p.add_argument("--registry", metavar="PATH")
-    p.add_argument("--depth", type=int, default=8)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_derive)
 
@@ -335,6 +346,12 @@ def run(argv: Optional[list[str]] = None) -> int:
         return e.code if e.code is not None else EXIT_OK
     except (ValueError, OverflowError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_USAGE
+    except RecursionError:
+        print(
+            "error: result nests too deeply to encode as JSON; the text form has no such limit",
+            file=sys.stderr,
+        )
         return EXIT_USAGE
 
 

@@ -1,4 +1,4 @@
-"""Recursive upper-bound derivation with an auditable, replayable tree.
+"""Memoized upper-bound derivation with an auditable, replayable tree.
 
 Each node records the rule applied, the child derivations supplying its
 inputs, and a notes ledger (rule parameters, precondition guards).  A tree
@@ -8,7 +8,7 @@ can be re-evaluated bottom-up and must reproduce its conclusion exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Generator, Optional
 
 from . import targets as tg
 from .bounds import BoundQuery, isqrt_ceil, parsons_bound, stars_bound, theorem_mt_bound
@@ -25,16 +25,6 @@ class DerivationTree:
     children: tuple["DerivationTree", ...] = ()
     notes: dict = field(default_factory=dict)
     citation: str = ""
-
-    @property
-    def conclusion(self) -> RamseyFact:
-        return RamseyFact(
-            targets=self.targets,
-            kind=self.kind,
-            value=self.value,
-            citation=self.citation or self.rule,
-            trust="derived" if self.rule != "Registry" else "paper",
-        )
 
     def to_dict(self) -> dict:
         return {
@@ -59,15 +49,37 @@ class DerivationTree:
             citation=d.get("citation", ""),
         )
 
-    def render_text(self, indent: int = 0) -> str:
-        pad = "  " * indent
-        rel = "=" if self.kind == "exact" else "<="
-        cite = f"  [{self.citation}]" if self.citation else ""
+    def written_size(self) -> int:
+        """Nodes that to_dict() and render_text() write: a subtree shared by
+        several parents is counted once under each one."""
+        sizes: dict[int, int] = {}
+        stack = [self]
+        while stack:
+            node = stack[-1]
+            todo = [c for c in node.children if id(c) not in sizes]
+            if todo:
+                stack.extend(todo)
+            else:
+                stack.pop()
+                sizes[id(node)] = 1 + sum(sizes[id(c)] for c in node.children)
+        return sizes[id(self)]
+
+    def render_text(self) -> str:
+        """One line per node in pre-order, children indented under parents.
+        A subtree shared by several parents is written under each one."""
         note_keys = ("deletions", "floors", "vertex_floor", "guard", "star_bound")
-        shown = {k: v for k, v in self.notes.items() if k in note_keys and v}
-        note = f"  {shown}" if shown else ""
-        lines = [f"{pad}R({self.targets.key()}) {rel} {self.value}  via {self.rule}{cite}{note}"]
-        lines += [c.render_text(indent + 1) for c in self.children]
+        lines = []
+        stack = [(self, 0)]
+        while stack:
+            node, level = stack.pop()
+            rel = "=" if node.kind == "exact" else "<="
+            cite = f"  [{node.citation}]" if node.citation else ""
+            shown = {k: v for k, v in node.notes.items() if k in note_keys and v}
+            note = f"  {shown}" if shown else ""
+            lines.append(
+                f"{'  ' * level}R({node.targets.key()}) {rel} {node.value}  via {node.rule}{cite}{note}"
+            )
+            stack.extend((c, level + 1) for c in reversed(node.children))
         return "\n".join(lines)
 
 
@@ -76,9 +88,21 @@ class ReplayError(ValueError):
 
 
 def replay(tree: DerivationTree) -> None:
-    """Re-evaluate every node's rule on its children; raise on any mismatch."""
-    for c in tree.children:
-        replay(c)
+    """Re-evaluate every node's rule on its children; raise on any mismatch.
+
+    Each distinct node object is checked once, so a subtree that derive()
+    shares between parents costs one check."""
+    seen: set[int] = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            _replay_node(node)
+            stack.extend(node.children)
+
+
+def _replay_node(tree: DerivationTree) -> None:
     rule, notes = tree.rule, tree.notes
     if rule == "Registry":
         expected = tree.value
@@ -125,195 +149,208 @@ def _option_sort_key(opt: TargetGraph) -> tuple:
     return (opt.vertex_count, str(opt))
 
 
-def derive(targets: TargetList, registry: Registry, depth_limit: int = 8) -> DerivationTree:
+def derive(targets: TargetList, registry: Registry) -> DerivationTree:
     """Best upper bound derivable for the target list from the registry.
 
     Combines registry lookups with the rewrite rules (edgeless targets,
     union-with-K1, star/book shortcuts and the main recursive bound);
     among applicable rules the smallest bound wins.  Raises
     CannotDeriveError listing unresolvable leaves.
+
+    Every rule's child lists have fewer vertices in total than the parent,
+    so the evaluation ends without any cap.  It runs as one loop over a
+    stack of _plan generators, not as Python recursion, so long chains such
+    as C4,K1200 need no recursion limit.  Each list is planned once; its
+    tree, or its set of missing facts, is memoized under its key.
     """
-    memo: dict[str, DerivationTree] = {}
-    failed: dict[str, tuple[int, set[str]]] = {}  # key -> (depth tried, missing)
-
-    def go(raw: TargetList, depth: int) -> DerivationTree:
-        tl, _dropped = strip_k2(raw)
+    memo: dict[str, DerivationTree | set[str]] = {}
+    tl, _dropped = strip_k2(targets)
+    keys = [tl.key()]
+    stack = [_plan(tl, registry)]
+    result = None
+    while stack:
+        try:
+            child = stack[-1].send(result)
+        except StopIteration as done:
+            stack.pop()
+            result = memo[keys.pop()] = done.value
+            continue
+        tl, _dropped = strip_k2(child)
         key = tl.key()
-        if key in memo:
-            return memo[key]
-        if key in failed and failed[key][0] >= depth:
-            raise CannotDeriveError(failed[key][1])
+        result = memo.get(key)
+        if result is None:
+            keys.append(key)
+            stack.append(_plan(tl, registry))
+    if isinstance(result, set):
+        raise CannotDeriveError(result)
+    return result
 
-        candidates: list[tuple[tuple, DerivationTree]] = []
-        missing: set[str] = set()
 
-        fact = registry.best_upper(tl)
-        if fact is not None:
-            candidates.append(
-                (
-                    (fact.value, 0),
-                    DerivationTree(
-                        targets=tl,
-                        rule="Registry",
-                        value=fact.value,
-                        kind="exact" if fact.kind == "exact" else "upper",
-                        citation=fact.citation,
-                        notes={"trust": fact.trust},
-                    ),
-                )
+def _registry_leaf(tl: TargetList, fact: RamseyFact) -> DerivationTree:
+    return DerivationTree(
+        targets=tl,
+        rule="Registry",
+        value=fact.value,
+        kind="exact" if fact.kind == "exact" else "upper",
+        citation=fact.citation,
+        notes={"trust": fact.trust},
+    )
+
+
+def _best(candidates: list[tuple[tuple, DerivationTree]]) -> DerivationTree:
+    return min(candidates, key=lambda c: c[0])[1]
+
+
+def _plan(tl: TargetList, registry: Registry) -> Generator[TargetList, object, object]:
+    """Plan one K2-free list.  Yields each child list it needs and is sent
+    back that list's tree, or its set of missing facts; returns this list's
+    best tree, or its own set of missing facts."""
+    candidates: list[tuple[tuple, DerivationTree]] = []
+    missing: set[str] = set()
+
+    fact = registry.best_upper(tl)
+    if fact is not None:
+        candidates.append(((fact.value, 0), _registry_leaf(tl, fact)))
+
+    empties = [t.k for t in tl if t.kind == tg.EMPTY]
+    if empties:
+        k = min(empties)
+        candidates.append(
+            (
+                (k, 1),
+                DerivationTree(
+                    targets=tl,
+                    rule="TrivialEmpty",
+                    value=k,
+                    kind="upper",
+                    notes={"guard": f"{k}K1 needs only {k} vertices"},
+                ),
             )
+        )
+        # No other rule can win here, whatever the registry holds: Parsons,
+        # BookCor and StarsCor need star or book entries only; UnionK1's
+        # floors include |V(kK1)| = k, and TheoremMT's value (and so
+        # MaxWithVertexCount's) is at least its vertex floor, which is >= k.
+        # Both rank after TrivialEmpty on a tie, so no child is planned.
+        return _best(candidates)
 
-        empties = [t.k for t in tl if t.kind == tg.EMPTY]
-        if empties:
-            k = min(empties)
-            candidates.append(
-                (
-                    (k, 1),
-                    DerivationTree(
-                        targets=tl,
-                        rule="TrivialEmpty",
-                        value=k,
-                        kind="upper",
-                        notes={"guard": f"{k}K1 needs only {k} vertices"},
-                    ),
-                )
+    m, others = tl.m, tl.others
+
+    if m == 1 and len(others) == 1 and others[0].kind == tg.STAR and others[0].k >= 2:
+        k = others[0].k
+        candidates.append(
+            (
+                (parsons_bound(k), 2),
+                DerivationTree(
+                    targets=tl,
+                    rule="Parsons",
+                    value=parsons_bound(k),
+                    kind="upper",
+                    notes={"k": k},
+                ),
             )
+        )
 
-        m, others = tl.m, tl.others
-
-        if m == 1 and len(others) == 1 and others[0].kind == tg.STAR and others[0].k >= 2:
-            k = others[0].k
-            candidates.append(
-                (
-                    (parsons_bound(k), 2),
-                    DerivationTree(
-                        targets=tl,
-                        rule="Parsons",
-                        value=parsons_bound(k),
-                        kind="upper",
-                        notes={"k": k},
-                    ),
-                )
+    if m == 1 and len(others) == 1 and others[0].kind == tg.BOOK and others[0].k >= 2:
+        k = others[0].k
+        star_list = TargetList((tg.CYCLE4, tg.star(k)))
+        star_fact = registry.best_upper(star_list)
+        children: tuple[DerivationTree, ...] = ()
+        if star_fact is not None and star_fact.value <= parsons_bound(k):
+            s = star_fact.value
+            children = (_registry_leaf(star_list, star_fact),)
+            source = "registry"
+        else:
+            s = parsons_bound(k)
+            source = "parsons"
+        value = s + isqrt_ceil(s) + 1
+        candidates.append(
+            (
+                (value, 2),
+                DerivationTree(
+                    targets=tl,
+                    rule="BookCor",
+                    value=value,
+                    kind="upper",
+                    children=children,
+                    notes={"k": k, "star_bound": s, "star_source": source},
+                ),
             )
+        )
 
-        if m == 1 and len(others) == 1 and others[0].kind == tg.BOOK and others[0].k >= 2:
-            k = others[0].k
-            star_list = TargetList((tg.CYCLE4, tg.star(k)))
-            star_fact = registry.best_upper(star_list)
-            children: tuple[DerivationTree, ...] = ()
-            if star_fact is not None and star_fact.value <= parsons_bound(k):
-                s = star_fact.value
-                children = (
-                    DerivationTree(
-                        targets=star_list,
-                        rule="Registry",
-                        value=s,
-                        kind="exact" if star_fact.kind == "exact" else "upper",
-                        citation=star_fact.citation,
-                        notes={"trust": star_fact.trust},
-                    ),
-                )
-                source = "registry"
-            else:
-                s = parsons_bound(k)
-                source = "parsons"
-            value = s + isqrt_ceil(s) + 1
+    if m >= 1 and others and all(t.kind == tg.STAR for t in others):
+        ks = [t.k for t in others]
+        if m + sum(ks) >= len(ks) + 2:
+            value = stars_bound(m, ks)
             candidates.append(
                 (
                     (value, 2),
                     DerivationTree(
                         targets=tl,
-                        rule="BookCor",
+                        rule="StarsCor",
                         value=value,
                         kind="upper",
-                        children=children,
-                        notes={"k": k, "star_bound": s, "star_source": source},
+                        notes={"m": m, "k": ks},
                     ),
                 )
             )
 
-        if m >= 1 and others and all(t.kind == tg.STAR for t in others):
-            ks = [t.k for t in others]
-            if m + sum(ks) >= len(ks) + 2:
-                value = stars_bound(m, ks)
+    if m >= 1 and others:
+        try:
+            inner, floors = union_k1_rewrite(tl)
+        except ValueError:
+            inner = None
+        if inner is not None:
+            child = yield inner
+            if isinstance(child, set):
+                missing |= child
+            else:
+                value = max([child.value] + floors)
                 candidates.append(
                     (
-                        (value, 2),
+                        (value, 3),
                         DerivationTree(
                             targets=tl,
-                            rule="StarsCor",
+                            rule="UnionK1",
                             value=value,
-                            kind="upper",
-                            notes={"m": m, "k": ks},
+                            kind=child.kind,
+                            children=(child,),
+                            notes={"floors": floors},
                         ),
                     )
                 )
 
-        if depth > 0 and m >= 1 and others:
-            try:
-                inner, floors = union_k1_rewrite(tl)
-            except ValueError:
-                inner = None
-            if inner is not None:
-                try:
-                    child = go(inner, depth - 1)
-                    value = max([child.value] + floors)
-                    candidates.append(
-                        (
-                            (value, 3),
-                            DerivationTree(
-                                targets=tl,
-                                rule="UnionK1",
-                                value=value,
-                                kind=child.kind,
-                                children=(child,),
-                                notes={"floors": floors},
-                            ),
-                        )
-                    )
-                except CannotDeriveError as e:
-                    missing.update(e.missing)
-
-        if depth > 0 and m >= 1 and all(t.vertex_count >= 2 for t in others):
-            mt = _theorem_mt_candidate(tl, depth, go, missing)
+    if m >= 1 and all(t.vertex_count >= 2 for t in others):
+        chosen: list[DerivationTree] = []
+        deletions: list[str] = []
+        for i, gi in enumerate(others):
+            best = None
+            for opt in sorted(tg.delete_options(gi), key=_option_sort_key):
+                child = yield tl.replace_other(i, opt)
+                if isinstance(child, set):
+                    missing |= child
+                    continue
+                ck = (child.value,) + _option_sort_key(opt)
+                if best is None or ck < best[0]:
+                    best = (ck, child, opt)
+            if best is None:
+                break
+            chosen.append(best[1])
+            deletions.append(f"{gi}->{best[2]}")
+        else:  # every entry has a derivable deletion
+            mt = _theorem_mt_node(tl, chosen, deletions)
             if mt is not None:
                 candidates.append(((mt.value, 3), mt))
 
-        if not candidates:
-            if not missing:
-                missing = {key}
-            failed[key] = (depth, missing)
-            raise CannotDeriveError(missing)
-
-        best = min(candidates, key=lambda c: c[0])[1]
-        memo[key] = best
-        return best
-
-    return go(targets, depth_limit)
+    if not candidates:
+        return missing or {tl.key()}
+    return _best(candidates)
 
 
-def _theorem_mt_candidate(tl, depth, go, missing) -> Optional[DerivationTree]:
+def _theorem_mt_node(
+    tl: TargetList, chosen: list[DerivationTree], deletions: list[str]
+) -> Optional[DerivationTree]:
     m, others = tl.m, tl.others
-    chosen: list[DerivationTree] = []
-    deletions: list[str] = []
-    for i, gi in enumerate(others):
-        options = sorted(tg.delete_options(gi), key=_option_sort_key)
-        best_child = None
-        best_key = None
-        best_opt = None
-        for opt in options:
-            try:
-                child = go(tl.replace_other(i, opt), depth - 1)
-            except CannotDeriveError as e:
-                missing.update(e.missing)
-                continue
-            ck = (child.value,) + _option_sort_key(opt)
-            if best_key is None or ck < best_key:
-                best_child, best_key, best_opt = child, ck, opt
-        if best_child is None:
-            return None
-        chosen.append(best_child)
-        deletions.append(f"{gi}->{best_opt}")
     r = tuple(c.value for c in chosen)
     q = BoundQuery(m, r)
     if m == 1 and q.s < 1:

@@ -119,9 +119,6 @@ class Registry:
     def save(self, path: str | Path) -> None:
         Path(path).write_text(render_registry(self))
 
-    def __len__(self) -> int:
-        return len(self.facts())
-
 
 def render_registry(reg: Registry) -> str:
     lines = ["# targets | kind | value | citation | trust"]

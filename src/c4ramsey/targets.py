@@ -151,10 +151,6 @@ def delete_options(t: TargetGraph) -> set[TargetGraph]:
     raise ValueError(f"unknown target kind {t.kind!r}")
 
 
-def render_target(t: TargetGraph) -> str:
-    return t._name
-
-
 class TargetParseError(ValueError):
     """Raised on malformed target expressions; carries the error position."""
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -10,7 +12,7 @@ import c4ramsey
 from c4ramsey import DerivationTree, RamseyFact, Registry, load_registry, replay
 from c4ramsey.cli import run
 from c4ramsey.graphs import EdgeColoring, coloring_from_text, coloring_to_text, pair_iter
-from c4ramsey.targets import parse_targets
+from c4ramsey.targets import parse_targets, strip_k2
 
 from conftest import two_five_cycles
 
@@ -28,8 +30,38 @@ COLORING_TEXT = st.one_of(
 ).filter(lambda text: not text.startswith("@"))
 
 
+# Target lists for derive: 1-3 C4s, one clique up to K60 and up to two small
+# entries, each entry with 0-2 extra isolated vertices.  A second large entry
+# adds nothing the small ones do not reach (C4,C4,K60,K5 already writes out
+# 523,684 nodes, past the printing cap), but three of them make one example
+# plan tens of thousands of lists.
+def _isolated(base):
+    return st.tuples(base, st.integers(0, 2)).map(lambda p: p[0] + (f"+{p[1]}K1" if p[1] else ""))
+
+
+_LARGE = _isolated(st.integers(2, 60).map(lambda k: f"K{k}"))
+_SMALL = _isolated(
+    st.one_of(
+        st.sampled_from(["K2", "K3", "K4", "K5", "P3", "S2", "S3", "S5", "B2", "B3"]),
+        st.integers(1, 3).map(lambda k: f"{k}K1"),
+    )
+)
+DERIVE_LISTS = (
+    st.tuples(st.integers(1, 3), _LARGE, st.lists(_SMALL, max_size=2))
+    .flatmap(lambda p: st.permutations(["C4"] * p[0] + [p[1]] + p[2]))
+    .map(",".join)
+)
+
+
 def out_of(capsys):
     return capsys.readouterr().out.strip()
+
+
+def run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestBound:
@@ -94,10 +126,45 @@ class TestDerive:
     def test_cannot_derive_exit_2(self, tmp_path, capsys):
         empty = tmp_path / "reg.txt"
         Registry().save(empty)
-        assert run(["derive", "C4,K11", "--registry", str(empty), "--depth", "1"]) == 2
+        assert run(["derive", "C4,K11", "--registry", str(empty)]) == 2
 
     def test_bad_target_is_usage_error(self, capsys):
         assert run(["derive", "C5,K3"]) == 1
+
+    def test_k20_needs_no_flag(self, capsys):
+        assert run(["derive", "C4,K20"]) == 0
+        assert out_of(capsys).splitlines()[0] == "136"
+
+    def test_k1200_prints_as_text_but_not_as_json(self, capsys):
+        assert run(["derive", "C4,K1200"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "367690" and len(lines) == 1 + 1191
+        assert run(["derive", "C4,K1200", "--json"]) == 1
+        done = capsys.readouterr()
+        assert done.out == "" and done.err.startswith("error:") and done.err.count("\n") == 1
+
+    def test_tree_too_large_to_print(self, capsys):
+        for extra in ([], ["--json"]):
+            assert run(["derive", "C4,C4,K12,K12", *extra]) == 1
+            done = capsys.readouterr()
+            assert done.out == "" and done.err.count("\n") == 1
+            assert done.err.startswith("error: R(C4,C4,K12,K12) <= 9406801, but its tree has 335919")
+
+    @settings(max_examples=60, deadline=None)
+    @given(DERIVE_LISTS)
+    def test_any_target_list_ends_in_an_exit_code(self, text):
+        code, out, err = run_captured(["derive", text, "--json"])
+        text_code, _, text_err = run_captured(["derive", text])
+        assert code == text_code and code in (0, 1, 2)
+        if code == 0:
+            tree = DerivationTree.from_dict(json.loads(out)["tree"])
+            replay(tree)
+            assert tree.targets == strip_k2(parse_targets(text))[0]
+        elif code == 1:
+            for message in (err, text_err):
+                assert message.startswith("error:") and message.count("\n") == 1
+        else:
+            assert json.loads(out)["status"] == "cannot-derive"
 
 
 class TestVerify:

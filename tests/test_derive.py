@@ -1,6 +1,7 @@
 import pytest
 
 from c4ramsey import (
+    BoundQuery,
     CannotDeriveError,
     DerivationTree,
     RamseyFact,
@@ -8,6 +9,7 @@ from c4ramsey import (
     derive,
     replay,
     seed_registry,
+    theorem_mt_bound,
 )
 from c4ramsey.derive import ReplayError
 from c4ramsey.targets import parse_targets
@@ -109,18 +111,66 @@ class TestRules:
 class TestCannotDerive:
     def test_missing_facts_listed(self):
         with pytest.raises(CannotDeriveError) as e:
-            derive(parse_targets("C4,K11"), Registry(), depth_limit=1)
+            derive(parse_targets("C4,K11"), Registry())
         assert any("K10" in k or "C4" in k for k in e.value.missing)
 
     def test_m1_k2_only_cannot_derive(self):
         with pytest.raises(CannotDeriveError):
             derive(parse_targets("C4,K2"), Registry())
 
-    def test_depth_limit(self):
-        reg = registry_with("C4,K10 | exact | 36 | [LaLR] | paper")
-        with pytest.raises(CannotDeriveError):
-            derive(parse_targets("C4,K12"), reg, depth_limit=1)
-        assert derive(parse_targets("C4,K12"), reg, depth_limit=3).value == 51
+
+class LookupLog(Registry):
+    """A registry that records every list it is asked about."""
+
+    def __init__(self, facts=()):
+        self.asked = []
+        super().__init__(facts)
+
+    def best_upper(self, targets):
+        self.asked.append(targets.key())
+        return super().best_upper(targets)
+
+
+class TestEdgelessEntry:
+    # a list with a kK1 entry is settled by Registry or TrivialEmpty alone
+    def test_trivial_empty_plans_no_child(self):
+        reg = LookupLog(seed_registry().facts())
+        tree = derive(parse_targets("C4,C4,K11,3K1"), reg)
+        assert (tree.rule, tree.value, tree.children) == ("TrivialEmpty", 3, ())
+        assert reg.asked == [parse_targets("C4,C4,K11,3K1").key()]
+        replay(tree)
+
+    @pytest.mark.parametrize(
+        "fact_value, rule, value",
+        [(2, "Registry", 2), (3, "Registry", 3), (9, "TrivialEmpty", 3)],
+    )
+    def test_registry_against_trivial_empty(self, fact_value, rule, value):
+        reg = registry_with(f"C4,K4,3K1 | upper | {fact_value} | fake | user")
+        tree = derive(parse_targets("C4,K4,3K1"), reg)
+        assert (tree.rule, tree.value, tree.children) == (rule, value, ())
+
+
+class TestNoCap:
+    def test_k1200_iterates_the_main_bound(self):
+        r = 36  # R(C4,K10) in the seed registry
+        for _ in range(11, 1201):
+            r = theorem_mt_bound(BoundQuery(1, (r,)))
+        assert r == 367_690
+        tree = derive(parse_targets("C4,K1200"), seed_registry())
+        assert tree.value == r
+        replay(tree)
+
+    def test_shared_subtrees_are_replayed_once(self):
+        # written out, this tree has about 1.7e10 nodes; derive() shares them
+        tree = derive(parse_targets("C4,C4,K20,K20"), seed_registry())
+        assert tree.written_size() > 10**10
+        replay(tree)
+
+    def test_written_size_counts_rendered_lines(self):
+        reg = seed_registry()
+        for key in ["C4,K3,K4", "C4,K11", "C4,C4,K4,K4", "C4,C4,K8,K8", "C4,K8,K4+1K1", "C4,B17"]:
+            tree = derive(parse_targets(key), reg)
+            assert tree.written_size() == len(tree.render_text().splitlines())
 
 
 class TestTreeSerialization:

@@ -4,7 +4,9 @@ Each list maps to (exit code, sha256 of stdout) for `derive LIST --json` and
 for `derive LIST` in text mode.  Any change to tree choice, tree order,
 notes or formatting fails here.  The lists cover the paper's table rows, a
 cannot-derive answer, stars (Parsons, StarsCor), books (BookCor), +1K1
-entries (UnionK1), an edgeless entry and a K2 entry that is stripped.
+entries (UnionK1), an edgeless entry and a K2 entry that is stripped.  The
+last four have trees 9 to 11 nodes deep: C4,K20 (136), C4,K8,K4+1K1 (786),
+C4,C4,K8,K4+1K1 (1874) and C4,C4,K5,K5,K3+1K1 (6243).
 """
 
 import hashlib
@@ -77,6 +79,22 @@ GOLDEN = {
     "C4,K2,K3,K4": (
         (0, "35d992e38ba1eb906c5f5a5b2f9df2b3dd5e9a064ada5086fbfb48b2509417da"),
         (0, "2065feeb0ae2ee1225952c3f37900fabfa85fcc12ef72516645096c0ef924e58"),
+    ),
+    "C4,K20": (
+        (0, "cea5143fbc4a7bb0099083cb3f0a0da143e5d113218f7ba09f2e057445a88da8"),
+        (0, "07bd6debb8541744a59bf849f34871979b3a491855c147d3f61e7d518eb8fac5"),
+    ),
+    "C4,K8,K4+1K1": (
+        (0, "70320bfad0c2b71aae1afb3b5a6074031f61f84698df256f2cdcd9be56bf00c6"),
+        (0, "7bb13311d201d17e390bf80d18c313def10f064a612207d0bf9fe6ae5f522ae4"),
+    ),
+    "C4,C4,K8,K4+1K1": (
+        (0, "0c8d572b2746f4852b03acd306a93a0e703dc5145116cf746b491c719fd3d57a"),
+        (0, "63e9c0aebddba065fe4b307ae014f13ece7edb29b76847ac83fde4c5308ef913"),
+    ),
+    "C4,C4,K5,K5,K3+1K1": (
+        (0, "2a83b3388495e38735cdf6a5cbd7e0ed3509aa63421b89a10bb26f89df0b4f91"),
+        (0, "745567ec24ebfec9466f24c95567713715485d5a67024a1d333302b7c4ee2c9b"),
     ),
 }
 
