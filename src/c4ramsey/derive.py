@@ -7,7 +7,9 @@ can be re-evaluated bottom-up and must reproduce its conclusion exactly.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Generator, Optional
 
 from . import targets as tg
@@ -26,7 +28,7 @@ class DerivationTree:
     notes: dict = field(default_factory=dict)
     citation: str = ""
 
-    def to_dict(self) -> dict:
+    def _fields(self) -> dict:
         return {
             "targets": self.targets.key(),
             "rule": self.rule,
@@ -34,20 +36,90 @@ class DerivationTree:
             "kind": self.kind,
             "citation": self.citation,
             "notes": self.notes,
-            "children": [c.to_dict() for c in self.children],
+            "children": [],
         }
+
+    def to_dict(self) -> dict:
+        """Nested dicts, one per written node: a subtree shared by several
+        parents gets its own dicts under each one.  Built from an explicit
+        stack, so depth needs no recursion limit."""
+        root = self._fields()
+        stack = [(self, root)]
+        while stack:
+            node, d = stack.pop()
+            for c in node.children:
+                cd = c._fields()
+                d["children"].append(cd)
+                stack.append((c, cd))
+        return root
 
     @staticmethod
     def from_dict(d: dict) -> "DerivationTree":
-        return DerivationTree(
-            targets=parse_targets(d["targets"]),
-            rule=d["rule"],
-            value=d["value"],
-            kind=d["kind"],
-            children=tuple(DerivationTree.from_dict(c) for c in d["children"]),
-            notes=dict(d["notes"]),
-            citation=d.get("citation", ""),
-        )
+        """Inverse of to_dict, built bottom-up from an explicit stack."""
+        done: list[DerivationTree] = []
+        stack = [(d, False)]
+        while stack:
+            cur, ready = stack.pop()
+            if not ready:
+                stack.append((cur, True))
+                stack.extend((c, False) for c in reversed(cur["children"]))
+                continue
+            first = len(done) - len(cur["children"])
+            children = tuple(done[first:])
+            del done[first:]
+            done.append(
+                DerivationTree(
+                    targets=parse_targets(cur["targets"]),
+                    rule=cur["rule"],
+                    value=cur["value"],
+                    kind=cur["kind"],
+                    children=children,
+                    notes=dict(cur["notes"]),
+                    citation=cur.get("citation", ""),
+                )
+            )
+        return done[0]
+
+    def to_json(self, level: int = 0) -> str:
+        """json.dumps(self.to_dict(), indent=2), byte for byte, without the
+        pure-Python encoder that json.dumps runs whenever indent is set.
+
+        Nodes are written in pre-order from an explicit stack, so depth needs
+        no recursion limit, and each node's text is written once at its own
+        indentation.  level indents the whole document by that many steps
+        after its first line, for embedding it as a value in a larger one."""
+        out: list[str] = []
+        stack: list = [(self, level)]
+        while stack:
+            item = stack.pop()
+            if type(item) is str:
+                out.append(item)
+                continue
+            node, lvl = item
+            pad0 = "  " * lvl
+            pad1 = pad0 + "  "
+            out.append(
+                f'{{\n{pad1}"targets": {_json_str(node.targets.key())},\n'
+                f'{pad1}"rule": {_json_str(node.rule)},\n'
+                f'{pad1}"value": {_json_value(node.value, pad1)},\n'
+                f'{pad1}"kind": {_json_str(node.kind)},\n'
+                f'{pad1}"citation": {_json_str(node.citation)},\n'
+                f'{pad1}"notes": {_json_notes(node.notes, pad1)},\n'
+                f'{pad1}"children": '
+            )
+            kids = node.children
+            if not kids:
+                out.append(f"[]\n{pad0}}}")
+                continue
+            pad2 = pad1 + "  "
+            out.append("[\n" + pad2)
+            stack.append(f"\n{pad1}]\n{pad0}}}")
+            sep = ",\n" + pad2
+            for i in range(len(kids) - 1, 0, -1):
+                stack.append((kids[i], lvl + 2))
+                stack.append(sep)
+            stack.append((kids[0], lvl + 2))
+        return "".join(out)
 
     def written_size(self) -> int:
         """Nodes that to_dict() and render_text() write: a subtree shared by
@@ -81,6 +153,34 @@ class DerivationTree:
             )
             stack.extend((c, level + 1) for c in reversed(node.children))
         return "\n".join(lines)
+
+
+def _json_value(v, pad: str) -> str:
+    """v as json.dumps(v, indent=2) writes it on a line indented by pad.
+    Strings, ints and flat lists of them are written here; any other value
+    goes through json.dumps and has its later lines indented by pad."""
+    t = type(v)
+    if t is str:
+        return _json_str(v)
+    if t is int:
+        return int.__repr__(v)
+    if t is list and all(type(x) is str or type(x) is int for x in v):
+        if not v:
+            return "[]"
+        inner = pad + "  "
+        items = [_json_str(x) if type(x) is str else int.__repr__(x) for x in v]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+    return json.dumps(v, indent=2).replace("\n", "\n" + pad)
+
+
+def _json_notes(notes, pad: str) -> str:
+    if type(notes) is not dict or not all(type(k) is str for k in notes):
+        return _json_value(notes, pad)
+    if not notes:
+        return "{}"
+    inner = pad + "  "
+    items = [f"{_json_str(k)}: {_json_value(v, inner)}" for k, v in notes.items()]
+    return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
 
 
 class ReplayError(ValueError):

@@ -9,7 +9,7 @@ from pathlib import Path
 from hypothesis import given, settings, strategies as st
 
 import c4ramsey
-from c4ramsey import DerivationTree, RamseyFact, Registry, load_registry, replay
+from c4ramsey import DerivationTree, RamseyFact, Registry, derive, load_registry, replay, seed_registry
 from c4ramsey.cli import run
 from c4ramsey.graphs import EdgeColoring, coloring_from_text, coloring_to_text, pair_iter
 from c4ramsey.targets import parse_targets, strip_k2
@@ -135,13 +135,22 @@ class TestDerive:
         assert run(["derive", "C4,K20"]) == 0
         assert out_of(capsys).splitlines()[0] == "136"
 
-    def test_k1200_prints_as_text_but_not_as_json(self, capsys):
+    def test_k1200_prints_as_text_and_as_json(self, capsys):
         assert run(["derive", "C4,K1200"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "367690" and len(lines) == 1 + 1191
-        assert run(["derive", "C4,K1200", "--json"]) == 1
+        assert run(["derive", "C4,K1200", "--json"]) == 0
         done = capsys.readouterr()
-        assert done.out == "" and done.err.startswith("error:") and done.err.count("\n") == 1
+        assert done.err == ""
+        tree = derive(parse_targets("C4,K1200"), seed_registry())
+        # the stdlib's indenting encoder recurses about twice per tree level
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(10_000)
+        try:
+            expected = json.dumps({"command": "derive", "status": "ok", "tree": tree.to_dict()}, indent=2)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert done.out == expected + "\n"
 
     def test_tree_too_large_to_print(self, capsys):
         for extra in ([], ["--json"]):

@@ -6,7 +6,9 @@ notes or formatting fails here.  The lists cover the paper's table rows, a
 cannot-derive answer, stars (Parsons, StarsCor), books (BookCor), +1K1
 entries (UnionK1), an edgeless entry and a K2 entry that is stripped.  The
 last four have trees 9 to 11 nodes deep: C4,K20 (136), C4,K8,K4+1K1 (786),
-C4,C4,K8,K4+1K1 (1874) and C4,C4,K5,K5,K3+1K1 (6243).
+C4,C4,K8,K4+1K1 (1874) and C4,C4,K5,K5,K3+1K1 (6243).  C4,K500 (65186)
+is a chain of 491 nodes, so its pins fix deep indentation byte for byte:
+10,262,861 bytes of JSON and 307,575 bytes of text.
 """
 
 import hashlib
@@ -95,6 +97,10 @@ GOLDEN = {
     "C4,C4,K5,K5,K3+1K1": (
         (0, "2a83b3388495e38735cdf6a5cbd7e0ed3509aa63421b89a10bb26f89df0b4f91"),
         (0, "745567ec24ebfec9466f24c95567713715485d5a67024a1d333302b7c4ee2c9b"),
+    ),
+    "C4,K500": (
+        (0, "a5f41276d7cb4381006bdf191cb810bcb4c1df42d420b5bc80f4654e923b2c9d"),
+        (0, "3ef504a8d17399cc0ac943537324321d1caa8ad86214f18e47d66cd37e3d9f9c"),
     ),
 }
 
