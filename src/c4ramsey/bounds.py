@@ -109,17 +109,22 @@ def parsons_bound(k: int) -> int:
     return _guard(k + isqrt_ceil(k) + 1)
 
 
+def book_from_star_bound(s: int) -> int:
+    """Upper bound s + ceil(sqrt(s)) + 1 for one C4 versus the book B_k,
+    given an upper bound s on R(C4, K_{1,k})."""
+    return _guard(s + isqrt_ceil(s) + 1)
+
+
 def book_bound(k: int, star_fact=None) -> int:
     """Upper bound for one C4 versus the book B_k.
 
     star_fact, if given, must be an exact or upper RamseyFact for
-    (C4, S<k>); its value replaces the Parsons estimate of the star bound.
+    (C4, S<k>); the star bound is the smaller of its value and Parsons'.
     """
     if k < 2:
         raise ValueError(f"book bound needs k >= 2, got {k}")
-    if star_fact is None:
-        s = parsons_bound(k)
-    else:
+    s = parsons_bound(k)
+    if star_fact is not None:
         from .targets import CYCLE4, TargetList, star
 
         expected = TargetList((CYCLE4, star(k))).key()
@@ -129,8 +134,8 @@ def book_bound(k: int, star_fact=None) -> int:
             )
         if star_fact.kind not in ("exact", "upper"):
             raise ValueError("star fact must carry an upper bound")
-        s = star_fact.value
-    return _guard(s + isqrt_ceil(s) + 1)
+        s = min(s, star_fact.value)
+    return book_from_star_bound(s)
 
 
 def stars_bound(m: int, k: Sequence[int]) -> int:

@@ -2,11 +2,6 @@
 
 Exit codes: 0 success, 1 usage error, 2 verification failure / cannot
 derive / infeasible where feasibility was asserted, 3 budget exhausted.
-Exit 1 also covers a derive result too large to print: a tree whose
-written form exceeds MAX_WRITTEN_NODES nodes is refused, in text and JSON
-alike.  Shared subtrees are written out in full, so C4,C4,K12,K12 would
-need 335,919 nodes and C4,C4,K20,K20 about 1.7e10.  Depth has no limit in
-either form: `derive C4,K1200 --json` writes its 1,191-node chain.
 """
 
 from __future__ import annotations
@@ -49,8 +44,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_BUDGET = 3
-
-MAX_WRITTEN_NODES = 20_000
 
 
 def _load_registry_arg(path: Optional[str]) -> Registry:
@@ -113,22 +106,14 @@ def _cmd_derive(args) -> int:
     try:
         tree = derive(targets, reg)
     except CannotDeriveError as e:
-        msg = "cannot derive; missing facts for: " + ", ".join(e.missing)
         if args.json:
             print(json.dumps({"command": "derive", "status": "cannot-derive", "missing": e.missing}))
         else:
-            print(msg, file=sys.stderr)
+            print(e, file=sys.stderr)
         return EXIT_VERIFY
     replay(tree)
-    size = tree.written_size()
-    if size > MAX_WRITTEN_NODES:
-        raise ValueError(
-            f"R({tree.targets.key()}) <= {tree.value}, but its tree has {size} nodes written out "
-            f"(shared subtrees repeat); more than {MAX_WRITTEN_NODES} are not printed"
-        )
     if args.json:
-        # the bytes of json.dumps({"command": "derive", "status": "ok", "tree": tree.to_dict()}, indent=2)
-        print('{\n  "command": "derive",\n  "status": "ok",\n  "tree": ' + tree.to_json(1) + "\n}")
+        print(json.dumps({"command": "derive", "status": "ok", "tree": tree.to_dict()}, indent=2))
     else:
         print(f"{tree.value}\n{tree.render_text()}")
     return EXIT_OK
@@ -349,3 +334,7 @@ def run(argv: Optional[list[str]] = None) -> int:
 
 def main() -> None:
     raise SystemExit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -7,19 +7,21 @@ can be re-evaluated bottom-up and must reproduce its conclusion exactly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii as _json_str
 from typing import Generator, Optional
 
 from . import targets as tg
-from .bounds import BoundQuery, isqrt_ceil, parsons_bound, stars_bound, theorem_mt_bound
+from .bounds import BoundQuery, book_from_star_bound, parsons_bound, stars_bound, theorem_mt_bound
 from .registry import RamseyFact, Registry
 from .targets import TargetGraph, TargetList, parse_targets, strip_k2, union_k1_rewrite
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DerivationTree:
+    """One node of a derivation.  derive() shares a subtree between all the
+    parents that use it, so nodes compare by identity; two trees are compared
+    through their node tables, to_dict(), which are flat."""
+
     targets: TargetList
     rule: str
     value: int
@@ -28,119 +30,68 @@ class DerivationTree:
     notes: dict = field(default_factory=dict)
     citation: str = ""
 
-    def _fields(self) -> dict:
-        return {
-            "targets": self.targets.key(),
-            "rule": self.rule,
-            "value": self.value,
-            "kind": self.kind,
-            "citation": self.citation,
-            "notes": self.notes,
-            "children": [],
-        }
-
     def to_dict(self) -> dict:
-        """Nested dicts, one per written node: a subtree shared by several
-        parents gets its own dicts under each one.  Built from an explicit
+        """The node table {"nodes": [...]}: each distinct node object once,
+        children before their parents and the root last.  A node's
+        "children" are indices of earlier nodes.  Built from an explicit
         stack, so depth needs no recursion limit."""
-        root = self._fields()
-        stack = [(self, root)]
-        while stack:
-            node, d = stack.pop()
-            for c in node.children:
-                cd = c._fields()
-                d["children"].append(cd)
-                stack.append((c, cd))
-        return root
-
-    @staticmethod
-    def from_dict(d: dict) -> "DerivationTree":
-        """Inverse of to_dict, built bottom-up from an explicit stack."""
-        done: list[DerivationTree] = []
-        stack = [(d, False)]
-        while stack:
-            cur, ready = stack.pop()
-            if not ready:
-                stack.append((cur, True))
-                stack.extend((c, False) for c in reversed(cur["children"]))
-                continue
-            first = len(done) - len(cur["children"])
-            children = tuple(done[first:])
-            del done[first:]
-            done.append(
-                DerivationTree(
-                    targets=parse_targets(cur["targets"]),
-                    rule=cur["rule"],
-                    value=cur["value"],
-                    kind=cur["kind"],
-                    children=children,
-                    notes=dict(cur["notes"]),
-                    citation=cur.get("citation", ""),
-                )
-            )
-        return done[0]
-
-    def to_json(self, level: int = 0) -> str:
-        """json.dumps(self.to_dict(), indent=2), byte for byte, without the
-        pure-Python encoder that json.dumps runs whenever indent is set.
-
-        Nodes are written in pre-order from an explicit stack, so depth needs
-        no recursion limit, and each node's text is written once at its own
-        indentation.  level indents the whole document by that many steps
-        after its first line, for embedding it as a value in a larger one."""
-        out: list[str] = []
-        stack: list = [(self, level)]
-        while stack:
-            item = stack.pop()
-            if type(item) is str:
-                out.append(item)
-                continue
-            node, lvl = item
-            pad0 = "  " * lvl
-            pad1 = pad0 + "  "
-            out.append(
-                f'{{\n{pad1}"targets": {_json_str(node.targets.key())},\n'
-                f'{pad1}"rule": {_json_str(node.rule)},\n'
-                f'{pad1}"value": {_json_value(node.value, pad1)},\n'
-                f'{pad1}"kind": {_json_str(node.kind)},\n'
-                f'{pad1}"citation": {_json_str(node.citation)},\n'
-                f'{pad1}"notes": {_json_notes(node.notes, pad1)},\n'
-                f'{pad1}"children": '
-            )
-            kids = node.children
-            if not kids:
-                out.append(f"[]\n{pad0}}}")
-                continue
-            pad2 = pad1 + "  "
-            out.append("[\n" + pad2)
-            stack.append(f"\n{pad1}]\n{pad0}}}")
-            sep = ",\n" + pad2
-            for i in range(len(kids) - 1, 0, -1):
-                stack.append((kids[i], lvl + 2))
-                stack.append(sep)
-            stack.append((kids[0], lvl + 2))
-        return "".join(out)
-
-    def written_size(self) -> int:
-        """Nodes that to_dict() and render_text() write: a subtree shared by
-        several parents is counted once under each one."""
-        sizes: dict[int, int] = {}
+        index: dict[int, int] = {}
+        nodes: list[dict] = []
         stack = [self]
         while stack:
             node = stack[-1]
-            todo = [c for c in node.children if id(c) not in sizes]
+            todo = [c for c in node.children if id(c) not in index]
             if todo:
-                stack.extend(todo)
-            else:
-                stack.pop()
-                sizes[id(node)] = 1 + sum(sizes[id(c)] for c in node.children)
-        return sizes[id(self)]
+                stack.extend(reversed(todo))
+                continue
+            stack.pop()
+            if id(node) in index:  # reached again through another parent
+                continue
+            index[id(node)] = len(nodes)
+            nodes.append(
+                {
+                    "targets": node.targets.key(),
+                    "rule": node.rule,
+                    "value": node.value,
+                    "kind": node.kind,
+                    "citation": node.citation,
+                    "notes": node.notes,
+                    "children": [index[id(c)] for c in node.children],
+                }
+            )
+        return {"nodes": nodes}
+
+    @staticmethod
+    def from_dict(d: dict) -> "DerivationTree":
+        """Inverse of to_dict: one forward pass over the node table."""
+        nodes = d["nodes"]
+        if not nodes:
+            raise ValueError("empty derivation node table")
+        built: list[DerivationTree] = []
+        for i, n in enumerate(nodes):
+            kids = n["children"]
+            if not all(type(c) is int and 0 <= c < i for c in kids):
+                raise ValueError(f"node {i}: children {kids} are not all earlier nodes")
+            built.append(
+                DerivationTree(
+                    targets=parse_targets(n["targets"]),
+                    rule=n["rule"],
+                    value=n["value"],
+                    kind=n["kind"],
+                    children=tuple(built[c] for c in kids),
+                    notes=dict(n["notes"]),
+                    citation=n.get("citation", ""),
+                )
+            )
+        return built[-1]
 
     def render_text(self) -> str:
         """One line per node in pre-order, children indented under parents.
-        A subtree shared by several parents is written under each one."""
+        A node with children that is written already is written again as
+        its own line marked "(see above)", without its children."""
         note_keys = ("deletions", "floors", "vertex_floor", "guard", "star_bound")
         lines = []
+        seen: set[int] = set()
         stack = [(self, 0)]
         while stack:
             node, level = stack.pop()
@@ -148,39 +99,14 @@ class DerivationTree:
             cite = f"  [{node.citation}]" if node.citation else ""
             shown = {k: v for k, v in node.notes.items() if k in note_keys and v}
             note = f"  {shown}" if shown else ""
-            lines.append(
-                f"{'  ' * level}R({node.targets.key()}) {rel} {node.value}  via {node.rule}{cite}{note}"
-            )
+            line = f"{'  ' * level}R({node.targets.key()}) {rel} {node.value}  via {node.rule}{cite}{note}"
+            if node.children and id(node) in seen:
+                lines.append(line + "  (see above)")
+                continue
+            seen.add(id(node))
+            lines.append(line)
             stack.extend((c, level + 1) for c in reversed(node.children))
         return "\n".join(lines)
-
-
-def _json_value(v, pad: str) -> str:
-    """v as json.dumps(v, indent=2) writes it on a line indented by pad.
-    Strings, ints and flat lists of them are written here; any other value
-    goes through json.dumps and has its later lines indented by pad."""
-    t = type(v)
-    if t is str:
-        return _json_str(v)
-    if t is int:
-        return int.__repr__(v)
-    if t is list and all(type(x) is str or type(x) is int for x in v):
-        if not v:
-            return "[]"
-        inner = pad + "  "
-        items = [_json_str(x) if type(x) is str else int.__repr__(x) for x in v]
-        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
-    return json.dumps(v, indent=2).replace("\n", "\n" + pad)
-
-
-def _json_notes(notes, pad: str) -> str:
-    if type(notes) is not dict or not all(type(k) is str for k in notes):
-        return _json_value(notes, pad)
-    if not notes:
-        return "{}"
-    inner = pad + "  "
-    items = [f"{_json_str(k)}: {_json_value(v, inner)}" for k, v in notes.items()]
-    return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
 
 
 class ReplayError(ValueError):
@@ -217,7 +143,7 @@ def _replay_node(tree: DerivationTree) -> None:
         s = notes["star_bound"]
         if tree.children and tree.children[0].value != s:
             raise ReplayError("BookCor star bound disagrees with its child")
-        expected = s + isqrt_ceil(s) + 1
+        expected = book_from_star_bound(s)
     elif rule == "StarsCor":
         expected = stars_bound(notes["m"], notes["k"])
     elif rule == "UnionK1":
@@ -363,7 +289,7 @@ def _plan(tl: TargetList, registry: Registry) -> Generator[TargetList, object, o
         else:
             s = parsons_bound(k)
             source = "parsons"
-        value = s + isqrt_ceil(s) + 1
+        value = book_from_star_bound(s)
         candidates.append(
             (
                 (value, 2),

@@ -134,6 +134,11 @@ class TestParsonsAndBooks:
     def test_book_2(self):
         assert book_bound(2) == 9
 
+    def test_book_keeps_parsons_under_a_weaker_star_fact(self):
+        weak = RamseyFact(parse_targets("C4,S5"), "upper", 20, "weak", "user")
+        assert parsons_bound(5) == 9
+        assert book_bound(5, weak) == book_bound(5) == 13
+
     def test_fact_key_mismatch(self):
         wrong = RamseyFact(parse_targets("C4,S16"), "exact", 21, "", "user")
         with pytest.raises(ValueError):

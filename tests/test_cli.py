@@ -32,8 +32,7 @@ COLORING_TEXT = st.one_of(
 
 # Target lists for derive: 1-3 C4s, one clique up to K60 and up to two small
 # entries, each entry with 0-2 extra isolated vertices.  A second large entry
-# adds nothing the small ones do not reach (C4,C4,K60,K5 already writes out
-# 523,684 nodes, past the printing cap), but three of them make one example
+# adds nothing the small ones do not reach, but three of them make one example
 # plan tens of thousands of lists.
 def _isolated(base):
     return st.tuples(base, st.integers(0, 2)).map(lambda p: p[0] + (f"+{p[1]}K1" if p[1] else ""))
@@ -80,6 +79,14 @@ class TestBound:
     def test_book_uses_registry_star_fact(self, capsys):
         assert run(["bound", "--book", "17"]) == 0
         assert out_of(capsys) == "28"
+
+    def test_book_ignores_a_star_fact_weaker_than_parsons(self, tmp_path, capsys):
+        path = tmp_path / "reg.txt"
+        Registry([RamseyFact.from_line("C4,S5 | upper | 20 | weak | user")]).save(path)
+        assert run(["bound", "--book", "5", "--registry", str(path)]) == 0
+        assert out_of(capsys) == "13"  # Parsons: R(C4,S5) <= 9, 9 + 3 + 1
+        assert run(["derive", "C4,B5", "--registry", str(path)]) == 0
+        assert out_of(capsys).splitlines()[0] == "13"
 
     def test_stars(self, capsys):
         assert run(["bound", "--stars", "3", "4", "--m", "2"]) == 0
@@ -143,21 +150,24 @@ class TestDerive:
         done = capsys.readouterr()
         assert done.err == ""
         tree = derive(parse_targets("C4,K1200"), seed_registry())
-        # the stdlib's indenting encoder recurses about twice per tree level
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(10_000)
-        try:
-            expected = json.dumps({"command": "derive", "status": "ok", "tree": tree.to_dict()}, indent=2)
-        finally:
-            sys.setrecursionlimit(limit)
+        expected = json.dumps({"command": "derive", "status": "ok", "tree": tree.to_dict()}, indent=2)
         assert done.out == expected + "\n"
 
-    def test_tree_too_large_to_print(self, capsys):
-        for extra in ([], ["--json"]):
-            assert run(["derive", "C4,C4,K12,K12", *extra]) == 1
-            done = capsys.readouterr()
-            assert done.out == "" and done.err.count("\n") == 1
-            assert done.err.startswith("error: R(C4,C4,K12,K12) <= 9406801, but its tree has 335919")
+    def test_shared_subtrees_print_once(self, capsys):
+        # written out in full, these trees would have 335,919 and about 1.7e10 nodes
+        values = []
+        for targets in ["C4,C4,K12,K12", "C4,C4,K20,K20"]:
+            assert run(["derive", targets]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert any(line.endswith("  (see above)") for line in lines)
+            assert run(["derive", targets, "--json"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            tree = DerivationTree.from_dict(doc["tree"])
+            replay(tree)
+            assert str(tree.value) == lines[0]
+            assert len(lines) == 2 + sum(len(node["children"]) for node in doc["tree"]["nodes"])
+            values.append(tree.value)
+        assert values[0] == 9_406_801
 
     @settings(max_examples=60, deadline=None)
     @given(DERIVE_LISTS)
@@ -383,3 +393,12 @@ class TestParserReuse:
             in_process.append((code, capsys.readouterr().out))
         assert [code for code, _ in in_process] == [1, 0, 0, 0, 1, 0, 0]
         assert in_process == [self.fresh(argv) for argv in self.SEQUENCE]
+
+
+def test_runs_as_a_module():
+    src = Path(c4ramsey.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "c4ramsey.cli", "bound", "--parsons", "7"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert (done.returncode, done.stdout) == (0, "11\n")

@@ -163,31 +163,51 @@ class TestNoCap:
     def test_shared_subtrees_are_replayed_once(self):
         # written out, this tree has about 1.7e10 nodes; derive() shares them
         tree = derive(parse_targets("C4,C4,K20,K20"), seed_registry())
-        assert tree.written_size() > 10**10
+        assert len(tree.to_dict()["nodes"]) < 10**4
         replay(tree)
 
-    def test_written_size_counts_rendered_lines(self):
+    def test_rendered_lines_write_each_subtree_once(self):
         reg = seed_registry()
         for key in ["C4,K3,K4", "C4,K11", "C4,C4,K4,K4", "C4,C4,K8,K8", "C4,K8,K4+1K1", "C4,B17"]:
             tree = derive(parse_targets(key), reg)
-            assert tree.written_size() == len(tree.render_text().splitlines())
+            nodes = tree.to_dict()["nodes"]
+            # the root's line, then one line per child slot of each node written in full
+            assert len(tree.render_text().splitlines()) == 1 + sum(len(n["children"]) for n in nodes)
 
 
 class TestTreeSerialization:
     def test_dict_round_trip(self):
         tree = derive(parse_targets("C4,C4,K4,K4"), seed_registry())
         again = DerivationTree.from_dict(tree.to_dict())
-        assert again == tree
+        assert again.to_dict() == tree.to_dict()
         replay(again)
 
     def test_stable_field_names(self):
         d = derive(parse_targets("C4,K11"), seed_registry()).to_dict()
-        assert set(d) == {"targets", "rule", "value", "kind", "citation", "notes", "children"}
+        assert set(d) == {"nodes"}
+        for node in d["nodes"]:
+            assert set(node) == {"targets", "rule", "value", "kind", "citation", "notes", "children"}
+
+    @pytest.mark.parametrize("children", [[1], [2], [-1], [True], ["0"]])
+    def test_child_must_be_an_earlier_node(self, children):
+        leaf = {"targets": "C4,K3", "rule": "Registry", "value": 7, "kind": "exact",
+                "citation": "", "notes": {}, "children": []}
+        with pytest.raises(ValueError, match="earlier"):
+            DerivationTree.from_dict({"nodes": [leaf, {**leaf, "children": children}]})
+
+    def test_empty_node_table(self):
+        with pytest.raises(ValueError, match="empty"):
+            DerivationTree.from_dict({"nodes": []})
 
     def test_render_text_mentions_rule_and_value(self):
         tree = derive(parse_targets("C4,K11"), seed_registry())
         text = tree.render_text()
         assert "43" in text and "TheoremMT" in text and "Registry" in text
+
+    def test_repeated_subtree_is_marked_see_above(self):
+        tree = derive(parse_targets("C4,C4,K4,K4"), seed_registry())
+        marked = [line for line in tree.render_text().splitlines() if line.endswith("  (see above)")]
+        assert marked and all(line.strip().startswith("R(C4,C4,K3,K4) <= 75") for line in marked)
 
 
 class TestReplay:

@@ -1,21 +1,31 @@
 """Byte-exact derive output: the planner's tree choice and both formats.
 
-Each list maps to (exit code, sha256 of stdout) for `derive LIST --json` and
-for `derive LIST` in text mode.  Any change to tree choice, tree order,
-notes or formatting fails here.  The lists cover the paper's table rows, a
-cannot-derive answer, stars (Parsons, StarsCor), books (BookCor), +1K1
-entries (UnionK1), an edgeless entry and a K2 entry that is stripped.  The
-last four have trees 9 to 11 nodes deep: C4,K20 (136), C4,K8,K4+1K1 (786),
-C4,C4,K8,K4+1K1 (1874) and C4,C4,K5,K5,K3+1K1 (6243).  C4,K500 (65186)
-is a chain of 491 nodes, so its pins fix deep indentation byte for byte:
-10,262,861 bytes of JSON and 307,575 bytes of text.
+GOLDEN maps each list to (exit code, sha256) for `derive LIST --json` and for
+`derive LIST` in text mode, taken over the nested output: the tree written
+out with a shared subtree repeated under each parent.  The CLI writes each
+distinct node once, as a node table in JSON and as a "(see above)" line in
+text, so the output is expanded back into the nested form before hashing;
+RAW_JSON and RAW_TEXT pin the bytes the CLI prints.  Text output only changes
+where a subtree with children is shared; elsewhere its raw bytes are the
+nested ones.  Any change to tree choice, tree order, notes or formatting
+fails here.  The lists cover the paper's table rows, a cannot-derive answer,
+stars (Parsons, StarsCor), books (BookCor), +1K1 entries (UnionK1), an
+edgeless entry and a K2 entry that is stripped.  The last four have trees 9
+to 11 nodes deep: C4,K20 (136), C4,K8,K4+1K1 (786), C4,C4,K8,K4+1K1 (1874)
+and C4,C4,K5,K5,K3+1K1 (6243).  C4,K500 (65186) is a chain of 491 nodes, so
+its nested pins fix deep indentation byte for byte: 10,262,861 bytes of JSON
+and 307,575 bytes of text.
 """
 
 import hashlib
+import json
+import sys
 
 import pytest
 
 from c4ramsey.cli import run
+
+SEE_ABOVE = "  (see above)"
 
 GOLDEN = {
     "C4,K11": (
@@ -104,6 +114,91 @@ GOLDEN = {
     ),
 }
 
+RAW_JSON = {
+    "C4,K11": "c9f49484f494b9a3ba38b8d1d34bb96e586845fcf0741ef24009ae1f65640f95",
+    "C4,K12": "7d71c53650bdc93a59267281945279c3e16bc26b79b13ab612f4064f8f9c9c5f",
+    "C4,K4,K4": "f60bc50b7968f4516eb4715fc50e3fb385ab2661a293e5bf38ef858de5fd9fc8",
+    "C4,K3,K3,K3": "8b4d05ce8c9a10947b6b8a16a9bc608e431cdba0f90f76287401a16b69575005",
+    "C4,C4,K3,K4": "3b763056acac45f76e2b34e0148a94fd1b79c159c1831727930e2532c7850d61",
+    "C4,C4,K4,K4": "166d26a6a0352e9f2b0344888025eb615fcffdbd99805672623f1bb895b2f095",
+    "C4,K3,K4": "c74ec3a09bd2ae67f304642d9dd0447b2379c53fa07d3ac1d9775bb0400d83bf",
+    "C4,K3": "bb18f1833db3099055f8195d2ac320b18a763020ea6d802cb640e88a21439e76",
+    "C4,S5": "984a4d46c61c57a46dc63b1230a8e6d839460b82a929564449c8c26d8cfd423d",
+    "C4,S9,S9": "81a6fe6c73e0f3516e8218fa19a96dbfad57512984f8cfd9e0b4f27ee7928704",
+    "C4,B17": "f15473c60edfad2cd0ce0e259e1358f6746c09020ecddeffcd1c24fef0b64dcc",
+    "C4,B3,S5": "242945fc03f552206e7ed38047866985a8e62a4c8d1efcf42f4e4249f291a5d0",
+    "C4,K3+1K1": "fd2b8530bc6008b17da91038b08cef86a7d298d3080813ed30a24911b544edf5",
+    "C4,C4,K4+1K1,S4+1K1": "4609ef4a2fc84d2062aa9c3a96663867c31d92bdd14fc1d088f83eba594483f6",
+    "C4,3K1,B3": "2259e007e7b7a99e0a8be11792f060017e92dba109a1417817e59241c5f5cf1e",
+    "C4,K2,K3,K4": "c74ec3a09bd2ae67f304642d9dd0447b2379c53fa07d3ac1d9775bb0400d83bf",
+    "C4,K20": "f3fbe014be1e2711aaa6c40ce19014e4f8418b386ac35b32d13c96d58c03bd5c",
+    "C4,K8,K4+1K1": "391aab4e5912ce2456ea8898fd40124fa326ac990337d6e5bb902aa25274b861",
+    "C4,C4,K8,K4+1K1": "48e96f9f2bd5f41568b040ca1b5cdfceb38d9630ff239550543f048c876687db",
+    "C4,C4,K5,K5,K3+1K1": "d19ff8fadb03efa8ab2e987aa7221c7c57845ca5e03480949f01098049da25c9",
+    "C4,K500": "b921dda5938cdbbda32bd877dd8e0bbb02ea50208c0436e10e073611b6fef1ca",
+}
+
+# The lists whose text has a "(see above)" line; every other list's text
+# bytes are its GOLDEN text pin.
+RAW_TEXT = {
+    "C4,C4,K4,K4": "0ea9e235faad28bcd706a159362ab442eb1b614bb0657eeb90dd3ec19f368524",
+    "C4,K8,K4+1K1": "a86807b81b55002bb16ae868ad9514898c294015333dd15657babddcc310ab3a",
+    "C4,C4,K8,K4+1K1": "9ab0da429b7cd1e961b88d380800c745ace8f00f4e2d46c97fce9f883b0833a4",
+    "C4,C4,K5,K5,K3+1K1": "3a6be43620b9374940ef7391622cb7f46c0b265dcc260684265e4462ff30732a",
+}
+
+# The stdlib's indenting encoder recurses about twice per tree level.
+DEEP_LIMIT = 10_000
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def nested_json(out: str, deep: bool = False) -> str:
+    """`derive --json` output with its node table nested back into one tree:
+    a node's children are written inside it, a shared subtree under each
+    parent.  deep raises the recursion limit for chains hundreds deep."""
+    doc = json.loads(out)
+    if "tree" not in doc:
+        return out
+    built: list[dict] = []
+    for node in doc["tree"]["nodes"]:
+        built.append({**node, "children": [built[c] for c in node["children"]]})
+    doc["tree"] = built[-1]
+    limit = sys.getrecursionlimit()
+    if deep:
+        sys.setrecursionlimit(max(limit, DEEP_LIMIT))
+    try:
+        return json.dumps(doc, indent=2) + "\n"
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def _indent(line: str) -> int:
+    return len(line) - len(line.lstrip(" "))
+
+
+def nested_text(out: str) -> str:
+    """`derive` text output with each "(see above)" line replaced by the
+    block first written under the same line: that line and the deeper lines
+    after it, moved to the marked line's indentation."""
+    lines: list[str] = []
+    first: dict[str, int] = {}  # a line without its indentation -> index in lines
+    for line in out.split("\n"):
+        if not line.endswith(SEE_ABOVE):
+            first.setdefault(line.lstrip(" "), len(lines))
+            lines.append(line)
+            continue
+        line = line[: -len(SEE_ABOVE)]
+        start = first[line.lstrip(" ")]
+        end = start + 1
+        while end < len(lines) and _indent(lines[end]) > _indent(lines[start]):
+            end += 1
+        pad, cut = " " * _indent(line), _indent(lines[start])
+        lines += [pad + old[cut:] for old in lines[start:end]]
+    return "\n".join(lines)
+
 
 @pytest.mark.parametrize("targets", GOLDEN)
 @pytest.mark.parametrize("mode", ["json", "text"])
@@ -113,5 +208,9 @@ def test_derive_output_is_pinned(targets, mode, capsys):
     argv = ["derive", targets] + (["--json"] if mode == "json" else [])
     assert run(argv) == code
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == digest, out
-
+    if mode == "json":
+        assert sha256(out) == RAW_JSON[targets]
+        assert sha256(nested_json(out, deep=targets == "C4,K500")) == digest
+    else:
+        assert sha256(out) == RAW_TEXT.get(targets, digest)
+        assert sha256(nested_text(out)) == digest
