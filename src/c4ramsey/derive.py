@@ -8,7 +8,7 @@ can be re-evaluated bottom-up and must reproduce its conclusion exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, Optional
+from typing import Generator
 
 from . import targets as tg
 from .bounds import BoundQuery, book_from_star_bound, parsons_bound, stars_bound, theorem_mt_bound
@@ -122,45 +122,48 @@ def replay(tree: DerivationTree) -> None:
     stack = [tree]
     while stack:
         node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            _replay_node(node)
-            stack.extend(node.children)
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node.rule != "Registry":
+            expected = _rule_value(node.rule, node.targets, node.children, node.notes)
+            if expected != node.value:
+                raise ReplayError(
+                    f"rule {node.rule} on {node.targets.key()} replays to {expected}, "
+                    f"node says {node.value}"
+                )
+        stack.extend(node.children)
 
 
-def _replay_node(tree: DerivationTree) -> None:
-    rule, notes = tree.rule, tree.notes
-    if rule == "Registry":
-        expected = tree.value
-    elif rule == "TrivialEmpty":
-        empties = [t.k for t in tree.targets if t.kind == tg.EMPTY]
+def _rule_value(rule: str, targets: TargetList, children: tuple, notes: dict) -> int:
+    """What a rule other than Registry concludes for targets from its
+    children and notes.  The planner takes each node's value from here and
+    replay() checks each node against it, so every rule is written once.
+    Raises ReplayError where the node's inputs cannot hold under the rule."""
+    if rule == "TrivialEmpty":
+        empties = [t.k for t in targets if t.kind == tg.EMPTY]
         if not empties:
-            raise ReplayError(f"TrivialEmpty node without an empty target: {tree.targets}")
-        expected = min(empties)
-    elif rule == "Parsons":
-        expected = parsons_bound(notes["k"])
-    elif rule == "BookCor":
+            raise ReplayError(f"TrivialEmpty node without an empty target: {targets}")
+        return min(empties)
+    if rule == "Parsons":
+        return parsons_bound(notes["k"])
+    if rule == "BookCor":
         s = notes["star_bound"]
-        if tree.children and tree.children[0].value != s:
+        if children and children[0].value != s:
             raise ReplayError("BookCor star bound disagrees with its child")
-        expected = book_from_star_bound(s)
-    elif rule == "StarsCor":
-        expected = stars_bound(notes["m"], notes["k"])
-    elif rule == "UnionK1":
-        expected = max([tree.children[0].value] + list(notes["floors"]))
-    elif rule == "TheoremMT":
-        r = tuple(c.value for c in tree.children)
-        if list(r) != list(notes["r"]):
+        return book_from_star_bound(s)
+    if rule == "StarsCor":
+        return stars_bound(notes["m"], notes["k"])
+    if rule == "UnionK1":
+        return max([children[0].value] + list(notes["floors"]))
+    if rule == "TheoremMT":
+        r = [c.value for c in children]
+        if r != list(notes["r"]):
             raise ReplayError("TheoremMT r-values disagree with children")
-        expected = theorem_mt_bound(BoundQuery(notes["m"], r))
-    elif rule == "MaxWithVertexCount":
-        expected = max(tree.children[0].value, notes["vertex_floor"])
-    else:
-        raise ReplayError(f"unknown rule {rule!r}")
-    if expected != tree.value:
-        raise ReplayError(
-            f"rule {rule} on {tree.targets.key()} replays to {expected}, node says {tree.value}"
-        )
+        return theorem_mt_bound(BoundQuery(notes["m"], r))
+    if rule == "MaxWithVertexCount":
+        return max(children[0].value, notes["vertex_floor"])
+    raise ReplayError(f"unknown rule {rule!r}")
 
 
 class CannotDeriveError(ValueError):
@@ -190,7 +193,7 @@ def derive(targets: TargetList, registry: Registry) -> DerivationTree:
     tree, or its set of missing facts, is memoized under its key.
     """
     memo: dict[str, DerivationTree | set[str]] = {}
-    tl, _dropped = strip_k2(targets)
+    tl = strip_k2(targets)
     keys = [tl.key()]
     stack = [_plan(tl, registry)]
     result = None
@@ -201,7 +204,7 @@ def derive(targets: TargetList, registry: Registry) -> DerivationTree:
             stack.pop()
             result = memo[keys.pop()] = done.value
             continue
-        tl, _dropped = strip_k2(child)
+        tl = strip_k2(child)
         key = tl.key()
         result = memo.get(key)
         if result is None:
@@ -223,36 +226,48 @@ def _registry_leaf(tl: TargetList, fact: RamseyFact) -> DerivationTree:
     )
 
 
-def _best(candidates: list[tuple[tuple, DerivationTree]]) -> DerivationTree:
-    return min(candidates, key=lambda c: c[0])[1]
+def _node(
+    tl: TargetList, rule: str, notes: dict, children: tuple = (), kind: str = "upper"
+) -> DerivationTree:
+    value = _rule_value(rule, tl, children, notes)
+    return DerivationTree(
+        targets=tl, rule=rule, value=value, kind=kind, children=children, notes=notes
+    )
+
+
+# Among candidates with equal values, the lower rank wins; among equal ranks,
+# the candidate planned first.
+_RANK = {
+    "Registry": 0,
+    "TrivialEmpty": 1,
+    "Parsons": 2,
+    "BookCor": 2,
+    "StarsCor": 2,
+    "UnionK1": 3,
+    "TheoremMT": 3,
+    "MaxWithVertexCount": 3,
+}
+
+
+def _best(candidates: list[DerivationTree]) -> DerivationTree:
+    return min(candidates, key=lambda c: (c.value, _RANK[c.rule]))
 
 
 def _plan(tl: TargetList, registry: Registry) -> Generator[TargetList, object, object]:
     """Plan one K2-free list.  Yields each child list it needs and is sent
     back that list's tree, or its set of missing facts; returns this list's
     best tree, or its own set of missing facts."""
-    candidates: list[tuple[tuple, DerivationTree]] = []
+    candidates: list[DerivationTree] = []
     missing: set[str] = set()
 
     fact = registry.best_upper(tl)
     if fact is not None:
-        candidates.append(((fact.value, 0), _registry_leaf(tl, fact)))
+        candidates.append(_registry_leaf(tl, fact))
 
     empties = [t.k for t in tl if t.kind == tg.EMPTY]
     if empties:
         k = min(empties)
-        candidates.append(
-            (
-                (k, 1),
-                DerivationTree(
-                    targets=tl,
-                    rule="TrivialEmpty",
-                    value=k,
-                    kind="upper",
-                    notes={"guard": f"{k}K1 needs only {k} vertices"},
-                ),
-            )
-        )
+        candidates.append(_node(tl, "TrivialEmpty", {"guard": f"{k}K1 needs only {k} vertices"}))
         # No other rule can win here, whatever the registry holds: Parsons,
         # BookCor and StarsCor need star or book entries only; UnionK1's
         # floors include |V(kK1)| = k, and TheoremMT's value (and so
@@ -263,63 +278,23 @@ def _plan(tl: TargetList, registry: Registry) -> Generator[TargetList, object, o
     m, others = tl.m, tl.others
 
     if m == 1 and len(others) == 1 and others[0].kind == tg.STAR and others[0].k >= 2:
-        k = others[0].k
-        candidates.append(
-            (
-                (parsons_bound(k), 2),
-                DerivationTree(
-                    targets=tl,
-                    rule="Parsons",
-                    value=parsons_bound(k),
-                    kind="upper",
-                    notes={"k": k},
-                ),
-            )
-        )
+        candidates.append(_node(tl, "Parsons", {"k": others[0].k}))
 
     if m == 1 and len(others) == 1 and others[0].kind == tg.BOOK and others[0].k >= 2:
         k = others[0].k
         star_list = TargetList((tg.CYCLE4, tg.star(k)))
         star_fact = registry.best_upper(star_list)
-        children: tuple[DerivationTree, ...] = ()
         if star_fact is not None and star_fact.value <= parsons_bound(k):
-            s = star_fact.value
-            children = (_registry_leaf(star_list, star_fact),)
-            source = "registry"
+            notes = {"k": k, "star_bound": star_fact.value, "star_source": "registry"}
+            candidates.append(_node(tl, "BookCor", notes, (_registry_leaf(star_list, star_fact),)))
         else:
-            s = parsons_bound(k)
-            source = "parsons"
-        value = book_from_star_bound(s)
-        candidates.append(
-            (
-                (value, 2),
-                DerivationTree(
-                    targets=tl,
-                    rule="BookCor",
-                    value=value,
-                    kind="upper",
-                    children=children,
-                    notes={"k": k, "star_bound": s, "star_source": source},
-                ),
-            )
-        )
+            notes = {"k": k, "star_bound": parsons_bound(k), "star_source": "parsons"}
+            candidates.append(_node(tl, "BookCor", notes))
 
     if m >= 1 and others and all(t.kind == tg.STAR for t in others):
         ks = [t.k for t in others]
         if m + sum(ks) >= len(ks) + 2:
-            value = stars_bound(m, ks)
-            candidates.append(
-                (
-                    (value, 2),
-                    DerivationTree(
-                        targets=tl,
-                        rule="StarsCor",
-                        value=value,
-                        kind="upper",
-                        notes={"m": m, "k": ks},
-                    ),
-                )
-            )
+            candidates.append(_node(tl, "StarsCor", {"m": m, "k": ks}))
 
     if m >= 1 and others:
         try:
@@ -331,20 +306,7 @@ def _plan(tl: TargetList, registry: Registry) -> Generator[TargetList, object, o
             if isinstance(child, set):
                 missing |= child
             else:
-                value = max([child.value] + floors)
-                candidates.append(
-                    (
-                        (value, 3),
-                        DerivationTree(
-                            targets=tl,
-                            rule="UnionK1",
-                            value=value,
-                            kind=child.kind,
-                            children=(child,),
-                            notes={"floors": floors},
-                        ),
-                    )
-                )
+                candidates.append(_node(tl, "UnionK1", {"floors": floors}, (child,), child.kind))
 
     if m >= 1 and all(t.vertex_count >= 2 for t in others):
         chosen: list[DerivationTree] = []
@@ -364,47 +326,22 @@ def _plan(tl: TargetList, registry: Registry) -> Generator[TargetList, object, o
             chosen.append(best[1])
             deletions.append(f"{gi}->{best[2]}")
         else:  # every entry has a derivable deletion
-            mt = _theorem_mt_node(tl, chosen, deletions)
-            if mt is not None:
-                candidates.append(((mt.value, 3), mt))
+            r = [c.value for c in chosen]
+            if not (m == 1 and sum(r) - len(r) < 1):  # Theorem MT needs s >= 1 when m = 1
+                vertex_floor = max(t.vertex_count for t in tl)
+                notes = {
+                    "m": m,
+                    "n": len(others),
+                    "r": r,
+                    "deletions": deletions,
+                    "vertex_floor": vertex_floor,
+                    "guard": f"conclusion is valid as max(bound, {vertex_floor})",
+                }
+                mt = _node(tl, "TheoremMT", notes, tuple(chosen))
+                if vertex_floor > mt.value:
+                    mt = _node(tl, "MaxWithVertexCount", {"vertex_floor": vertex_floor}, (mt,))
+                candidates.append(mt)
 
     if not candidates:
         return missing or {tl.key()}
     return _best(candidates)
-
-
-def _theorem_mt_node(
-    tl: TargetList, chosen: list[DerivationTree], deletions: list[str]
-) -> Optional[DerivationTree]:
-    m, others = tl.m, tl.others
-    r = tuple(c.value for c in chosen)
-    q = BoundQuery(m, r)
-    if m == 1 and q.s < 1:
-        return None
-    formula = theorem_mt_bound(q)
-    vertex_floor = max(t.vertex_count for t in tl)
-    node = DerivationTree(
-        targets=tl,
-        rule="TheoremMT",
-        value=formula,
-        kind="upper",
-        children=tuple(chosen),
-        notes={
-            "m": m,
-            "n": len(others),
-            "r": list(r),
-            "deletions": deletions,
-            "vertex_floor": vertex_floor,
-            "guard": f"conclusion is valid as max(bound, {vertex_floor})",
-        },
-    )
-    if vertex_floor > formula:
-        node = DerivationTree(
-            targets=tl,
-            rule="MaxWithVertexCount",
-            value=vertex_floor,
-            kind="upper",
-            children=(node,),
-            notes={"vertex_floor": vertex_floor},
-        )
-    return node

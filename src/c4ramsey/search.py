@@ -60,10 +60,13 @@ class SearchOutcome:
 
 
 def _effective_target(t: TargetGraph, n: int) -> Optional[TargetGraph]:
-    """Reduce a target for an n-vertex search; None means unconstrainable."""
-    if t.kind == tg.WITH_ISOLATED:
-        return _effective_target(t.base, n) if n >= t.vertex_count else None
-    return t if n >= t.vertex_count else None
+    """Reduce a target for an n-vertex search; None means it cannot fit.
+
+    A fitting base + tK1 is present exactly when its base is, and
+    with_isolated never makes the base itself a base + sK1."""
+    if n < t.vertex_count:
+        return None
+    return t.base if t.kind == tg.WITH_ISOLATED else t
 
 
 def _never(adj: list[int], u: int, v: int) -> bool:
@@ -155,13 +158,14 @@ def _search_edges(
     """
     targets = list(targets)
     c = len(targets)
-    if any(_is_forced_empty(t, n) for t in targets):
+    effective = [_effective_target(t, n) for t in targets]
+    # an edgeless target that fits is in every color class
+    if any(eff is not None and eff.kind == tg.EMPTY for eff in effective):
         return INFEASIBLE, None, 0
     # one slot per color: its compiled target test, its adjacency rows and its
     # degree cap (None: uncapped)
     slots = []
-    for col, t in enumerate(targets):
-        eff = _effective_target(t, n)
+    for col, eff in enumerate(effective):
         test = _creates_test(eff) if eff is not None else _never
         slots.append((test, [0] * n, None if degree_caps is None else degree_caps[col]))
     # color-permutation reduction: on the first edge, only the first color of
@@ -210,15 +214,6 @@ def _search_edges(
         colors = iter(every)
         idx += 1
     return FEASIBLE, assignment, nodes
-
-
-def _is_forced_empty(t: TargetGraph, n: int) -> bool:
-    """True if the target is edgeless (possibly via isolated padding) and fits."""
-    if t.kind == tg.EMPTY:
-        return n >= t.k
-    if t.kind == tg.WITH_ISOLATED:
-        return t.base.kind == tg.EMPTY and n >= t.vertex_count
-    return False
 
 
 def search_coloring(

@@ -296,12 +296,11 @@ def union_k1_rewrite(targets: TargetList) -> tuple[TargetList, list[int]]:
     return TargetList(targets.targets[: targets.m] + tuple(inner)), floors
 
 
-def strip_k2(targets: TargetList) -> tuple[TargetList, int]:
+def strip_k2(targets: TargetList) -> TargetList:
     """Drop K2 entries: a color that may not contain a single edge is unused,
-    so the Ramsey number is unchanged.  Returns (stripped list, #dropped).
-    Keeps the list nonempty; a list without K2 comes back as the same object."""
+    so the Ramsey number is unchanged.  Keeps the list nonempty; a list
+    without K2 comes back as the same object."""
     kept = tuple(t for t in targets if not (t.kind == CLIQUE and t.k == 2))
-    dropped = len(targets) - len(kept)
-    if not kept or not dropped:
-        return targets, 0
-    return TargetList(kept), dropped
+    if not kept or len(kept) == len(targets):
+        return targets
+    return TargetList(kept)

@@ -66,6 +66,9 @@ def extend_with_disjoint_clique(
         raise ValueError(f"need {witness.c} targets, got {len(targets)}")
     if k < 2:
         raise ValueError(f"extension clique must have k >= 2, got {k}")
+    for role in (c4_color, clique_color_target):
+        if not 0 <= role < witness.c:
+            raise ValueError(f"color {role} is not in 0..{witness.c - 1}")
     if c4_color == clique_color_target:
         raise ValueError("the two color roles must differ")
     if targets[c4_color].kind != CYCLE4_KIND:

@@ -6,13 +6,23 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import c4ramsey
-from c4ramsey import DerivationTree, RamseyFact, Registry, derive, load_registry, replay, seed_registry
+from c4ramsey import (
+    DerivationTree,
+    RamseyFact,
+    Registry,
+    derive,
+    load_registry,
+    replay,
+    search_coloring,
+    seed_registry,
+)
 from c4ramsey.cli import run
 from c4ramsey.graphs import EdgeColoring, coloring_from_text, coloring_to_text, pair_iter
-from c4ramsey.targets import parse_targets, strip_k2
+from c4ramsey.targets import CYCLE4, clique, parse_targets, strip_k2
 
 from conftest import two_five_cycles
 
@@ -178,7 +188,7 @@ class TestDerive:
         if code == 0:
             tree = DerivationTree.from_dict(json.loads(out)["tree"])
             replay(tree)
-            assert tree.targets == strip_k2(parse_targets(text))[0]
+            assert tree.targets == strip_k2(parse_targets(text))
         elif code == 1:
             for message in (err, text_err):
                 assert message.startswith("error:") and message.count("\n") == 1
@@ -321,6 +331,22 @@ class TestWitnessCommand:
         assert fact.kind == "lower" and fact.value == 9
         extended = coloring_from_text(out_path.read_text())
         assert extended.n == 8
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--c4-color", "5"],
+            ["--clique-color", "-7"],
+            ["--c4-color", "-2", "--clique-color", "1"],
+            ["--clique-color", "-1"],
+        ],
+    )
+    def test_out_of_range_role_exit_2(self, tmp_path, flags):
+        path = tmp_path / "w.txt"
+        path.write_text(coloring_to_text(search_coloring(6, [CYCLE4, clique(3)]).witness))
+        code, out, err = run_captured(["witness", "C4,K3", "--coloring", f"@{path}", *flags])
+        assert code == 2 and err == ""
+        assert out.startswith("ERROR: color ") and "not in 0..1" in out and out.count("\n") == 1
 
     def test_bad_extension_exit_2(self, tmp_path, capsys):
         path = tmp_path / "w.txt"

@@ -224,6 +224,59 @@ class TestReplay:
         with pytest.raises(ReplayError):
             replay(bad)
 
+    @pytest.mark.parametrize(
+        "text, rule, extra",
+        [
+            ("C4,3K1", "TrivialEmpty", ()),
+            ("C4,S3", "Parsons", ()),
+            ("C4,B17", "BookCor", ()),  # star bound from the registry's C4,S17
+            ("C4,B5", "BookCor", ()),  # star bound from Parsons
+            ("C4,C4,S3", "StarsCor", ()),
+            ("C4,B3+1K1", "UnionK1", ()),
+            ("C4,K11", "TheoremMT", ()),
+            ("C4,K10", "MaxWithVertexCount", ("C4,K9 | upper | 2 | fake | user",)),
+        ],
+    )
+    def test_tampered_value_detected_for_each_rule(self, text, rule, extra):
+        reg = registry_with(*extra) if extra else seed_registry()
+        d = derive(parse_targets(text), reg).to_dict()
+        nodes = [n for n in d["nodes"] if n["rule"] == rule]
+        assert nodes, f"{text} has no {rule} node"
+        replay(DerivationTree.from_dict(d))
+        nodes[-1]["value"] += 1
+        with pytest.raises(ReplayError):
+            replay(DerivationTree.from_dict(d))
+
+    @staticmethod
+    def _table(text):
+        return derive(parse_targets(text), seed_registry()).to_dict()
+
+    def test_trivial_empty_needs_an_edgeless_entry(self):
+        d = self._table("C4,3K1")
+        d["nodes"][-1]["targets"] = "C4,K3"
+        with pytest.raises(ReplayError, match="empty target"):
+            replay(DerivationTree.from_dict(d))
+
+    def test_book_star_bound_must_match_its_child(self):
+        d = self._table("C4,B17")
+        leaf = d["nodes"][0]
+        assert leaf["rule"] == "Registry"
+        leaf["value"] += 1  # a Registry leaf's value is not recomputed
+        with pytest.raises(ReplayError, match="star bound"):
+            replay(DerivationTree.from_dict(d))
+
+    def test_theorem_mt_r_must_match_its_children(self):
+        d = self._table("C4,K11")
+        d["nodes"][-1]["notes"]["r"] = [35]
+        with pytest.raises(ReplayError, match="r-values"):
+            replay(DerivationTree.from_dict(d))
+
+    def test_unknown_rule_rejected(self):
+        d = self._table("C4,S3")
+        d["nodes"][-1]["rule"] = "Magic"
+        with pytest.raises(ReplayError, match="unknown rule"):
+            replay(DerivationTree.from_dict(d))
+
     def test_all_seed_derivations_replay(self):
         reg = seed_registry()
         for key in ["C4,K11", "C4,K12", "C4,K4,K4", "C4,K3,K3,K3",

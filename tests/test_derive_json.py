@@ -159,7 +159,7 @@ NOTES = st.dictionaries(
     max_size=4,
 )
 NODE_TARGETS = st.sampled_from(["C4,K3", "C4,C4,K4+1K1", "C4,S5,B3", "C4,3K1"]).map(
-    lambda text: strip_k2(parse_targets(text))[0]
+    lambda text: strip_k2(parse_targets(text))
 )
 
 

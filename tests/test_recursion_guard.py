@@ -23,8 +23,6 @@ BOUNDED = {
     "targets.target_edges",
     # base + tK1 to its base: depth <= 2
     "targets.delete_options",
-    # base + tK1 to its base: depth <= 2
-    "search._effective_target",
 }
 
 

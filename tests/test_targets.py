@@ -208,14 +208,12 @@ class TestTargetList:
         assert tl.targets[0] == CYCLE4
 
     def test_strip_k2(self):
-        tl, dropped = strip_k2(parse_targets("C4,K2,K3,K3"))
-        assert tl.key() == "C4,K3,K3" and dropped == 1
-        tl, dropped = strip_k2(parse_targets("K2,K2"))
-        assert dropped == 0  # never strips to empty
+        assert strip_k2(parse_targets("C4,K2,K3,K3")).key() == "C4,K3,K3"
+        assert strip_k2(parse_targets("K2,K2")).key() == "K2,K2"  # never strips to empty
 
     def test_strip_k2_without_k2_returns_its_input(self):
         tl = parse_targets("C4,K3,S2")
-        assert strip_k2(tl) == (tl, 0) and strip_k2(tl)[0] is tl
+        assert strip_k2(tl) is tl
 
     @given(st.lists(st.one_of(TARGETS, st.just(CYCLE4)), min_size=1, max_size=5))
     def test_stored_key_and_m_match_a_recomputation(self, entries):

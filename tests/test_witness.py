@@ -100,6 +100,12 @@ class TestExtendWithDisjointClique:
         with pytest.raises(ValueError):
             extend_with_disjoint_clique(w, [CYCLE4, clique(3)], 1, 0, 1)
 
+    @pytest.mark.parametrize("c4_color, clique_color", [(5, 1), (0, -7), (-2, 1), (0, -1)])
+    def test_out_of_range_roles_rejected(self, c4_color, clique_color):
+        w = self.base_witness()
+        with pytest.raises(ValueError, match=r"not in 0\.\.1"):
+            extend_with_disjoint_clique(w, [CYCLE4, clique(3)], 3, c4_color, clique_color)
+
     def test_bad_input_coloring_rejected(self):
         col = EdgeColoring(3, 2)
         for u, v in pair_iter(3):
