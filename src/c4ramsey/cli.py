@@ -1,7 +1,10 @@
 """Command-line front-end.
 
 Exit codes: 0 success, 1 usage error, 2 verification failure / cannot
-derive / infeasible where feasibility was asserted, 3 budget exhausted.
+derive / infeasible where feasibility was asserted, 3 budget exhausted,
+141 stdout closed by its reader before the output was written (as in
+`c4ramsey derive C4,C4,K8,K8 | head -1`; 128 + SIGPIPE, the code a shell
+reports for a tool that SIGPIPE ends), with nothing printed on stderr.
 """
 
 from __future__ import annotations
@@ -9,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -44,6 +48,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_BUDGET = 3
+EXIT_PIPE = 141
 
 
 def _load_registry_arg(path: Optional[str]) -> Registry:
@@ -321,12 +326,21 @@ def run(argv: Optional[list[str]] = None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except SystemExit as e:
         if isinstance(e.code, str):
             print(e.code, file=sys.stderr)
             return EXIT_USAGE
         return e.code if e.code is not None else EXIT_OK
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so that the flush at
+        # interpreter exit has somewhere to write what is still buffered
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except (ValueError, OverflowError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

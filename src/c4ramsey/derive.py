@@ -7,6 +7,7 @@ can be re-evaluated bottom-up and must reproduce its conclusion exactly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Generator
 
@@ -178,6 +179,14 @@ def _option_sort_key(opt: TargetGraph) -> tuple:
     return (opt.vertex_count, str(opt))
 
 
+@functools.cache
+def _ordered_deletions(t: TargetGraph) -> tuple[tuple[TargetGraph, tuple], ...]:
+    """delete_options(t) in the order the planner tries them, each with its
+    sort key.  Targets are frozen, so this is computed once per target."""
+    options = sorted(tg.delete_options(t), key=_option_sort_key)
+    return tuple((opt, _option_sort_key(opt)) for opt in options)
+
+
 def derive(targets: TargetList, registry: Registry) -> DerivationTree:
     """Best upper bound derivable for the target list from the registry.
 
@@ -296,29 +305,26 @@ def _plan(tl: TargetList, registry: Registry) -> Generator[TargetList, object, o
         if m + sum(ks) >= len(ks) + 2:
             candidates.append(_node(tl, "StarsCor", {"m": m, "k": ks}))
 
-    if m >= 1 and others:
-        try:
-            inner, floors = union_k1_rewrite(tl)
-        except ValueError:
-            inner = None
-        if inner is not None:
-            child = yield inner
-            if isinstance(child, set):
-                missing |= child
-            else:
-                candidates.append(_node(tl, "UnionK1", {"floors": floors}, (child,), child.kind))
+    # kK1 entries returned above, so the H + 1K1 shape is base + 1K1 here
+    if m >= 1 and others and all(t.kind == tg.WITH_ISOLATED and t.k == 1 for t in others):
+        inner, floors = union_k1_rewrite(tl)
+        child = yield inner
+        if isinstance(child, set):
+            missing |= child
+        else:
+            candidates.append(_node(tl, "UnionK1", {"floors": floors}, (child,), child.kind))
 
     if m >= 1 and all(t.vertex_count >= 2 for t in others):
         chosen: list[DerivationTree] = []
         deletions: list[str] = []
         for i, gi in enumerate(others):
             best = None
-            for opt in sorted(tg.delete_options(gi), key=_option_sort_key):
+            for opt, opt_key in _ordered_deletions(gi):
                 child = yield tl.replace_other(i, opt)
                 if isinstance(child, set):
                     missing |= child
                     continue
-                ck = (child.value,) + _option_sort_key(opt)
+                ck = (child.value,) + opt_key
                 if best is None or ck < best[0]:
                     best = (ck, child, opt)
             if best is None:

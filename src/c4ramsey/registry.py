@@ -11,6 +11,7 @@ lower/upper pairs are rejected at insertion time.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -139,7 +140,20 @@ def load_registry(path: str | Path) -> Registry:
     return parse_registry(Path(path).read_text())
 
 
-def seed_registry() -> Registry:
-    """The registry of cited base facts shipped with the package."""
+@functools.cache
+def _parsed_seeds() -> Registry:
+    # the packaged file cannot change while the process runs
     text = resources.files("c4ramsey").joinpath("data/seeds.txt").read_text()
     return parse_registry(text)
+
+
+def seed_registry() -> Registry:
+    """The registry of cited base facts shipped with the package.
+
+    The file is parsed once per process.  Each call returns a fresh Registry
+    holding those facts, so a fact one caller adds is never seen by another."""
+    seeds = _parsed_seeds()
+    reg = Registry()
+    reg._lower = dict(seeds._lower)
+    reg._upper = dict(seeds._upper)
+    return reg

@@ -9,6 +9,7 @@ total.
 
 from __future__ import annotations
 
+import bisect
 import re
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
@@ -254,11 +255,27 @@ class TargetList:
     def __str__(self) -> str:
         return self.key()
 
+    @classmethod
+    def _canonical(cls, targets: tuple[TargetGraph, ...], m: int) -> "TargetList":
+        """A list from targets already in canonical order, m of them C4s;
+        skips __post_init__'s sort."""
+        tl = object.__new__(cls)
+        object.__setattr__(tl, "targets", targets)
+        object.__setattr__(tl, "m", m)
+        object.__setattr__(tl, "_key", ",".join([t._name for t in targets]))
+        return tl
+
     def replace_other(self, i: int, new: TargetGraph) -> "TargetList":
-        """New list with the i-th non-C4 entry replaced (re-canonicalized)."""
-        others = list(self.others)
-        others[i] = new
-        return TargetList(self.targets[: self.m] + tuple(others))
+        """New list with the i-th non-C4 entry replaced (re-canonicalized).
+
+        The other entries stay in order, so new is inserted at its sorted
+        place among them, or joins the C4 prefix if it is a C4."""
+        m, targets = self.m, self.targets
+        rest = targets[m : m + i] + targets[m + i + 1 :]
+        if new.kind == CYCLE4_KIND:
+            return TargetList._canonical(targets[:m] + (new,) + rest, m + 1)
+        at = bisect.bisect_left(rest, _sort_key(new), key=_sort_key)
+        return TargetList._canonical(targets[:m] + rest[:at] + (new,) + rest[at:], m)
 
 
 def parse_targets(text: str) -> TargetList:
@@ -300,7 +317,14 @@ def strip_k2(targets: TargetList) -> TargetList:
     """Drop K2 entries: a color that may not contain a single edge is unused,
     so the Ramsey number is unchanged.  Keeps the list nonempty; a list
     without K2 comes back as the same object."""
-    kept = tuple(t for t in targets if not (t.kind == CLIQUE and t.k == 2))
-    if not kept or len(kept) == len(targets):
+    for t in targets.others:  # sorted by size: any K2 comes before every larger entry
+        if t.vertex_count > 2:
+            return targets
+        if t.kind == CLIQUE:
+            break
+    else:
         return targets
-    return TargetList(kept)
+    kept = tuple(t for t in targets if not (t.kind == CLIQUE and t.k == 2))
+    if not kept:
+        return targets
+    return TargetList._canonical(kept, targets.m)

@@ -380,6 +380,15 @@ class TestRegistry:
         doc = json.loads(out_of(capsys))
         assert doc["command"] == "registry" and any("C4,K10" in f for f in doc["facts"])
 
+    def test_add_without_a_file_leaves_the_seeds_alone(self, capsys):
+        line = "C4,K3 | exact | 7 | small search | computational"
+        assert run(["registry", "--add", line]) == 0
+        first = out_of(capsys)
+        assert run(["registry", "--add", line]) == 0
+        assert out_of(capsys) == first and first.count("C4,K3 |") == 1
+        assert run(["registry"]) == 0
+        assert "C4,K3 |" not in out_of(capsys)
+
 
 class TestTopLevel:
     def test_unknown_subcommand(self, capsys):
@@ -419,6 +428,39 @@ class TestParserReuse:
             in_process.append((code, capsys.readouterr().out))
         assert [code for code, _ in in_process] == [1, 0, 0, 0, 1, 0, 0]
         assert in_process == [self.fresh(argv) for argv in self.SEQUENCE]
+
+
+class TestClosedStdout:
+    # a reader that stops early (`| head -1`) is not a usage error: exit 141
+    # (128 + SIGPIPE) and nothing on stderr, not "error: Broken pipe"
+    @staticmethod
+    def cli(*argv):
+        src = Path(c4ramsey.__file__).resolve().parents[1]
+        return [sys.executable, "-m", "c4ramsey.cli", *argv], {**os.environ, "PYTHONPATH": str(src)}
+
+    @pytest.mark.parametrize("argv", [["derive", "C4,K11"], ["derive", "C4,C4,K8,K8", "--json"]])
+    def test_reader_gone_before_the_write(self, argv):
+        cmd, env = self.cli(*argv)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(cmd, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60, env=env)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (141, "")
+
+    def test_reader_stops_after_the_first_line(self):
+        # 307,575 bytes of text: more than a pipe holds, so the write is cut
+        cmd, env = self.cli("derive", "C4,K500")
+        with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            try:
+                proc.wait(timeout=60)
+            finally:
+                proc.kill()
+            err = proc.stderr.read()
+        assert (first, proc.returncode, err) == (b"65186\n", 141, b"")
 
 
 def test_runs_as_a_module():

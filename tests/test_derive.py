@@ -11,8 +11,10 @@ from c4ramsey import (
     seed_registry,
     theorem_mt_bound,
 )
-from c4ramsey.derive import ReplayError
-from c4ramsey.targets import parse_targets
+from c4ramsey.derive import ReplayError, _option_sort_key, _ordered_deletions
+from c4ramsey.targets import delete_options, parse_target, parse_targets
+
+from test_derive_json import POOLS
 
 
 def registry_with(*lines):
@@ -117,6 +119,22 @@ class TestCannotDerive:
     def test_m1_k2_only_cannot_derive(self):
         with pytest.raises(CannotDeriveError):
             derive(parse_targets("C4,K2"), Registry())
+
+
+class TestDeletionOrder:
+    def test_cached_order_is_the_sorted_options(self):
+        # every target the derive-cli pools reach by deleting vertices
+        todo = [parse_target(text) for pool in POOLS.values() for text in pool]
+        seen = set()
+        while todo:
+            t = todo.pop()
+            if t in seen or t.vertex_count < 2:
+                continue
+            seen.add(t)
+            want = sorted(delete_options(t), key=_option_sort_key)
+            assert _ordered_deletions(t) == tuple((o, _option_sort_key(o)) for o in want)
+            todo.extend(want)
+        assert len(seen) > 50
 
 
 class LookupLog(Registry):

@@ -102,3 +102,15 @@ class TestSeedRegistry:
         }
         for key, value in expect.items():
             assert reg.best_lower(parse_targets(key)).value == value
+
+    def test_each_call_is_a_fresh_registry(self):
+        reg = seed_registry()
+        reg.add(RamseyFact.from_line("C4,K3 | exact | 7 | small search | computational"))
+        reg.add(RamseyFact.from_line("C4,K12 | lower | 44 | hypothetical | user"))
+        assert reg.best_lower(parse_targets("C4,K12")).value == 44
+        again = seed_registry()
+        assert again is not reg
+        assert again.best_upper(parse_targets("C4,K3")) is None
+        assert again.best_lower(parse_targets("C4,K3")) is None
+        assert again.best_lower(parse_targets("C4,K12")).value == 43
+        assert again.facts() == seed_registry().facts()

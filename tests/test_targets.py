@@ -230,6 +230,66 @@ class TestTargetList:
         assert again == tl and hash(again) == hash(tl) and again.key() == tl.key()
 
 
+def recanonicalized(tl, i, new):
+    """tl with its i-th non-C4 entry replaced, sorted again from scratch."""
+    others = list(tl.others)
+    others[i] = new
+    return TargetList(tl.targets[: tl.m] + tuple(others))
+
+
+def assert_same_list(got, want):
+    assert got.targets == want.targets
+    assert got.m == want.m and got.n == want.n
+    assert got.key() == want.key()
+    assert got == want and hash(got) == hash(want)
+
+
+class TestReplaceOther:
+    # replace_other inserts the new entry into the sorted others instead of
+    # sorting again; it must give the list a full re-canonicalization gives
+    @given(
+        st.lists(st.just(CYCLE4), max_size=2),
+        st.lists(
+            TARGETS.filter(lambda t: t.vertex_count >= 2 and t != CYCLE4), min_size=1, max_size=4
+        ),
+        st.data(),
+    )
+    def test_matches_recanonicalization(self, c4s, rest, data):
+        tl = TargetList(tuple(c4s + rest))
+        i = data.draw(st.integers(0, tl.n - 1))
+        for opt in delete_options(tl.others[i]):
+            got = tl.replace_other(i, opt)
+            want = recanonicalized(tl, i, opt)
+            assert_same_list(got, want)
+            assert_same_list(strip_k2(got), strip_k2(want))
+
+    @pytest.mark.parametrize(
+        "text,entry,new,key,m",
+        [
+            # a C4 leaves the sorted run and joins the C4 prefix
+            ("C4,K3,C4+1K1", "C4+1K1", "C4", "C4,C4,K3", 2),
+            ("C4+1K1,K5", "C4+1K1", "C4", "C4,K5", 1),
+            # deletions that give K2, which strip_k2 then drops
+            ("C4,K3,K4", "K3", "K2", "C4,K2,K4", 1),
+            ("C4,P3,S2", "P3", "K2", "C4,K2,S2", 1),
+            ("C4,B1,K3", "B1", "K2", "C4,K2,K3", 1),
+            ("C4,2K1,K3", "K3", "K2", "C4,2K1,K2", 1),
+            # into the middle, and past entries of equal size
+            ("C4,K3,K5,K7", "K7", "K4", "C4,K3,K4,K5", 1),
+            ("C4,B2,K4,S5", "S5", "S4", "C4,B2,K4,S4", 1),
+        ],
+    )
+    def test_entries_that_leave_the_sorted_run(self, text, entry, new, key, m):
+        tl = parse_targets(text)
+        i = [str(t) for t in tl.others].index(entry)
+        got = tl.replace_other(i, parse_target(new))
+        want = recanonicalized(tl, i, parse_target(new))
+        assert (got.key(), got.m) == (key, m)
+        assert_same_list(got, want)
+        assert_same_list(strip_k2(got), strip_k2(want))
+        assert "K2" not in strip_k2(got).key().split(",")
+
+
 class TestUnionK1Rewrite:
     def test_basic(self):
         inner, floors = union_k1_rewrite(parse_targets("C4,K3+1K1"))
