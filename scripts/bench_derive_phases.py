@@ -5,7 +5,8 @@
 Run from the root of a checkout.  For each derive-cli list that perfbench
 makes from --seed, the phases of `c4ramsey derive LIST --json` are timed in
 the order `cli._cmd_derive` runs them: registry (seed_registry(), which the
-CLI calls once per command), parse (parse_targets), derive, replay, and
+CLI calls once per command), parse (parse_targets), derive, replay (against
+that registry, as the CLI replays), and
 encode (json.dumps of the printed document: the node table with indent=2,
 or the one-line cannot-derive answer).  Each phase is summed over one pass
 of the lists; the figure is the median over --repeats passes.  Then the
@@ -54,7 +55,7 @@ def phase_pass(lists) -> dict[str, float]:
             t5 = t4 = clock()
         else:
             t3 = clock()
-            cr.replay(tree)
+            cr.replay(tree, registry)
             t4 = clock()
             json.dumps({"command": "derive", "status": "ok", "tree": tree.to_dict()}, indent=2)
             t5 = clock()

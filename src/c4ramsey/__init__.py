@@ -19,8 +19,6 @@ from .graphs import (
     coloring_from_text,
     coloring_to_text,
     contains_target,
-    degree,
-    delete_vertex,
     find_target_copy,
     graph6_decode,
     graph6_encode,
@@ -32,7 +30,6 @@ from .search import (
     SearchBudget,
     SearchOutcome,
     computed_ramsey,
-    merge_colors,
     partition_check,
     ramsey_by_search,
     search_coloring,

@@ -116,7 +116,7 @@ def _cmd_derive(args) -> int:
         else:
             print(e, file=sys.stderr)
         return EXIT_VERIFY
-    replay(tree)
+    replay(tree, reg)
     if args.json:
         print(json.dumps({"command": "derive", "status": "ok", "tree": tree.to_dict()}, indent=2))
     else:

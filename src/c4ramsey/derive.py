@@ -1,8 +1,8 @@
 """Memoized upper-bound derivation with an auditable, replayable tree.
 
-Each node records the rule applied, the child derivations supplying its
-inputs, and a notes ledger (rule parameters, precondition guards).  A tree
-can be re-evaluated bottom-up and must reproduce its conclusion exactly.
+A node's value, kind and notes (rule parameters, precondition guards) are
+what its rule concludes from its target list and its child derivations, so
+replay() rebuilds every node from those three and compares field for field.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Generator
 
 from . import targets as tg
 from .bounds import BoundQuery, book_from_star_bound, parsons_bound, stars_bound, theorem_mt_bound
-from .registry import RamseyFact, Registry
+from .registry import RamseyFact, Registry, seed_registry
 from .targets import TargetGraph, TargetList, parse_targets, strip_k2, union_k1_rewrite
 
 
@@ -114,11 +114,13 @@ class ReplayError(ValueError):
     pass
 
 
-def replay(tree: DerivationTree) -> None:
-    """Re-evaluate every node's rule on its children; raise on any mismatch.
-
-    Each distinct node object is checked once, so a subtree that derive()
-    shares between parents costs one check."""
+def replay(tree: DerivationTree, registry: Registry | None = None) -> None:
+    """Rebuild every node from its rule, targets and children, and raise
+    ReplayError where its value, kind, notes or citation differ.  A Registry
+    leaf is rebuilt from registry (None: seed_registry()), any other node after
+    _check_children().  A node that derive() shares is checked once."""
+    if registry is None:
+        registry = seed_registry()
     seen: set[int] = set()
     stack = [tree]
     while stack:
@@ -126,44 +128,105 @@ def replay(tree: DerivationTree) -> None:
         if id(node) in seen:
             continue
         seen.add(id(node))
-        if node.rule != "Registry":
-            expected = _rule_value(node.rule, node.targets, node.children, node.notes)
-            if expected != node.value:
-                raise ReplayError(
-                    f"rule {node.rule} on {node.targets.key()} replays to {expected}, "
-                    f"node says {node.value}"
-                )
+        tl = node.targets
+        try:
+            if node.rule != "Registry":
+                want = _node(tl, node.rule, node.children, _check_children(node))
+            elif (fact := registry.best_upper(tl)) is None or node.children:
+                raise ReplayError(f"Registry leaf on {tl} has children or no registry fact")
+            else:
+                want = _registry_leaf(tl, fact)
+        except ReplayError:
+            raise
+        except ValueError as e:  # a bound formula refused the rebuilt inputs
+            raise ReplayError(f"{node.rule} on {tl}: {e}") from e
+        for name in ("notes", "value", "kind", "citation"):
+            got, expected = getattr(node, name), getattr(want, name)
+            if got != expected:
+                if name == "notes" and isinstance(got, dict):  # name the keys, r as "r-values"
+                    keys = [k for k in {**expected, **got} if got.get(k, ...) != expected.get(k, ...)]
+                    name = f"notes ({', '.join(str(_NOTE_NAMES.get(k, k)) for k in keys)})"
+                raise ReplayError(f"{node.rule} on {tl}: {name} {got!r} rebuilds as {expected!r}")
         stack.extend(node.children)
 
 
-def _rule_value(rule: str, targets: TargetList, children: tuple, notes: dict) -> int:
-    """What a rule other than Registry concludes for targets from its
-    children and notes.  The planner takes each node's value from here and
-    replay() checks each node against it, so every rule is written once.
-    Raises ReplayError where the node's inputs cannot hold under the rule."""
-    if rule == "TrivialEmpty":
-        empties = [t.k for t in targets if t.kind == tg.EMPTY]
-        if not empties:
-            raise ReplayError(f"TrivialEmpty node without an empty target: {targets}")
-        return min(empties)
-    if rule == "Parsons":
-        return parsons_bound(notes["k"])
-    if rule == "BookCor":
-        s = notes["star_bound"]
-        if children and children[0].value != s:
-            raise ReplayError("BookCor star bound disagrees with its child")
-        return book_from_star_bound(s)
-    if rule == "StarsCor":
-        return stars_bound(notes["m"], notes["k"])
-    if rule == "UnionK1":
-        return max([children[0].value] + list(notes["floors"]))
+_NOTE_NAMES = {"r": "r-values", "star_bound": "star bound"}
+
+
+def _check_children(node: DerivationTree) -> tuple[TargetGraph, ...]:
+    """Raise ReplayError unless node.rule applies to node.targets and each
+    child is on the list the rule names; return the deletion each TheoremMT
+    child took.  The planner meets this by construction and never calls it."""
+    rule, tl, kids = node.rule, node.targets, node.children
+    m, others = tl.m, tl.others
     if rule == "TheoremMT":
+        if m < 1 or len(kids) != len(others) or any(t.vertex_count < 2 for t in others):
+            raise ReplayError(f"TheoremMT does not apply to {tl} with {len(kids)} children")
+        return tuple(_deletion_taken(tl, i, kid.targets) for i, kid in enumerate(kids))
+    one = others[0] if m == 1 and len(others) == 1 else tg.CYCLE4  # C4: no single entry
+    lists: list[TargetList] = []
+    if rule == "TrivialEmpty":  # _conclude() looks for the edgeless entry
+        applies = True
+    elif rule == "Parsons":  # parsons_bound() refuses k < 2
+        applies = one.kind == tg.STAR
+    elif rule == "StarsCor":  # stars_bound() checks m + sum(k) >= n + 2
+        applies = m >= 1 and bool(others) and all(t.kind == tg.STAR for t in others)
+    elif rule == "BookCor":  # the star bound from a Registry leaf, or else from Parsons
+        applies = one.kind == tg.BOOK and one.k >= 2 and all(kid.rule == "Registry" for kid in kids)
+        lists = [TargetList((tg.CYCLE4, tg.star(one.k)))] if applies and kids else []
+    elif rule == "UnionK1":
+        applies = m >= 1 and bool(others) and all(t.kind == tg.WITH_ISOLATED and t.k == 1 for t in others)
+        lists = [strip_k2(union_k1_rewrite(tl)[0])] if applies else []
+    elif rule == "MaxWithVertexCount":
+        applies, lists = all(kid.rule == "TheoremMT" for kid in kids), [tl]
+    else:
+        raise ReplayError(f"unknown rule {rule!r}")
+    if not applies or [kid.targets for kid in kids] != lists:
+        raise ReplayError(f"{rule} does not apply to {tl} with children {[str(k.targets) for k in kids]}")
+    return ()
+
+
+def _deletion_taken(tl: TargetList, i: int, child: TargetList) -> TargetGraph:
+    """The deletion opt of tl.others[i] with strip_k2(tl.replace_other(i, opt)) == child."""
+    for opt, _ in _ordered_deletions(tl.others[i]):
+        if strip_k2(tl.replace_other(i, opt)).key() == child.key():
+            return opt
+    raise ReplayError(f"TheoremMT child {child} deletes no vertex of {tl.others[i]} in {tl}")
+
+
+def _conclude(rule: str, tl: TargetList, children: tuple, deletions: tuple = ()) -> tuple[int, str, dict]:
+    """The value, kind and notes a rule other than Registry concludes for tl
+    from its children and, for TheoremMT, the deletion each child took.  The
+    planner and replay() both build nodes here, so notes are outputs only.
+    Raises ReplayError or ValueError where the rule cannot conclude."""
+    m, others = tl.m, tl.others
+    if rule == "TheoremMT":  # the rule most nodes take, so tested first
         r = [c.value for c in children]
-        if r != list(notes["r"]):
-            raise ReplayError("TheoremMT r-values disagree with children")
-        return theorem_mt_bound(BoundQuery(notes["m"], r))
+        floor = max(t.vertex_count for t in tl)
+        cuts = [f"{g}->{d}" for g, d in zip(others, deletions)]
+        notes = {"m": m, "n": len(others), "r": r, "deletions": cuts, "vertex_floor": floor,
+                 "guard": f"conclusion is valid as max(bound, {floor})"}
+        return theorem_mt_bound(BoundQuery(m, r)), "upper", notes
     if rule == "MaxWithVertexCount":
-        return max(children[0].value, notes["vertex_floor"])
+        floor = max(t.vertex_count for t in tl)
+        return max(children[0].value, floor), "upper", {"vertex_floor": floor}
+    if rule == "TrivialEmpty":
+        k = min([t.k for t in tl if t.kind == tg.EMPTY], default=None)
+        if k is None:
+            raise ReplayError(f"TrivialEmpty node without an empty target: {tl}")
+        return k, "upper", {"guard": f"{k}K1 needs only {k} vertices"}
+    if rule == "Parsons":
+        return parsons_bound(others[0].k), "upper", {"k": others[0].k}
+    if rule == "BookCor":
+        k = others[0].k
+        s, source = (children[0].value, "registry") if children else (parsons_bound(k), "parsons")
+        return book_from_star_bound(s), "upper", {"k": k, "star_bound": s, "star_source": source}
+    if rule == "StarsCor":
+        ks = [t.k for t in others]
+        return stars_bound(m, ks), "upper", {"m": m, "k": ks}
+    if rule == "UnionK1":
+        floors = union_k1_rewrite(tl)[1]
+        return max([children[0].value] + floors), children[0].kind, {"floors": floors}
     raise ReplayError(f"unknown rule {rule!r}")
 
 
@@ -225,37 +288,19 @@ def derive(targets: TargetList, registry: Registry) -> DerivationTree:
 
 
 def _registry_leaf(tl: TargetList, fact: RamseyFact) -> DerivationTree:
-    return DerivationTree(
-        targets=tl,
-        rule="Registry",
-        value=fact.value,
-        kind="exact" if fact.kind == "exact" else "upper",
-        citation=fact.citation,
-        notes={"trust": fact.trust},
-    )
+    kind = "exact" if fact.kind == "exact" else "upper"
+    return DerivationTree(tl, "Registry", fact.value, kind, (), {"trust": fact.trust}, fact.citation)
 
 
-def _node(
-    tl: TargetList, rule: str, notes: dict, children: tuple = (), kind: str = "upper"
-) -> DerivationTree:
-    value = _rule_value(rule, tl, children, notes)
-    return DerivationTree(
-        targets=tl, rule=rule, value=value, kind=kind, children=children, notes=notes
-    )
+def _node(tl: TargetList, rule: str, children: tuple = (), deletions: tuple = ()) -> DerivationTree:
+    value, kind, notes = _conclude(rule, tl, children, deletions)
+    return DerivationTree(tl, rule, value, kind, children, notes)
 
 
 # Among candidates with equal values, the lower rank wins; among equal ranks,
 # the candidate planned first.
-_RANK = {
-    "Registry": 0,
-    "TrivialEmpty": 1,
-    "Parsons": 2,
-    "BookCor": 2,
-    "StarsCor": 2,
-    "UnionK1": 3,
-    "TheoremMT": 3,
-    "MaxWithVertexCount": 3,
-}
+_RANK = {"Registry": 0, "TrivialEmpty": 1, "Parsons": 2, "BookCor": 2, "StarsCor": 2,
+         "UnionK1": 3, "TheoremMT": 3, "MaxWithVertexCount": 3}
 
 
 def _best(candidates: list[DerivationTree]) -> DerivationTree:
@@ -273,10 +318,8 @@ def _plan(tl: TargetList, registry: Registry) -> Generator[TargetList, object, o
     if fact is not None:
         candidates.append(_registry_leaf(tl, fact))
 
-    empties = [t.k for t in tl if t.kind == tg.EMPTY]
-    if empties:
-        k = min(empties)
-        candidates.append(_node(tl, "TrivialEmpty", {"guard": f"{k}K1 needs only {k} vertices"}))
+    if any(t.kind == tg.EMPTY for t in tl):
+        candidates.append(_node(tl, "TrivialEmpty"))
         # No other rule can win here, whatever the registry holds: Parsons,
         # BookCor and StarsCor need star or book entries only; UnionK1's
         # floors include |V(kK1)| = k, and TheoremMT's value (and so
@@ -287,36 +330,30 @@ def _plan(tl: TargetList, registry: Registry) -> Generator[TargetList, object, o
     m, others = tl.m, tl.others
 
     if m == 1 and len(others) == 1 and others[0].kind == tg.STAR and others[0].k >= 2:
-        candidates.append(_node(tl, "Parsons", {"k": others[0].k}))
+        candidates.append(_node(tl, "Parsons"))
 
     if m == 1 and len(others) == 1 and others[0].kind == tg.BOOK and others[0].k >= 2:
         k = others[0].k
         star_list = TargetList((tg.CYCLE4, tg.star(k)))
         star_fact = registry.best_upper(star_list)
-        if star_fact is not None and star_fact.value <= parsons_bound(k):
-            notes = {"k": k, "star_bound": star_fact.value, "star_source": "registry"}
-            candidates.append(_node(tl, "BookCor", notes, (_registry_leaf(star_list, star_fact),)))
-        else:
-            notes = {"k": k, "star_bound": parsons_bound(k), "star_source": "parsons"}
-            candidates.append(_node(tl, "BookCor", notes))
+        use_fact = star_fact is not None and star_fact.value <= parsons_bound(k)
+        candidates.append(_node(tl, "BookCor", (_registry_leaf(star_list, star_fact),) if use_fact else ()))
 
     if m >= 1 and others and all(t.kind == tg.STAR for t in others):
-        ks = [t.k for t in others]
-        if m + sum(ks) >= len(ks) + 2:
-            candidates.append(_node(tl, "StarsCor", {"m": m, "k": ks}))
+        if m + sum(t.k for t in others) >= len(others) + 2:
+            candidates.append(_node(tl, "StarsCor"))
 
     # kK1 entries returned above, so the H + 1K1 shape is base + 1K1 here
     if m >= 1 and others and all(t.kind == tg.WITH_ISOLATED and t.k == 1 for t in others):
-        inner, floors = union_k1_rewrite(tl)
-        child = yield inner
+        child = yield union_k1_rewrite(tl)[0]
         if isinstance(child, set):
             missing |= child
         else:
-            candidates.append(_node(tl, "UnionK1", {"floors": floors}, (child,), child.kind))
+            candidates.append(_node(tl, "UnionK1", (child,)))
 
     if m >= 1 and all(t.vertex_count >= 2 for t in others):
         chosen: list[DerivationTree] = []
-        deletions: list[str] = []
+        deletions: list[TargetGraph] = []
         for i, gi in enumerate(others):
             best = None
             for opt, opt_key in _ordered_deletions(gi):
@@ -330,22 +367,13 @@ def _plan(tl: TargetList, registry: Registry) -> Generator[TargetList, object, o
             if best is None:
                 break
             chosen.append(best[1])
-            deletions.append(f"{gi}->{best[2]}")
+            deletions.append(best[2])
         else:  # every entry has a derivable deletion
-            r = [c.value for c in chosen]
-            if not (m == 1 and sum(r) - len(r) < 1):  # Theorem MT needs s >= 1 when m = 1
-                vertex_floor = max(t.vertex_count for t in tl)
-                notes = {
-                    "m": m,
-                    "n": len(others),
-                    "r": r,
-                    "deletions": deletions,
-                    "vertex_floor": vertex_floor,
-                    "guard": f"conclusion is valid as max(bound, {vertex_floor})",
-                }
-                mt = _node(tl, "TheoremMT", notes, tuple(chosen))
-                if vertex_floor > mt.value:
-                    mt = _node(tl, "MaxWithVertexCount", {"vertex_floor": vertex_floor}, (mt,))
+            # Theorem MT needs some r_i > 1 when m = 1
+            if m > 1 or any(c.value > 1 for c in chosen):
+                mt = _node(tl, "TheoremMT", tuple(chosen), tuple(deletions))
+                if mt.notes["vertex_floor"] > mt.value:
+                    mt = _node(tl, "MaxWithVertexCount", (mt,))
                 candidates.append(mt)
 
     if not candidates:

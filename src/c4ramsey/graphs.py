@@ -334,14 +334,6 @@ class EdgeColoring:
         return f"EdgeColoring(n={self.n}, c={self.c}, {done})"
 
 
-def degree(coloring: EdgeColoring, color: int, v: int) -> int:
-    return coloring.degree(color, v)
-
-
-def delete_vertex(coloring: EdgeColoring, v: int) -> EdgeColoring:
-    return coloring.delete_vertex(v)
-
-
 class IncompleteColoringError(ValueError):
     pass
 

@@ -316,20 +316,3 @@ def partition_check(
         return SearchOutcome(INFEASIBLE, nodes, wall, None, note)
     return SearchOutcome(UNKNOWN, nodes, wall, None, "budget exhausted")
 
-
-def merge_colors(coloring: EdgeColoring, i: int, j: int) -> EdgeColoring:
-    """Recolor class j as i and shift colors above j down."""
-    if i == j:
-        raise ValueError("merge needs two distinct colors")
-    coloring._check_color(i)
-    coloring._check_color(j)
-    if coloring.c < 2:
-        raise ValueError("cannot merge below one color")
-    out = EdgeColoring(coloring.n, coloring.c - 1)
-    for idx, col in enumerate(coloring.colors):
-        if col == j:
-            col = i
-        if col > j:
-            col -= 1
-        out.colors[idx] = col
-    return out

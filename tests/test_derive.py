@@ -11,10 +11,11 @@ from c4ramsey import (
     seed_registry,
     theorem_mt_bound,
 )
-from c4ramsey.derive import ReplayError, _option_sort_key, _ordered_deletions
+from c4ramsey.derive import _RANK, ReplayError, _option_sort_key, _ordered_deletions
 from c4ramsey.targets import delete_options, parse_target, parse_targets
 
-from test_derive_json import POOLS
+from test_derive_golden import GOLDEN
+from test_derive_json import POOLS, TABLE_ROWS
 
 
 def registry_with(*lines):
@@ -39,7 +40,7 @@ class TestTableCases:
         reg = registry_with("C4,K3,K4 | upper | 29 | computation | computational")
         tree = derive(parse_targets("C4,K4,K4"), reg)
         assert tree.value == 66
-        replay(tree)
+        replay(tree, reg)
 
     def test_k3_cubed_uses_k2_elimination(self):
         reg = registry_with("C4,K3,K3 | exact | 17 | [ExRe] | paper")
@@ -76,7 +77,7 @@ class TestRules:
         reg = registry_with("C4,K3 | exact | 7 | small search | computational")
         tree = derive(parse_targets("C4,K3+1K1"), reg)
         assert tree.value == max(7, 4) == 7
-        replay(tree)
+        replay(tree, reg)
 
     def test_union_k1_floor_dominates(self):
         reg = registry_with("C4,K3 | exact | 2 | fake | user")
@@ -260,10 +261,10 @@ class TestReplay:
         d = derive(parse_targets(text), reg).to_dict()
         nodes = [n for n in d["nodes"] if n["rule"] == rule]
         assert nodes, f"{text} has no {rule} node"
-        replay(DerivationTree.from_dict(d))
+        replay(DerivationTree.from_dict(d), reg)
         nodes[-1]["value"] += 1
         with pytest.raises(ReplayError):
-            replay(DerivationTree.from_dict(d))
+            replay(DerivationTree.from_dict(d), reg)
 
     @staticmethod
     def _table(text):
@@ -295,8 +296,106 @@ class TestReplay:
         with pytest.raises(ReplayError, match="unknown rule"):
             replay(DerivationTree.from_dict(d))
 
+    def test_relabelled_theorem_mt_children_rejected(self):
+        d = self._table("C4,K4,K4")
+        root = d["nodes"][-1]
+        assert root["rule"] == "TheoremMT"
+        for c in root["children"]:
+            d["nodes"][c]["targets"] = "C4,K50"
+        with pytest.raises(ReplayError):
+            replay(DerivationTree.from_dict(d))
+
+    def test_registry_leaf_must_match_the_registry(self):
+        d = self._table("C4,K3,K4")
+        (leaf,) = d["nodes"]
+        assert leaf["rule"] == "Registry"
+        leaf["value"] = 1
+        with pytest.raises(ReplayError):
+            replay(DerivationTree.from_dict(d))
+
+    def test_parsons_reads_k_from_the_targets(self):
+        d = self._table("C4,S9")
+        (root,) = d["nodes"]
+        assert root["rule"] == "Parsons"
+        root["notes"]["k"], root["value"] = 2, 5  # parsons_bound(2) == 5
+        with pytest.raises(ReplayError):
+            replay(DerivationTree.from_dict(d))
+
     def test_all_seed_derivations_replay(self):
         reg = seed_registry()
         for key in ["C4,K11", "C4,K12", "C4,K4,K4", "C4,K3,K3,K3",
                     "C4,C4,K3,K4", "C4,C4,K4,K4", "C4,B17", "C4,S7"]:
             replay(derive(parse_targets(key), reg))
+
+
+RULES = tuple(_RANK)
+
+# Every derivable golden list but C4,K500, whose 491-node chain adds no node
+# shape that the C4,K20 chain lacks; the paper's table rows are among them.
+SWEEP_LISTS = [text for text in GOLDEN if text not in ("C4,K3", "C4,K500")]
+
+
+def _edited(value):
+    """One change to a notes value of a shape the planner writes."""
+    if isinstance(value, list):
+        return [_edited(value[0])] + value[1:] if value else [1]
+    return value + ("x" if isinstance(value, str) else 1)
+
+
+def single_field_edits(table):
+    """(description, table) for each single-field edit of a node table: value
+    +-1, kind, citation, rule, targets, each notes key (edited, dropped, one
+    added) and each child (dropped, repointed, one added)."""
+    nodes = table["nodes"]
+    for i, node in enumerate(nodes):
+
+        def edit(what, **changes):
+            return f"node {i} ({node['targets']} {node['rule']}): {what}", {
+                "nodes": nodes[:i] + [{**node, **changes}] + nodes[i + 1 :]
+            }
+
+        yield edit("value +1", value=node["value"] + 1)
+        yield edit("value -1", value=node["value"] - 1)
+        yield edit("kind", kind="upper" if node["kind"] == "exact" else "exact")
+        yield edit("citation", citation=node["citation"] + "x")
+        for rule in RULES:
+            if rule != node["rule"]:
+                yield edit(f"rule {rule}", rule=rule)
+        yield edit("targets +C4", targets="C4," + node["targets"])
+        if i and nodes[i - 1]["targets"] != node["targets"]:
+            yield edit("targets of the node before", targets=nodes[i - 1]["targets"])
+        notes = node["notes"]
+        for key in notes:
+            yield edit(f"notes {key} edited", notes={**notes, key: _edited(notes[key])})
+            yield edit(f"notes {key} dropped", notes={k: v for k, v in notes.items() if k != key})
+        yield edit("notes key added", notes={**notes, "extra": 1})
+        kids = node["children"]
+        for slot, c in enumerate(kids):
+            yield edit(f"child {slot} dropped", children=kids[:slot] + kids[slot + 1 :])
+            other = c - 1 if c else c + 1
+            if other < i:
+                yield edit(f"child {slot} repointed", children=kids[:slot] + [other] + kids[slot + 1 :])
+        if i:
+            yield edit("child added", children=kids + [i - 1])
+
+
+class TestMutationSweep:
+    def test_single_field_edits_are_rejected_or_keep_the_root_value(self):
+        assert set(TABLE_ROWS) <= set(SWEEP_LISTS) and len(SWEEP_LISTS) == 19
+        reg = seed_registry()
+        edits, accepted = 0, []
+        for text in SWEEP_LISTS:
+            table = derive(parse_targets(text), reg).to_dict()
+            root_value = table["nodes"][-1]["value"]
+            for what, edited in single_field_edits(table):
+                edits += 1
+                tree = DerivationTree.from_dict(edited)
+                try:
+                    replay(tree)
+                except ReplayError:
+                    continue
+                assert tree.value == root_value, f"{text}, {what}: replays to {tree.value}"
+                accepted.append(f"{text}, {what}")
+        assert edits == 3425
+        # a true bound: C4,C4,3K1,B3 needs no more than 3 vertices either
+        assert accepted == ["C4,3K1,B3, node 0 (C4,3K1,B3 TrivialEmpty): targets +C4"]

@@ -214,3 +214,22 @@ def test_derive_output_is_pinned(targets, mode, capsys):
     else:
         assert sha256(out) == RAW_TEXT.get(targets, digest)
         assert sha256(nested_text(out)) == digest
+
+
+# sha256 over "LIST MODE CODE\n" + stdout, as printed, for every list built
+# from test_derive_json.POOLS, the paper's table rows and the GOLDEN lists
+# (278 distinct inputs) in sorted order, JSON mode (MODE 1) before text (MODE 0).
+FAMILY_DIGEST = "2b6a4d6c5f56d8a5ecd26d941e529af69529d65fb6bfd9baf1a94299d1fafeb0"
+
+
+def test_derive_family_is_pinned(capsys):
+    from test_derive_json import POOL_LISTS, TABLE_ROWS  # that module imports this one
+
+    lists = sorted(set(POOL_LISTS) | set(TABLE_ROWS) | set(GOLDEN))
+    assert len(lists) == 278
+    digest = hashlib.sha256()
+    for text in lists:
+        for mode, extra in ((1, ["--json"]), (0, [])):
+            code = run(["derive", text, *extra])
+            digest.update(f"{text} {mode} {code}\n{capsys.readouterr().out}".encode())
+    assert digest.hexdigest() == FAMILY_DIGEST

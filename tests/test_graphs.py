@@ -9,7 +9,6 @@ from c4ramsey import (
     coloring_from_text,
     coloring_to_text,
     contains_target,
-    degree,
     find_target_copy,
     is_good_coloring,
     pair_index,
@@ -80,32 +79,32 @@ class TestDegree:
     def test_mono_k3(self):
         col = complete_mono(3)
         for v in range(3):
-            assert degree(col, 0, v) == 2
+            assert col.degree(0, v) == 2
 
     def test_other_color_zero(self):
         col = EdgeColoring(2, 2)
         col.set(0, 1, 1)
-        assert degree(col, 0, 0) == 0
-        assert degree(col, 1, 0) == 1
+        assert col.degree(0, 0) == 0
+        assert col.degree(1, 0) == 1
 
     def test_two_cycle_decomposition(self):
         col = two_five_cycles()
         for v in range(5):
-            assert degree(col, 0, v) == 2
-            assert degree(col, 1, v) == 2
+            assert col.degree(0, v) == 2
+            assert col.degree(1, v) == 2
 
     def test_partial_counts_assigned_only(self):
         col = EdgeColoring(4, 2)
         col.set(0, 1, 0)
-        assert degree(col, 0, 0) == 1
-        assert degree(col, 1, 0) == 0
+        assert col.degree(0, 0) == 1
+        assert col.degree(1, 0) == 0
 
     def test_index_errors(self):
         col = EdgeColoring(3, 2)
         with pytest.raises(IndexError):
-            degree(col, 2, 0)
+            col.degree(2, 0)
         with pytest.raises(IndexError):
-            degree(col, 0, 3)
+            col.degree(0, 3)
 
     def test_degree_sum_is_n_minus_1(self):
         rng = random.Random(7)
@@ -113,7 +112,7 @@ class TestDegree:
         for u, v in pair_iter(7):
             col.set(u, v, rng.randrange(3))
         for v in range(7):
-            assert sum(degree(col, i, v) for i in range(3)) == 6
+            assert sum(col.degree(i, v) for i in range(3)) == 6
 
 
 class TestContainsTarget:

@@ -11,7 +11,6 @@ from c4ramsey import (
     computed_ramsey,
     contains_target,
     is_good_coloring,
-    merge_colors,
     partition_check,
     ramsey_by_search,
     search_coloring,
@@ -215,35 +214,6 @@ class TestPartitionCheck:
                 g, clique(3), clique(4)
             )
             checked += 1
-
-
-class TestMergeColors:
-    def test_merge_two_classes_gives_mono(self):
-        out = search_coloring(5, [CYCLE4, CYCLE4])
-        merged = merge_colors(out.witness, 0, 1)
-        assert merged.c == 1
-        assert merged.color_class(0).edge_count() == 10
-
-    def test_edge_conservation(self):
-        rng = random.Random(2)
-        col = EdgeColoring(5, 3)
-        for u, v in pair_iter(5):
-            col.set(u, v, rng.randrange(3))
-        sizes = [col.color_class(i).edge_count() for i in range(3)]
-        merged = merge_colors(col, 1, 2)
-        assert merged.color_class(1).edge_count() == sizes[1] + sizes[2]
-        assert merged.color_class(0).edge_count() == sizes[0]
-
-    def test_merged_triangle_classes_avoid_k6(self):
-        out = search_coloring(12, [CYCLE4, clique(3), clique(3)])
-        assert out.status == "feasible"
-        merged = merge_colors(out.witness, 1, 2)
-        assert is_good_coloring(merged, [CYCLE4, clique(6)])
-
-    def test_same_color_rejected(self):
-        out = search_coloring(5, [CYCLE4, CYCLE4])
-        with pytest.raises(ValueError):
-            merge_colors(out.witness, 1, 1)
 
 
 class TestKernel:
