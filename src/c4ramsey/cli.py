@@ -97,10 +97,8 @@ def _cmd_bound(args) -> int:
         reg = _load_registry_arg(args.registry)
         fact = reg.best_upper(TargetList((CYCLE4, star(args.book))))
         value, formula = book_bound(args.book, fact), "book"
-    elif args.stars:
-        value, formula = stars_bound(args.m, args.stars), "stars"
     else:
-        raise SystemExit("choose one of --mt/--lemma2/--p3/--parsons/--book/--stars")
+        value, formula = stars_bound(args.m, args.stars), "stars"
     _emit(args, {"command": "bound", "formula": formula, "value": value}, str(value))
     return EXIT_OK
 
@@ -128,7 +126,8 @@ def _cmd_verify(args) -> int:
     coloring = coloring_from_text(_read_arg_or_file(args.coloring))
     targets = parse_target_sequence(args.targets)
     try:
-        fact = verify_lower_bound(coloring, targets, source=args.coloring.lstrip("@"))
+        source = args.coloring[1:] if args.coloring.startswith("@") else "inline coloring"
+        fact = verify_lower_bound(coloring, targets, source=source)
     except BadWitnessError as e:
         doc = {
             "command": "verify",
@@ -162,8 +161,9 @@ def _cmd_search(args) -> int:
     if args.n_min is not None or args.n_max is not None:
         if args.n_min is None or args.n_max is None:
             raise SystemExit("--n-min and --n-max go together")
-        if args.degree_caps is not None:
-            raise SystemExit("--degree-caps needs --n; it does not apply to --n-min/--n-max")
+        for flag, value in (("--degree-caps", args.degree_caps), ("--witness-out", args.witness_out)):
+            if value is not None:
+                raise SystemExit(f"{flag} needs --n; it does not apply to --n-min/--n-max")
         outcomes = ramsey_by_search(targets, args.n_min, args.n_max, budget)
         value = computed_ramsey(outcomes)
         doc = {
@@ -243,20 +243,28 @@ def _cmd_registry(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # one stderr line, as for every other usage error; the subcommand
+        # parsers are made from this class too
+        raise SystemExit(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="c4ramsey",
         description="Ramsey upper-bound derivations and desk-scale coloring searches",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bound", help="evaluate one bound formula")
-    p.add_argument("--mt", action="store_true")
-    p.add_argument("--lemma2", action="store_true")
-    p.add_argument("--p3", action="store_true")
-    p.add_argument("--parsons", type=int, metavar="K")
-    p.add_argument("--book", type=int, metavar="K")
-    p.add_argument("--stars", type=int, nargs="+", metavar="K")
+    formula = p.add_mutually_exclusive_group(required=True)
+    formula.add_argument("--mt", action="store_true")
+    formula.add_argument("--lemma2", action="store_true")
+    formula.add_argument("--p3", action="store_true")
+    formula.add_argument("--parsons", type=int, metavar="K")
+    formula.add_argument("--book", type=int, metavar="K")
+    formula.add_argument("--stars", type=int, nargs="+", metavar="K")
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--r", type=int, nargs="*")
     p.add_argument("--registry", metavar="PATH")
@@ -323,17 +331,13 @@ def _parser() -> argparse.ArgumentParser:
 def run(argv: Optional[list[str]] = None) -> int:
     try:
         args = _parser().parse_args(argv)
-    except SystemExit as e:
-        return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
-    try:
         code = args.func(args)
         sys.stdout.flush()
         return code
     except SystemExit as e:
         if isinstance(e.code, str):
-            print(e.code, file=sys.stderr)
-            return EXIT_USAGE
-        return e.code if e.code is not None else EXIT_OK
+            return _usage_error(e.code)
+        return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     except BrokenPipeError:
         # the reader is gone; point stdout at devnull so that the flush at
         # interpreter exit has somewhere to write what is still buffered
@@ -342,8 +346,13 @@ def run(argv: Optional[list[str]] = None) -> int:
         os.close(devnull)
         return EXIT_PIPE
     except (ValueError, OverflowError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(str(e))
+
+
+def _usage_error(message: str) -> int:
+    # one stderr line, also where the message quotes a multi-line argument
+    print("error:", " ".join(message.splitlines()), file=sys.stderr)
+    return EXIT_USAGE
 
 
 def main() -> None:

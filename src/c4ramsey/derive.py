@@ -1,8 +1,8 @@
 """Memoized upper-bound derivation with an auditable, replayable tree.
 
-A node's value, kind and notes (rule parameters, precondition guards) are
-what its rule concludes from its target list and its child derivations, so
-replay() rebuilds every node from those three and compares field for field.
+Each derivation rule is one function in _RULES.  derive() runs them all on
+every list it plans; replay() runs a node's own rule, answering it from the
+node's children, and compares what the rule concludes with the node.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Generator
 
 from . import targets as tg
 from .bounds import BoundQuery, book_from_star_bound, parsons_bound, stars_bound, theorem_mt_bound
-from .registry import RamseyFact, Registry, seed_registry
+from .registry import Registry, seed_registry
 from .targets import TargetGraph, TargetList, parse_targets, strip_k2, union_k1_rewrite
 
 
@@ -115,10 +115,11 @@ class ReplayError(ValueError):
 
 
 def replay(tree: DerivationTree, registry: Registry | None = None) -> None:
-    """Rebuild every node from its rule, targets and children, and raise
-    ReplayError where its value, kind, notes or citation differ.  A Registry
-    leaf is rebuilt from registry (None: seed_registry()), any other node after
-    _check_children().  A node that derive() shares is checked once."""
+    """Run every node's own rule on its targets, answering each child list
+    the rule asks for with the node's child on that list, and raise
+    ReplayError where the rule does not conclude the same children, notes,
+    value, kind and citation.  Registry facts come from registry (None:
+    seed_registry()).  A node that derive() shares is checked once."""
     if registry is None:
         registry = seed_registry()
     seen: set[int] = set()
@@ -128,18 +129,17 @@ def replay(tree: DerivationTree, registry: Registry | None = None) -> None:
         if id(node) in seen:
             continue
         seen.add(id(node))
-        tl = node.targets
+        tl, kids, rule = node.targets, node.children, _RULES.get(node.rule)
+        if rule is None:
+            raise ReplayError(f"unknown rule {node.rule!r}")
         try:
-            if node.rule != "Registry":
-                want = _node(tl, node.rule, node.children, _check_children(node))
-            elif (fact := registry.best_upper(tl)) is None or node.children:
-                raise ReplayError(f"Registry leaf on {tl} has children or no registry fact")
-            else:
-                want = _registry_leaf(tl, fact)
-        except ReplayError:
-            raise
+            want = rule(tl, registry)
+            if want is not None and type(want) is not DerivationTree:
+                want = _answered(want, {kid.targets.key(): kid for kid in kids})
         except ValueError as e:  # a bound formula refused the rebuilt inputs
             raise ReplayError(f"{node.rule} on {tl}: {e}") from e
+        if want is None or [(k.targets, k.rule) for k in want.children] != [(k.targets, k.rule) for k in kids]:
+            raise ReplayError(f"{node.rule} does not apply to {tl} with children {[str(k.targets) for k in kids]}")
         for name in ("notes", "value", "kind", "citation"):
             got, expected = getattr(node, name), getattr(want, name)
             if got != expected:
@@ -147,87 +147,23 @@ def replay(tree: DerivationTree, registry: Registry | None = None) -> None:
                     keys = [k for k in {**expected, **got} if got.get(k, ...) != expected.get(k, ...)]
                     name = f"notes ({', '.join(str(_NOTE_NAMES.get(k, k)) for k in keys)})"
                 raise ReplayError(f"{node.rule} on {tl}: {name} {got!r} rebuilds as {expected!r}")
-        stack.extend(node.children)
+        stack.extend(kids)
 
 
 _NOTE_NAMES = {"r": "r-values", "star_bound": "star bound"}
 
 
-def _check_children(node: DerivationTree) -> tuple[TargetGraph, ...]:
-    """Raise ReplayError unless node.rule applies to node.targets and each
-    child is on the list the rule names; return the deletion each TheoremMT
-    child took.  The planner meets this by construction and never calls it."""
-    rule, tl, kids = node.rule, node.targets, node.children
-    m, others = tl.m, tl.others
-    if rule == "TheoremMT":
-        if m < 1 or len(kids) != len(others) or any(t.vertex_count < 2 for t in others):
-            raise ReplayError(f"TheoremMT does not apply to {tl} with {len(kids)} children")
-        return tuple(_deletion_taken(tl, i, kid.targets) for i, kid in enumerate(kids))
-    one = others[0] if m == 1 and len(others) == 1 else tg.CYCLE4  # C4: no single entry
-    lists: list[TargetList] = []
-    if rule == "TrivialEmpty":  # _conclude() looks for the edgeless entry
-        applies = True
-    elif rule == "Parsons":  # parsons_bound() refuses k < 2
-        applies = one.kind == tg.STAR
-    elif rule == "StarsCor":  # stars_bound() checks m + sum(k) >= n + 2
-        applies = m >= 1 and bool(others) and all(t.kind == tg.STAR for t in others)
-    elif rule == "BookCor":  # the star bound from a Registry leaf, or else from Parsons
-        applies = one.kind == tg.BOOK and one.k >= 2 and all(kid.rule == "Registry" for kid in kids)
-        lists = [TargetList((tg.CYCLE4, tg.star(one.k)))] if applies and kids else []
-    elif rule == "UnionK1":
-        applies = m >= 1 and bool(others) and all(t.kind == tg.WITH_ISOLATED and t.k == 1 for t in others)
-        lists = [strip_k2(union_k1_rewrite(tl)[0])] if applies else []
-    elif rule == "MaxWithVertexCount":
-        applies, lists = all(kid.rule == "TheoremMT" for kid in kids), [tl]
-    else:
-        raise ReplayError(f"unknown rule {rule!r}")
-    if not applies or [kid.targets for kid in kids] != lists:
-        raise ReplayError(f"{rule} does not apply to {tl} with children {[str(k.targets) for k in kids]}")
-    return ()
-
-
-def _deletion_taken(tl: TargetList, i: int, child: TargetList) -> TargetGraph:
-    """The deletion opt of tl.others[i] with strip_k2(tl.replace_other(i, opt)) == child."""
-    for opt, _ in _ordered_deletions(tl.others[i]):
-        if strip_k2(tl.replace_other(i, opt)).key() == child.key():
-            return opt
-    raise ReplayError(f"TheoremMT child {child} deletes no vertex of {tl.others[i]} in {tl}")
-
-
-def _conclude(rule: str, tl: TargetList, children: tuple, deletions: tuple = ()) -> tuple[int, str, dict]:
-    """The value, kind and notes a rule other than Registry concludes for tl
-    from its children and, for TheoremMT, the deletion each child took.  The
-    planner and replay() both build nodes here, so notes are outputs only.
-    Raises ReplayError or ValueError where the rule cannot conclude."""
-    m, others = tl.m, tl.others
-    if rule == "TheoremMT":  # the rule most nodes take, so tested first
-        r = [c.value for c in children]
-        floor = max(t.vertex_count for t in tl)
-        cuts = [f"{g}->{d}" for g, d in zip(others, deletions)]
-        notes = {"m": m, "n": len(others), "r": r, "deletions": cuts, "vertex_floor": floor,
-                 "guard": f"conclusion is valid as max(bound, {floor})"}
-        return theorem_mt_bound(BoundQuery(m, r)), "upper", notes
-    if rule == "MaxWithVertexCount":
-        floor = max(t.vertex_count for t in tl)
-        return max(children[0].value, floor), "upper", {"vertex_floor": floor}
-    if rule == "TrivialEmpty":
-        k = min([t.k for t in tl if t.kind == tg.EMPTY], default=None)
-        if k is None:
-            raise ReplayError(f"TrivialEmpty node without an empty target: {tl}")
-        return k, "upper", {"guard": f"{k}K1 needs only {k} vertices"}
-    if rule == "Parsons":
-        return parsons_bound(others[0].k), "upper", {"k": others[0].k}
-    if rule == "BookCor":
-        k = others[0].k
-        s, source = (children[0].value, "registry") if children else (parsons_bound(k), "parsons")
-        return book_from_star_bound(s), "upper", {"k": k, "star_bound": s, "star_source": source}
-    if rule == "StarsCor":
-        ks = [t.k for t in others]
-        return stars_bound(m, ks), "upper", {"m": m, "k": ks}
-    if rule == "UnionK1":
-        floors = union_k1_rewrite(tl)[1]
-        return max([children[0].value] + floors), children[0].kind, {"floors": floors}
-    raise ReplayError(f"unknown rule {rule!r}")
+def _answered(steps: Generator, children: dict[str, DerivationTree]) -> DerivationTree | None:
+    """Run a rule's generator to its end, answering each child list it yields
+    with the child on that list (K2-free), or else as missing, and return
+    the node it concludes."""
+    sent = None
+    try:
+        while True:
+            key = strip_k2(steps.send(sent)).key()
+            sent = children.get(key) or {key}
+    except StopIteration as done:
+        return done.value
 
 
 class CannotDeriveError(ValueError):
@@ -251,50 +187,46 @@ def _ordered_deletions(t: TargetGraph) -> tuple[tuple[TargetGraph, tuple], ...]:
 
 
 def derive(targets: TargetList, registry: Registry) -> DerivationTree:
-    """Best upper bound derivable for the target list from the registry.
-
-    Combines registry lookups with the rewrite rules (edgeless targets,
-    union-with-K1, star/book shortcuts and the main recursive bound);
-    among applicable rules the smallest bound wins.  Raises
-    CannotDeriveError listing unresolvable leaves.
+    """Best upper bound derivable for the target list from the registry: the
+    smallest any rule of _RULES concludes.  Raises CannotDeriveError listing
+    unresolvable leaves.
 
     Every rule's child lists have fewer vertices in total than the parent,
-    so the evaluation ends without any cap.  It runs as one loop over a
-    stack of _plan generators, not as Python recursion, so long chains such
-    as C4,K1200 need no recursion limit.  Each list is planned once; its
-    tree, or its set of missing facts, is memoized under its key.
+    so the evaluation ends without any cap.  It is one loop over a stack of
+    _plan generators, not Python recursion, so long chains such as C4,K1200
+    need no recursion limit.  The loop answers each child list a rule yields
+    from a memo of trees and sets of missing facts, so each list is planned
+    once; a rule that asks for the list being planned (MaxWithVertexCount)
+    gets the node concluded last.
     """
     memo: dict[str, DerivationTree | set[str]] = {}
-    tl = strip_k2(targets)
-    keys = [tl.key()]
-    stack = [_plan(tl, registry)]
+
+    def frame(tl: TargetList) -> tuple:  # a list, its plan, the nodes concluded, the facts missing
+        concluded: list[DerivationTree] = []
+        return tl, _plan(tl, registry, concluded), concluded, set()
+
+    stack = [frame(strip_k2(targets))]
     result = None
     while stack:
+        tl, plan, concluded, missing = stack[-1]
+        if isinstance(result, set):
+            missing |= result
         try:
-            child = stack[-1].send(result)
+            child = plan.send(result)
         except StopIteration as done:
             stack.pop()
-            result = memo[keys.pop()] = done.value
+            result = memo[tl.key()] = done.value or missing or {tl.key()}
             continue
-        tl = strip_k2(child)
-        key = tl.key()
-        result = memo.get(key)
+        if child is tl:
+            result = concluded[-1] if concluded else set()
+            continue
+        child = strip_k2(child)
+        result = memo.get(child.key())
         if result is None:
-            keys.append(key)
-            stack.append(_plan(tl, registry))
+            stack.append(frame(child))
     if isinstance(result, set):
         raise CannotDeriveError(result)
     return result
-
-
-def _registry_leaf(tl: TargetList, fact: RamseyFact) -> DerivationTree:
-    kind = "exact" if fact.kind == "exact" else "upper"
-    return DerivationTree(tl, "Registry", fact.value, kind, (), {"trust": fact.trust}, fact.citation)
-
-
-def _node(tl: TargetList, rule: str, children: tuple = (), deletions: tuple = ()) -> DerivationTree:
-    value, kind, notes = _conclude(rule, tl, children, deletions)
-    return DerivationTree(tl, rule, value, kind, children, notes)
 
 
 # Among candidates with equal values, the lower rank wins; among equal ranks,
@@ -303,79 +235,145 @@ _RANK = {"Registry": 0, "TrivialEmpty": 1, "Parsons": 2, "BookCor": 2, "StarsCor
          "UnionK1": 3, "TheoremMT": 3, "MaxWithVertexCount": 3}
 
 
-def _best(candidates: list[DerivationTree]) -> DerivationTree:
-    return min(candidates, key=lambda c: (c.value, _RANK[c.rule]))
+def _plan(tl: TargetList, registry: Registry, candidates: list) -> Generator:
+    """Plan one K2-free list: run the rules of _RULES in order, collect the
+    nodes they conclude in candidates, and return the best, or None.  A node
+    whose child is on tl itself takes the place of that child."""
+    for rule in _RULES.values():
+        node = rule(tl, registry)
+        if node is not None and type(node) is not DerivationTree:
+            node = yield from node
+        if node is None:
+            continue
+        if node.children and node.children[0].targets is tl:
+            candidates.pop()
+        candidates.append(node)
+        if node.rule == "TrivialEmpty":
+            # No other rule can win here, whatever the registry holds: Parsons,
+            # BookCor and StarsCor need star or book entries only; UnionK1's
+            # floors include |V(kK1)| = k, and TheoremMT's value (and so
+            # MaxWithVertexCount's) is at least its vertex floor, which is >= k.
+            # Both rank after TrivialEmpty on a tie, so no child is planned.
+            break
+    return min(candidates, key=lambda c: (c.value, _RANK[c.rule])) if candidates else None
 
 
-def _plan(tl: TargetList, registry: Registry) -> Generator[TargetList, object, object]:
-    """Plan one K2-free list.  Yields each child list it needs and is sent
-    back that list's tree, or its set of missing facts; returns this list's
-    best tree, or its own set of missing facts."""
-    candidates: list[DerivationTree] = []
-    missing: set[str] = set()
+# The rules.  Each takes a K2-free list and the registry.  A rule that needs
+# no child derivation returns its node, or None where it does not apply.  A
+# rule that does is a generator: it yields each child list, is sent back that
+# list's tree or its set of missing facts, and returns its node, or None.
 
+
+def _single(tl: TargetList) -> TargetGraph | None:
+    """G for the list C4,G, else None."""
+    return tl.targets[1] if tl.m == 1 and len(tl.targets) == 2 else None
+
+
+def _registry(tl: TargetList, registry: Registry) -> DerivationTree | None:
+    """The registry's best upper bound for the list itself."""
     fact = registry.best_upper(tl)
-    if fact is not None:
-        candidates.append(_registry_leaf(tl, fact))
+    if fact is None:
+        return None
+    kind = "exact" if fact.kind == "exact" else "upper"
+    return DerivationTree(tl, "Registry", fact.value, kind, (), {"trust": fact.trust}, fact.citation)
 
-    if any(t.kind == tg.EMPTY for t in tl):
-        candidates.append(_node(tl, "TrivialEmpty"))
-        # No other rule can win here, whatever the registry holds: Parsons,
-        # BookCor and StarsCor need star or book entries only; UnionK1's
-        # floors include |V(kK1)| = k, and TheoremMT's value (and so
-        # MaxWithVertexCount's) is at least its vertex floor, which is >= k.
-        # Both rank after TrivialEmpty on a tie, so no child is planned.
-        return _best(candidates)
 
+def _trivial_empty(tl: TargetList, registry: Registry) -> DerivationTree | None:
+    """R(..., kK1, ...) <= k: any k vertices hold kK1 in every color."""
+    ks = [t.k for t in tl.others if t.kind == tg.EMPTY]
+    if not ks:
+        return None
+    k = min(ks)
+    return DerivationTree(tl, "TrivialEmpty", k, "upper", (), {"guard": f"{k}K1 needs only {k} vertices"})
+
+
+def _parsons(tl: TargetList, registry: Registry) -> DerivationTree | None:
+    """R(C4,K_{1,k}) <= k + ceil(sqrt(k)) + 1 for k >= 2 (Parsons)."""
+    one = _single(tl)
+    if one is None or one.kind != tg.STAR or one.k < 2:
+        return None
+    return DerivationTree(tl, "Parsons", parsons_bound(one.k), "upper", (), {"k": one.k})
+
+
+def _book_cor(tl: TargetList, registry: Registry) -> DerivationTree | None:
+    """R(C4,B_k) <= s + ceil(sqrt(s)) + 1 for s >= R(C4,K_{1,k}): the registry's
+    s, with its leaf as the child, where it is at most Parsons', else Parsons'."""
+    one = _single(tl)
+    if one is None or one.kind != tg.BOOK or one.k < 2:
+        return None
+    k, s = one.k, parsons_bound(one.k)
+    leaf = _registry(TargetList((tg.CYCLE4, tg.star(k))), registry)
+    kids = (leaf,) if leaf is not None and leaf.value <= s else ()
+    s = leaf.value if kids else s
+    notes = {"k": k, "star_bound": s, "star_source": "registry" if kids else "parsons"}
+    return DerivationTree(tl, "BookCor", book_from_star_bound(s), "upper", kids, notes)
+
+
+def _stars_cor(tl: TargetList, registry: Registry) -> DerivationTree | None:
+    """R(mC4, K_{1,k_1}, ..., K_{1,k_n}) by Theorem MT with r_i = k_i."""
     m, others = tl.m, tl.others
+    if m < 1 or not others or others[0].kind != tg.STAR:  # the common miss, tested first
+        return None
+    ks = [t.k for t in others if t.kind == tg.STAR]
+    if len(ks) < len(others) or m + sum(ks) < len(ks) + 2:
+        return None
+    return DerivationTree(tl, "StarsCor", stars_bound(m, ks), "upper", (), {"m": m, "k": ks})
 
-    if m == 1 and len(others) == 1 and others[0].kind == tg.STAR and others[0].k >= 2:
-        candidates.append(_node(tl, "Parsons"))
 
-    if m == 1 and len(others) == 1 and others[0].kind == tg.BOOK and others[0].k >= 2:
-        k = others[0].k
-        star_list = TargetList((tg.CYCLE4, tg.star(k)))
-        star_fact = registry.best_upper(star_list)
-        use_fact = star_fact is not None and star_fact.value <= parsons_bound(k)
-        candidates.append(_node(tl, "BookCor", (_registry_leaf(star_list, star_fact),) if use_fact else ()))
+def _union_k1(tl: TargetList, registry: Registry) -> Generator:
+    """R(C4s, H_1+K1, ...) <= max(R(C4s, H_1, ...), |V(H_i)| + 1)."""
+    others = tl.others
+    if (tl.m < 1 or not others or others[0].kind != tg.WITH_ISOLATED  # the common miss, tested first
+            or any(t.kind != tg.WITH_ISOLATED or t.k != 1 for t in others)):
+        return None
+    inner, floors = union_k1_rewrite(tl)
+    child = yield inner
+    if isinstance(child, set):
+        return None
+    return DerivationTree(tl, "UnionK1", max([child.value] + floors), child.kind, (child,), {"floors": floors})
 
-    if m >= 1 and others and all(t.kind == tg.STAR for t in others):
-        if m + sum(t.k for t in others) >= len(others) + 2:
-            candidates.append(_node(tl, "StarsCor"))
 
-    # kK1 entries returned above, so the H + 1K1 shape is base + 1K1 here
-    if m >= 1 and others and all(t.kind == tg.WITH_ISOLATED and t.k == 1 for t in others):
-        child = yield union_k1_rewrite(tl)[0]
-        if isinstance(child, set):
-            missing |= child
-        else:
-            candidates.append(_node(tl, "UnionK1", (child,)))
+def _theorem_mt(tl: TargetList, registry: Registry) -> Generator:
+    """Theorem MT, R(L) <= theorem_mt_bound(m, r), where r_i bounds L with its
+    i-th non-C4 entry G_i replaced by G_i minus a vertex: for each entry, the
+    deletion with the smallest derived value, then the smallest option."""
+    m, others = tl.m, tl.others
+    if m < 1 or (others and others[0].vertex_count < 2):  # others are sorted by vertex count
+        return None
+    chosen: list[DerivationTree] = []
+    cuts: list[str] = []
+    for i, gi in enumerate(others):
+        best = None
+        for opt, opt_key in _ordered_deletions(gi):
+            child = yield tl.replace_other(i, opt)
+            if isinstance(child, set):
+                continue
+            ck = (child.value,) + opt_key
+            if best is None or ck < best[0]:
+                best = (ck, child, opt)
+        if best is None:
+            return None
+        chosen.append(best[1])
+        cuts.append(f"{gi}->{best[2]}")
+    r = [c.value for c in chosen]
+    if m == 1 and all(v <= 1 for v in r):  # Theorem MT needs some r_i > 1 when m = 1
+        return None
+    floor = max(t.vertex_count for t in tl)
+    notes = {"m": m, "n": len(others), "r": r, "deletions": cuts, "vertex_floor": floor,
+             "guard": f"conclusion is valid as max(bound, {floor})"}
+    return DerivationTree(tl, "TheoremMT", theorem_mt_bound(BoundQuery(m, r)), "upper", tuple(chosen), notes)
 
-    if m >= 1 and all(t.vertex_count >= 2 for t in others):
-        chosen: list[DerivationTree] = []
-        deletions: list[TargetGraph] = []
-        for i, gi in enumerate(others):
-            best = None
-            for opt, opt_key in _ordered_deletions(gi):
-                child = yield tl.replace_other(i, opt)
-                if isinstance(child, set):
-                    missing |= child
-                    continue
-                ck = (child.value,) + opt_key
-                if best is None or ck < best[0]:
-                    best = (ck, child, opt)
-            if best is None:
-                break
-            chosen.append(best[1])
-            deletions.append(best[2])
-        else:  # every entry has a derivable deletion
-            # Theorem MT needs some r_i > 1 when m = 1
-            if m > 1 or any(c.value > 1 for c in chosen):
-                mt = _node(tl, "TheoremMT", tuple(chosen), tuple(deletions))
-                if mt.notes["vertex_floor"] > mt.value:
-                    mt = _node(tl, "MaxWithVertexCount", (mt,))
-                candidates.append(mt)
 
-    if not candidates:
-        return missing or {tl.key()}
-    return _best(candidates)
+def _max_with_vertex_count(tl: TargetList, registry: Registry) -> Generator:
+    """A TheoremMT conclusion is valid as max(bound, vertex floor) (its guard
+    note); where the floor is larger, this node on the same list raises it."""
+    mt = yield tl
+    if isinstance(mt, set) or mt.rule != "TheoremMT" or mt.value >= mt.notes["vertex_floor"]:
+        return None
+    floor = mt.notes["vertex_floor"]
+    return DerivationTree(tl, "MaxWithVertexCount", floor, "upper", (mt,), {"vertex_floor": floor})
+
+
+_RULES = {"Registry": _registry, "TrivialEmpty": _trivial_empty, "Parsons": _parsons, "BookCor": _book_cor,
+          "StarsCor": _stars_cor, "UnionK1": _union_k1, "TheoremMT": _theorem_mt,
+          "MaxWithVertexCount": _max_with_vertex_count}

@@ -38,6 +38,11 @@ class RamseyFact:
             raise ValueError(f"trust must be one of {TRUST_TAGS}, got {self.trust!r}")
         if self.value < 1:
             raise ValueError(f"fact value must be positive, got {self.value}")
+        c = self.citation
+        if c != c.strip() or "|" in c or "#" in c or len(c.splitlines()) > 1:
+            # to_line() could not be read back: '|' splits fields, '#' starts
+            # a comment, a line break ends the line and outer blanks are stripped
+            raise ValueError(f"citation {c!r} has '|', '#', a line break or outer blanks")
 
     def key(self) -> str:
         return self.targets.key()

@@ -35,8 +35,8 @@ class SearchBudget:
     time_limit: float = 600.0
 
     def __post_init__(self):
-        if self.node_limit < 1 or self.time_limit <= 0:
-            raise ValueError("budget limits must be positive")
+        if self.node_limit < 1 or not self.time_limit > 0:  # NaN is not > 0 either
+            raise ValueError(f"budget limits must be positive, got {self.node_limit} nodes and {self.time_limit} s")
 
 
 @dataclass(frozen=True)

@@ -116,6 +116,12 @@ class TestBound:
     def test_no_formula_selected_is_usage_error(self, capsys):
         assert run(["bound"]) == 1
 
+    @pytest.mark.parametrize("argv", [["--parsons", "5", "--book", "3"], ["--stars", "3", "--mt", "--r", "5"]])
+    def test_two_formulas_are_a_usage_error(self, argv, capsys):
+        assert run(["bound"] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:") and captured.err.count("\n") == 1
+
     def test_n_mismatch_is_usage_error(self, capsys):
         assert run(["bound", "--mt", "--m", "1", "--n", "2", "--r", "36"]) == 1
 
@@ -216,6 +222,12 @@ class TestVerify:
     def test_any_coloring_text_ends_in_an_exit_code(self, text):
         assert run(["verify", "C4,K3", "--coloring", text]) in (0, 1, 2)
 
+    def test_inline_coloring_is_cited_as_such(self, capsys):
+        text = coloring_to_text(two_five_cycles())
+        assert run(["verify", "C4,C4", "--coloring", text]) == 0
+        line = out_of(capsys)
+        assert "\n" not in line and RamseyFact.from_line(line).citation == "computed: inline coloring"
+
     def test_good_witness_fact_line(self, tmp_path, capsys):
         path = tmp_path / "w.txt"
         path.write_text(coloring_to_text(two_five_cycles()))
@@ -291,6 +303,23 @@ class TestSearch:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--degree-caps" in captured.err and captured.err.count("\n") == 1
+
+
+    def test_witness_out_with_range_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "w.txt"
+        argv = ["search", "--targets", "C4,C4", "--n-min", "4", "--n-max", "5", "--witness-out", str(path)]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--witness-out" in captured.err and not path.exists()
+
+    def test_nan_time_limit_is_usage_error(self, capsys):
+        assert run(["search", "--targets", "C4,C4", "--n", "5", "--time-limit", "nan"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: budget limits must be positive")
+
+    def test_infinite_time_limit_runs(self, capsys):
+        assert run(["search", "--targets", "C4,C4", "--n", "5", "--time-limit", "inf"]) == 0
+        assert out_of(capsys).startswith("Feasible")
 
 
 class TestPartitionCheck:
@@ -374,6 +403,15 @@ class TestRegistry:
         Registry([RamseyFact(parse_targets("C4,K3"), "upper", 7, "", "user")]).save(path)
         line = "C4,K3 | lower | 8 | bogus | user"
         assert run(["registry", "--registry", str(path), "--add", line]) == 1
+
+    @pytest.mark.parametrize("citation", ["see #3", "a | b"])
+    def test_add_with_a_citation_the_file_cannot_carry_is_error(self, tmp_path, citation, capsys):
+        path = tmp_path / "reg.txt"
+        Registry().save(path)
+        line = f"C4,K3 | exact | 7 | {citation} | user"
+        assert run(["registry", "--registry", str(path), "--add", line]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert load_registry(path).facts() == []
 
     def test_json(self, capsys):
         assert run(["registry", "--json"]) == 0

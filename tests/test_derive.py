@@ -11,6 +11,7 @@ from c4ramsey import (
     seed_registry,
     theorem_mt_bound,
 )
+from c4ramsey.bounds import book_from_star_bound, parsons_bound
 from c4ramsey.derive import _RANK, ReplayError, _option_sort_key, _ordered_deletions
 from c4ramsey.targets import delete_options, parse_target, parse_targets
 
@@ -273,16 +274,26 @@ class TestReplay:
     def test_trivial_empty_needs_an_edgeless_entry(self):
         d = self._table("C4,3K1")
         d["nodes"][-1]["targets"] = "C4,K3"
-        with pytest.raises(ReplayError, match="empty target"):
+        with pytest.raises(ReplayError, match="TrivialEmpty does not apply to C4,K3"):
             replay(DerivationTree.from_dict(d))
 
     def test_book_star_bound_must_match_its_child(self):
         d = self._table("C4,B17")
         leaf = d["nodes"][0]
         assert leaf["rule"] == "Registry"
-        leaf["value"] += 1  # a Registry leaf's value is not recomputed
-        with pytest.raises(ReplayError, match="star bound"):
+        leaf["value"] += 1  # BookCor takes its star bound from the registry
+        with pytest.raises(ReplayError, match="Registry on C4,S17: value 23 rebuilds as 22"):
             replay(DerivationTree.from_dict(d))
+
+    def test_book_child_is_fixed_by_the_registry(self):
+        # the seed registry's C4,S17 fact (22) beats Parsons' 23, so BookCor
+        # needs it as its child; Parsons' star bound alone does not replay
+        s = parsons_bound(17)
+        bare = DerivationTree(parse_targets("C4,B17"), "BookCor", book_from_star_bound(s), "upper", (),
+                              {"k": 17, "star_bound": s, "star_source": "parsons"})
+        with pytest.raises(ReplayError, match="BookCor does not apply to C4,B17 with children"):
+            replay(bare)
+        replay(bare, Registry())  # without the fact, Parsons' bound is the rule's own
 
     def test_theorem_mt_r_must_match_its_children(self):
         d = self._table("C4,K11")

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from c4ramsey import RamseyFact, Registry, seed_registry
 from c4ramsey.registry import ContradictionError, parse_registry, render_registry
@@ -75,6 +76,20 @@ class TestFileFormat:
     def test_bad_line(self):
         with pytest.raises(ValueError):
             RamseyFact.from_line("C4,K10 | exact | 36")
+
+    @pytest.mark.parametrize("citation", ["a | b", "see #3", "two\nlines", "cr\rlf", " padded", "sep\u2028"])
+    def test_citation_the_line_cannot_carry_is_rejected(self, citation):
+        with pytest.raises(ValueError, match="citation"):
+            fact("C4,K10", "exact", 36, citation)
+
+    @given(st.text(max_size=12))
+    def test_any_accepted_citation_round_trips_through_the_file(self, citation):
+        try:
+            f = fact("C4,K10", "exact", 36, citation, "paper")
+        except ValueError:
+            return
+        (again,) = parse_registry(render_registry(Registry([f]))).facts()
+        assert again == f
 
 
 class TestSeedRegistry:

@@ -93,6 +93,14 @@ class TestSearchColoring:
         out = search_coloring(9, [CYCLE4, clique(4)], degree_caps=caps)
         assert (out.status, out.nodes_explored) == (status, nodes)
 
+    def test_nan_time_limit_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            SearchBudget(time_limit=float("nan"))
+
+    def test_infinite_time_limit_allowed(self):
+        out = search_coloring(5, [CYCLE4, CYCLE4], SearchBudget(time_limit=float("inf")))
+        assert out.status == "feasible"
+
     def test_n_out_of_range(self):
         with pytest.raises(ValueError):
             search_coloring(129, [CYCLE4])
