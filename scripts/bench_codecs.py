@@ -1,0 +1,58 @@
+"""Per-call cost of the witness codecs: coloring text and graph6.
+
+    python3 scripts/bench_codecs.py [--repeats 5]
+
+Run from the root of a checkout.  For n = 11, 62 and 128 (a partition-batch
+graph, and the random colorings of the witness-pipeline) it times
+coloring_to_text and coloring_from_text on a random 2-coloring of K_n, and
+graph6_encode and graph6_decode on its color-0 class.  Each figure is the
+minimum over --repeats timeit runs of the time per call, in microseconds.
+Prints the cases as a JSON list, in the case format of the BENCH_*.json
+files.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import random
+import sys
+import timeit
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import c4ramsey as cr  # noqa: E402
+
+ORDERS = (11, 62, 128)
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--repeats", type=int, default=5)
+    args = ap.parse_args()
+    env = {"repeats": args.repeats, "python": platform.python_version(), "cpu_count": os.cpu_count()}
+    cases = []
+    for n in ORDERS:
+        rng = random.Random(n)
+        coloring = cr.EdgeColoring(n, 2, [rng.randrange(2) for _ in range(n * (n - 1) // 2)])
+        graph = coloring.color_class(0)
+        calls = {
+            "coloring_to_text": (cr.coloring_to_text, coloring),
+            "coloring_from_text": (cr.coloring_from_text, cr.coloring_to_text(coloring)),
+            "graph6_encode": (cr.graph6_encode, graph),
+            "graph6_decode": (cr.graph6_decode, cr.graph6_encode(graph)),
+        }
+        number = max(20, 20_000 // n)
+        for name, (fn, arg) in calls.items():
+            runs = timeit.repeat(lambda: fn(arg), number=number, repeat=args.repeats)
+            cases.append({"case": f"{name}_n{n}", "us_per_call_min": round(min(runs) / number * 1e6, 2),
+                          "calls_per_run": number, **env})
+    print(json.dumps(cases, indent=1))
+
+
+if __name__ == "__main__":
+    main()

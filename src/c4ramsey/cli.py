@@ -122,11 +122,27 @@ def _cmd_derive(args) -> int:
     return EXIT_OK
 
 
+def _cite_path(path: str) -> str:
+    """The path as a fact line can carry it in a citation.
+
+    '|' splits a fact line's fields, '#' starts a comment, a line break ends
+    the line and outer blanks are stripped, so '%', '|', '#', every blank
+    but ' ' and trailing ' ' are written as %XX of their UTF-8 bytes;
+    urllib.parse.unquote reads the path back.
+    """
+    cited = "".join(
+        "".join(f"%{b:02X}" for b in ch.encode()) if ch in "%|#" or (ch.isspace() and ch != " ") else ch
+        for ch in path
+    )
+    kept = cited.rstrip(" ")
+    return kept + "%20" * (len(cited) - len(kept))
+
+
 def _cmd_verify(args) -> int:
     coloring = coloring_from_text(_read_arg_or_file(args.coloring))
     targets = parse_target_sequence(args.targets)
     try:
-        source = args.coloring[1:] if args.coloring.startswith("@") else "inline coloring"
+        source = _cite_path(args.coloring[1:]) if args.coloring.startswith("@") else "inline coloring"
         fact = verify_lower_bound(coloring, targets, source=source)
     except BadWitnessError as e:
         doc = {
@@ -217,15 +233,16 @@ def _cmd_witness(args) -> int:
     except (ValueError, BadWitnessError) as e:
         _emit(args, {"command": "witness", "status": "error", "message": str(e)}, f"ERROR: {e}")
         return EXIT_VERIFY
+    text = coloring_to_text(extended)
     if args.witness_out:
-        Path(args.witness_out).write_text(coloring_to_text(extended))
+        Path(args.witness_out).write_text(text)
     fact = verify_lower_bound(extended, promoted, source="disjoint-clique extension")
     doc = {
         "command": "witness",
         "status": "ok",
         "targets": ",".join(str(t) for t in promoted),
         "fact": fact.to_line(),
-        "witness": coloring_to_text(extended),
+        "witness": text,
     }
     _emit(args, doc, fact.to_line())
     return EXIT_OK

@@ -56,16 +56,17 @@ def extend_with_disjoint_clique(
 ) -> tuple[EdgeColoring, list[TargetGraph]]:
     """Grow a good (C4,...,K_s,...)-witness into one for K_{s+1}.
 
-    Adds k new vertices forming a clique in the C4-free color (so k must be
-    2 or 3 for the result to stay C4-free) with all cross edges in the
-    promoted clique's color.  Returns the extended coloring and the
-    promoted target list; the result is re-verified before returning.
+    Adds k new vertices forming a clique in the C4-free color (k is 2 or 3:
+    a K4 holds a C4, so any larger k is refused before anything is built)
+    with all cross edges in the promoted clique's color.  Returns the
+    extended coloring and the promoted target list; the result is
+    re-verified before returning.
     """
     targets = list(targets)
     if len(targets) != witness.c:
         raise ValueError(f"need {witness.c} targets, got {len(targets)}")
-    if k < 2:
-        raise ValueError(f"extension clique must have k >= 2, got {k}")
+    if k not in (2, 3):
+        raise ValueError(f"extension clique must have k = 2 or 3 (a K4 holds a C4), got {k}")
     for role in (c4_color, clique_color_target):
         if not 0 <= role < witness.c:
             raise ValueError(f"color {role} is not in 0..{witness.c - 1}")

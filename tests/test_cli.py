@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from urllib.parse import unquote
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,7 @@ from c4ramsey import (
     search_coloring,
     seed_registry,
 )
+from c4ramsey import cli
 from c4ramsey.cli import run
 from c4ramsey.graphs import EdgeColoring, coloring_from_text, coloring_to_text, pair_iter
 from c4ramsey.targets import CYCLE4, clique, parse_targets, strip_k2
@@ -236,6 +238,17 @@ class TestVerify:
         fact = RamseyFact.from_line(line)
         assert fact.kind == "lower" and fact.value == 6
 
+    @pytest.mark.parametrize("directory", ["w#1", "a|b", "p%q", "line\nbreak", "tail "])
+    def test_path_is_cited_so_the_fact_line_reads_back(self, tmp_path, directory):
+        path = tmp_path / directory / "w.txt"
+        path.parent.mkdir()
+        path.write_text(coloring_to_text(two_five_cycles()))
+        code, out, err = run_captured(["verify", "C4,C4", "--coloring", f"@{path}"])
+        assert code == 0 and err == "" and out.count("\n") == 1
+        fact = RamseyFact.from_line(out)
+        assert fact.to_line() == out.strip() and fact.value == 6
+        assert unquote(fact.citation.removeprefix("computed: ")) == str(path)
+
     def test_bad_witness_exit_2(self, tmp_path, capsys):
         mono = EdgeColoring(3, 2)
         for u, v in pair_iter(3):
@@ -376,6 +389,32 @@ class TestWitnessCommand:
         code, out, err = run_captured(["witness", "C4,K3", "--coloring", f"@{path}", *flags])
         assert code == 2 and err == ""
         assert out.startswith("ERROR: color ") and "not in 0..1" in out and out.count("\n") == 1
+
+    def test_witness_text_rendered_once_for_file_and_json(self, tmp_path, monkeypatch):
+        path = tmp_path / "w.txt"
+        path.write_text(coloring_to_text(two_five_cycles()))
+        out_path = tmp_path / "bigger.txt"
+        calls = []
+
+        def counted(coloring):
+            calls.append(coloring.n)
+            return coloring_to_text(coloring)
+
+        monkeypatch.setattr(cli, "coloring_to_text", counted)
+        code, out, err = run_captured([
+            "witness", "C4,K3", "--coloring", f"@{path}", "--witness-out", str(out_path), "--json"
+        ])
+        assert code == 0 and err == "" and calls == [8]
+        doc = json.loads(out)
+        assert out_path.read_text() == doc["witness"]
+        assert doc["witness"] == coloring_to_text(coloring_from_text(doc["witness"]))
+
+    def test_add_clique_5_names_the_allowed_values(self, tmp_path):
+        path = tmp_path / "K6.txt"
+        path.write_text(coloring_to_text(search_coloring(6, [CYCLE4, clique(3)]).witness))
+        code, out, err = run_captured(["witness", "C4,K3", "--coloring", f"@{path}", "--add-clique", "5"])
+        assert code == 2 and err == ""
+        assert out == "ERROR: extension clique must have k = 2 or 3 (a K4 holds a C4), got 5\n"
 
     def test_bad_extension_exit_2(self, tmp_path, capsys):
         path = tmp_path / "w.txt"

@@ -1,0 +1,178 @@
+"""Coloring text: the bulk reader of the canonical form against the line loop.
+
+coloring_from_text reads the canonical form (the bytes coloring_to_text
+writes) in bulk and hands every other document to the line loop,
+graphs._coloring_from_lines, which stays the reference: on any document both
+must give the same coloring or the same error.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from c4ramsey import EdgeColoring, coloring_from_text, coloring_to_text
+from c4ramsey.graphs import _canonical_colors, _coloring_from_lines, pair_iter
+
+
+def reference_text(col: EdgeColoring) -> str:
+    """The canonical form, written out pair by pair."""
+    lines = [f"{col.n} {col.c}"]
+    for (u, v), c in zip(pair_iter(col.n), col.colors):
+        lines.append(f"{u} {v} {'-' if c == -1 else c}")
+    return "\n".join(lines) + "\n"
+
+
+def random_coloring(rng: random.Random, n: int, c: int, unset: float) -> EdgeColoring:
+    colors = [-1 if rng.random() < unset else rng.randrange(c) for _ in pair_iter(n)]
+    return EdgeColoring(n, c, colors)
+
+
+def outcome(read, text: str):
+    try:
+        col = read(text)
+    except ValueError as e:
+        return ("error", type(e).__name__, str(e))
+    return ("ok", col.n, col.c, col.colors)
+
+
+def assert_same_as_loop(text: str) -> None:
+    assert outcome(coloring_from_text, text) == outcome(_coloring_from_lines, text)
+    fast = _canonical_colors(text)
+    if fast is not None:
+        # the bulk reader accepts only the exact bytes coloring_to_text writes
+        assert coloring_to_text(EdgeColoring(*fast)) == text
+
+
+@st.composite
+def colorings(draw):
+    n = draw(st.integers(1, 128))
+    c = draw(st.integers(1, 12))  # c > 10 gives two-digit tokens
+    unset = draw(st.sampled_from([0.0, 0.2, 1.0]))
+    return random_coloring(random.Random(draw(st.integers(0, 2**32))), n, c, unset)
+
+
+@settings(max_examples=150, deadline=None)
+@given(colorings())
+def test_round_trip(col):
+    text = coloring_to_text(col)
+    assert text == reference_text(col)
+    assert _canonical_colors(text) == (col.n, col.c, col.colors)
+    assert coloring_from_text(text) == col
+
+
+@pytest.mark.parametrize("c", [1, 2, 12, 300])
+def test_writer_matches_reference_for_every_n(c):
+    rng = random.Random(c)
+    for n in range(1, 129):
+        col = random_coloring(rng, n, c, 0.2)
+        text = coloring_to_text(col)
+        assert text == reference_text(col)
+        assert coloring_from_text(text) == col
+
+
+def test_colors_beyond_the_token_table_round_trip():
+    # tokens are cached for colors below 256; larger ones take the line loop
+    col = EdgeColoring(4, 1000, [0, 255, 256, 999, -1, 7])
+    text = coloring_to_text(col)
+    assert text == reference_text(col)
+    assert _canonical_colors(text) is None
+    assert coloring_from_text(text) == col
+
+
+def swap_lines(text: str, i: int, j: int) -> str:
+    lines = text.split("\n")
+    lines[i], lines[j] = lines[j], lines[i]
+    return "\n".join(lines)
+
+
+def edit_line(text: str, i: int, edit) -> str:
+    lines = text.split("\n")
+    lines[i] = edit(lines[i])
+    return "\n".join(lines)
+
+
+def drop_line(text: str, i: int) -> str:
+    lines = text.split("\n")
+    del lines[i]
+    return "\n".join(lines)
+
+
+def double_line(text: str, i: int) -> str:
+    lines = text.split("\n")
+    lines.insert(i, lines[i])
+    return "\n".join(lines)
+
+
+def swap_pair(line: str) -> str:
+    u, v, c = line.split(" ")
+    return f"{v} {u} {c}"
+
+
+def set_token(token: str):
+    return lambda line: line.rsplit(" ", 1)[0] + " " + token
+
+
+MUTATIONS = {
+    "crlf": lambda t, i: t.replace("\n", "\r\n"),
+    "no final newline": lambda t, i: t[:-1],
+    "tab": lambda t, i: edit_line(t, i, lambda s: s.replace(" ", "\t", 1)),
+    "doubled space": lambda t, i: edit_line(t, i, lambda s: s.replace(" ", "  ")),
+    "comment line": lambda t, i: "# a witness\n" + t,
+    "trailing comment": lambda t, i: edit_line(t, i, lambda s: s + " # note"),
+    "zero-padded color": lambda t, i: edit_line(t, i, set_token("007")),
+    "signed color": lambda t, i: edit_line(t, i, set_token("+1")),
+    "negative color": lambda t, i: edit_line(t, i, set_token("-1")),
+    "letter color": lambda t, i: edit_line(t, i, set_token("c")),
+    "color out of range": lambda t, i: edit_line(t, i, set_token("12")),
+    "swapped v u": lambda t, i: edit_line(t, i, swap_pair),
+    "two lines swapped": lambda t, i: swap_lines(t, i, i + 1),
+    "duplicated line": double_line,
+    "dropped line": drop_line,
+    "bare token": lambda t, i: edit_line(t, i, lambda s: s.rsplit(" ", 1)[1]),
+    "trailing junk": lambda t, i: t + "junk\n",
+    "junk without newline": lambda t, i: t + "7",
+    "blank line": lambda t, i: t + "\n",
+    "header blanks": lambda t, i: edit_line(t, 0, lambda s: " " + s + " "),
+    "header zero-padded": lambda t, i: edit_line(t, 0, lambda s: "0" + s),
+    "header underscore": lambda t, i: t.replace(" ", "_0 ", 1),
+    "header third field": lambda t, i: edit_line(t, 0, lambda s: s + " 1"),
+    "header only": lambda t, i: t.split("\n", 1)[0] + "\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+@pytest.mark.parametrize("n, c", [(2, 2), (5, 3), (10, 12), (14, 12)])
+def test_mutated_documents_read_as_the_loop_reads_them(name, n, c):
+    rng = random.Random(f"{name} {n} {c}")
+    col = random_coloring(rng, n, c, 0.0)
+    text = coloring_to_text(col)
+    npairs = n * (n - 1) // 2
+    for i in sorted({1, npairs - 1, rng.randrange(1, npairs + 1)} & set(range(1, npairs + 1))):
+        mutated = MUTATIONS[name](text, i)
+        if mutated == text:
+            continue
+        assert _canonical_colors(mutated) is None
+        assert_same_as_loop(mutated)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["1 1", "2 2", "3 2", "3 12", "4 1", "0 2", "2 0"]),
+    st.lists(
+        st.text(alphabet="0123-  #\t\r+c", max_size=8).map(lambda s: s + "\n"),
+        max_size=7,
+    ),
+)
+def test_near_canonical_documents_read_as_the_loop_reads_them(header, lines):
+    assert_same_as_loop(header + "\n" + "".join(lines))
+
+
+@settings(max_examples=200, deadline=None)
+@given(colorings(), st.data())
+def test_one_character_edit_reads_as_the_loop_reads_it(col, data):
+    text = coloring_to_text(col)
+    i = data.draw(st.integers(0, len(text)))
+    ch = data.draw(st.sampled_from(list("0123456789 -\n\r\t#x")))
+    assert_same_as_loop(text[:i] + ch + text[i + 1 :])
+    assert_same_as_loop(text[:i] + ch + text[i:])

@@ -4,7 +4,7 @@ import networkx as nx
 import pytest
 
 from c4ramsey import SimpleGraph, graph6_decode, graph6_encode
-from c4ramsey.graphs import Graph6Error
+from c4ramsey.graphs import Graph6Error, _rows_per_edge, _rows_per_vertex
 
 from conftest import random_graph
 
@@ -105,3 +105,71 @@ def test_bad_inputs():
 def test_malformed_rejected(text):
     with pytest.raises(Graph6Error):
         graph6_decode(text)
+
+
+def reference_encode(g: SimpleGraph) -> str:
+    """graph6 from McKay's description, any n <= 128: size, then bit groups."""
+    n = g.n
+    if n <= 62:
+        head = chr(n + 63)
+    else:
+        head = "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
+    bits = [int(g.has_edge(u, v)) for v in range(1, n) for u in range(v)]
+    return head + hand_pack(0, bits)[1:]
+
+
+@pytest.mark.parametrize("n", range(1, 129))
+def test_every_order_matches_reference_and_round_trips(n):
+    rng = random.Random(n)
+    for p in (0.0, 0.02, 0.5, 1.0, rng.random()):  # sparse graphs decode per edge
+        g = random_graph(rng, n, p)
+        s = graph6_encode(g)
+        assert s == reference_encode(g)
+        assert graph6_decode(s) == g
+        assert graph6_decode(f"  >>graph6<<{s}\n") == g
+
+
+def test_header_boundary_62_63():
+    assert graph6_encode(SimpleGraph(62))[0] == "}"  # chr(62 + 63), one byte
+    s = graph6_encode(SimpleGraph(63))
+    assert s[:4] == "~??~" and len(s) == 4 + 63 * 62 // 2 // 6 + 1
+    assert graph6_decode(s) == SimpleGraph(63)
+    assert graph6_encode(SimpleGraph(128))[:4] == "~?A?"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty graph6 string"),
+        (" \n", "empty graph6 string"),
+        (">>graph6<<", "empty graph6 string"),
+        ("A_\x7f", r"invalid graph6 byte '\x7f'"),
+        ("A\x05_\x7f", r"invalid graph6 byte '\x05'"),  # the first bad byte
+        ("A_é\x05", "invalid graph6 byte 'é'"),
+        ("A> ", "invalid graph6 byte '>'"),
+        ("A_\ud800", r"invalid graph6 byte '\ud800'"),
+        ("~~???????", "unsupported graph6 size encoding"),
+        ("~??", "unsupported graph6 size encoding"),
+        ("?", "graph order 0 outside supported range [1, 128]"),
+        ("~?A@", "graph order 129 outside supported range [1, 128]"),
+        ("~??~" + "?" * 325, "expected 326 body bytes for n=63, got 325"),
+        ("A", "expected 1 body bytes for n=2, got 0"),
+        ("A_?", "expected 1 body bytes for n=2, got 2"),
+        ("A`", "nonzero padding bits"),
+        ("D?@", "nonzero padding bits"),  # n = 5: ten pairs, two padding bits
+        ("B@", "nonzero padding bits"),  # n = 3: three pairs, three padding bits
+    ],
+)
+def test_error_messages(text, message):
+    with pytest.raises(Graph6Error) as e:
+        graph6_decode(text)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("n", [2, 11, 40, 128])
+def test_per_edge_and_per_vertex_rows_agree(n):
+    rng = random.Random(n)
+    for p in (0.0, 0.05, 0.5, 1.0):
+        g = random_graph(rng, n, p)
+        bits = "".join(str(int(g.has_edge(u, v))) for v in range(1, n) for u in range(v)) + "0" * 7
+        assert _rows_per_edge(bits, n) == _rows_per_vertex(bits, n) == g.adj

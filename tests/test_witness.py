@@ -1,5 +1,6 @@
 import pytest
 
+from c4ramsey import witness
 from c4ramsey import (
     BadWitnessError,
     EdgeColoring,
@@ -84,12 +85,19 @@ class TestExtendWithDisjointClique:
         for u, v in pair_iter(w.n):
             assert extended.get(u, v) == w.get(u, v)
 
-    def test_k4_extension_breaks_c4_freeness(self):
-        # a 4-clique in the C4-free color contains a C4; the self-check
-        # must catch it rather than emit a bad certificate
+    @pytest.mark.parametrize("k", [4, 5, 1, 0])
+    def test_clique_outside_2_3_rejected_before_building(self, k, monkeypatch):
+        # a 4-clique in the C4-free color contains a C4, so k >= 4 can never
+        # give a good coloring: it is refused before any coloring is built
         w = self.base_witness()
-        with pytest.raises(BadWitnessError):
-            extend_with_disjoint_clique(w, [CYCLE4, clique(3)], 4, 0, 1)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("built or checked a coloring for a refused k")
+
+        for name in ("EdgeColoring", "is_good_coloring", "verify_lower_bound"):
+            monkeypatch.setattr(witness, name, unreachable)
+        with pytest.raises(ValueError, match=rf"k = 2 or 3 \(a K4 holds a C4\), got {k}$"):
+            extend_with_disjoint_clique(w, [CYCLE4, clique(3)], k, 0, 1)
 
     def test_role_validation(self):
         w = self.base_witness()
