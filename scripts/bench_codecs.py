@@ -1,14 +1,16 @@
-"""Per-call cost of the witness codecs: coloring text and graph6.
+"""Per-call cost of the witness layers: codecs, color classes, verification.
 
     python3 scripts/bench_codecs.py [--repeats 5]
 
 Run from the root of a checkout.  For n = 11, 62 and 128 (a partition-batch
 graph, and the random colorings of the witness-pipeline) it times
-coloring_to_text and coloring_from_text on a random 2-coloring of K_n, and
-graph6_encode and graph6_decode on its color-0 class.  Each figure is the
-minimum over --repeats timeit runs of the time per call, in microseconds.
-Prints the cases as a JSON list, in the case format of the BENCH_*.json
-files.
+coloring_to_text and coloring_from_text on a random 2-coloring of K_n,
+EdgeColoring.color_class(0) on it, and graph6_encode and graph6_decode on
+its color-0 class; at n = 128 it also times verify_lower_bound of the
+coloring against C4,K4, which rejects it with a copy as the
+witness-pipeline does.  Each figure is the minimum over --repeats timeit
+runs of the time per call, in microseconds.  Prints the cases as a JSON
+list, in the case format of the BENCH_*.json files.
 """
 
 from __future__ import annotations
@@ -28,6 +30,15 @@ sys.path.insert(0, str(ROOT / "src"))
 import c4ramsey as cr  # noqa: E402
 
 ORDERS = (11, 62, 128)
+TARGETS = cr.parse_target_sequence("C4,K4")
+
+
+def _rejected_copy(coloring):
+    try:
+        cr.verify_lower_bound(coloring, TARGETS)
+    except cr.BadWitnessError as e:
+        return e.vertices
+    raise AssertionError("a random 2-coloring of K_128 was accepted for C4,K4")
 
 
 def main() -> None:
@@ -43,9 +54,12 @@ def main() -> None:
         calls = {
             "coloring_to_text": (cr.coloring_to_text, coloring),
             "coloring_from_text": (cr.coloring_from_text, cr.coloring_to_text(coloring)),
+            "color_class": (coloring.color_class, 0),
             "graph6_encode": (cr.graph6_encode, graph),
             "graph6_decode": (cr.graph6_decode, cr.graph6_encode(graph)),
         }
+        if n == 128:
+            calls["verify_lower_bound"] = (_rejected_copy, coloring)
         number = max(20, 20_000 // n)
         for name, (fn, arg) in calls.items():
             runs = timeit.repeat(lambda: fn(arg), number=number, repeat=args.repeats)

@@ -42,7 +42,12 @@ from .search import (
     search_coloring,
 )
 from .targets import CYCLE4, TargetList, parse_target_sequence, parse_targets, star
-from .witness import BadWitnessError, extend_with_disjoint_clique, verify_lower_bound
+from .witness import (
+    BadWitnessError,
+    extend_with_disjoint_clique,
+    lower_bound_fact,
+    verify_lower_bound,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -236,7 +241,8 @@ def _cmd_witness(args) -> int:
     text = coloring_to_text(extended)
     if args.witness_out:
         Path(args.witness_out).write_text(text)
-    fact = verify_lower_bound(extended, promoted, source="disjoint-clique extension")
+    # extend_with_disjoint_clique has verified the extended coloring
+    fact = lower_bound_fact(promoted, extended.n, source="disjoint-clique extension")
     doc = {
         "command": "witness",
         "status": "ok",

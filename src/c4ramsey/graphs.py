@@ -283,19 +283,16 @@ class EdgeColoring:
 
     def color_class(self, i: int) -> SimpleGraph:
         self._check_color(i)
-        g = SimpleGraph(self.n)
-        adj = g.adj
-        colors = self.colors
-        start = 0
-        for v in range(1, self.n):
-            bit = 1 << v
-            row = 0
-            for u, col in enumerate(colors[start : start + v]):
-                if col == i:
-                    row |= 1 << u
-                    adj[u] |= bit
-            adj[v] |= row
-            start += v
+        # one "0"/"1" flag per pair in canonical order, built in C: bytes()
+        # takes colors 0..255, so an unassigned pair or a larger color falls
+        # back to the 0/1 bytes of color == i
+        try:
+            flags = bytes(self.colors).translate(_class_flags(i))
+        except ValueError:
+            flags = bytes(map(i.__eq__, self.colors)).translate(_class_flags(1))
+        g = SimpleGraph.__new__(SimpleGraph)
+        g.n = self.n
+        g.adj = _rows_from_bits(flags.decode(), self.n)
         return g
 
     def degree(self, color: int, v: int) -> int:
@@ -335,6 +332,12 @@ class EdgeColoring:
     def __repr__(self):
         done = "complete" if self.is_complete() else "partial"
         return f"EdgeColoring(n={self.n}, c={self.c}, {done})"
+
+
+@functools.lru_cache(maxsize=256)
+def _class_flags(i: int) -> bytes:
+    """bytes.translate table: byte i to "1", every other byte to "0"."""
+    return bytes(49 if b == i else 48 for b in range(256))
 
 
 class IncompleteColoringError(ValueError):
@@ -439,20 +442,28 @@ def graph6_decode(text: str) -> SimpleGraph:
         raise Graph6Error("nonzero padding bits")
     g = SimpleGraph.__new__(SimpleGraph)
     g.n = n
-    # Per edge is cheaper up to about 3n edges (n = 11, 28 edges: 6 us
-    # against 9 us), per vertex above (n = 128, 4,074 edges: 780 us against
-    # 180 us; 2-core x86, Python 3.11).  Partition inputs are sparse, the
-    # classes of random colorings dense.
-    if bits.count("1") <= 3 * n:
-        g.adj = _rows_per_edge(bits, n)
-    else:
-        g.adj = _rows_per_vertex(bits, n)
+    g.adj = _rows_from_bits(bits, n)
     return g
 
 
+def _rows_from_bits(bits: str, n: int) -> list[int]:
+    """Adjacency rows from "0"/"1" pair flags in canonical order.
+
+    bits may run past the last pair with "0"s (graph6 padding).  Per edge
+    is cheaper up to about 3n edges (n = 11, 28 edges: 6 us against 9 us),
+    per vertex above (n = 128, 4,074 edges: 780 us against 180 us; 2-core
+    x86, Python 3.11).  Partition inputs are sparse, the classes of random
+    colorings dense.
+    """
+    if bits.count("1") <= 3 * n:
+        return _rows_per_edge(bits, n)
+    return _rows_per_vertex(bits, n)
+
+
 def _rows_per_edge(bits: str, n: int) -> list[int]:
-    """Adjacency rows from graph6 body bits, one step per vertex and edge."""
-    pairs = int(bits[::-1], 2)  # bit pair_index(u, v) is the pair's bit
+    """Adjacency rows from pair flags, one step per vertex and edge."""
+    # bit pair_index(u, v) is the pair's bit; n = 1 has no pairs
+    pairs = int(bits[::-1] or "0", 2)
     adj = [0] * n
     for v in range(1, n):
         row = pairs & ((1 << v) - 1)
@@ -467,7 +478,7 @@ def _rows_per_edge(bits: str, n: int) -> list[int]:
 
 
 def _rows_per_vertex(bits: str, n: int) -> list[int]:
-    """Adjacency rows from graph6 body bits, transposed as strings."""
+    """Adjacency rows from pair flags, transposed as strings."""
     # square[v*n + u] is the bit of pair (u, v) for u < v and "0" for u >= v,
     # so read bit-reversed, block v of square is v's lower row; its
     # transpose's block u is u's upper row

@@ -243,9 +243,8 @@ def search_coloring(
     status, assignment, nodes = _search_edges(n, edge_list, targets, budget, degree_caps)
     wall = time.monotonic() - start
     if status == FEASIBLE:
-        witness = EdgeColoring(n, len(targets))
-        for (u, v), col in zip(edge_list, assignment):
-            witness.set(u, v, col)
+        # edge_list is the canonical pair order, so assignment is the coloring
+        witness = EdgeColoring(n, len(targets), assignment)
         if not is_good_coloring(witness, list(targets)):
             raise RuntimeError("internal error: search produced a bad witness")
         return SearchOutcome(FEASIBLE, nodes, wall, witness, "witness verified")
@@ -301,11 +300,12 @@ def partition_check(
     status, assignment, nodes = _search_edges(g.n, comp_edges, pair_targets, budget)
     wall = time.monotonic() - start
     if status == FEASIBLE:
-        witness = EdgeColoring(g.n, 3)
-        for (u, v) in g.edges():
-            witness.set(u, v, 0)
-        for (u, v), col in zip(comp_edges, assignment):
-            witness.set(u, v, col + 1)
+        # g's edges in color 0; comp_edges lists the non-edges in pair order
+        split = iter(assignment)
+        adj = g.adj
+        witness = EdgeColoring(
+            g.n, 3, [0 if adj[u] >> v & 1 else next(split) + 1 for u, v in pair_iter(g.n)]
+        )
         if not is_good_coloring(witness, [CYCLE4, pair_targets[0], pair_targets[1]]):
             raise RuntimeError("internal error: partition produced a bad witness")
         return SearchOutcome(FEASIBLE, nodes, wall, witness, "3-colored witness verified")

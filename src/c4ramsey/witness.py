@@ -38,10 +38,15 @@ def verify_lower_bound(
         copy = find_target_copy(witness.color_class(i), t)
         if copy is not None:
             raise BadWitnessError(i, t, copy)
+    return lower_bound_fact(targets, witness.n, source)
+
+
+def lower_bound_fact(targets: Sequence[TargetGraph], n: int, source: str) -> RamseyFact:
+    """The fact R(targets) >= n+1 that a verified good coloring of K_n gives."""
     return RamseyFact(
         targets=TargetList(tuple(targets)),
         kind="lower",
-        value=witness.n + 1,
+        value=n + 1,
         citation=f"computed: {source}",
         trust="computational",
     )
@@ -83,11 +88,13 @@ def extend_with_disjoint_clique(
         raise ValueError("input coloring is not good for the stated targets")
 
     n = witness.n
-    out = EdgeColoring(n + k, witness.c)
-    out.colors[: len(witness.colors)] = witness.colors
+    # new vertex a's column, pairs (0, a) .. (a-1, a), follows the old ones;
+    # the roles are checked above, so every color is in range
+    colors = list(witness.colors)
     for a in range(n, n + k):
-        for b in range(a):
-            out.set(b, a, c4_color if b >= n else clique_color_target)
+        colors += [clique_color_target] * n + [c4_color] * (a - n)
+    out = EdgeColoring.__new__(EdgeColoring)
+    out.n, out.c, out.colors = n + k, witness.c, colors
     promoted = list(targets)
     promoted[clique_color_target] = clique(tgt.k + 1)
     verify_lower_bound(out, promoted, source="disjoint-clique extension")

@@ -21,9 +21,9 @@ from c4ramsey import (
     search_coloring,
     seed_registry,
 )
-from c4ramsey import cli
+from c4ramsey import cli, witness
 from c4ramsey.cli import run
-from c4ramsey.graphs import EdgeColoring, coloring_from_text, coloring_to_text, pair_iter
+from c4ramsey.graphs import EdgeColoring, coloring_from_text, coloring_to_text, find_target_copy, pair_iter
 from c4ramsey.targets import CYCLE4, clique, parse_targets, strip_k2
 
 from conftest import two_five_cycles
@@ -408,6 +408,21 @@ class TestWitnessCommand:
         doc = json.loads(out)
         assert out_path.read_text() == doc["witness"]
         assert doc["witness"] == coloring_to_text(coloring_from_text(doc["witness"]))
+
+    def test_extended_coloring_verified_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "w.txt"
+        path.write_text(coloring_to_text(two_five_cycles()))
+        orders = []
+
+        def counted(g, t):
+            orders.append(g.n)
+            return find_target_copy(g, t)
+
+        monkeypatch.setattr(witness, "find_target_copy", counted)
+        code, out, err = run_captured(["witness", "C4,K3", "--coloring", f"@{path}", "--add-clique", "3"])
+        # one find_target_copy per color on the 8-vertex extension, not two
+        assert code == 0 and err == "" and orders == [8, 8]
+        assert out == "C4,K4 | lower | 9 | computed: disjoint-clique extension | computational\n"
 
     def test_add_clique_5_names_the_allowed_values(self, tmp_path):
         path = tmp_path / "K6.txt"

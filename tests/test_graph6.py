@@ -99,7 +99,7 @@ def test_bad_inputs():
         "~?A@",  # n = 129 exceeds the vertex cap
         "A_?",  # extra body byte
         "A`",  # padding bit set
-        "D??@",  # n = 5: 10 pairs, padding bit set in the last byte
+        "D??@",  # n = 5: 10 pairs fill two body bytes, not three
     ],
 )
 def test_malformed_rejected(text):

@@ -10,9 +10,12 @@ from c4ramsey import (
     coloring_to_text,
     contains_target,
     find_target_copy,
+    graph6_decode,
+    graph6_encode,
     is_good_coloring,
     pair_index,
 )
+from c4ramsey import graphs
 from c4ramsey.graphs import IncompleteColoringError, pair_iter
 from c4ramsey.targets import CYCLE4, PATH3, book, clique, empty_graph, star, with_isolated
 
@@ -292,3 +295,85 @@ class TestColorClass:
                 if col.get(u, v) == i:
                     oracle.add_edge(u, v)
             assert col.color_class(i) == oracle
+
+    @staticmethod
+    def check_against_per_pair_builder(col, colors_to_check):
+        for i in colors_to_check:
+            expected = SimpleGraph(col.n)
+            for (u, v), c in zip(pair_iter(col.n), col.colors):
+                if c == i:
+                    expected.add_edge(u, v)
+            got = col.color_class(i)
+            assert got == expected
+            assert graph6_encode(got) == graph6_encode(expected)
+
+    @staticmethod
+    def drawn_coloring(n, c, shape, seed):
+        """A coloring of K_n whose class 0 or c - 1 takes a given shape.
+
+        random: a few colors, c - 1 among them; partial: the same with
+        unassigned pairs; full and none: every pair in color 0 or none;
+        at_switch and past_switch: color 0 on exactly 3n or 3n + 1 pairs,
+        the last sparse and the first dense class size.
+        """
+        rng = random.Random(seed)
+        npairs = n * (n - 1) // 2
+        palette = sorted({0, c - 1, *(rng.randrange(c) for _ in range(3))})
+        if shape == "partial":
+            palette.append(-1)
+        colors = [rng.choice(palette) for _ in range(npairs)]
+        if shape == "full":
+            colors = [0] * npairs
+        elif shape == "none":
+            colors = [c - 1 if c > 1 else -1] * npairs
+        elif shape in ("at_switch", "past_switch"):
+            size = min(npairs, 3 * n + (shape == "past_switch"))
+            others = [col for col in palette if col != 0] or [-1]
+            colors = [rng.choice(others) for _ in range(npairs)]
+            for idx in rng.sample(range(npairs), size):
+                colors[idx] = 0
+        return EdgeColoring(n, c, colors)
+
+    SHAPES = ("random", "partial", "full", "none", "at_switch", "past_switch")
+
+    @pytest.mark.parametrize("n", [1, 2, 62, 63, 128])
+    @pytest.mark.parametrize("c", [1, 2, 300])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_per_pair_builder_at_edge_orders(self, n, c, shape):
+        col = self.drawn_coloring(n, c, shape, seed=n * 1000 + c)
+        self.check_against_per_pair_builder(col, sorted({0, c - 1, *col.colors} - {-1}))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 128),
+        c=st.integers(1, 300),
+        shape=st.sampled_from(SHAPES),
+        seed=st.integers(0, 2**32),
+    )
+    def test_matches_per_pair_builder(self, n, c, shape, seed):
+        col = self.drawn_coloring(n, c, shape, seed)
+        self.check_against_per_pair_builder(col, sorted({0, c - 1, *col.colors} - {-1}))
+
+    @pytest.mark.parametrize("c", [1, 3, 300])
+    def test_bad_color_raises_index_error(self, c):
+        col = EdgeColoring(4, c, [0] * 6)
+        for bad in (c, -1):
+            with pytest.raises(IndexError):
+                col.color_class(bad)
+
+    @pytest.mark.parametrize("extra, builder", [(0, "_rows_per_edge"), (1, "_rows_per_vertex")])
+    def test_rows_per_edge_up_to_3n_edges(self, monkeypatch, extra, builder):
+        n = 12
+        col = self.drawn_coloring(n, 2, ("at_switch", "past_switch")[extra], seed=5)
+        assert col.color_class(0).edge_count() == 3 * n + extra
+        used = []
+        for name in ("_rows_per_edge", "_rows_per_vertex"):
+
+            def spy(bits, n, name=name, real=getattr(graphs, name)):
+                used.append(name)
+                return real(bits, n)
+
+            monkeypatch.setattr(graphs, name, spy)
+        expected = col.color_class(0)
+        assert graph6_decode(graph6_encode(expected)) == expected
+        assert used == [builder, builder]
