@@ -87,23 +87,27 @@ def _emit(args, doc: dict, text: str) -> None:
         print(text)
 
 
+# the options each bound formula reads; any other one given is a usage error
+_BOUND_OPTIONS = {"mt": ("m", "r"), "lemma2": ("m", "r"), "p3": ("m", "r"), "parsons": (),
+                  "book": ("registry",), "stars": ("m",)}
+_MT_FORMULAS = {"mt": theorem_mt_bound, "lemma2": lemma2_bound, "p3": lemma_p3_bound}
+
+
 def _cmd_bound(args) -> int:
-    if args.mt or args.lemma2 or args.p3:
-        q = BoundQuery(args.m, tuple(args.r or []))
-        if args.mt:
-            value, formula = theorem_mt_bound(q), "mt"
-        elif args.p3:
-            value, formula = lemma_p3_bound(q), "p3"
-        else:
-            value, formula = lemma2_bound(q), "lemma2"
-    elif args.parsons is not None:
-        value, formula = parsons_bound(args.parsons), "parsons"
-    elif args.book is not None:
+    formula = next(f for f in _BOUND_OPTIONS if getattr(args, f) is not None)
+    for name in ("m", "r", "registry"):
+        if getattr(args, name) is not None and name not in _BOUND_OPTIONS[formula]:
+            raise SystemExit(f"--{name} does not apply to --{formula}")
+    m = 1 if args.m is None else args.m
+    if formula in _MT_FORMULAS:
+        value = _MT_FORMULAS[formula](BoundQuery(m, tuple(args.r or [])))
+    elif formula == "parsons":
+        value = parsons_bound(args.parsons)
+    elif formula == "book":
         reg = _load_registry_arg(args.registry)
-        fact = reg.best_upper(TargetList((CYCLE4, star(args.book))))
-        value, formula = book_bound(args.book, fact), "book"
+        value = book_bound(args.book, reg.best_upper(TargetList((CYCLE4, star(args.book)))))
     else:
-        value, formula = stars_bound(args.m, args.stars), "stars"
+        value = stars_bound(m, args.stars)
     _emit(args, {"command": "bound", "formula": formula, "value": value}, str(value))
     return EXIT_OK
 
@@ -164,16 +168,14 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _outcome_doc(command: str, outcome, extra: Optional[dict] = None) -> dict:
-    doc = {"command": command, **outcome.to_dict()}
-    if extra:
-        doc.update(extra)
-    return doc
-
-
-def _write_witness(args, outcome) -> None:
-    if getattr(args, "witness_out", None) and outcome.witness is not None:
-        Path(args.witness_out).write_text(coloring_to_text(outcome.witness))
+def _report(args, command: str, outcome, **extra) -> int:
+    """Write a found witness to --witness-out if given, print the outcome
+    (its fields, then extra) and return its exit code."""
+    doc = {"command": command, **outcome.to_dict(), **extra}
+    if args.witness_out and doc["witness"] is not None:  # the text to_dict rendered
+        Path(args.witness_out).write_text(doc["witness"])
+    _emit(args, doc, f"{outcome.status.capitalize()} ({outcome.nodes_explored} nodes)")
+    return EXIT_BUDGET if outcome.status == UNKNOWN else EXIT_OK
 
 
 def _cmd_search(args) -> int:
@@ -202,15 +204,7 @@ def _cmd_search(args) -> int:
     if args.n is None:
         raise SystemExit("need --n or --n-min/--n-max")
     outcome = search_coloring(args.n, targets, budget, args.degree_caps)
-    _write_witness(args, outcome)
-    _emit(
-        args,
-        _outcome_doc("search", outcome, {"n": args.n}),
-        f"{outcome.status.capitalize()} ({outcome.nodes_explored} nodes)",
-    )
-    if outcome.status == UNKNOWN:
-        return EXIT_BUDGET
-    return EXIT_OK
+    return _report(args, "search", outcome, n=args.n)
 
 
 def _cmd_partition_check(args) -> int:
@@ -219,13 +213,7 @@ def _cmd_partition_check(args) -> int:
     if len(targets) != 2:
         raise SystemExit("partition-check needs exactly two targets")
     outcome = partition_check(g, (targets[0], targets[1]), _budget(args))
-    _write_witness(args, outcome)
-    _emit(
-        args,
-        _outcome_doc("partition-check", outcome),
-        f"{outcome.status.capitalize()} ({outcome.nodes_explored} nodes)",
-    )
-    return EXIT_BUDGET if outcome.status == UNKNOWN else EXIT_OK
+    return _report(args, "partition-check", outcome)
 
 
 def _cmd_witness(args) -> int:
@@ -282,13 +270,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="evaluate one bound formula")
     formula = p.add_mutually_exclusive_group(required=True)
-    formula.add_argument("--mt", action="store_true")
-    formula.add_argument("--lemma2", action="store_true")
-    formula.add_argument("--p3", action="store_true")
+    # None when not given, as for the formulas that take values
+    formula.add_argument("--mt", action="store_true", default=None)
+    formula.add_argument("--lemma2", action="store_true", default=None)
+    formula.add_argument("--p3", action="store_true", default=None)
     formula.add_argument("--parsons", type=int, metavar="K")
     formula.add_argument("--book", type=int, metavar="K")
     formula.add_argument("--stars", type=int, nargs="+", metavar="K")
-    p.add_argument("--m", type=int, default=1)
+    p.add_argument("--m", type=int)  # None when not given; the formulas that read it take 1
     p.add_argument("--r", type=int, nargs="*")
     p.add_argument("--registry", metavar="PATH")
     p.add_argument("--json", action="store_true")

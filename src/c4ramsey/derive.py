@@ -14,7 +14,7 @@ from typing import Generator
 from . import targets as tg
 from .bounds import BoundQuery, book_from_star_bound, parsons_bound, stars_bound, theorem_mt_bound
 from .registry import Registry, seed_registry
-from .targets import TargetGraph, TargetList, parse_targets, strip_k2, union_k1_rewrite
+from .targets import TargetGraph, TargetList, parse_targets, strip_k2
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,10 +326,10 @@ def _union_k1(tl: TargetList, registry: Registry) -> Generator:
     if (tl.m < 1 or not others or others[0].kind != tg.WITH_ISOLATED  # the common miss, tested first
             or any(t.kind != tg.WITH_ISOLATED or t.k != 1 for t in others)):
         return None
-    inner, floors = union_k1_rewrite(tl)
-    child = yield inner
+    child = yield TargetList(tl.targets[:tl.m] + tuple(t.base for t in others))
     if isinstance(child, set):
         return None
+    floors = [t.vertex_count for t in others]
     return DerivationTree(tl, "UnionK1", max([child.value] + floors), child.kind, (child,), {"floors": floors})
 
 

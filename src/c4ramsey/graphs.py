@@ -232,7 +232,11 @@ def find_target_copy(g: SimpleGraph, t: TargetGraph) -> Optional[tuple[int, ...]
 
 
 class EdgeColoring:
-    """Edge coloring of K_n with c colors; may be partial during search."""
+    """Edge coloring of K_n with c colors, pair colors in canonical pair order.
+
+    A pair may be UNASSIGNED, as every pair of EdgeColoring(n, c) is and as
+    a '-' line in coloring text makes one.  A partial coloring has color
+    classes; goodness is defined only for complete ones."""
 
     __slots__ = ("n", "c", "colors")
 
@@ -250,9 +254,16 @@ class EdgeColoring:
             colors = list(colors)
             if len(colors) != npairs:
                 raise ValueError(f"expected {npairs} pair colors, got {len(colors)}")
-            for col in colors:
-                if col != UNASSIGNED and not 0 <= col < c:
-                    raise ValueError(f"color {col} out of range for c={c}")
+            # check each distinct color; where one is bad (or a color cannot
+            # be hashed or compared), scan in pair order for the first bad one
+            try:
+                bad = any(col != UNASSIGNED and not 0 <= col < c for col in set(colors))
+            except TypeError:
+                bad = True
+            if bad:
+                for col in colors:
+                    if col != UNASSIGNED and not 0 <= col < c:
+                        raise ValueError(f"color {col} out of range for c={c}")
             self.colors = colors
 
     def _check_vertex(self, v: int) -> None:
@@ -278,9 +289,6 @@ class EdgeColoring:
     def is_complete(self) -> bool:
         return UNASSIGNED not in self.colors
 
-    def copy(self) -> "EdgeColoring":
-        return EdgeColoring(self.n, self.c, list(self.colors))
-
     def color_class(self, i: int) -> SimpleGraph:
         self._check_color(i)
         # one "0"/"1" flag per pair in canonical order, built in C: bytes()
@@ -294,29 +302,6 @@ class EdgeColoring:
         g.n = self.n
         g.adj = _rows_from_bits(flags.decode(), self.n)
         return g
-
-    def degree(self, color: int, v: int) -> int:
-        """Number of assigned edges at v with the given color."""
-        self._check_color(color)
-        self._check_vertex(v)
-        return sum(
-            1
-            for w in range(self.n)
-            if w != v and self.colors[pair_index(v, w)] == color
-        )
-
-    def delete_vertex(self, v: int) -> "EdgeColoring":
-        if self.n < 2:
-            raise ValueError("cannot delete the last vertex")
-        self._check_vertex(v)
-        out = EdgeColoring(self.n - 1, self.c)
-        for (a, b) in pair_iter(self.n):
-            if a == v or b == v:
-                continue
-            na = a if a < v else a - 1
-            nb = b if b < v else b - 1
-            out.colors[pair_index(na, nb)] = self.colors[pair_index(a, b)]
-        return out
 
     def __eq__(self, other) -> bool:
         return (

@@ -242,18 +242,22 @@ def search_coloring(
     edge_list = list(pair_iter(n))
     status, assignment, nodes = _search_edges(n, edge_list, targets, budget, degree_caps)
     wall = time.monotonic() - start
+    # edge_list is the canonical pair order, so assignment is the coloring
+    witness = EdgeColoring(n, len(targets), assignment) if status == FEASIBLE else None
+    return _finished(status, nodes, wall, witness, list(targets), "witness verified",
+                     "exhaustive modulo first-edge color-permutation reduction")
+
+
+def _finished(status: str, nodes: int, wall: float, witness: Optional[EdgeColoring],
+              targets: list[TargetGraph], found: str, exhausted: str) -> SearchOutcome:
+    """The outcome of a search that ran: the witness of a feasible one,
+    re-verified good for targets first, with the note found; an infeasible
+    one with the note exhausted."""
     if status == FEASIBLE:
-        # edge_list is the canonical pair order, so assignment is the coloring
-        witness = EdgeColoring(n, len(targets), assignment)
-        if not is_good_coloring(witness, list(targets)):
+        if not is_good_coloring(witness, targets):
             raise RuntimeError("internal error: search produced a bad witness")
-        return SearchOutcome(FEASIBLE, nodes, wall, witness, "witness verified")
-    if status == INFEASIBLE:
-        return SearchOutcome(
-            INFEASIBLE, nodes, wall, None,
-            "exhaustive modulo first-edge color-permutation reduction",
-        )
-    return SearchOutcome(UNKNOWN, nodes, wall, None, "budget exhausted")
+        return SearchOutcome(FEASIBLE, nodes, wall, witness, found)
+    return SearchOutcome(status, nodes, wall, None, exhausted if status == INFEASIBLE else "budget exhausted")
 
 
 def ramsey_by_search(
@@ -299,6 +303,7 @@ def partition_check(
     comp_edges = g.complement().edges()
     status, assignment, nodes = _search_edges(g.n, comp_edges, pair_targets, budget)
     wall = time.monotonic() - start
+    witness = None
     if status == FEASIBLE:
         # g's edges in color 0; comp_edges lists the non-edges in pair order
         split = iter(assignment)
@@ -306,13 +311,7 @@ def partition_check(
         witness = EdgeColoring(
             g.n, 3, [0 if adj[u] >> v & 1 else next(split) + 1 for u, v in pair_iter(g.n)]
         )
-        if not is_good_coloring(witness, [CYCLE4, pair_targets[0], pair_targets[1]]):
-            raise RuntimeError("internal error: partition produced a bad witness")
-        return SearchOutcome(FEASIBLE, nodes, wall, witness, "3-colored witness verified")
-    if status == INFEASIBLE:
-        note = "exhaustive over all non-edge splits"
-        if pair_targets[0] == pair_targets[1]:
-            note += " modulo first-edge color swap"
-        return SearchOutcome(INFEASIBLE, nodes, wall, None, note)
-    return SearchOutcome(UNKNOWN, nodes, wall, None, "budget exhausted")
+    swap = " modulo first-edge color swap" if pair_targets[0] == pair_targets[1] else ""
+    return _finished(status, nodes, wall, witness, [CYCLE4, pair_targets[0], pair_targets[1]],
+                     "3-colored witness verified", "exhaustive over all non-edge splits" + swap)
 

@@ -218,8 +218,8 @@ def _sort_key(t: TargetGraph) -> tuple:
 class TargetList:
     """Canonically ordered target list: C4 entries first, rest sorted.
 
-    m is the count of leading C4 entries, n the count of the rest
-    (the split the bound formulas operate on).
+    m is the count of leading C4 entries; the rest are the others (the
+    split the bound formulas operate on).
     """
 
     targets: tuple[TargetGraph, ...]
@@ -234,10 +234,6 @@ class TargetList:
         object.__setattr__(self, "targets", ordered)
         object.__setattr__(self, "m", len(c4s))
         object.__setattr__(self, "_key", ",".join(t._name for t in ordered))
-
-    @property
-    def n(self) -> int:
-        return len(self.targets) - self.m
 
     @property
     def others(self) -> tuple[TargetGraph, ...]:
@@ -285,32 +281,6 @@ def parse_targets(text: str) -> TargetList:
 def parse_target_sequence(text: str) -> list[TargetGraph]:
     """Parse a comma-separated target list preserving the given color order."""
     return [parse_target(p) for p in text.split(",")]
-
-
-def union_k1_rewrite(targets: TargetList) -> tuple[TargetList, list[int]]:
-    """Strip one isolated vertex from every non-C4 target.
-
-    Applicable when every non-C4 entry has the shape H + 1K1 (and at least
-    one C4 is present).  Returns the inner list (C4s, H_1, ..., H_n) and the
-    vertex-count floors |V(H_i)| + 1; the bound for the original list is
-    max(bound(inner), floors...).
-    """
-    if targets.m < 1:
-        raise ValueError("union-with-K1 rewrite needs a leading C4")
-    if targets.n < 1:
-        raise ValueError("union-with-K1 rewrite needs at least one non-C4 target")
-    inner: list[TargetGraph] = []
-    floors: list[int] = []
-    for t in targets.others:
-        if t.kind == WITH_ISOLATED and t.k == 1:
-            base = t.base
-        elif t.kind == EMPTY and t.k >= 2:
-            base = empty_graph(t.k - 1)
-        else:
-            raise ValueError(f"target {t} does not have the H+1K1 shape")
-        inner.append(base)
-        floors.append(base.vertex_count + 1)
-    return TargetList(targets.targets[: targets.m] + tuple(inner)), floors
 
 
 def strip_k2(targets: TargetList) -> TargetList:

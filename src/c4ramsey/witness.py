@@ -88,13 +88,11 @@ def extend_with_disjoint_clique(
         raise ValueError("input coloring is not good for the stated targets")
 
     n = witness.n
-    # new vertex a's column, pairs (0, a) .. (a-1, a), follows the old ones;
-    # the roles are checked above, so every color is in range
+    # new vertex a's column, pairs (0, a) .. (a-1, a), follows the old ones
     colors = list(witness.colors)
     for a in range(n, n + k):
         colors += [clique_color_target] * n + [c4_color] * (a - n)
-    out = EdgeColoring.__new__(EdgeColoring)
-    out.n, out.c, out.colors = n + k, witness.c, colors
+    out = EdgeColoring(n + k, witness.c, colors)
     promoted = list(targets)
     promoted[clique_color_target] = clique(tgt.k + 1)
     verify_lower_bound(out, promoted, source="disjoint-clique extension")

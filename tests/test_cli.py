@@ -21,7 +21,7 @@ from c4ramsey import (
     search_coloring,
     seed_registry,
 )
-from c4ramsey import cli, witness
+from c4ramsey import cli, graphs, witness
 from c4ramsey.cli import run
 from c4ramsey.graphs import EdgeColoring, coloring_from_text, coloring_to_text, find_target_copy, pair_iter
 from c4ramsey.targets import CYCLE4, clique, parse_targets, strip_k2
@@ -123,6 +123,33 @@ class TestBound:
         assert run(["bound"] + argv) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--parsons", "7", "--m", "3"], "--m"),
+            (["--book", "17", "--m", "4"], "--m"),
+            (["--parsons", "7", "--registry", "nonexist.txt"], "--registry"),
+            (["--parsons", "7", "--r"], "--r"),
+            (["--stars", "3", "4", "--r", "2"], "--r"),
+            (["--stars", "3", "--registry", "nonexist.txt"], "--registry"),
+            (["--mt", "--m", "1", "--r", "36", "--registry", "nonexist.txt"], "--registry"),
+            (["--lemma2", "--r", "5", "--registry", "nonexist.txt"], "--registry"),
+            (["--p3", "--r", "36", "--registry", "nonexist.txt"], "--registry"),
+            (["--book", "17", "--r", "5"], "--r"),
+        ],
+    )
+    def test_an_option_the_formula_does_not_read_is_a_usage_error(self, argv, flag, capsys):
+        assert run(["bound"] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: {flag} does not apply to {argv[0]}")
+
+    def test_m_defaults_to_one_where_it_is_read(self, capsys):
+        assert run(["bound", "--stars", "3", "4"]) == 0
+        assert run(["bound", "--stars", "3", "4", "--m", "1"]) == 0
+        assert run(["bound", "--p3", "--r", "36"]) == 0
+        assert out_of(capsys).split() == ["10", "10", "42"]
 
     def test_n_mismatch_is_usage_error(self, capsys):
         assert run(["bound", "--mt", "--m", "1", "--n", "2", "--r", "36"]) == 1
@@ -288,6 +315,21 @@ class TestSearch:
         ) == 0
         col = coloring_from_text(path.read_text())
         assert col.n == 5 and col.is_complete()
+
+    @pytest.mark.parametrize("argv", [["search", "--targets", "C4,C4", "--n", "5"], ["partition-check", "--graph6", "G?????"]])
+    def test_witness_text_rendered_once_for_file_and_json(self, argv, tmp_path, monkeypatch):
+        out_path = tmp_path / "w.txt"
+        calls = []
+
+        def counted(coloring):
+            calls.append(coloring.n)
+            return coloring_to_text(coloring)
+
+        monkeypatch.setattr(graphs, "coloring_to_text", counted)  # SearchOutcome.to_dict's
+        monkeypatch.setattr(cli, "coloring_to_text", counted)
+        code, out, err = run_captured(argv + ["--witness-out", str(out_path), "--json"])
+        assert code == 0 and err == "" and len(calls) == 1
+        assert out_path.read_text() == json.loads(out)["witness"]
 
     def test_budget_exit_3(self, capsys):
         assert run(

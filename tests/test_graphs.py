@@ -82,32 +82,32 @@ class TestDegree:
     def test_mono_k3(self):
         col = complete_mono(3)
         for v in range(3):
-            assert col.degree(0, v) == 2
+            assert col.color_class(0).degree(v) == 2
 
     def test_other_color_zero(self):
         col = EdgeColoring(2, 2)
         col.set(0, 1, 1)
-        assert col.degree(0, 0) == 0
-        assert col.degree(1, 0) == 1
+        assert col.color_class(0).degree(0) == 0
+        assert col.color_class(1).degree(0) == 1
 
     def test_two_cycle_decomposition(self):
         col = two_five_cycles()
         for v in range(5):
-            assert col.degree(0, v) == 2
-            assert col.degree(1, v) == 2
+            assert col.color_class(0).degree(v) == 2
+            assert col.color_class(1).degree(v) == 2
 
     def test_partial_counts_assigned_only(self):
         col = EdgeColoring(4, 2)
         col.set(0, 1, 0)
-        assert col.degree(0, 0) == 1
-        assert col.degree(1, 0) == 0
+        assert col.color_class(0).degree(0) == 1
+        assert col.color_class(1).degree(0) == 0
 
     def test_index_errors(self):
         col = EdgeColoring(3, 2)
         with pytest.raises(IndexError):
-            col.degree(2, 0)
+            col.color_class(2).degree(0)
         with pytest.raises(IndexError):
-            col.degree(0, 3)
+            col.color_class(0).degree(3)
 
     def test_degree_sum_is_n_minus_1(self):
         rng = random.Random(7)
@@ -115,7 +115,35 @@ class TestDegree:
         for u, v in pair_iter(7):
             col.set(u, v, rng.randrange(3))
         for v in range(7):
-            assert sum(col.degree(i, v) for i in range(3)) == 6
+            assert sum(col.color_class(i).degree(v) for i in range(3)) == 6
+
+
+def first_bad_color(colors, c):
+    """The per-pair check: the first color in pair order that is neither
+    unassigned nor in range(c), or None."""
+    return next((col for col in colors if col != -1 and not 0 <= col < c), None)
+
+
+class TestColoringConstructor:
+    COLORS = st.sampled_from([0, 1, 2, 3, -1, -2, True, False, 0.0, 1.0, 1.5, -1.0, 2.0, float("nan"), float("inf")])
+
+    @given(c=st.integers(1, 3), colors=st.lists(COLORS, min_size=6, max_size=6))
+    def test_accepts_what_the_per_pair_check_accepts(self, c, colors):
+        bad = first_bad_color(colors, c)
+        if bad is None:
+            assert EdgeColoring(4, c, colors).colors == colors
+        else:
+            with pytest.raises(ValueError) as err:
+                EdgeColoring(4, c, colors)
+            assert str(err.value) == f"color {bad} out of range for c={c}"
+
+    def test_names_the_first_bad_color_in_pair_order(self):
+        with pytest.raises(ValueError, match="^color 7 out of range for c=2$"):
+            EdgeColoring(3, 2, [1, 7, 5])
+
+    def test_unhashable_color_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            EdgeColoring(3, 2, [0, [1], 0])
 
 
 class TestContainsTarget:
@@ -210,23 +238,13 @@ class TestDeleteVertex:
     def test_preserves_goodness(self):
         col = two_five_cycles()
         for v in range(5):
-            assert is_good_coloring(col.delete_vertex(v), [CYCLE4, CYCLE4])
+            assert not any(contains_target(col.color_class(i).delete_vertex(v), CYCLE4) for i in range(2))
 
     def test_k2_to_k1(self):
         col = EdgeColoring(2, 1)
         col.set(0, 1, 0)
-        h = col.delete_vertex(0)
-        assert h.n == 1 and h.colors == []
-
-    def test_relabeling_matches_graph_deletion(self):
-        rng = random.Random(3)
-        col = EdgeColoring(7, 3)
-        for u, v in pair_iter(7):
-            col.set(u, v, rng.randrange(3))
-        for v in range(7):
-            reduced = col.delete_vertex(v)
-            for i in range(3):
-                assert reduced.color_class(i) == col.color_class(i).delete_vertex(v)
+        h = col.color_class(0).delete_vertex(0)
+        assert h.n == 1 and h.edge_count() == 0
 
 
 class TestColoringTextFormat:

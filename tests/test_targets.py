@@ -13,7 +13,9 @@ from c4ramsey import (
     star,
     with_isolated,
 )
+from c4ramsey import DerivationTree, seed_registry
 from c4ramsey import targets as tg
+from c4ramsey.derive import _union_k1
 from c4ramsey.targets import (
     CYCLE4,
     PATH3,
@@ -22,7 +24,6 @@ from c4ramsey.targets import (
     TargetParseError,
     strip_k2,
     target_edges,
-    union_k1_rewrite,
 )
 
 # Targets from the factory functions, nested with_isolated included.
@@ -201,7 +202,7 @@ class TestTargetList:
     def test_canonical_order(self):
         tl = parse_targets("K4,C4,K3,C4")
         assert tl.key() == "C4,C4,K3,K4"
-        assert tl.m == 2 and tl.n == 2
+        assert tl.m == 2 and len(tl.others) == 2
 
     def test_m_is_maximal(self):
         tl = parse_targets("K3,C4")
@@ -224,7 +225,7 @@ class TestTargetList:
             key=lambda t: (t.vertex_count, written_name(t)),
         )
         assert tl.targets == tuple(c4s + rest)
-        assert tl.m == len(c4s) and tl.n == len(rest)
+        assert tl.m == len(c4s) and len(tl.others) == len(rest)
         assert tl.key() == ",".join(written_name(t) for t in c4s + rest)
         again = TargetList(tuple(reversed(entries)))
         assert again == tl and hash(again) == hash(tl) and again.key() == tl.key()
@@ -239,7 +240,7 @@ def recanonicalized(tl, i, new):
 
 def assert_same_list(got, want):
     assert got.targets == want.targets
-    assert got.m == want.m and got.n == want.n
+    assert got.m == want.m and got.others == want.others
     assert got.key() == want.key()
     assert got == want and hash(got) == hash(want)
 
@@ -256,7 +257,7 @@ class TestReplaceOther:
     )
     def test_matches_recanonicalization(self, c4s, rest, data):
         tl = TargetList(tuple(c4s + rest))
-        i = data.draw(st.integers(0, tl.n - 1))
+        i = data.draw(st.integers(0, len(tl.others) - 1))
         for opt in delete_options(tl.others[i]):
             got = tl.replace_other(i, opt)
             want = recanonicalized(tl, i, opt)
@@ -290,21 +291,30 @@ class TestReplaceOther:
         assert "K2" not in strip_k2(got).key().split(",")
 
 
+def union_k1(text):
+    """The child list derive's UnionK1 rule asks for on text, and the floors
+    of the node it concludes when that list is answered; None where the rule
+    does not apply."""
+    steps = _union_k1(parse_targets(text), seed_registry())
+    try:
+        inner = next(steps)
+    except StopIteration:
+        return None
+    try:
+        steps.send(DerivationTree(inner, "Registry", 2, "exact"))
+    except StopIteration as done:
+        return inner.key(), done.value.notes["floors"]
+
+
 class TestUnionK1Rewrite:
     def test_basic(self):
-        inner, floors = union_k1_rewrite(parse_targets("C4,K3+1K1"))
-        assert inner.key() == "C4,K3" and floors == [4]
-
-    def test_empty_shape(self):
-        inner, floors = union_k1_rewrite(parse_targets("C4,3K1"))
-        assert inner.key() == "C4,2K1" and floors == [3]
+        assert union_k1("C4,K3+1K1") == ("C4,K3", [4])
 
     def test_multiple(self):
-        inner, floors = union_k1_rewrite(parse_targets("C4,K2+1K1,K2+1K1"))
-        assert inner.key() == "C4,K2,K2" and floors == [3, 3]
+        assert union_k1("C4,K2+1K1,K2+1K1") == ("C4,K2,K2", [3, 3])
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            union_k1_rewrite(parse_targets("C4,K3"))
-        with pytest.raises(ValueError):
-            union_k1_rewrite(parse_targets("K3+1K1"))
+        assert union_k1("C4,K3") is None
+        assert union_k1("K3+1K1") is None  # no C4
+        assert union_k1("C4,K3+1K1,K3") is None
+        assert union_k1("C4,3K1") is None  # kK1 is TrivialEmpty's
