@@ -69,6 +69,8 @@ def _require_mt_preconditions(q: BoundQuery) -> None:
     if q.m < 1:
         raise ValueError(f"m must be >= 1, got {q.m}")
     if q.m == 1 and q.s < 1:
+        if not q.r:
+            raise ValueError("m=1 needs some r_i > 1, and no r_i was given")
         raise ValueError(
             "m=1 with all r_i=1 is excluded (some non-C4 target must exceed K2)"
         )

@@ -196,19 +196,17 @@ def derive(targets: TargetList, registry: Registry) -> DerivationTree:
     _plan generators, not Python recursion, so long chains such as C4,K1200
     need no recursion limit.  The loop answers each child list a rule yields
     from a memo of trees and sets of missing facts, so each list is planned
-    once; a rule that asks for the list being planned (MaxWithVertexCount)
-    gets the node concluded last.
+    once.
     """
     memo: dict[str, DerivationTree | set[str]] = {}
 
-    def frame(tl: TargetList) -> tuple:  # a list, its plan, the nodes concluded, the facts missing
-        concluded: list[DerivationTree] = []
-        return tl, _plan(tl, registry, concluded), concluded, set()
+    def frame(tl: TargetList) -> tuple:  # a list, its plan, the facts missing
+        return tl, _plan(tl, registry), set()
 
     stack = [frame(strip_k2(targets))]
     result = None
     while stack:
-        tl, plan, concluded, missing = stack[-1]
+        tl, plan, missing = stack[-1]
         if isinstance(result, set):
             missing |= result
         try:
@@ -216,9 +214,6 @@ def derive(targets: TargetList, registry: Registry) -> DerivationTree:
         except StopIteration as done:
             stack.pop()
             result = memo[tl.key()] = done.value or missing or {tl.key()}
-            continue
-        if child is tl:
-            result = concluded[-1] if concluded else set()
             continue
         child = strip_k2(child)
         result = memo.get(child.key())
@@ -229,33 +224,26 @@ def derive(targets: TargetList, registry: Registry) -> DerivationTree:
     return result
 
 
-# Among candidates with equal values, the lower rank wins; among equal ranks,
-# the candidate planned first.
-_RANK = {"Registry": 0, "TrivialEmpty": 1, "Parsons": 2, "BookCor": 2, "StarsCor": 2,
-         "UnionK1": 3, "TheoremMT": 3, "MaxWithVertexCount": 3}
-
-
-def _plan(tl: TargetList, registry: Registry, candidates: list) -> Generator:
-    """Plan one K2-free list: run the rules of _RULES in order, collect the
-    nodes they conclude in candidates, and return the best, or None.  A node
-    whose child is on tl itself takes the place of that child."""
+def _plan(tl: TargetList, registry: Registry) -> Generator:
+    """Plan one K2-free list: run the rules of _RULES in order and return the
+    node with the smallest value, or None.  Among equal values the node
+    planned first, so the earlier rule, wins."""
+    candidates = []
     for rule in _RULES.values():
         node = rule(tl, registry)
         if node is not None and type(node) is not DerivationTree:
             node = yield from node
         if node is None:
             continue
-        if node.children and node.children[0].targets is tl:
-            candidates.pop()
         candidates.append(node)
         if node.rule == "TrivialEmpty":
-            # No other rule can win here, whatever the registry holds: Parsons,
-            # BookCor and StarsCor need star or book entries only; UnionK1's
-            # floors include |V(kK1)| = k, and TheoremMT's value (and so
-            # MaxWithVertexCount's) is at least its vertex floor, which is >= k.
-            # Both rank after TrivialEmpty on a tie, so no child is planned.
+            # No later rule can win here: Parsons, BookCor and StarsCor need
+            # star or book entries only, UnionK1 needs every other entry to be
+            # H+1K1, and TheoremMT's value exceeds k, because the kK1 entry
+            # gives r >= k - 1 (the registry holds no upper bound below the
+            # trivial lower bound).  So no child is planned.
             break
-    return min(candidates, key=lambda c: (c.value, _RANK[c.rule])) if candidates else None
+    return min(candidates, key=lambda c: c.value) if candidates else None
 
 
 # The rules.  Each takes a K2-free list and the registry.  A rule that needs
@@ -364,16 +352,5 @@ def _theorem_mt(tl: TargetList, registry: Registry) -> Generator:
     return DerivationTree(tl, "TheoremMT", theorem_mt_bound(BoundQuery(m, r)), "upper", tuple(chosen), notes)
 
 
-def _max_with_vertex_count(tl: TargetList, registry: Registry) -> Generator:
-    """A TheoremMT conclusion is valid as max(bound, vertex floor) (its guard
-    note); where the floor is larger, this node on the same list raises it."""
-    mt = yield tl
-    if isinstance(mt, set) or mt.rule != "TheoremMT" or mt.value >= mt.notes["vertex_floor"]:
-        return None
-    floor = mt.notes["vertex_floor"]
-    return DerivationTree(tl, "MaxWithVertexCount", floor, "upper", (mt,), {"vertex_floor": floor})
-
-
 _RULES = {"Registry": _registry, "TrivialEmpty": _trivial_empty, "Parsons": _parsons, "BookCor": _book_cor,
-          "StarsCor": _stars_cor, "UnionK1": _union_k1, "TheoremMT": _theorem_mt,
-          "MaxWithVertexCount": _max_with_vertex_count}
+          "StarsCor": _stars_cor, "UnionK1": _union_k1, "TheoremMT": _theorem_mt}

@@ -5,8 +5,9 @@ File format, one fact per line:
     targets | kind | value | citation | trust
 
 e.g. ``C4,K10 | exact | 36 | [LaLR] | paper``.  Targets are stored under
-their canonical key (C4 entries first, rest sorted), and contradictory
-lower/upper pairs are rejected at insertion time.
+their canonical key (C4 entries first, rest sorted).  Contradictory
+lower/upper pairs, and upper bounds below the trivial lower bound, are
+rejected at insertion time.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .targets import TargetList, parse_targets
+from .targets import EMPTY, TargetList, parse_targets
 
 KINDS = ("exact", "upper", "lower")
 TRUST_TAGS = ("paper", "computational", "derived", "user")
@@ -90,6 +91,13 @@ class Registry:
                     f"lower bound {fact.value} for {key} exceeds upper bound {up.value}"
                 )
         if as_upper:
+            # R(L) >= T: K_{T-1} in the color of a largest entry avoids every
+            # entry, where T is the largest entry's size or the least k of a kK1
+            ts = fact.targets
+            floor = min([max(t.vertex_count for t in ts)] + [t.k for t in ts if t.kind == EMPTY])
+            if fact.value < floor:
+                what = "upper bound" if fact.kind == "upper" else "exact value"
+                raise ContradictionError(f"{what} {fact.value} for {key} is below the trivial lower bound {floor}")
             lo = self._lower.get(key)
             if lo is not None and lo.value > fact.value:
                 raise ContradictionError(

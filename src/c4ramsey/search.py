@@ -169,8 +169,9 @@ def _search_edges(
         test = _creates_test(eff) if eff is not None else _never
         slots.append((test, [0] * n, None if degree_caps is None else degree_caps[col]))
     # color-permutation reduction: on the first edge, only the first color of
-    # each group of identical declared targets is tried
-    first = [i for i, t in enumerate(targets) if targets.index(t) == i]
+    # each group of identical declared targets and degree caps is tried
+    groups = targets if degree_caps is None else list(zip(targets, degree_caps))
+    first = [i for i, g in enumerate(groups) if groups.index(g) == i]
     every = range(c)
     edges = [(u, v, 1 << u, 1 << v) for u, v in edge_list]
     m = len(edges)

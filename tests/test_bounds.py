@@ -63,9 +63,9 @@ class TestTheoremMtBound:
         assert theorem_mt_bound(BoundQuery(m, r)) == expected
 
     def test_m1_all_k2_excluded(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^m=1 with all r_i=1 is excluded"):
             theorem_mt_bound(BoundQuery(1, (1, 1)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^m=1 needs some r_i > 1, and no r_i was given$"):
             theorem_mt_bound(BoundQuery(1, ()))
 
     def test_n0_identity(self):

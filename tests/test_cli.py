@@ -154,6 +154,18 @@ class TestBound:
     def test_n_mismatch_is_usage_error(self, capsys):
         assert run(["bound", "--mt", "--m", "1", "--n", "2", "--r", "36"]) == 1
 
+    @pytest.mark.parametrize("formula", ["--mt", "--p3"])
+    def test_m1_without_r_says_none_was_given(self, formula, capsys):
+        assert run(["bound", formula]) == 1
+        assert capsys.readouterr().err == "error: m=1 needs some r_i > 1, and no r_i was given\n"
+        assert run(["bound", formula, "--r", "1", "1"]) == 1
+        assert capsys.readouterr().err == (
+            "error: m=1 with all r_i=1 is excluded (some non-C4 target must exceed K2)\n")
+
+    def test_lemma2_without_r(self, capsys):
+        assert run(["bound", "--lemma2"]) == 0
+        assert out_of(capsys) == "3"
+
     def test_overflowing_r_is_usage_error(self, capsys):
         assert run(["bound", "--mt", "--m", "1", "--r", "1" + "0" * 49]) == 1
         err = capsys.readouterr().err.strip()
@@ -499,6 +511,21 @@ class TestRegistry:
         Registry([RamseyFact(parse_targets("C4,K3"), "upper", 7, "", "user")]).save(path)
         line = "C4,K3 | lower | 8 | bogus | user"
         assert run(["registry", "--registry", str(path), "--add", line]) == 1
+
+    def test_add_below_the_trivial_lower_bound_is_error(self, capsys):
+        assert run(["registry", "--add", "C4,K3 | upper | 3 | x | user"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: upper bound 3 for C4,K3 is below the trivial lower bound 4\n"
+
+    @pytest.mark.parametrize("argv", [["derive", "C4,K10"], ["bound", "--book", "9"]])
+    def test_registry_file_below_the_trivial_lower_bound_is_error(self, tmp_path, argv, capsys):
+        path = tmp_path / "reg.txt"
+        path.write_text("C4,K9 | upper | 2 | fake | user\n")
+        assert run(argv + ["--registry", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: upper bound 2 for C4,K9 is below the trivial lower bound 9\n"
 
     @pytest.mark.parametrize("citation", ["see #3", "a | b"])
     def test_add_with_a_citation_the_file_cannot_carry_is_error(self, tmp_path, citation, capsys):

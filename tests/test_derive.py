@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from c4ramsey import (
@@ -12,8 +14,11 @@ from c4ramsey import (
     theorem_mt_bound,
 )
 from c4ramsey.bounds import book_from_star_bound, parsons_bound
-from c4ramsey.derive import _RANK, ReplayError, _option_sort_key, _ordered_deletions
-from c4ramsey.targets import delete_options, parse_target, parse_targets
+from c4ramsey.derive import _RULES, ReplayError, _option_sort_key, _ordered_deletions
+from c4ramsey.registry import ContradictionError
+from c4ramsey.targets import EMPTY, delete_options, parse_target, parse_targets
+
+from conftest import oracle_vertex_count
 
 from test_derive_golden import GOLDEN
 from test_derive_json import POOLS, TABLE_ROWS
@@ -81,9 +86,10 @@ class TestRules:
         replay(tree, reg)
 
     def test_union_k1_floor_dominates(self):
-        reg = registry_with("C4,K3 | exact | 2 | fake | user")
-        tree = derive(parse_targets("C4,K3+1K1"), reg)
-        assert tree.value == 4  # |V(K3)| + 1
+        reg = registry_with("C4,K5 | upper | 5 | fake | user")
+        tree = derive(parse_targets("C4,K5+1K1"), reg)
+        assert (tree.rule, tree.value, tree.notes) == ("UnionK1", 6, {"floors": [6]})  # |V(K5)| + 1
+        replay(tree, reg)
 
     def test_parsons_shortcut(self):
         tree = derive(parse_targets("C4,S7"), Registry())
@@ -162,12 +168,53 @@ class TestEdgelessEntry:
 
     @pytest.mark.parametrize(
         "fact_value, rule, value",
-        [(2, "Registry", 2), (3, "Registry", 3), (9, "TrivialEmpty", 3)],
+        [(3, "Registry", 3), (9, "TrivialEmpty", 3)],
     )
     def test_registry_against_trivial_empty(self, fact_value, rule, value):
         reg = registry_with(f"C4,K4,3K1 | upper | {fact_value} | fake | user")
         tree = derive(parse_targets("C4,K4,3K1"), reg)
         assert (tree.rule, tree.value, tree.children) == (rule, value, ())
+
+    def test_registry_below_trivial_empty_is_refused(self):
+        # 3K1 needs 3 vertices, so R(C4,K4,3K1) >= 3 and an upper bound 2 is false
+        with pytest.raises(ContradictionError, match="upper bound 2 for C4,3K1,K4 is below the trivial lower bound 3"):
+            registry_with("C4,K4,3K1 | upper | 2 | fake | user")
+
+
+def trivial_lower_bound(tl):
+    """R(L) >= the largest entry's vertex count, or the least k of a kK1 entry
+    if smaller: K_{T-1} in the color of a largest entry avoids every entry."""
+    return min([max(oracle_vertex_count(t) for t in tl)] + [t.k for t in tl if t.kind == EMPTY])
+
+
+class TestFloorRespectingRegistries:
+    # registry facts at or up to 20 above the trivial lower bound
+    FACT_LISTS = ["C4", "C4,C4", "C4,P3", "C4,K3", "C4,2K1", "C4,S2", "C4,K4", "C4,B2", "C4,C4,P3", "C4,C4,K3",
+                  "C4,K3,K3", "C4,P3,K3", "C4,K3+1K1", "C4,K5", "C4,S3", "C4,C4,C4", "C4,K3,K4"]
+    LISTS = ["C4,K5", "C4,K6", "C4,K4,K4", "C4,C4,K4", "C4,B3", "C4,S4,K3", "C4,K4+1K1", "C4,C4,K3,P3",
+             "C4,K4,3K1", "C4,C4,C4,K3", "C4,K3+1K1,K4", "C4,C4,B2+1K1"]
+
+    def test_no_derived_value_is_below_the_trivial_lower_bound(self):
+        rng = random.Random(7)
+        mt_nodes = 0
+        for _ in range(100):
+            facts = {}
+            for text in rng.sample(self.FACT_LISTS, rng.randint(3, len(self.FACT_LISTS))):
+                value = trivial_lower_bound(parse_targets(text)) + rng.randint(0, 20)
+                facts[text] = f"{text} | {rng.choice(['exact', 'upper'])} | {value} | random | user"
+            reg = registry_with(*facts.values())
+            for text in self.LISTS:
+                try:
+                    tree = derive(parse_targets(text), reg)
+                except CannotDeriveError:
+                    continue
+                replay(tree, reg)
+                for node in tree.to_dict()["nodes"]:
+                    assert node["value"] >= trivial_lower_bound(parse_targets(node["targets"])), node
+                    if node["rule"] == "TheoremMT":
+                        mt_nodes += 1
+                        assert node["value"] > node["notes"]["vertex_floor"], node
+        assert mt_nodes > 1000
 
 
 class TestNoCap:
@@ -254,7 +301,6 @@ class TestReplay:
             ("C4,C4,S3", "StarsCor", ()),
             ("C4,B3+1K1", "UnionK1", ()),
             ("C4,K11", "TheoremMT", ()),
-            ("C4,K10", "MaxWithVertexCount", ("C4,K9 | upper | 2 | fake | user",)),
         ],
     )
     def test_tampered_value_detected_for_each_rule(self, text, rule, extra):
@@ -339,7 +385,8 @@ class TestReplay:
             replay(derive(parse_targets(key), reg))
 
 
-RULES = tuple(_RANK)
+# the retired rule name must be rejected as unknown
+RULES = (*_RULES, "MaxWithVertexCount")
 
 # Every derivable golden list but C4,K500, whose 491-node chain adds no node
 # shape that the C4,K20 chain lacks; the paper's table rows are among them.

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -47,6 +49,40 @@ class TestRegistry:
             fact("C4,K3", "approx", 7)
         with pytest.raises(ValueError):
             fact("C4,K3", "exact", 7, trust="rumor")
+
+
+class TestTrivialLowerBound:
+    # T(L): the largest entry's vertex count, or the least k of a kK1 entry if
+    # smaller; K_{T-1} in the color of a largest entry shows R(L) >= T(L)
+    @pytest.mark.parametrize(
+        "targets, floor",
+        [
+            ("C4,K4,3K1", 3),  # a kK1 entry sets T
+            ("C4,K3,5K1", 5),  # a kK1 that is the largest entry
+            ("C4,K2", 4),  # K2 is not stripped from a registry key
+            ("K5", 5),  # a single entry
+            ("C4", 4),
+            ("C4,K5+1K1", 6),  # +1K1 entries count their isolated vertex
+            ("C4,C4,K3+1K1,K3+1K1", 4),
+            ("C4,K9", 9),
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["exact", "upper"])
+    def test_below_refused_at_and_above_accepted(self, targets, floor, kind):
+        key = re.escape(parse_targets(targets).key())
+        with pytest.raises(ContradictionError, match=f" {floor - 1} for {key} is below the trivial lower bound {floor}$"):
+            Registry([fact(targets, kind, floor - 1)])
+        for value in (floor, floor + 1):
+            assert Registry([fact(targets, kind, value)]).best_upper(parse_targets(targets)).value == value
+
+    def test_lower_facts_are_not_checked(self):
+        assert Registry([fact("C4,K9", "lower", 2)]).best_lower(parse_targets("C4,K9")).value == 2
+
+    def test_message_names_the_kind(self):
+        with pytest.raises(ContradictionError, match="^upper bound 2 for C4,K9 is below the trivial lower bound 9$"):
+            Registry([fact("C4,K9", "upper", 2)])
+        with pytest.raises(ContradictionError, match="^exact value 8 for C4,K9 is below the trivial lower bound 9$"):
+            Registry([fact("C4,K9", "exact", 8)])
 
 
 class TestFileFormat:

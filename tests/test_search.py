@@ -22,14 +22,17 @@ from c4ramsey.targets import CYCLE4, PATH3, book, clique, empty_graph, star, wit
 from conftest import brute_contains, random_graph
 
 
-def naive_feasible(n, targets):
-    """Feasibility by enumerating all c^{C(n,2)} complete colorings."""
+def naive_feasible(n, targets, degree_caps=None):
+    """Feasibility by enumerating all c^{C(n,2)} complete colorings; with
+    degree_caps, color i may have degree at most degree_caps[i] at every vertex."""
     pairs = list(pair_iter(n))
     c = len(targets)
     for assignment in itertools.product(range(c), repeat=len(pairs)):
-        col = EdgeColoring(n, c)
-        for (u, v), color in zip(pairs, assignment):
-            col.set(u, v, color)
+        col = EdgeColoring(n, c, list(assignment))
+        if degree_caps is not None and any(
+            col.color_class(i).degree(v) > cap for i, cap in enumerate(degree_caps) for v in range(n)
+        ):
+            continue
         if is_good_coloring(col, targets):
             return True
     return False
@@ -141,6 +144,16 @@ class TestDegreeCapSoundness:
     def test_caps_do_not_lose_feasibility(self):
         out = search_coloring(9, [CYCLE4, clique(4)], degree_caps=[6, 6])
         assert out.status == "feasible"
+
+    @pytest.mark.parametrize("target", [CYCLE4, PATH3, clique(3), star(2)], ids=str)
+    def test_identical_targets_with_unequal_caps_agree_with_naive_enumeration(self, target):
+        # the first-edge color reduction may only merge colors whose targets
+        # and caps both agree
+        for n in range(2, 6):
+            for caps in itertools.combinations(range(5), 2):
+                want = "feasible" if naive_feasible(n, [target, target], caps) else "infeasible"
+                assert search_coloring(n, [target, target], degree_caps=caps).status == want, (n, caps)
+                assert search_coloring(n, [target, target], degree_caps=caps[::-1]).status == want, (n, caps)
 
 
 class TestRamseyBySearch:
