@@ -186,6 +186,33 @@ def _ordered_deletions(t: TargetGraph) -> tuple[tuple[TargetGraph, tuple], ...]:
     return tuple((opt, _option_sort_key(opt)) for opt in options)
 
 
+# derive refuses a list whose plan_size exceeds this.  Just below it,
+# planning C4,K5792 or C4,S34,S34,S34 took 0.5-0.9 s and under 0.1 GB on a
+# 2-core x86 machine; C4,K3+1K1,K4+1K1,K4990 (plan size 5e8) took 11.5 s
+# and 1.1 GB with its text tree, and C4,K60000 ran out of memory.
+MAX_PLAN_SIZE = 2**25
+
+
+def _reach(t: TargetGraph) -> int:
+    """How many targets deleting vertices one at a time turns t into, t
+    included: K_k, kK1 down to one vertex; S_k also jK1; B_k also S_j and K2."""
+    times = 1
+    if t.kind == tg.WITH_ISOLATED:  # its base is never H + sK1 itself
+        times, t = t.k + 1, t.base
+    return times * {tg.CLIQUE: t.k, tg.EMPTY: t.k, tg.STAR: 2 * t.k, tg.BOOK: 3 * t.k + 1, tg.PATH3_KIND: 4}[t.kind]
+
+
+def plan_size(tl: TargetList) -> int:
+    """The work derive may do on tl: the lists its non-C4 entries can reach
+    (the product of their _reach) times the longest chain of deletions (their
+    total vertex count), along which a text tree indents."""
+    lists, depth = 1, 0
+    for t in tl.others:
+        lists *= _reach(t)
+        depth += t.vertex_count
+    return lists * depth
+
+
 def derive(targets: TargetList, registry: Registry) -> DerivationTree:
     """Best upper bound derivable for the target list from the registry: the
     smallest any rule of _RULES concludes.  Raises CannotDeriveError listing
@@ -196,14 +223,18 @@ def derive(targets: TargetList, registry: Registry) -> DerivationTree:
     _plan generators, not Python recursion, so long chains such as C4,K1200
     need no recursion limit.  The loop answers each child list a rule yields
     from a memo of trees and sets of missing facts, so each list is planned
-    once.
+    once.  A list whose plan_size exceeds MAX_PLAN_SIZE raises ValueError.
     """
+    root = strip_k2(targets)
+    size = plan_size(root)
+    if size > MAX_PLAN_SIZE:
+        raise ValueError(f"{root.key()} is too large to plan: plan size {size} > {MAX_PLAN_SIZE}")
     memo: dict[str, DerivationTree | set[str]] = {}
 
     def frame(tl: TargetList) -> tuple:  # a list, its plan, the facts missing
         return tl, _plan(tl, registry), set()
 
-    stack = [frame(strip_k2(targets))]
+    stack = [frame(root)]
     result = None
     while stack:
         tl, plan, missing = stack[-1]

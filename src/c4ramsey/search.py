@@ -4,7 +4,9 @@ Edges are assigned in canonical pair order; after each assignment only the
 subgraphs through the new edge are checked, so a partial class never
 contains its target.  Infeasible is reported only after the full tree has
 been enumerated (modulo the declared color-permutation reduction on the
-first edge); budget exhaustion is always reported as Unknown.
+first edge); budget exhaustion is always reported as Unknown.  A long
+search_coloring run is shared with helper processes on the machine's other
+cores, with the same status, node count and witness (see _Split).
 """
 
 from __future__ import annotations
@@ -27,6 +29,16 @@ from .targets import CYCLE4, TargetGraph, clique
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 UNKNOWN = "unknown"
+
+# A search_coloring run still going after SPLIT_AFTER nodes is shared with
+# helper processes, one per further usable core.  Items are queued as 2-byte
+# records in one write of at most 4096 bytes, which fits any pipe.
+SPLIT_AFTER = 16 * 4096
+_ITEM_BYTES = 2
+_ITEMS_MAX = 2048
+_ITEMS_WANTED = 256
+_PLAN_WORK = 16 * 4096  # most nodes and prefix edges spent listing items
+_NEVER = float("inf")
 
 
 @dataclass(frozen=True)
@@ -150,71 +162,367 @@ def _search_edges(
     targets: Sequence[TargetGraph],
     budget: SearchBudget,
     degree_caps: Optional[Sequence[int]] = None,
+    split: bool = False,
 ) -> tuple[str, Optional[list[int]], int]:
-    """Core backtracking over a fixed edge list, as a loop over edge indices.
+    """Core backtracking over a fixed edge list.
 
     Returns (status, assignment or None, nodes).  The assignment is indexed
-    parallel to edge_list.  A node is one color tried on one edge.
+    parallel to edge_list.  A node is one color tried on one edge.  With
+    split, a search still running after SPLIT_AFTER nodes shares its tree
+    with helper processes (see _Split); the result is the same.
     """
     targets = list(targets)
-    c = len(targets)
     effective = [_effective_target(t, n) for t in targets]
     # an edgeless target that fits is in every color class
     if any(eff is not None and eff.kind == tg.EMPTY for eff in effective):
         return INFEASIBLE, None, 0
-    # one slot per color: its compiled target test, its adjacency rows and its
-    # degree cap (None: uncapped)
-    slots = []
-    for col, eff in enumerate(effective):
-        test = _creates_test(eff) if eff is not None else _never
-        slots.append((test, [0] * n, None if degree_caps is None else degree_caps[col]))
+    tree = _Tree(n, edge_list, effective, degree_caps, time.monotonic() + budget.time_limit)
     # color-permutation reduction: on the first edge, only the first color of
     # each group of identical declared targets and degree caps is tried
     groups = targets if degree_caps is None else list(zip(targets, degree_caps))
     first = [i for i, g in enumerate(groups) if groups.index(g) == i]
-    every = range(c)
-    edges = [(u, v, 1 << u, 1 << v) for u, v in edge_list]
-    m = len(edges)
-    assignment = [-1] * m
-    cursors = []  # cursors[i]: the colors not yet tried on edge i
-    colors = iter(first)
-    idx = nodes = 0
-    node_limit = budget.node_limit
-    deadline = time.monotonic() + budget.time_limit
-    # the budget is checked at every multiple of 4096 nodes and at node_limit + 1
-    check = min(4096, node_limit + 1)
-    while idx < m:
-        u, v, bu, bv = edges[idx]
-        for col in colors:
-            nodes += 1
-            if nodes >= check:
-                if nodes > node_limit or time.monotonic() > deadline:
-                    return UNKNOWN, None, nodes
-                check = min(check + 4096, node_limit + 1)
-            test, a, cap = slots[col]
-            if cap is not None and (a[u].bit_count() >= cap or a[v].bit_count() >= cap):
-                continue
-            if test(a, u, v):
-                continue
+    if not split:
+        return tree.dfs((), iter(first), 0, budget.node_limit)
+    splitter = _Split(tree, budget.node_limit)
+    try:
+        return splitter.walk(*tree.dfs((), iter(first), 0, budget.node_limit,
+                                       split_at=SPLIT_AFTER, on_split=splitter.split))
+    finally:
+        splitter.close()
+
+
+class _Tree:
+    """The fixed part of one search: the edges in search order, one target
+    test and degree cap (None: uncapped) per color, and the deadline."""
+
+    def __init__(self, n, edge_list, effective, degree_caps, deadline):
+        self.n = n
+        self.tests = [
+            (_creates_test(eff) if eff is not None else _never,
+             None if degree_caps is None else degree_caps[col])
+            for col, eff in enumerate(effective)
+        ]
+        self.edges = [(u, v, 1 << u, 1 << v) for u, v in edge_list]
+        self.every = range(len(effective))
+        self.deadline = deadline
+
+    def dfs(self, prefix, colors, nodes, node_limit, stop=None, listed=None,
+            split_at=_NEVER, on_split=None):
+        """The backtracking loop below a fixed prefix of edge colors.
+
+        Tries colors on edge len(prefix), the base depth, and goes on in DFS
+        order without backtracking into the prefix.  Returns (status,
+        assignment or None, nodes): feasible at the first good coloring,
+        infeasible once colors and everything below them have failed, and
+        unknown once nodes passes node_limit (at node_limit + 1) or a budget
+        check finds the deadline past.  nodes counts on from the value given;
+        the budget is checked at each multiple of 4096 and at node_limit + 1.
+
+        With a stop depth, every accepted prefix of that length is appended
+        to listed, with the node count at that moment, instead of being
+        searched below.  on_split(idx, cursors, assignment, nodes) is called
+        once, at the first budget check at or past split_at.
+        """
+        n, edges, every = self.n, self.edges, self.every
+        # one slot per color: its target test, its adjacency rows, its cap
+        slots = [(test, [0] * n, cap) for test, cap in self.tests]
+        for i, col in enumerate(prefix):
+            u, v, bu, bv = edges[i]
+            a = slots[col][1]
             a[u] |= bv
             a[v] |= bu
-            break
-        else:
-            # every color failed here: undo the previous edge and resume it
-            if idx == 0:
-                return INFEASIBLE, None, nodes
+        m = len(edges)
+        if stop is None:
+            stop = m
+        base = idx = len(prefix)
+        assignment = [*prefix, *[-1] * (m - base)]
+        cursors = []  # cursors[i]: the colors not yet tried on edge base + i
+        deadline = self.deadline
+        check = min(nodes - nodes % 4096 + 4096, node_limit + 1)
+        while True:
+            while idx < stop:
+                u, v, bu, bv = edges[idx]
+                for col in colors:
+                    nodes += 1
+                    if nodes >= check:
+                        if nodes > node_limit or time.monotonic() > deadline:
+                            return UNKNOWN, None, nodes
+                        check = min(check + 4096, node_limit + 1)
+                        if nodes >= split_at:
+                            split_at = _NEVER
+                            on_split(idx, cursors, assignment, nodes)
+                    test, a, cap = slots[col]
+                    if cap is not None and (a[u].bit_count() >= cap or a[v].bit_count() >= cap):
+                        continue
+                    if test(a, u, v):
+                        continue
+                    a[u] |= bv
+                    a[v] |= bu
+                    break
+                else:
+                    # every color failed here: undo the previous edge and resume it
+                    if idx == base:
+                        return INFEASIBLE, None, nodes
+                    idx -= 1
+                    colors = cursors.pop()
+                    u, v, bu, bv = edges[idx]
+                    a = slots[assignment[idx]][1]
+                    a[u] ^= bv
+                    a[v] ^= bu
+                    continue
+                assignment[idx] = col
+                cursors.append(colors)
+                colors = iter(every)
+                idx += 1
+            if listed is None:
+                return FEASIBLE, assignment, nodes
+            # list the prefix, then go on as if everything below it had failed
+            listed.append((nodes, tuple(assignment[:stop])))
             idx -= 1
             colors = cursors.pop()
             u, v, bu, bv = edges[idx]
             a = slots[assignment[idx]][1]
             a[u] ^= bv
             a[v] ^= bu
-            continue
-        assignment[idx] = col
-        cursors.append(colors)
-        colors = iter(every)
-        idx += 1
-    return FEASIBLE, assignment, nodes
+
+
+class _Split:
+    """One search_coloring run shared with helper processes.
+
+    At the first budget check past SPLIT_AFTER nodes the main process keeps
+    the subtree of its current path below some depth D and hands out every
+    color still untried above D, listed down to prefixes of depth D: the
+    items, in DFS order, with the nodes counted between them (the gaps).
+    Helpers and the main process, once its own part is done, claim items
+    from one pipe in that order.  The main process adds the results up in
+    that order, so status, node count and witness are those of the
+    sequential search.  Each process checks the deadline every 4096 of its
+    own nodes.
+    """
+
+    def __init__(self, tree, node_limit):
+        self.tree = tree
+        self.node_limit = node_limit
+        self.items = []  # prefixes of depth D, in DFS order
+        self.gaps = []  # gaps[i]: nodes just before items[i]; gaps[-1]: after the last
+        self.limits = []  # limits[i]: most nodes items[i] may take within node_limit
+        self.queue = None  # read end of the pipe of item indices
+        self.pids = []
+        self.helpers = {}  # result pipe read end -> bytes received, not yet parsed
+        self.claims = {}  # item index -> the result pipe of the helper running it
+
+    def split(self, idx, cursors, assignment, nodes):
+        """The split hook: plan items, empty the cursors above their depth,
+        queue the items and start the helpers."""
+        import os
+
+        helpers = _helper_count()
+        if not helpers:
+            return
+        untried = [list(cursor) for cursor in cursors]
+        cursors[:] = map(iter, untried)
+        plan = self._plan(idx, untried, assignment)
+        if plan is None:
+            return
+        depth, level, tail = plan
+        cursors[:depth] = [iter(())] * depth
+        self.items = [prefix for _, prefix in level]
+        self.gaps = [gap for gap, _ in level] + [tail]
+        before = nodes
+        for gap in self.gaps[:-1]:
+            before += gap
+            self.limits.append(self.node_limit - before)
+        self.queue, w = os.pipe()
+        records = b"".join(i.to_bytes(_ITEM_BYTES, "little") for i in range(len(self.items)))
+        written = os.write(w, records)
+        os.close(w)
+        if written != len(records):
+            raise RuntimeError("internal error: item queue did not fit its pipe")
+        for _ in range(helpers):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                break
+            if pid == 0:
+                os.close(r)
+                self._help(w)
+            os.close(w)
+            self.pids.append(pid)
+            self.helpers[r] = b""
+
+    def _plan(self, idx, untried, assignment):
+        """(D, [(gap, prefix)], tail) for the shallowest depth D <= idx that
+        gives _ITEMS_WANTED items, or the most under _ITEMS_MAX; None when
+        there is nothing to hand out or the deadline passed.
+
+        Level D + 1 lists, in DFS order, the untried colors on edge D, then
+        the level-D items, each down to depth D + 1."""
+        tree = self.tree
+        level, tail, depth = [], 0, 0
+        work = 0
+        while depth < idx and len(level) < _ITEMS_WANTED and work < _PLAN_WORK:
+            sources = [(0, tuple(assignment[:depth]), untried[depth])]
+            sources += [(gap, prefix, tree.every) for gap, prefix in level]
+            deeper, pending = [], 0
+            for gap, prefix, colors in sources:
+                pending += gap
+                listed = []
+                status, _, used = tree.dfs(prefix, iter(colors), 0, _NEVER, depth + 1, listed)
+                if status == UNKNOWN:
+                    return None
+                last = 0
+                for count, sub in listed:
+                    deeper.append((pending + count - last, sub))
+                    pending, last = 0, count
+                pending += used - last
+                work += used + depth
+            if len(deeper) > _ITEMS_MAX:
+                break
+            level, tail, depth = deeper, pending + tail, depth + 1
+        return (depth, level, tail) if level else None
+
+    def _claim(self):
+        """The next item index from the queue, or None once it is empty."""
+        import os
+
+        if self.queue is None:
+            return None
+        record = os.read(self.queue, _ITEM_BYTES)
+        if record:
+            return int.from_bytes(record, "little")
+        os.close(self.queue)
+        self.queue = None
+        return None
+
+    def run(self, i, nodes):
+        """Run item i on a process's node counter nodes: (status, assignment,
+        the item's nodes, the counter after it)."""
+        every = self.tree.every
+        status, assignment, after = self.tree.dfs(self.items[i], iter(every), nodes, nodes + self.limits[i])
+        return status, assignment, after - nodes, after
+
+    def _help(self, out):
+        """A helper's whole life: claim, run and report items until the queue
+        is empty, then exit.  It never returns."""
+        import os
+
+        code = 1
+        try:
+            for fd in self.helpers:
+                os.close(fd)
+            nodes = 0
+            while (i := self._claim()) is not None:
+                _write(out, b"c %d\n" % i)
+                status, assignment, used, nodes = self.run(i, nodes)
+                colors = " ".join(map(str, assignment)) if assignment else "-"
+                _write(out, f"r {i} {status} {used} {colors}\n".encode())
+            code = 0
+        finally:
+            os._exit(code)
+
+    def walk(self, status, assignment, nodes):
+        """The search's result, given the main process's own part: the items
+        added up in DFS order, running the queue's items and those of a
+        helper that died here."""
+        if not self.items or status != INFEASIBLE:
+            return status, assignment, nodes
+        limit = self.node_limit
+        results = {}
+        own = total = nodes
+        i = 0
+        while True:
+            while i in results:
+                status, assignment, used = results.pop(i)
+                total += self.gaps[i] + used
+                if total > limit:
+                    return UNKNOWN, None, limit + 1
+                if status != INFEASIBLE:
+                    return status, assignment, total
+                i += 1
+            if i == len(self.items):
+                total += self.gaps[i]
+                return (UNKNOWN, None, limit + 1) if total > limit else (INFEASIBLE, None, total)
+            j = self._claim()
+            if j is None:
+                owner = self.claims.get(i)
+                if owner in self.helpers or (owner is None and self.helpers):
+                    # a live helper runs item i, or has taken it and will say so
+                    self._receive(results, None)
+                    continue
+                j = i  # its helper died
+            status, assignment, used, own = self.run(j, own)
+            results[j] = status, assignment, used
+            self._receive(results, 0)
+
+    def _receive(self, results, timeout):
+        """Read what the helpers sent within timeout ms (None: wait for news)."""
+        import os
+        import select
+
+        if not self.helpers:
+            return
+        poll = select.poll()
+        for fd in self.helpers:
+            poll.register(fd, select.POLLIN)
+        for fd, _ in poll.poll(timeout):
+            data = os.read(fd, 1 << 16)
+            if not data:
+                del self.helpers[fd]
+                os.close(fd)
+                continue
+            *lines, self.helpers[fd] = (self.helpers[fd] + data).split(b"\n")
+            for line in lines:
+                kind, i, *rest = line.split()
+                if kind == b"c":
+                    self.claims[int(i)] = fd
+                else:
+                    status, used, *colors = rest
+                    assignment = None if colors == [b"-"] else list(map(int, colors))
+                    results[int(i)] = status.decode(), assignment, int(used)
+
+    def close(self):
+        """Stop and reap every helper; close the pipes."""
+        import os
+        import signal
+
+        for pid in self.pids:
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):
+                pass  # reaped already, where the program ignores SIGCHLD
+        self.pids = []
+        for fd in self.helpers:
+            os.close(fd)
+        self.helpers = {}
+        if self.queue is not None:
+            os.close(self.queue)
+            self.queue = None
+
+
+def _helper_count() -> int:
+    """How many helpers a split starts: the usable cores less one, and none
+    without fork or beside other threads, which a forked child would lack."""
+    import os
+    import threading
+
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 0
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cores = os.cpu_count() or 1
+    return cores - 1
+
+
+def _write(fd: int, data: bytes) -> None:
+    import os
+
+    while data:
+        data = data[os.write(fd, data):]
 
 
 def search_coloring(
@@ -241,7 +549,7 @@ def search_coloring(
                 f"degree caps sum to {sum(degree_caps)} < n - 1 = {n - 1}",
             )
     edge_list = list(pair_iter(n))
-    status, assignment, nodes = _search_edges(n, edge_list, targets, budget, degree_caps)
+    status, assignment, nodes = _search_edges(n, edge_list, targets, budget, degree_caps, split=True)
     wall = time.monotonic() - start
     # edge_list is the canonical pair order, so assignment is the coloring
     witness = EdgeColoring(n, len(targets), assignment) if status == FEASIBLE else None

@@ -631,3 +631,32 @@ def test_runs_as_a_module():
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert (done.returncode, done.stdout) == (0, "11\n")
+
+
+def test_package_runs_as_a_module():
+    src = Path(c4ramsey.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-m", "c4ramsey", "search", "--targets", "C4,C4", "--n", "6"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "Infeasible (1059 nodes)\n", "")
+
+
+@pytest.mark.parametrize(
+    "targets,size",
+    [("C4,K5792", 5792 * 5792), ("C4,K5793", 5793 * 5793),
+     ("C4,S34,S34,S34", 68**3 * 105), ("C4,S35,S35,S35", 70**3 * 108)],
+)
+def test_derive_refuses_a_list_above_the_plan_size_limit(capsys, targets, size):
+    # just below and just above MAX_PLAN_SIZE = 2**25, with one entry and three
+    from c4ramsey.derive import MAX_PLAN_SIZE, plan_size
+
+    assert plan_size(parse_targets(targets)) == size
+    code = run(["derive", targets, "--json"])
+    out, err = capsys.readouterr()
+    if size <= MAX_PLAN_SIZE:
+        assert (code, err) == (0, "")
+        assert json.loads(out)["status"] == "ok"
+    else:
+        assert (code, out) == (1, "")
+        assert err == f"error: {targets} is too large to plan: plan size {size} > {MAX_PLAN_SIZE}\n"

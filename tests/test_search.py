@@ -1,6 +1,10 @@
 import itertools
+import json
+import os
 import random
 import sys
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -15,9 +19,10 @@ from c4ramsey import (
     ramsey_by_search,
     search_coloring,
 )
+from c4ramsey import search
 from c4ramsey.graphs import pair_iter
 from c4ramsey.search import _creates_test
-from c4ramsey.targets import CYCLE4, PATH3, book, clique, empty_graph, star, with_isolated
+from c4ramsey.targets import CYCLE4, PATH3, book, clique, empty_graph, parse_target_sequence, star, with_isolated
 
 from conftest import brute_contains, random_graph
 
@@ -306,3 +311,140 @@ class TestKernel:
         out = search_coloring(128, [clique(128), clique(128)])
         assert (out.status, out.nodes_explored) == ("feasible", 8129)
         assert sys.getrecursionlimit() == limit
+
+
+SWEEP = json.loads((Path(__file__).parent / "data" / "split_sweep.json").read_text())
+
+
+def _sweep_outcome(rec):
+    budget = SearchBudget(node_limit=rec["node_limit"]) if rec["node_limit"] else None
+    out = search_coloring(rec["n"], parse_target_sequence(rec["targets"]), budget, rec["caps"])
+    witness = "".join(map(str, out.witness.colors)) if out.witness else None
+    return out.status, out.nodes_explored, witness
+
+
+def _expected(rec):
+    return rec["status"], rec["nodes"], rec["witness"]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Split at the first budget check, as on two usable cores; the list
+    fills with one entry per helper forked."""
+    started = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            started.append(pid)
+        return pid
+
+    monkeypatch.setattr(search, "SPLIT_AFTER", 4096)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "fork", counted)
+    return started
+
+
+def _by_status(status):
+    return next(r for r in SWEEP if r["status"] == status and r["nodes"] >= 2 * 4096)
+
+
+class TestSplit:
+    # tests/data/split_sweep.json: 150 seeded random instances (n <= 9, two or
+    # three colors from C4, K3, K4, S3, S4, B2, B3, P3, K3+1K1, some with
+    # degree caps, some with a node limit) and their outcomes, recorded with
+    # the sequential kernel before searches could split
+    def test_sweep_matches_the_sequential_kernel(self, forks):
+        split = 0
+        for rec in SWEEP:
+            before = len(forks)
+            assert _sweep_outcome(rec) == _expected(rec), rec
+            split += len(forks) > before
+            _no_child_left()
+        assert split == sum(rec["nodes"] >= 4096 for rec in SWEEP)
+
+    def test_more_helpers_than_cores_claim_each_item_once(self, forks, monkeypatch):
+        # three helpers and the main process on this machine's cores race for
+        # the queue; an item run twice or never would change a node count
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        long = [rec for rec in SWEEP if rec["nodes"] >= 4 * 4096]
+        for rec in long:
+            assert _sweep_outcome(rec) == _expected(rec), rec
+        assert len(forks) == 3 * len(long)
+        _no_child_left()
+
+    @pytest.mark.parametrize("status", ["feasible", "infeasible", "unknown"])
+    def test_no_helper_outlives_the_search(self, forks, status):
+        rec = _by_status(status)
+        assert _sweep_outcome(rec) == _expected(rec)
+        assert len(forks) == 1
+        _no_child_left()
+
+    @pytest.mark.parametrize("status", ["feasible", "infeasible", "unknown"])
+    def test_a_helper_dying_mid_item_changes_nothing(self, forks, monkeypatch, status):
+        main = os.getpid()
+        run = search._Split.run
+
+        def dying(self, i, nodes):
+            if os.getpid() != main:
+                os._exit(1)
+            return run(self, i, nodes)
+
+        monkeypatch.setattr(search._Split, "run", dying)
+        rec = _by_status(status)
+        assert _sweep_outcome(rec) == _expected(rec)
+        assert len(forks) == 1
+        _no_child_left()
+
+    def test_interrupt_after_the_split_leaves_no_child(self, forks, monkeypatch):
+        main = os.getpid()
+        run = search._Split.run
+
+        def interrupted(self, i, nodes):
+            if os.getpid() == main:
+                raise KeyboardInterrupt
+            return run(self, i, nodes)
+
+        monkeypatch.setattr(search._Split, "run", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            search_coloring(8, [CYCLE4, star(5)])
+        assert len(forks) == 1
+        _no_child_left()
+
+    def test_deadline_after_the_split(self, forks):
+        out = search_coloring(128, [star(100), star(100)], SearchBudget(time_limit=0.2))
+        assert out.status == "unknown"
+        assert len(forks) == 1
+        _no_child_left()
+
+    def test_partition_check_never_forks(self, forks):
+        out = partition_check(SimpleGraph(9), budget=SearchBudget(node_limit=20000))
+        assert (out.status, out.nodes_explored) == ("unknown", 20001)
+        assert forks == []
+
+    @pytest.mark.parametrize("setting", ["one core", "no fork", "threads"])
+    def test_runs_alone_where_it_cannot_split(self, forks, monkeypatch, setting):
+        if setting == "one core":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        elif setting == "no fork":
+            monkeypatch.delattr(os, "fork")
+        stop = threading.Event()
+        waiter = threading.Thread(target=stop.wait)
+        if setting == "threads":
+            waiter.start()
+        try:
+            for status in ("feasible", "infeasible", "unknown"):
+                rec = _by_status(status)
+                assert _sweep_outcome(rec) == _expected(rec)
+        finally:
+            stop.set()
+            if waiter.is_alive():
+                waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        assert forks == []
