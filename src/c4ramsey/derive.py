@@ -195,11 +195,13 @@ MAX_PLAN_SIZE = 2**25
 
 def _reach(t: TargetGraph) -> int:
     """How many targets deleting vertices one at a time turns t into, t
-    included: K_k, kK1 down to one vertex; S_k also jK1; B_k also S_j and K2."""
+    included: K_k, kK1 down to one vertex; S_k also jK1; B_k also S_j and K2;
+    P3 K2, 2K1 and K1; C4 also P3.  For H + tK1 at most t + 1 times H's."""
     times = 1
     if t.kind == tg.WITH_ISOLATED:  # its base is never H + sK1 itself
         times, t = t.k + 1, t.base
-    return times * {tg.CLIQUE: t.k, tg.EMPTY: t.k, tg.STAR: 2 * t.k, tg.BOOK: 3 * t.k + 1, tg.PATH3_KIND: 4}[t.kind]
+    return times * {tg.CLIQUE: t.k, tg.EMPTY: t.k, tg.STAR: 2 * t.k, tg.BOOK: 3 * t.k + 1, tg.PATH3_KIND: 4,
+                    tg.CYCLE4_KIND: 5}[t.kind]
 
 
 def plan_size(tl: TargetList) -> int:

@@ -309,12 +309,12 @@ class _Split:
         self.queue = None  # read end of the pipe of item indices
         self.pids = []
         self.helpers = {}  # result pipe read end -> bytes received, not yet parsed
-        self.claims = {}  # item index -> the result pipe of the helper running it
 
     def split(self, idx, cursors, assignment, nodes):
         """The split hook: plan items, empty the cursors above their depth,
         queue the items and start the helpers."""
         import os
+        import signal
 
         helpers = _helper_count()
         if not helpers:
@@ -338,20 +338,26 @@ class _Split:
         os.close(w)
         if written != len(records):
             raise RuntimeError("internal error: item queue did not fit its pipe")
-        for _ in range(helpers):
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
+        # SIGINT stays blocked while forking: a child ignores it from the
+        # start of _help, and a Ctrl-C reaches this process only once the
+        # child's pid is recorded for close()
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            for _ in range(helpers):
+                r, w = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    os.close(r)
+                    os.close(w)
+                    break
+                if pid == 0:
+                    self._help(r, w, mask)
                 os.close(w)
-                break
-            if pid == 0:
-                os.close(r)
-                self._help(w)
-            os.close(w)
-            self.pids.append(pid)
-            self.helpers[r] = b""
+                self.pids.append(pid)
+                self.helpers[r] = b""
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
     def _plan(self, idx, untried, assignment):
         """(D, [(gap, prefix)], tail) for the shallowest depth D <= idx that
@@ -404,29 +410,33 @@ class _Split:
         status, assignment, after = self.tree.dfs(self.items[i], iter(every), nodes, nodes + self.limits[i])
         return status, assignment, after - nodes, after
 
-    def _help(self, out):
-        """A helper's whole life: claim, run and report items until the queue
-        is empty, then exit.  It never returns."""
+    def _help(self, r, out, mask):
+        """A helper's whole life, from the fork on: claim, run and report items
+        until the queue is empty, then exit.  It never returns.  It ignores
+        SIGINT, which the main process answers by stopping it; mask is the
+        signal mask to restore."""
         import os
+        import signal
 
         code = 1
         try:
-            for fd in self.helpers:
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            for fd in (r, *self.helpers):
                 os.close(fd)
             nodes = 0
             while (i := self._claim()) is not None:
-                _write(out, b"c %d\n" % i)
                 status, assignment, used, nodes = self.run(i, nodes)
                 colors = " ".join(map(str, assignment)) if assignment else "-"
-                _write(out, f"r {i} {status} {used} {colors}\n".encode())
+                _write(out, f"{i} {status} {used} {colors}\n".encode())
             code = 0
         finally:
             os._exit(code)
 
     def walk(self, status, assignment, nodes):
         """The search's result, given the main process's own part: the items
-        added up in DFS order, running the queue's items and those of a
-        helper that died here."""
+        added up in DFS order, running the queue's items and, once no helper
+        is left, any item a helper took and died on."""
         if not self.items or status != INFEASIBLE:
             return status, assignment, nodes
         limit = self.node_limit
@@ -447,12 +457,10 @@ class _Split:
                 return (UNKNOWN, None, limit + 1) if total > limit else (INFEASIBLE, None, total)
             j = self._claim()
             if j is None:
-                owner = self.claims.get(i)
-                if owner in self.helpers or (owner is None and self.helpers):
-                    # a live helper runs item i, or has taken it and will say so
+                if self.helpers:  # a helper runs item i, or has run it
                     self._receive(results, None)
                     continue
-                j = i  # its helper died
+                j = i  # the helper that took it died
             status, assignment, used, own = self.run(j, own)
             results[j] = status, assignment, used
             self._receive(results, 0)
@@ -475,13 +483,9 @@ class _Split:
                 continue
             *lines, self.helpers[fd] = (self.helpers[fd] + data).split(b"\n")
             for line in lines:
-                kind, i, *rest = line.split()
-                if kind == b"c":
-                    self.claims[int(i)] = fd
-                else:
-                    status, used, *colors = rest
-                    assignment = None if colors == [b"-"] else list(map(int, colors))
-                    results[int(i)] = status.decode(), assignment, int(used)
+                i, status, used, *colors = line.split()
+                assignment = None if colors == [b"-"] else list(map(int, colors))
+                results[int(i)] = status.decode(), assignment, int(used)
 
     def close(self):
         """Stop and reap every helper; close the pipes."""

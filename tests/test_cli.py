@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -660,3 +661,28 @@ def test_derive_refuses_a_list_above_the_plan_size_limit(capsys, targets, size):
     else:
         assert (code, out) == (1, "")
         assert err == f"error: {targets} is too large to plan: plan size {size} > {MAX_PLAN_SIZE}\n"
+
+
+# (exit code, sha256 of stdout) of derive and derive --json, recorded before
+# derive gained its plan-size check; C4+tK1 entries are the C4 kind with
+# isolated vertices, reached by no derive-cli pool
+C4_WITH_ISOLATED = {
+    "C4,C4+1K1": ((0, "6ba32e49cd2aeb8a52a7c5d7c759f920c0643a442f86952a473df43f585cff6d"),
+                  (0, "2f21ed7f8d8fe2fbcb15542ff58ec07d776e92663a0651630b05ebcb90875e88")),
+    "C4,K3,C4+1K1": ((0, "0eb94cc20663dcb8319bb1da3ff08503c869588b7b6a606c84d5a19e2a4b132c"),
+                     (0, "7adbfb66c37bfd299c7555523ac7132fef4aa39c9185c9bacdabcc4e203de0ee")),
+    "C4,C4,S3,C4+3K1": ((0, "37adb23df4cbfeb7eee848eba636ea196dfdaf135e4c1c4f1efe8b692b0a573c"),
+                        (0, "6b2a76d0c5f16c27cff7c07605be5ccd050a86898a7e2811c3f36d3eeecc4ce3")),
+}
+
+
+@pytest.mark.parametrize("targets", sorted(C4_WITH_ISOLATED))
+def test_derive_plans_lists_with_a_c4_plus_isolated_vertices(capsys, targets):
+    got = []
+    for argv in (["derive", targets], ["derive", targets, "--json"]):
+        code = run(argv)
+        out, err = capsys.readouterr()
+        assert err == ""
+        got.append((code, hashlib.sha256(out.encode()).hexdigest()))
+    assert tuple(got) == C4_WITH_ISOLATED[targets]
+

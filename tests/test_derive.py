@@ -14,9 +14,9 @@ from c4ramsey import (
     theorem_mt_bound,
 )
 from c4ramsey.bounds import book_from_star_bound, parsons_bound
-from c4ramsey.derive import _RULES, ReplayError, _option_sort_key, _ordered_deletions
+from c4ramsey.derive import _RULES, ReplayError, _option_sort_key, _ordered_deletions, _reach, plan_size
 from c4ramsey.registry import ContradictionError
-from c4ramsey.targets import EMPTY, delete_options, parse_target, parse_targets
+from c4ramsey.targets import EMPTY, WITH_ISOLATED, delete_options, parse_target, parse_targets
 
 from conftest import oracle_vertex_count
 
@@ -143,6 +143,32 @@ class TestDeletionOrder:
             assert _ordered_deletions(t) == tuple((o, _option_sort_key(o)) for o in want)
             todo.extend(want)
         assert len(seen) > 50
+
+
+class TestPlanSize:
+    # every kind the parser accepts, each base kind also with isolated vertices
+    SHAPES = ["1K1", "4K1", "K2", "K5", "S1", "S4", "B1", "B3", "P3", "C4",
+              "K4+2K1", "S3+1K1", "B2+2K1", "P3+1K1", "C4+1K1", "C4+3K1"]
+
+    @pytest.mark.parametrize("text", SHAPES)
+    def test_reach_counts_what_deletions_reach(self, text):
+        t = parse_target(text)
+        seen, todo = set(), [t]
+        while todo:
+            s = todo.pop()
+            if s not in seen:
+                seen.add(s)
+                todo.extend(delete_options(s) if s.vertex_count > 1 else ())
+        # H + tK1 and H' + tK1 can flatten to the same jK1, so that count is a bound
+        if t.kind == WITH_ISOLATED:
+            assert len(seen) <= _reach(t)
+        else:
+            assert len(seen) == _reach(t)
+
+    @pytest.mark.parametrize("text", [s for s in SHAPES if s != "C4"])  # a C4 is never deleted from
+    def test_every_kind_has_a_plan_size(self, text):
+        t = parse_target(text)
+        assert plan_size(parse_targets(f"C4,K3,{text}")) == 3 * _reach(t) * (3 + t.vertex_count)
 
 
 class LookupLog(Registry):

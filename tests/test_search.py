@@ -2,6 +2,7 @@ import itertools
 import json
 import os
 import random
+import signal
 import sys
 import threading
 from pathlib import Path
@@ -415,6 +416,34 @@ class TestSplit:
         with pytest.raises(KeyboardInterrupt):
             search_coloring(8, [CYCLE4, star(5)])
         assert len(forks) == 1
+        _no_child_left()
+
+    def test_a_ctrl_c_as_a_helper_starts_does_not_reach_it(self, forks, monkeypatch):
+        # SIGINT sent to each helper as soon as fork returns in it: the helper
+        # ignores it, runs its items and exits 0 (or is killed once the answer
+        # is known) instead of unwinding through the main process's frames
+        fork, waitpid, statuses = os.fork, os.waitpid, []
+
+        def interrupted():
+            pid = fork()
+            if pid == 0:
+                try:
+                    os.kill(os.getpid(), signal.SIGINT)
+                except KeyboardInterrupt:
+                    os._exit(3)
+            return pid
+
+        def recorded(pid, options):
+            done = waitpid(pid, options)
+            statuses.append(done[1])
+            return done
+
+        monkeypatch.setattr(os, "fork", interrupted)
+        monkeypatch.setattr(os, "waitpid", recorded)
+        rec = _by_status("infeasible")
+        assert _sweep_outcome(rec) == _expected(rec)
+        assert len(statuses) == 1
+        assert os.WIFSIGNALED(statuses[0]) or os.WEXITSTATUS(statuses[0]) == 0
         _no_child_left()
 
     def test_deadline_after_the_split(self, forks):
