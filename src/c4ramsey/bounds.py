@@ -3,7 +3,8 @@
 Everything here is integer arithmetic: the ceil(m * sqrt(...)) terms are
 rewritten as integer square roots of integer radicands, because the bounds
 sit exactly on floor/ceil boundaries (sqrt(36), sqrt(49), ...) where any
-floating-point rounding would be wrong.  Inputs are guarded to 64 bits.
+floating-point rounding would be wrong.  Python ints are exact at any size,
+so no bound has a width limit.
 """
 
 from __future__ import annotations
@@ -12,20 +13,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-MAX_INT = 2**63 - 1
-
-
-def _guard(x: int, what: str = "value") -> int:
-    if x > MAX_INT:
-        raise OverflowError(f"{what} {x} exceeds 64-bit range")
-    return x
-
-
 def isqrt_floor(x: int) -> int:
-    """floor(sqrt(x)) for 0 <= x < 2^63."""
+    """floor(sqrt(x)) for x >= 0."""
     if x < 0:
         raise ValueError(f"negative input {x}")
-    _guard(x, "isqrt input")
     return math.isqrt(x)
 
 
@@ -33,7 +24,6 @@ def isqrt_ceil(x: int) -> int:
     """ceil(sqrt(x)): the smallest c with c*c >= x."""
     if x < 0:
         raise ValueError(f"negative input {x}")
-    _guard(x, "isqrt input")
     if x == 0:
         return 0
     return math.isqrt(x - 1) + 1
@@ -53,7 +43,6 @@ class BoundQuery:
         for ri in self.r:
             if ri < 1:
                 raise ValueError(f"r_i must be >= 1, got {ri}")
-        _guard(sum(self.r), "sum of r_i")
 
     @property
     def n(self) -> int:
@@ -79,20 +68,19 @@ def _require_mt_preconditions(q: BoundQuery) -> None:
 def _ceil_m_sqrt_term(m: int, s: int) -> int:
     # ceil(m * sqrt((m+1)^2/4 + s)) = ceil(sqrt(m^2 (m+1)^2 / 4 + m^2 s)),
     # and m^2 (m+1)^2 / 4 = (m(m+1)/2)^2 is an exact integer.
-    radicand = _guard((m * (m + 1) // 2) ** 2 + m * m * s, "radicand")
-    return isqrt_ceil(radicand)
+    return isqrt_ceil((m * (m + 1) // 2) ** 2 + m * m * s)
 
 
 def theorem_mt_bound(q: BoundQuery) -> int:
     """Main upper bound: sum r_i - n + 1 + (m^2+m)/2 + ceil(m sqrt((m+1)^2/4 + S))."""
     _require_mt_preconditions(q)
-    return _guard(q.s + 1 + q.m * (q.m + 1) // 2 + _ceil_m_sqrt_term(q.m, q.s))
+    return q.s + 1 + q.m * (q.m + 1) // 2 + _ceil_m_sqrt_term(q.m, q.s)
 
 
 def lemma_p3_bound(q: BoundQuery) -> int:
     """The P3-headed variant; always theorem_mt_bound(q) - 1."""
     _require_mt_preconditions(q)
-    return _guard(q.s + q.m * (q.m + 1) // 2 + _ceil_m_sqrt_term(q.m, q.s))
+    return q.s + q.m * (q.m + 1) // 2 + _ceil_m_sqrt_term(q.m, q.s)
 
 
 def lemma2_bound(q: BoundQuery) -> int:
@@ -100,28 +88,23 @@ def lemma2_bound(q: BoundQuery) -> int:
     if q.m < 1:
         raise ValueError(f"m must be >= 1, got {q.m}")
     m, s = q.m, q.s
-    radicand = _guard((m * (m - 1) // 2) ** 2 + (m - 1) ** 2 * (s + 1), "radicand")
-    return _guard(s + 3 + m * (m - 1) // 2 + isqrt_floor(radicand))
+    radicand = (m * (m - 1) // 2) ** 2 + (m - 1) ** 2 * (s + 1)
+    return s + 3 + m * (m - 1) // 2 + isqrt_floor(radicand)
 
 
 def parsons_bound(k: int) -> int:
     """Upper bound k + ceil(sqrt(k)) + 1 for one C4 versus the star K_{1,k}."""
     if k < 2:
         raise ValueError(f"star bound needs k >= 2, got {k}")
-    return _guard(k + isqrt_ceil(k) + 1)
-
-
-def book_from_star_bound(s: int) -> int:
-    """Upper bound s + ceil(sqrt(s)) + 1 for one C4 versus the book B_k,
-    given an upper bound s on R(C4, K_{1,k})."""
-    return _guard(s + isqrt_ceil(s) + 1)
+    return k + isqrt_ceil(k) + 1
 
 
 def book_bound(k: int, star_fact=None) -> int:
-    """Upper bound for one C4 versus the book B_k.
+    """Upper bound s + ceil(sqrt(s)) + 1 for one C4 versus the book B_k:
+    Theorem MT with the one r_1 = s, an upper bound on R(C4, K_{1,k}).
 
     star_fact, if given, must be an exact or upper RamseyFact for
-    (C4, S<k>); the star bound is the smaller of its value and Parsons'.
+    (C4, S<k>); s is the smaller of its value and Parsons'.
     """
     if k < 2:
         raise ValueError(f"book bound needs k >= 2, got {k}")
@@ -137,7 +120,7 @@ def book_bound(k: int, star_fact=None) -> int:
         if star_fact.kind not in ("exact", "upper"):
             raise ValueError("star fact must carry an upper bound")
         s = min(s, star_fact.value)
-    return book_from_star_bound(s)
+    return theorem_mt_bound(BoundQuery(1, (s,)))
 
 
 def stars_bound(m: int, k: Sequence[int]) -> int:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Generator
 
 from . import targets as tg
-from .bounds import BoundQuery, book_from_star_bound, parsons_bound, stars_bound, theorem_mt_bound
+from .bounds import BoundQuery, theorem_mt_bound
 from .registry import Registry, seed_registry
 from .targets import TargetGraph, TargetList, parse_targets, strip_k2
 
@@ -90,7 +90,7 @@ class DerivationTree:
         """One line per node in pre-order, children indented under parents.
         A node with children that is written already is written again as
         its own line marked "(see above)", without its children."""
-        note_keys = ("deletions", "floors", "vertex_floor", "guard", "star_bound")
+        note_keys = ("deletions", "floors")
         lines = []
         seen: set[int] = set()
         stack = [(self, 0)]
@@ -150,7 +150,7 @@ def replay(tree: DerivationTree, registry: Registry | None = None) -> None:
         stack.extend(kids)
 
 
-_NOTE_NAMES = {"r": "r-values", "star_bound": "star bound"}
+_NOTE_NAMES = {"r": "r-values"}
 
 
 def _answered(steps: Generator, children: dict[str, DerivationTree]) -> DerivationTree | None:
@@ -270,9 +270,8 @@ def _plan(tl: TargetList, registry: Registry) -> Generator:
             continue
         candidates.append(node)
         if node.rule == "TrivialEmpty":
-            # No later rule can win here: Parsons, BookCor and StarsCor need
-            # star or book entries only, UnionK1 needs every other entry to be
-            # H+1K1, and TheoremMT's value exceeds k, because the kK1 entry
+            # No later rule can win here: UnionK1 needs every other entry to
+            # be H+1K1, and TheoremMT's value exceeds k, because the kK1 entry
             # gives r >= k - 1 (the registry holds no upper bound below the
             # trivial lower bound).  So no child is planned.
             break
@@ -283,11 +282,6 @@ def _plan(tl: TargetList, registry: Registry) -> Generator:
 # no child derivation returns its node, or None where it does not apply.  A
 # rule that does is a generator: it yields each child list, is sent back that
 # list's tree or its set of missing facts, and returns its node, or None.
-
-
-def _single(tl: TargetList) -> TargetGraph | None:
-    """G for the list C4,G, else None."""
-    return tl.targets[1] if tl.m == 1 and len(tl.targets) == 2 else None
 
 
 def _registry(tl: TargetList, registry: Registry) -> DerivationTree | None:
@@ -305,40 +299,7 @@ def _trivial_empty(tl: TargetList, registry: Registry) -> DerivationTree | None:
     if not ks:
         return None
     k = min(ks)
-    return DerivationTree(tl, "TrivialEmpty", k, "upper", (), {"guard": f"{k}K1 needs only {k} vertices"})
-
-
-def _parsons(tl: TargetList, registry: Registry) -> DerivationTree | None:
-    """R(C4,K_{1,k}) <= k + ceil(sqrt(k)) + 1 for k >= 2 (Parsons)."""
-    one = _single(tl)
-    if one is None or one.kind != tg.STAR or one.k < 2:
-        return None
-    return DerivationTree(tl, "Parsons", parsons_bound(one.k), "upper", (), {"k": one.k})
-
-
-def _book_cor(tl: TargetList, registry: Registry) -> DerivationTree | None:
-    """R(C4,B_k) <= s + ceil(sqrt(s)) + 1 for s >= R(C4,K_{1,k}): the registry's
-    s, with its leaf as the child, where it is at most Parsons', else Parsons'."""
-    one = _single(tl)
-    if one is None or one.kind != tg.BOOK or one.k < 2:
-        return None
-    k, s = one.k, parsons_bound(one.k)
-    leaf = _registry(TargetList((tg.CYCLE4, tg.star(k))), registry)
-    kids = (leaf,) if leaf is not None and leaf.value <= s else ()
-    s = leaf.value if kids else s
-    notes = {"k": k, "star_bound": s, "star_source": "registry" if kids else "parsons"}
-    return DerivationTree(tl, "BookCor", book_from_star_bound(s), "upper", kids, notes)
-
-
-def _stars_cor(tl: TargetList, registry: Registry) -> DerivationTree | None:
-    """R(mC4, K_{1,k_1}, ..., K_{1,k_n}) by Theorem MT with r_i = k_i."""
-    m, others = tl.m, tl.others
-    if m < 1 or not others or others[0].kind != tg.STAR:  # the common miss, tested first
-        return None
-    ks = [t.k for t in others if t.kind == tg.STAR]
-    if len(ks) < len(others) or m + sum(ks) < len(ks) + 2:
-        return None
-    return DerivationTree(tl, "StarsCor", stars_bound(m, ks), "upper", (), {"m": m, "k": ks})
+    return DerivationTree(tl, "TrivialEmpty", k, "upper")
 
 
 def _union_k1(tl: TargetList, registry: Registry) -> Generator:
@@ -379,11 +340,8 @@ def _theorem_mt(tl: TargetList, registry: Registry) -> Generator:
     r = [c.value for c in chosen]
     if m == 1 and all(v <= 1 for v in r):  # Theorem MT needs some r_i > 1 when m = 1
         return None
-    floor = max(t.vertex_count for t in tl)
-    notes = {"m": m, "n": len(others), "r": r, "deletions": cuts, "vertex_floor": floor,
-             "guard": f"conclusion is valid as max(bound, {floor})"}
+    notes = {"m": m, "n": len(others), "r": r, "deletions": cuts}
     return DerivationTree(tl, "TheoremMT", theorem_mt_bound(BoundQuery(m, r)), "upper", tuple(chosen), notes)
 
 
-_RULES = {"Registry": _registry, "TrivialEmpty": _trivial_empty, "Parsons": _parsons, "BookCor": _book_cor,
-          "StarsCor": _stars_cor, "UnionK1": _union_k1, "TheoremMT": _theorem_mt}
+_RULES = {"Registry": _registry, "TrivialEmpty": _trivial_empty, "UnionK1": _union_k1, "TheoremMT": _theorem_mt}

@@ -41,11 +41,21 @@ class TestIsqrt:
     def test_ceil_shift_identity(self, k):
         assert isqrt_ceil(k + 1) == isqrt_floor(k) + 1
 
-    def test_overflow_guard(self):
-        with pytest.raises(OverflowError):
-            isqrt_floor(2**63)
+    def test_no_width_limit(self):
+        # the roots are exact on ints of any size, 64 bits and far beyond
+        for x in (2**63 - 1, 2**63, 2**200 + 12345, (10**30 + 7) ** 2, (10**30 + 7) ** 2 + 1):
+            f, c = isqrt_floor(x), isqrt_ceil(x)
+            assert f * f <= x < (f + 1) * (f + 1)
+            assert c * c >= x > (c - 1) * (c - 1)
         with pytest.raises(ValueError):
             isqrt_ceil(-1)
+
+    @pytest.mark.parametrize("m, r", [(1, (10**49,)), (2, (10**30, 10**30)), (3, (2**64, 5, 2**100))])
+    def test_theorem_mt_past_64_bits(self, m, r):
+        # the bound is s + 1 + (m^2+m)/2 + c, c the least with c^2 >= m^2 ((m+1)^2/4 + s)
+        s = sum(r) - len(r)
+        c = theorem_mt_bound(BoundQuery(m, r)) - s - 1 - m * (m + 1) // 2
+        assert 4 * c * c >= m * m * ((m + 1) ** 2 + 4 * s) > 4 * (c - 1) * (c - 1)
 
 
 class TestTheoremMtBound:
@@ -139,6 +149,21 @@ class TestParsonsAndBooks:
         assert parsons_bound(5) == 9
         assert book_bound(5, weak) == book_bound(5) == 13
 
+    # derive plans Parsons' bound and the book corollary as Theorem MT nodes,
+    # so each must be Theorem MT with its own r_1: k, or the star bound s
+
+    def test_parsons_is_theorem_mt(self):
+        for k in list(range(2, 5000)) + [10**6 + 3, 2**62, 10**40]:
+            assert parsons_bound(k) == theorem_mt_bound(BoundQuery(1, (k,)))
+
+    def test_book_is_theorem_mt_on_the_star_bound(self):
+        for k in range(2, 500):
+            s = parsons_bound(k)
+            assert book_bound(k) == theorem_mt_bound(BoundQuery(1, (s,))) == s + isqrt_ceil(s) + 1
+            for v in (k + 1, s - 1, s, s + 7):
+                fact = RamseyFact(parse_targets(f"C4,S{k}"), "upper", v, "", "user")
+                assert book_bound(k, fact) == theorem_mt_bound(BoundQuery(1, (min(s, v),)))
+
     def test_fact_key_mismatch(self):
         wrong = RamseyFact(parse_targets("C4,S16"), "exact", 21, "", "user")
         with pytest.raises(ValueError):
@@ -171,7 +196,23 @@ class TestStarsBound:
                 assert stars_bound(m, [k]) == k + m * (m + 1) // 2 + c
 
     def test_matches_theorem_mt(self):
+        # errors included: stars_bound refuses exactly what Theorem MT refuses
         assert stars_bound(2, [3, 4]) == theorem_mt_bound(BoundQuery(2, (3, 4)))
+        rng = random.Random(18)
+        for _ in range(5000):
+            m = rng.randint(0, 4)
+            k = [rng.randint(1, 30) for _ in range(rng.randint(1, 4))]
+            if rng.random() < 0.3:
+                k = [1] * len(k)
+            assert _outcome(stars_bound, m, k) == _outcome(theorem_mt_bound, BoundQuery(m, k)), (m, k)
+
+
+def _outcome(f, *args):
+    """f's value, or ValueError where it refuses its arguments."""
+    try:
+        return f(*args)
+    except ValueError:
+        return ValueError
 
 
 class TestSedrakyanSpecialCase:

@@ -167,8 +167,16 @@ class TestBound:
         assert run(["bound", "--lemma2"]) == 0
         assert out_of(capsys) == "3"
 
-    def test_overflowing_r_is_usage_error(self, capsys):
-        assert run(["bound", "--mt", "--m", "1", "--r", "1" + "0" * 49]) == 1
+    def test_large_r_is_exact(self, capsys):
+        # m = 1: (r - 1) + 1 + 1 + c, c the least with c^2 >= r
+        r = 10**49
+        assert run(["bound", "--mt", "--m", "1", "--r", str(r)]) == 0
+        c = int(out_of(capsys)) - r - 1
+        assert c * c >= r > (c - 1) * (c - 1)
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no limit on int digits")
+    def test_r_past_the_int_digit_limit_is_usage_error(self, capsys):
+        assert run(["bound", "--mt", "--r", "1" * (sys.get_int_max_str_digits() + 1)]) == 1
         err = capsys.readouterr().err.strip()
         assert err.startswith("error:") and "\n" not in err
 
@@ -210,6 +218,16 @@ class TestDerive:
         tree = derive(parse_targets("C4,K1200"), seed_registry())
         expected = json.dumps({"command": "derive", "status": "ok", "tree": tree.to_dict()}, indent=2)
         assert done.out == expected + "\n"
+
+    def test_two_large_cliques_need_no_width_limit(self, capsys):
+        # a 60-digit Theorem MT bound, exact: c the least with c^2 >= m^2 ((m+1)^2/4 + s)
+        assert run(["derive", "C4,C4,K100,K100", "--json"]) == 0
+        root = json.loads(out_of(capsys))["tree"]["nodes"][-1]
+        m, r = root["notes"]["m"], root["notes"]["r"]
+        s = sum(r) - len(r)
+        c = root["value"] - s - 1 - m * (m + 1) // 2
+        assert 4 * c * c >= m * m * ((m + 1) ** 2 + 4 * s) > 4 * (c - 1) * (c - 1)
+        assert len(str(root["value"])) == 60
 
     def test_shared_subtrees_print_once(self, capsys):
         # written out in full, these trees would have 335,919 and about 1.7e10 nodes
@@ -664,15 +682,18 @@ def test_derive_refuses_a_list_above_the_plan_size_limit(capsys, targets, size):
 
 
 # (exit code, sha256 of stdout) of derive and derive --json, recorded before
-# derive gained its plan-size check; C4+tK1 entries are the C4 kind with
-# isolated vertices, reached by no derive-cli pool
+# derive gained its plan-size check and re-pinned when the notes that never
+# bind (TheoremMT's vertex_floor and guard, TrivialEmpty's guard) were
+# dropped; tests/data/derive_values.json keeps their values from before.
+# C4+tK1 entries are the C4 kind with isolated vertices, reached by no
+# derive-cli pool
 C4_WITH_ISOLATED = {
-    "C4,C4+1K1": ((0, "6ba32e49cd2aeb8a52a7c5d7c759f920c0643a442f86952a473df43f585cff6d"),
-                  (0, "2f21ed7f8d8fe2fbcb15542ff58ec07d776e92663a0651630b05ebcb90875e88")),
-    "C4,K3,C4+1K1": ((0, "0eb94cc20663dcb8319bb1da3ff08503c869588b7b6a606c84d5a19e2a4b132c"),
-                     (0, "7adbfb66c37bfd299c7555523ac7132fef4aa39c9185c9bacdabcc4e203de0ee")),
-    "C4,C4,S3,C4+3K1": ((0, "37adb23df4cbfeb7eee848eba636ea196dfdaf135e4c1c4f1efe8b692b0a573c"),
-                        (0, "6b2a76d0c5f16c27cff7c07605be5ccd050a86898a7e2811c3f36d3eeecc4ce3")),
+    "C4,C4+1K1": ((0, "e17e1df6e12ce977081e3500e0624a8b59d34a1748691e38203e56bee23c6cda"),
+                  (0, "aac16691ba5e8bfc7cda2c36f1a984d988f0150198ddad3ee226aab677a9faa1")),
+    "C4,K3,C4+1K1": ((0, "6fd698d888f4130f6fd1147b153f999be4055dc5d3d1f40405dfa328a818bfca"),
+                     (0, "ea0158fa8579b0444345dec0f8f76bf7c6f7ee35ce8fc78e111d50d83b712412")),
+    "C4,C4,S3,C4+3K1": ((0, "7419054b115af9b4283ff3e4025286381b7a0fcc245ba616dad47573314b9f1d"),
+                        (0, "e8e55f969ea5e21b1aa1983898949f7ba60ef579aec6473e03e27c9eb7c5cafd")),
 }
 
 

@@ -9,11 +9,12 @@ from c4ramsey import (
     RamseyFact,
     Registry,
     derive,
+    parsons_bound,
     replay,
     seed_registry,
+    stars_bound,
     theorem_mt_bound,
 )
-from c4ramsey.bounds import book_from_star_bound, parsons_bound
 from c4ramsey.derive import _RULES, ReplayError, _option_sort_key, _ordered_deletions, _reach, plan_size
 from c4ramsey.registry import ContradictionError
 from c4ramsey.targets import EMPTY, WITH_ISOLATED, delete_options, parse_target, parse_targets
@@ -91,14 +92,21 @@ class TestRules:
         assert (tree.rule, tree.value, tree.notes) == ("UnionK1", 6, {"floors": [6]})  # |V(K5)| + 1
         replay(tree, reg)
 
+    # Parsons' bound and the paper's book and multicolor star corollaries are
+    # Theorem MT with r_i = k_i, from the S_k -> kK1 deletions, or with r_1 a
+    # bound on R(C4,S_k), from the B_k -> S_k deletion
+
     def test_parsons_shortcut(self):
         tree = derive(parse_targets("C4,S7"), Registry())
+        assert (tree.rule, tree.value, tree.notes["deletions"]) == ("TheoremMT", parsons_bound(7), ["S7->7K1"])
         assert tree.value == 11
         replay(tree)
 
     def test_book_uses_registry_star_fact(self):
         tree = derive(parse_targets("C4,B17"), seed_registry())
-        assert tree.value == 28 and tree.rule == "BookCor"
+        assert (tree.rule, tree.value, tree.notes["deletions"]) == ("TheoremMT", 28, ["B17->S17"])
+        (star,) = tree.children
+        assert (star.rule, star.value, star.citation) == ("Registry", 22, "[Par3]")
         replay(tree)
 
     def test_book_without_star_fact(self):
@@ -107,9 +115,7 @@ class TestRules:
 
     def test_stars_multicolor(self):
         tree = derive(parse_targets("C4,C4,S3,S4"), Registry())
-        from c4ramsey import stars_bound
-
-        assert tree.value == stars_bound(2, [3, 4])
+        assert (tree.rule, tree.value, tree.notes["r"]) == ("TheoremMT", stars_bound(2, [3, 4]), [3, 4])
         replay(tree)
 
     def test_pure_c4_block(self):
@@ -239,7 +245,8 @@ class TestFloorRespectingRegistries:
                     assert node["value"] >= trivial_lower_bound(parse_targets(node["targets"])), node
                     if node["rule"] == "TheoremMT":
                         mt_nodes += 1
-                        assert node["value"] > node["notes"]["vertex_floor"], node
+                        targets = parse_targets(node["targets"])
+                        assert node["value"] > max(oracle_vertex_count(t) for t in targets), node
         assert mt_nodes > 1000
 
 
@@ -321,10 +328,10 @@ class TestReplay:
         "text, rule, extra",
         [
             ("C4,3K1", "TrivialEmpty", ()),
-            ("C4,S3", "Parsons", ()),
-            ("C4,B17", "BookCor", ()),  # star bound from the registry's C4,S17
-            ("C4,B5", "BookCor", ()),  # star bound from Parsons
-            ("C4,C4,S3", "StarsCor", ()),
+            ("C4,S3", "TheoremMT", ()),  # Parsons' bound
+            ("C4,B17", "TheoremMT", ()),  # the book corollary on the registry's C4,S17
+            ("C4,B5", "TheoremMT", ()),  # the book corollary on Parsons' bound
+            ("C4,C4,S3", "TheoremMT", ()),  # the multicolor star corollary
             ("C4,B3+1K1", "UnionK1", ()),
             ("C4,K11", "TheoremMT", ()),
         ],
@@ -353,19 +360,19 @@ class TestReplay:
         d = self._table("C4,B17")
         leaf = d["nodes"][0]
         assert leaf["rule"] == "Registry"
-        leaf["value"] += 1  # BookCor takes its star bound from the registry
-        with pytest.raises(ReplayError, match="Registry on C4,S17: value 23 rebuilds as 22"):
+        leaf["value"] += 1  # TheoremMT's r_1 is its child's value, the registry's star bound
+        with pytest.raises(ReplayError, match=r"TheoremMT on C4,B17: notes \(r-values\)"):
             replay(DerivationTree.from_dict(d))
 
     def test_book_child_is_fixed_by_the_registry(self):
-        # the seed registry's C4,S17 fact (22) beats Parsons' 23, so BookCor
-        # needs it as its child; Parsons' star bound alone does not replay
-        s = parsons_bound(17)
-        bare = DerivationTree(parse_targets("C4,B17"), "BookCor", book_from_star_bound(s), "upper", (),
-                              {"k": 17, "star_bound": s, "star_source": "parsons"})
-        with pytest.raises(ReplayError, match="BookCor does not apply to C4,B17 with children"):
-            replay(bare)
-        replay(bare, Registry())  # without the fact, Parsons' bound is the rule's own
+        # the seed registry's C4,S17 fact (22) beats Parsons' 23, so the book
+        # tree stands on it, and a registry without the fact rejects that leaf
+        seeded = self._table("C4,B17")
+        with pytest.raises(ReplayError, match="Registry does not apply to C4,S17"):
+            replay(DerivationTree.from_dict(seeded), Registry())
+        bare = derive(parse_targets("C4,B17"), Registry())
+        assert bare.children[0].rule == "TheoremMT" and bare.value == theorem_mt_bound(BoundQuery(1, (23,)))
+        replay(bare, Registry())
 
     def test_theorem_mt_r_must_match_its_children(self):
         d = self._table("C4,K11")
@@ -397,11 +404,14 @@ class TestReplay:
             replay(DerivationTree.from_dict(d))
 
     def test_parsons_reads_k_from_the_targets(self):
+        # Parsons' bound on C4,S9 is Theorem MT over C4,9K1; notes written as
+        # for C4,S2 do not replay, because the rule rebuilds them from the list
         d = self._table("C4,S9")
-        (root,) = d["nodes"]
-        assert root["rule"] == "Parsons"
-        root["notes"]["k"], root["value"] = 2, 5  # parsons_bound(2) == 5
-        with pytest.raises(ReplayError):
+        leaf, root = d["nodes"]
+        assert (root["rule"], leaf["rule"]) == ("TheoremMT", "TrivialEmpty")
+        root["notes"].update(r=[2], deletions=["S2->2K1"])
+        root["value"] = parsons_bound(2)
+        with pytest.raises(ReplayError, match="TheoremMT on C4,S9: notes"):
             replay(DerivationTree.from_dict(d))
 
     def test_all_seed_derivations_replay(self):
@@ -411,8 +421,8 @@ class TestReplay:
             replay(derive(parse_targets(key), reg))
 
 
-# the retired rule name must be rejected as unknown
-RULES = (*_RULES, "MaxWithVertexCount")
+# the retired rule names must be rejected as unknown
+RULES = (*_RULES, "MaxWithVertexCount", "Parsons", "BookCor", "StarsCor")
 
 # Every derivable golden list but C4,K500, whose 491-node chain adds no node
 # shape that the C4,K20 chain lacks; the paper's table rows are among them.
@@ -480,6 +490,8 @@ class TestMutationSweep:
                     continue
                 assert tree.value == root_value, f"{text}, {what}: replays to {tree.value}"
                 accepted.append(f"{text}, {what}")
-        assert edits == 3425
+        # 2,718 edits with the live rule names and MaxWithVertexCount, and 420
+        # more with the three retired corollary names
+        assert edits == 3138
         # a true bound: C4,C4,3K1,B3 needs no more than 3 vertices either
         assert accepted == ["C4,3K1,B3, node 0 (C4,3K1,B3 TrivialEmpty): targets +C4"]

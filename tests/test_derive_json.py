@@ -50,7 +50,7 @@ POOL_LISTS = [
 # sha256 over "LIST MODE CODE\n" + stdout for every POOL_LISTS entry in sorted
 # order, JSON mode (MODE 1) before text (MODE 0), taken from the nested output
 # that `derive` printed before it wrote node tables.
-NESTED_POOL_DIGEST = "7c301154a9b9c69b4dff27cc2751ce5970141ff7bdf6c3582482ee10a6877b3f"
+NESTED_POOL_DIGEST = "b09acf9fffe5d2285b08ad6d904aeb9078e12d6df644a12467902bf35b495d9b"
 
 
 def distinct_nodes(tree: DerivationTree) -> int:
