@@ -9,7 +9,11 @@ the perfbench search-ladder (C4,S5 at N = 7, 8; C4,B3 at 8, 9; K3,K4 at 8,
 nodes per second.  Each search is bracketed by timings of perfbench's
 pure-Python speed kernel (run._kernel, 2.5 ms at the reference speed), and
 the scaled figures are the raw ones times 2.5 ms over the mean kernel time
-around that search, as perfbench scales.  Also reports this process's peak
+around that search, as perfbench scales.  Also reports pair_speed: the time
+of PAIR_CALLS kernel calls alone over their time while a forked copy of this
+process makes the same calls, about 1.0 where a second core is free and 0.5
+where the two share one, which tells whether a split search's helper had a
+core of its own.  Also reports this process's peak
 RSS and that of its reaped children (ru_maxrss of RUSAGE_SELF and
 RUSAGE_CHILDREN): the helper processes a long search forks.  Prints the
 cases of one run as a JSON list.
@@ -18,8 +22,8 @@ With --pool, reads the outputs of several runs instead and prints their
 cases pooled, as the "before" and "after" lists of BENCH_17.json hold them:
 per instance the median of every run's raw times (wall_s_raw_median), each
 run's scaled median (wall_s_scaled_median_by_run), and nodes per second
-over the raw median and over the median of the scaled ones; the peak RSS
-figures of every run.  Runs must agree on statuses and node counts.
+over the raw median and over the median of the scaled ones; the pair_speed
+and peak RSS figures of every run.  Runs must agree on statuses and node counts.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ import c4ramsey as cr  # noqa: E402
 from run import KERNEL_REF_S, _kernel  # noqa: E402
 
 LADDER = (("C4,S5", 7), ("C4,S5", 8), ("C4,B3", 8), ("C4,B3", 9), ("K3,K4", 8), ("K3,K4", 9))
+PAIR_CALLS = 40
 
 
 def _kernel_s(times: int = 3) -> float:
@@ -51,12 +56,33 @@ def _kernel_s(times: int = 3) -> float:
     return (time.perf_counter() - start) / times
 
 
+def _pair_speed(times: int = PAIR_CALLS) -> float:
+    alone = _kernel_s(times)
+    pid = os.fork()
+    if pid == 0:
+        try:
+            _kernel_s(times)
+        finally:
+            os._exit(0)
+    try:
+        paired = _kernel_s(times)
+    finally:
+        os.waitpid(pid, 0)
+    return alone / paired
+
+
 def pool(runs: list[list[dict]]) -> list[dict]:
     """The cases of several runs of this script pooled, in BENCH_17.json's
     format."""
+    if len({tuple(c["case"] for c in cases) for cases in runs}) != 1:
+        raise ValueError("runs hold different cases")
     cases = []
     for by_run in zip(*runs):
         first = by_run[0]
+        if first["case"] == "pair_speed":
+            cases.append({"case": "pair_speed", "by_run": [c["value"] for c in by_run],
+                          "kernel_calls": first["kernel_calls"]})
+            continue
         if first["case"] == "peak_rss_mb":
             cases.append({"case": "peak_rss_mb", "self_by_run": [c["self"] for c in by_run],
                           "children_by_run": [c["children"] for c in by_run]})
@@ -108,6 +134,7 @@ def main() -> int:
             "wall_s_raw_by_repeat": [round(t, 4) for t in raw], "repeats": args.repeats,
             "python": platform.python_version(), "cpu_count": os.cpu_count(),
         })
+    cases.append({"case": "pair_speed", "value": round(_pair_speed(), 3), "kernel_calls": PAIR_CALLS})
     cases.append({
         "case": "peak_rss_mb",
         "self": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),

@@ -3,13 +3,10 @@ numbers of C4 versus complete, star and book graphs."""
 
 from .bounds import (
     BoundQuery,
-    book_bound,
     isqrt_ceil,
     isqrt_floor,
     lemma2_bound,
     lemma_p3_bound,
-    parsons_bound,
-    stars_bound,
     theorem_mt_bound,
 )
 from .derive import CannotDeriveError, DerivationTree, derive, replay

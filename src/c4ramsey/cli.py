@@ -17,15 +17,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .bounds import (
-    BoundQuery,
-    book_bound,
-    lemma2_bound,
-    lemma_p3_bound,
-    parsons_bound,
-    stars_bound,
-    theorem_mt_bound,
-)
+from .bounds import BoundQuery, lemma2_bound, lemma_p3_bound, theorem_mt_bound
 from .derive import CannotDeriveError, derive, replay
 from .graphs import (
     coloring_from_text,
@@ -101,13 +93,15 @@ def _cmd_bound(args) -> int:
     m = 1 if args.m is None else args.m
     if formula in _MT_FORMULAS:
         value = _MT_FORMULAS[formula](BoundQuery(m, tuple(args.r or [])))
-    elif formula == "parsons":
-        value = parsons_bound(args.parsons)
-    elif formula == "book":
-        reg = _load_registry_arg(args.registry)
-        value = book_bound(args.book, reg.best_upper(TargetList((CYCLE4, star(args.book)))))
     else:
-        value = stars_bound(m, args.stars)
+        # Parsons' star bound, the book bound and the multicolor star bound
+        # are Theorem MT on the r each picks; a book's r_1 bounds R(C4,S_k)
+        r = args.stars or [args.parsons]
+        if formula == "book":
+            parsons = theorem_mt_bound(BoundQuery(1, (args.book,)))
+            fact = _load_registry_arg(args.registry).best_upper(TargetList((CYCLE4, star(args.book))))
+            r = [parsons if fact is None else min(parsons, fact.value)]
+        value = theorem_mt_bound(BoundQuery(m, tuple(r)))
     _emit(args, {"command": "bound", "formula": formula, "value": value}, str(value))
     return EXIT_OK
 

@@ -4,8 +4,9 @@ File format, one fact per line:
 
     targets | kind | value | citation | trust
 
-e.g. ``C4,K10 | exact | 36 | [LaLR] | paper``.  Targets are stored under
-their canonical key (C4 entries first, rest sorted).  Contradictory
+e.g. ``C4,K10 | exact | 36 | [LaLR] | paper``.  Facts are filed and looked
+up under the canonical key (C4 entries first, rest sorted) of their list
+without K2 entries, which leave a Ramsey number unchanged.  Contradictory
 lower/upper pairs, and upper bounds below the trivial lower bound, are
 rejected at insertion time.
 """
@@ -18,7 +19,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .targets import EMPTY, TargetList, parse_targets
+from .targets import EMPTY, TargetList, parse_targets, strip_k2
 
 KINDS = ("exact", "upper", "lower")
 TRUST_TAGS = ("paper", "computational", "derived", "user")
@@ -72,7 +73,7 @@ class ContradictionError(ValueError):
 
 
 class Registry:
-    """Best known lower/upper fact per canonical target key."""
+    """Best known lower/upper fact per canonical target key, K2 entries left out."""
 
     def __init__(self, facts: Iterable[RamseyFact] = ()):
         self._lower: dict[str, RamseyFact] = {}
@@ -81,11 +82,12 @@ class Registry:
             self.add(f)
 
     def add(self, fact: RamseyFact) -> None:
-        key = fact.key()
+        filed = strip_k2(fact.targets).key()
+        key = fact.key()  # the messages name the fact's own list
         as_lower = fact.kind in ("exact", "lower")
         as_upper = fact.kind in ("exact", "upper")
         if as_lower:
-            up = self._upper.get(key)
+            up = self._upper.get(filed)
             if up is not None and fact.value > up.value:
                 raise ContradictionError(
                     f"lower bound {fact.value} for {key} exceeds upper bound {up.value}"
@@ -98,28 +100,28 @@ class Registry:
             if fact.value < floor:
                 what = "upper bound" if fact.kind == "upper" else "exact value"
                 raise ContradictionError(f"{what} {fact.value} for {key} is below the trivial lower bound {floor}")
-            lo = self._lower.get(key)
+            lo = self._lower.get(filed)
             if lo is not None and lo.value > fact.value:
                 raise ContradictionError(
                     f"upper bound {fact.value} for {key} is below lower bound {lo.value}"
                 )
         if as_lower:
-            cur = self._lower.get(key)
+            cur = self._lower.get(filed)
             if cur is None or fact.value > cur.value or fact.kind == "exact":
-                self._lower[key] = fact
+                self._lower[filed] = fact
         if as_upper:
-            cur = self._upper.get(key)
+            cur = self._upper.get(filed)
             if cur is None or fact.value < cur.value or fact.kind == "exact":
-                self._upper[key] = fact
+                self._upper[filed] = fact
 
     def best_upper(self, targets: TargetList) -> Optional[RamseyFact]:
-        return self._upper.get(targets.key())
+        return self._upper.get(strip_k2(targets).key())
 
     def best_lower(self, targets: TargetList) -> Optional[RamseyFact]:
-        return self._lower.get(targets.key())
+        return self._lower.get(strip_k2(targets).key())
 
     def exact(self, targets: TargetList) -> Optional[RamseyFact]:
-        f = self._upper.get(targets.key())
+        f = self._upper.get(strip_k2(targets).key())
         return f if f is not None and f.kind == "exact" else None
 
     def facts(self) -> list[RamseyFact]:

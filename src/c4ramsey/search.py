@@ -616,10 +616,15 @@ def partition_check(
     comp_edges = g.complement().edges()
     # Not split across cores: with split=True on a 2-core x86 machine, 1,500
     # seeded maximal C4-free graphs at n = 12-13 gave identical outcomes, but
-    # no split search got faster.  A 998,478-node feasible search took
-    # 0.76-1.02 s against 0.64 s on one core, a 145,639-node one 0.15-0.17 s
-    # against 0.06-0.10 s, and a 3,148,167-node feasible one 1.54-2.17 s
-    # against 1.66-2.08 s.
+    # no split search got faster (998,478 nodes: 0.76-1.02 s against 0.64 s
+    # on one core; 145,639: 0.15-0.17 s against 0.06-0.10 s; 3,148,167:
+    # 1.54-2.17 s against 1.66-2.08 s).  There a second CPU-bound process
+    # halved the first one's speed, so these cannot tell the split from the
+    # machine; but where scripts/bench_ladder.py's pair_speed read 0.5-1.5
+    # (1.0: a free second core), feasible searches of 160,930, 705,356 and
+    # 6,104,075 nodes took 0.08-0.15, 0.32-0.49 and 3.03-3.31 s split against
+    # 0.06-0.11, 0.30-0.48 and 2.74-3.04 s.  The split stays off until a
+    # machine whose pair_speed holds at 1.0 shows it faster.
     status, assignment, nodes = _search_edges(g.n, comp_edges, pair_targets, budget)
     wall = time.monotonic() - start
     witness = None

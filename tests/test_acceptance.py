@@ -4,6 +4,8 @@ Each test prints a single PASS/FAIL line (run pytest with -s to see them
 inline; they also appear in captured output on failure).
 """
 
+import contextlib
+import io
 import random
 import time
 
@@ -11,7 +13,6 @@ from c4ramsey import (
     BoundQuery,
     SearchBudget,
     SimpleGraph,
-    book_bound,
     computed_ramsey,
     contains_target,
     derive,
@@ -23,7 +24,6 @@ from c4ramsey import (
     isqrt_floor,
     lemma2_bound,
     lemma_p3_bound,
-    parsons_bound,
     partition_check,
     ramsey_by_search,
     replay,
@@ -32,7 +32,8 @@ from c4ramsey import (
     theorem_mt_bound,
     verify_lower_bound,
 )
-from c4ramsey.registry import RamseyFact
+from c4ramsey.cli import run
+from c4ramsey.registry import Registry
 from c4ramsey.targets import CYCLE4, PATH3, clique, parse_targets, star
 
 from conftest import brute_contains, random_graph
@@ -73,13 +74,22 @@ def test_criterion_1_table_reproduction():
     report(1, "table reproduction", check, 1.0)
 
 
-def test_criterion_2_books_and_stars():
+def test_criterion_2_books_and_stars(tmp_path):
     def check():
-        fact = RamseyFact(parse_targets("C4,S17"), "exact", 22, "", "paper")
-        assert book_bound(17, fact) == 28
-        assert book_bound(17) == 29
-        assert parsons_bound(7) == 11
+        # the book bound is Theorem MT on r_1 = the best bound on R(C4,S17):
+        # the [Par3] fact R(C4,S17) = 22, or else Parsons' 17 + 5 + 1 = 23
+        empty = tmp_path / "empty.txt"
+        Registry().save(empty)
+        assert theorem_mt_bound(BoundQuery(1, (22,))) == 28
+        assert theorem_mt_bound(BoundQuery(1, (23,))) == 29
+        assert theorem_mt_bound(BoundQuery(1, (7,))) == 11
         assert isqrt_ceil(7) == 3
+        for argv, value in ((["--book", "17"], "28"), (["--book", "17", "--registry", str(empty)], "29"),
+                            (["--parsons", "7"], "11")):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert run(["bound", *argv]) == 0
+            assert out.getvalue() == value + "\n"
 
     report(2, "books/stars corollaries", check, 1.0)
 

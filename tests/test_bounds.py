@@ -1,3 +1,5 @@
+import contextlib
+import io
 import random
 
 import pytest
@@ -5,17 +7,15 @@ from hypothesis import given, strategies as st
 
 from c4ramsey import (
     BoundQuery,
-    book_bound,
+    RamseyFact,
+    Registry,
     isqrt_ceil,
     isqrt_floor,
     lemma2_bound,
     lemma_p3_bound,
-    parsons_bound,
-    stars_bound,
     theorem_mt_bound,
 )
-from c4ramsey.registry import RamseyFact
-from c4ramsey.targets import parse_targets
+from c4ramsey.cli import run
 
 
 class TestIsqrt:
@@ -121,66 +121,94 @@ class TestLemmaBounds:
         assert count >= 10**4
 
 
+def mt(m, *r):
+    return theorem_mt_bound(BoundQuery(m, r))
+
+
+def bound(*args):
+    """(exit code, stdout) of `c4ramsey bound ARGS`."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = run(["bound", *map(str, args)])
+    return code, out.getvalue().strip()
+
+
+def star_registry(path, facts):
+    """A registry file holding an upper bound on R(C4,S_k) for each k -> v."""
+    Registry(RamseyFact.from_line(f"C4,S{k} | upper | {v} | | user") for k, v in facts.items()).save(path)
+    return str(path)
+
+
+# `bound --parsons`, `--book` and `--stars` are Theorem MT on the r each picks:
+# r = (k,) for Parsons' star bound, r = (s,) for the book bound with s an
+# upper bound on R(C4,S_k), and r = (k_1..k_n) for the multicolor star bound
+
+
 class TestParsonsAndBooks:
     def test_k7_prime_power_case(self):
-        assert parsons_bound(7) == 11
+        assert mt(1, 7) == 11 == 7 + isqrt_ceil(7) + 1
         assert isqrt_ceil(7) == 3
+        assert bound("--parsons", 7) == (0, "11")
 
     def test_small_values(self):
-        assert parsons_bound(2) == 5
-        assert parsons_bound(17) == 23
+        assert mt(1, 2) == 5
+        assert mt(1, 17) == 23
+        assert bound("--parsons", 2) == (0, "5")
+        assert bound("--parsons", 17) == (0, "23")
 
     def test_k_below_2_rejected(self):
         with pytest.raises(ValueError):
-            parsons_bound(1)
-        with pytest.raises(ValueError):
-            book_bound(1)
+            mt(1, 1)
+        for k in (1, 0, -3):
+            assert bound("--parsons", k) == (1, "")
+            assert bound("--book", k) == (1, "")
 
-    def test_book_17_with_and_without_registry_fact(self):
-        fact = RamseyFact(parse_targets("C4,S17"), "exact", 22, "[Par3]", "paper")
-        assert book_bound(17, fact) == 28
-        assert book_bound(17) == 29
+    def test_book_17_with_and_without_registry_fact(self, tmp_path):
+        # the seed registry holds R(C4,S17) = 22 [Par3]; Parsons gives 23
+        assert mt(1, 22) == 28 and mt(1, mt(1, 17)) == 29
+        assert bound("--book", 17) == (0, "28")
+        assert bound("--book", 17, "--registry", star_registry(tmp_path / "empty.txt", {})) == (0, "29")
 
     def test_book_2(self):
-        assert book_bound(2) == 9
+        assert mt(1, mt(1, 2)) == 9
+        assert bound("--book", 2) == (0, "9")
 
-    def test_book_keeps_parsons_under_a_weaker_star_fact(self):
-        weak = RamseyFact(parse_targets("C4,S5"), "upper", 20, "weak", "user")
-        assert parsons_bound(5) == 9
-        assert book_bound(5, weak) == book_bound(5) == 13
-
-    # derive plans Parsons' bound and the book corollary as Theorem MT nodes,
-    # so each must be Theorem MT with its own r_1: k, or the star bound s
+    def test_book_keeps_parsons_under_a_weaker_star_fact(self, tmp_path):
+        weak = star_registry(tmp_path / "weak.txt", {5: 20})
+        assert mt(1, 5) == 9
+        assert bound("--book", 5, "--registry", weak) == bound("--book", 5) == (0, "13")
 
     def test_parsons_is_theorem_mt(self):
         for k in list(range(2, 5000)) + [10**6 + 3, 2**62, 10**40]:
-            assert parsons_bound(k) == theorem_mt_bound(BoundQuery(1, (k,)))
+            assert mt(1, k) == k + isqrt_ceil(k) + 1
+        for k in [2, 3, 99, 10**6 + 3, 2**62, 10**40]:
+            assert bound("--parsons", k) == (0, str(mt(1, k)))
 
-    def test_book_is_theorem_mt_on_the_star_bound(self):
+    def test_book_is_theorem_mt_on_the_star_bound(self, tmp_path):
+        empty = star_registry(tmp_path / "empty.txt", {})
         for k in range(2, 500):
-            s = parsons_bound(k)
-            assert book_bound(k) == theorem_mt_bound(BoundQuery(1, (s,))) == s + isqrt_ceil(s) + 1
-            for v in (k + 1, s - 1, s, s + 7):
-                fact = RamseyFact(parse_targets(f"C4,S{k}"), "upper", v, "", "user")
-                assert book_bound(k, fact) == theorem_mt_bound(BoundQuery(1, (min(s, v),)))
-
-    def test_fact_key_mismatch(self):
-        wrong = RamseyFact(parse_targets("C4,S16"), "exact", 21, "", "user")
-        with pytest.raises(ValueError):
-            book_bound(17, wrong)
-        lower = RamseyFact(parse_targets("C4,S17"), "lower", 22, "", "user")
-        with pytest.raises(ValueError):
-            book_bound(17, lower)
+            s = mt(1, k)
+            assert bound("--book", k, "--registry", empty) == (0, str(mt(1, s))) == (0, str(s + isqrt_ceil(s) + 1))
+        # star facts below, at and above Parsons' bound, each at least the trivial floor
+        ks = range(2, 60)
+        for shift in (lambda k, s: k + 1, lambda k, s: s - 1, lambda k, s: s, lambda k, s: s + 7):
+            facts = {k: max(4, shift(k, mt(1, k))) for k in ks}
+            reg = star_registry(tmp_path / "stars.txt", facts)
+            for k in ks:
+                assert bound("--book", k, "--registry", reg) == (0, str(mt(1, min(mt(1, k), facts[k]))))
 
 
 class TestStarsBound:
     def test_single_star_values(self):
-        assert stars_bound(1, [3]) == 6
-        assert stars_bound(2, [1]) == 7
+        assert mt(1, 3) == 6
+        assert mt(2, 1) == 7
+        assert bound("--stars", 3) == (0, "6")
+        assert bound("--stars", 1, "--m", 2) == (0, "7")
 
     def test_precondition(self):
         with pytest.raises(ValueError):
-            stars_bound(1, [1])
+            mt(1, 1)
+        assert bound("--stars", 1) == (1, "")
 
     def test_reduces_to_single_star_closed_form(self):
         # for n=1 the bound equals k + (m^2+m)/2 + ceil(m sqrt(k + (m^2+2m-3)/4));
@@ -193,26 +221,23 @@ class TestStarsBound:
                 c = 0
                 while c * c < target:
                     c += 1
-                assert stars_bound(m, [k]) == k + m * (m + 1) // 2 + c
+                assert mt(m, k) == k + m * (m + 1) // 2 + c
 
     def test_matches_theorem_mt(self):
-        # errors included: stars_bound refuses exactly what Theorem MT refuses
-        assert stars_bound(2, [3, 4]) == theorem_mt_bound(BoundQuery(2, (3, 4)))
+        # `bound --stars K.. --m M` prints Theorem MT on (M, K..), or exits 1
+        # where Theorem MT refuses them
+        assert bound("--stars", 3, 4, "--m", 2) == (0, str(mt(2, 3, 4))) == (0, "15")
         rng = random.Random(18)
         for _ in range(5000):
             m = rng.randint(0, 4)
             k = [rng.randint(1, 30) for _ in range(rng.randint(1, 4))]
             if rng.random() < 0.3:
                 k = [1] * len(k)
-            assert _outcome(stars_bound, m, k) == _outcome(theorem_mt_bound, BoundQuery(m, k)), (m, k)
-
-
-def _outcome(f, *args):
-    """f's value, or ValueError where it refuses its arguments."""
-    try:
-        return f(*args)
-    except ValueError:
-        return ValueError
+            try:
+                expected = (0, str(mt(m, *k)))
+            except ValueError:
+                expected = (1, "")
+            assert bound("--stars", *k, "--m", m) == expected, (m, k)
 
 
 class TestSedrakyanSpecialCase:

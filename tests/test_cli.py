@@ -2,7 +2,9 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -203,6 +205,14 @@ class TestDerive:
 
     def test_bad_target_is_usage_error(self, capsys):
         assert run(["derive", "C5,K3"]) == 1
+
+    def test_registry_fact_on_a_list_with_a_k2_entry_is_used(self, tmp_path, capsys):
+        # derive strips K2 before each lookup; the registry files the fact without it
+        path = tmp_path / "reg.txt"
+        path.write_text("C4,K2,K3 | upper | 7 | x | user\n")
+        for targets in ("C4,K2,K3", "C4,K3"):
+            assert run(["derive", targets, "--registry", str(path)]) == 0
+            assert out_of(capsys).splitlines()[0] == "7"
 
     def test_k20_needs_no_flag(self, capsys):
         assert run(["derive", "C4,K20"]) == 0
@@ -707,3 +717,101 @@ def test_derive_plans_lists_with_a_c4_plus_isolated_vertices(capsys, targets):
         got.append((code, hashlib.sha256(out.encode()).hexdigest()))
     assert tuple(got) == C4_WITH_ISOLATED[targets]
 
+
+
+# `bound` lines swept with a fixed seed: every --parsons K and --book K for K
+# in -3..299 and three huge K, random --stars, --mt, --p3 and --lemma2 lines,
+# --book against a registry file of random C4,S_k facts, and --json lines
+_HUGE = (10**6 + 3, 2**62, 10**40)
+
+
+def _bound_sweep(registry_path):
+    rng = random.Random(19)
+    lines = [[flag, str(k)] for flag in ("--parsons", "--book") for k in [*range(-3, 300), *_HUGE]]
+
+    def m_flag():
+        m = rng.choice([None, None, -1, 0, 1, 1, 2, 3, 4, 7])
+        return [] if m is None else ["--m", str(m)]
+
+    def values(lo, hi, most):
+        vs = [rng.randint(lo, hi) for _ in range(rng.randint(0, most))]
+        return [1] * len(vs) if rng.random() < 0.2 else vs
+
+    for _ in range(3000):
+        lines.append(["--stars", *map(str, values(-1, 40, 4) or [rng.randint(-1, 40)])] + m_flag())
+    for _ in range(3000):
+        r = values(-1, 60, 4)
+        flag = rng.choice(["--mt", "--p3", "--lemma2"])
+        lines.append([flag, *m_flag(), *(["--r", *map(str, r)] if r or rng.random() < 0.5 else [])])
+    for _ in range(63):
+        lines.append(["--book", str(rng.randint(-1, 40)), "--registry", registry_path])
+    for _ in range(50):
+        lines.append(rng.choice(lines[:-63]) + ["--json"])
+    return [["bound", *line] for line in lines]
+
+
+def _star_registry(path):
+    # upper bounds from the trivial floor to well past Parsons' bound
+    rng = random.Random(191)
+    facts = []
+    for k in range(1, 41):
+        if rng.random() < 0.6:
+            v = rng.randint(max(4, k + 1), k + 2 * math.isqrt(k) + 5)
+            facts.append(RamseyFact.from_line(f"C4,S{k} | {rng.choice(['upper', 'exact'])} | {v} | r{k} | user"))
+    Registry(facts).save(path)
+
+
+# sha256 over "ARGV\nCODE\n" + stdout of every swept line, the registry
+# path written as REG; recorded with the separate Parsons, book and stars
+# formulas, before `bound` evaluated them all as Theorem MT
+BOUND_SWEEP_DIGEST = "eb62f6697cd56f5eed754d2ce4e8bcc74acfc3b1bf1ddadeb53664ac1526b582"
+
+# bound ARGS -> (exit code, stdout), recorded with the sweep; EMPTY names an
+# empty registry file
+BOUND_SPOTS = {
+    "--parsons 7": (0, "11"),
+    "--parsons 2": (0, "5"),
+    "--parsons 17": (0, "23"),
+    "--parsons 1000003": (0, "1001005"),
+    f"--parsons {10**40}": (0, f"{10**40 + 10**20 + 1}"),
+    "--book 17": (0, "28"),
+    "--book 17 --registry EMPTY": (0, "29"),
+    "--book 2": (0, "9"),
+    "--book 5": (0, "13"),
+    f"--book {2**62}": (0, "4611686022722355203"),
+    "--book 17 --json": (0, '{\n  "command": "bound",\n  "formula": "book",\n  "value": 28\n}'),
+    "--stars 3": (0, "6"),
+    "--stars 1 --m 2": (0, "7"),
+    "--stars 3 4 --m 2": (0, "15"),
+    "--stars 3 4": (0, "10"),
+    "--stars 17 17 17": (0, "57"),
+    "--mt --m 1 --r 36": (0, "43"),
+    "--mt --m 3": (0, "13"),
+    "--p3 --m 1 --r 36": (0, "42"),
+    "--lemma2 --m 2 --r 5": (0, "10"),
+    "--parsons 1": (1, ""),
+    "--book 1": (1, ""),
+    "--stars 1": (1, ""),
+    "--stars 3 --m 0": (1, ""),
+}
+
+
+@pytest.mark.parametrize("args", list(BOUND_SPOTS))
+def test_bound_spot_values(tmp_path, args):
+    empty = tmp_path / "empty.txt"
+    Registry().save(empty)
+    code, out, err = run_captured(["bound", *(str(empty) if a == "EMPTY" else a for a in args.split())])
+    assert (code, out.strip()) == BOUND_SPOTS[args]
+    assert err == "" if code == 0 else (err.startswith("error: ") and err.count("\n") == 1)
+
+
+def test_bound_sweep_outputs_are_pinned(tmp_path):
+    reg = str(tmp_path / "stars.txt")
+    _star_registry(reg)
+    digest = hashlib.sha256()
+    for argv in _bound_sweep(reg):
+        code, out, err = run_captured(argv)
+        assert err == "" if code == 0 else (out == "" and err.startswith("error: ") and err.count("\n") == 1), argv
+        shown = " ".join("REG" if a == reg else a for a in argv)
+        digest.update(f"{shown}\n{code}\n{out}".encode())
+    assert digest.hexdigest() == BOUND_SWEEP_DIGEST

@@ -9,10 +9,8 @@ from c4ramsey import (
     RamseyFact,
     Registry,
     derive,
-    parsons_bound,
     replay,
     seed_registry,
-    stars_bound,
     theorem_mt_bound,
 )
 from c4ramsey.derive import _RULES, ReplayError, _option_sort_key, _ordered_deletions, _reach, plan_size
@@ -98,7 +96,7 @@ class TestRules:
 
     def test_parsons_shortcut(self):
         tree = derive(parse_targets("C4,S7"), Registry())
-        assert (tree.rule, tree.value, tree.notes["deletions"]) == ("TheoremMT", parsons_bound(7), ["S7->7K1"])
+        assert (tree.rule, tree.value, tree.notes["deletions"]) == ("TheoremMT", theorem_mt_bound(BoundQuery(1, (7,))), ["S7->7K1"])
         assert tree.value == 11
         replay(tree)
 
@@ -115,7 +113,7 @@ class TestRules:
 
     def test_stars_multicolor(self):
         tree = derive(parse_targets("C4,C4,S3,S4"), Registry())
-        assert (tree.rule, tree.value, tree.notes["r"]) == ("TheoremMT", stars_bound(2, [3, 4]), [3, 4])
+        assert (tree.rule, tree.value, tree.notes["r"]) == ("TheoremMT", theorem_mt_bound(BoundQuery(2, (3, 4))), [3, 4])
         replay(tree)
 
     def test_pure_c4_block(self):
@@ -410,7 +408,7 @@ class TestReplay:
         leaf, root = d["nodes"]
         assert (root["rule"], leaf["rule"]) == ("TheoremMT", "TrivialEmpty")
         root["notes"].update(r=[2], deletions=["S2->2K1"])
-        root["value"] = parsons_bound(2)
+        root["value"] = theorem_mt_bound(BoundQuery(1, (2,)))
         with pytest.raises(ReplayError, match="TheoremMT on C4,S9: notes"):
             replay(DerivationTree.from_dict(d))
 

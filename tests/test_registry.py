@@ -44,6 +44,22 @@ class TestRegistry:
         reg.add(fact("C4,K11", "upper", 50))
         assert reg.best_upper(parse_targets("C4,K11")).value == 43
 
+    # K2 entries leave R unchanged, so a fact on C4,K2,K3 is a fact on C4,K3
+
+    def test_k2_entries_are_left_out_of_the_key(self):
+        reg = Registry([fact("C4,K2,K3", "upper", 7, "x")])
+        for targets in ("C4,K3", "C4,K2,K3", "K2,C4,K2,K3"):
+            assert reg.best_upper(parse_targets(targets)).to_line() == "C4,K2,K3 | upper | 7 | x | user"
+        assert reg.best_lower(parse_targets("C4,K3")) is None
+
+    def test_contradiction_across_a_k2_entry(self):
+        reg = Registry([fact("C4,K3", "upper", 7)])
+        with pytest.raises(ContradictionError, match="^lower bound 8 for C4,K2,K3 exceeds upper bound 7$"):
+            reg.add(fact("C4,K2,K3", "lower", 8))
+        reg = Registry([fact("C4,K2,K3", "lower", 8)])
+        with pytest.raises(ContradictionError, match="^upper bound 7 for C4,K3 is below lower bound 8$"):
+            reg.add(fact("C4,K3", "upper", 7))
+
     def test_bad_kind_and_trust(self):
         with pytest.raises(ValueError):
             fact("C4,K3", "approx", 7)
@@ -59,7 +75,7 @@ class TestTrivialLowerBound:
         [
             ("C4,K4,3K1", 3),  # a kK1 entry sets T
             ("C4,K3,5K1", 5),  # a kK1 that is the largest entry
-            ("C4,K2", 4),  # K2 is not stripped from a registry key
+            ("C4,K2", 4),  # the message names the fact's own list, K2 and all
             ("K5", 5),  # a single entry
             ("C4", 4),
             ("C4,K5+1K1", 6),  # +1K1 entries count their isolated vertex
