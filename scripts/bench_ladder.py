@@ -4,8 +4,8 @@
     python3 scripts/bench_ladder.py --pool run1.json run2.json ...
 
 Run from the root of a checkout.  Runs search_coloring on each instance of
-the perfbench search-ladder (C4,S5 at N = 7, 8; C4,B3 at 8, 9; K3,K4 at 8,
-9), --repeats times, and reports its status, nodes, the median wall time and
+the perfbench search-ladder (perfbench's workloads.ladder_instances()),
+--repeats times, and reports its status, nodes, the median wall time and
 nodes per second.  Each search is bracketed by timings of perfbench's
 pure-Python speed kernel (run._kernel, 2.5 ms at the reference speed), and
 the scaled figures are the raw ones times 2.5 ms over the mean kernel time
@@ -13,7 +13,8 @@ around that search, as perfbench scales.  Also reports pair_speed: the time
 of PAIR_CALLS kernel calls alone over their time while a forked copy of this
 process makes the same calls, about 1.0 where a second core is free and 0.5
 where the two share one, which tells whether a split search's helper had a
-core of its own.  Also reports this process's peak
+core of its own; one reading swings widely, so PAIR_READINGS are taken and
+their median reported.  Also reports this process's peak
 RSS and that of its reaped children (ru_maxrss of RUSAGE_SELF and
 RUSAGE_CHILDREN): the helper processes a long search forks.  Prints the
 cases of one run as a JSON list.
@@ -22,8 +23,9 @@ With --pool, reads the outputs of several runs instead and prints their
 cases pooled, as the "before" and "after" lists of BENCH_17.json hold them:
 per instance the median of every run's raw times (wall_s_raw_median), each
 run's scaled median (wall_s_scaled_median_by_run), and nodes per second
-over the raw median and over the median of the scaled ones; the pair_speed
-and peak RSS figures of every run.  Runs must agree on statuses and node counts.
+over the raw median and over the median of the scaled ones; every run's
+pair_speed readings pooled, with their median and quartiles; the peak RSS
+figures of every run.  Runs must agree on statuses and node counts.
 """
 
 from __future__ import annotations
@@ -44,9 +46,10 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import c4ramsey as cr  # noqa: E402
 from run import KERNEL_REF_S, _kernel  # noqa: E402
+from workloads import ladder_instances  # noqa: E402
 
-LADDER = (("C4,S5", 7), ("C4,S5", 8), ("C4,B3", 8), ("C4,B3", 9), ("K3,K4", 8), ("K3,K4", 9))
 PAIR_CALLS = 40
+PAIR_READINGS = 5
 
 
 def _kernel_s(times: int = 3) -> float:
@@ -80,7 +83,10 @@ def pool(runs: list[list[dict]]) -> list[dict]:
     for by_run in zip(*runs):
         first = by_run[0]
         if first["case"] == "pair_speed":
-            cases.append({"case": "pair_speed", "by_run": [c["value"] for c in by_run],
+            readings = [r for c in by_run for r in c["readings"]]
+            q1, _, q3 = statistics.quantiles(readings, n=4)
+            cases.append({"case": "pair_speed", "median": round(statistics.median(readings), 3),
+                          "quartiles": [round(q1, 3), round(q3, 3)], "readings": readings,
                           "kernel_calls": first["kernel_calls"]})
             continue
         if first["case"] == "peak_rss_mb":
@@ -113,7 +119,7 @@ def main() -> int:
         print(json.dumps(pool([json.loads(Path(p).read_text()) for p in args.pool]), indent=1))
         return 0
     cases = []
-    for spec, n in LADDER:
+    for spec, n in ladder_instances():
         targets = cr.parse_target_sequence(spec)
         raw, scaled, outcomes = [], [], set()
         for _ in range(args.repeats):
@@ -134,7 +140,9 @@ def main() -> int:
             "wall_s_raw_by_repeat": [round(t, 4) for t in raw], "repeats": args.repeats,
             "python": platform.python_version(), "cpu_count": os.cpu_count(),
         })
-    cases.append({"case": "pair_speed", "value": round(_pair_speed(), 3), "kernel_calls": PAIR_CALLS})
+    readings = [round(_pair_speed(), 3) for _ in range(PAIR_READINGS)]
+    cases.append({"case": "pair_speed", "median": statistics.median(readings), "readings": readings,
+                  "kernel_calls": PAIR_CALLS})
     cases.append({
         "case": "peak_rss_mb",
         "self": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),

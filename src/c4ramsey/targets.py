@@ -161,44 +161,37 @@ class TargetParseError(ValueError):
         self.pos = pos
 
 
-_SIMPLE_RE = re.compile(r"(C4|P3|K(\d+)|S(\d+)|B(\d+)|(\d+)K1)$")
+_SIMPLE_RE = re.compile(r"C4|P3|K(\d+)|S(\d+)|B(\d+)|(\d+)K1")
 
 
 def _parse_simple(text: str, part: str, pos: int) -> TargetGraph:
-    m = _SIMPLE_RE.match(part)
-    if not m or m.group(0) != part:
+    m = _SIMPLE_RE.fullmatch(part)
+    if not m:
         raise TargetParseError(text, pos, f"unsupported target {part!r}")
     if part == "C4":
         return CYCLE4
     if part == "P3":
         return PATH3
-    if m.group(2) is not None:
-        return clique(int(m.group(2)))
-    if m.group(3) is not None:
-        k = int(m.group(3))
-        if k < 1:
-            raise TargetParseError(text, pos, "star needs k >= 1")
-        return star(k)
-    if m.group(4) is not None:
-        k = int(m.group(4))
-        if k < 1:
-            raise TargetParseError(text, pos, "book needs k >= 1")
-        return book(k)
-    return empty_graph(int(m.group(5)))
+    make = clique if m[1] else star if m[2] else book if m[3] else empty_graph
+    k = int(m[m.lastindex])
+    try:
+        return make(k)
+    except ValueError as e:  # a count below 1
+        raise TargetParseError(text, pos, str(e)) from None
 
 
-def parse_target(text: str) -> TargetGraph:
-    """Parse one target expression, e.g. "K11", "B17", "K3+1K1"."""
-    s = text.strip()
-    if not s:
-        raise TargetParseError(text, 0, "empty target expression")
-    parts = s.split("+")
-    pos = 0
-    base = _parse_simple(text, parts[0].strip(), pos)
-    pos += len(parts[0]) + 1
-    result = base
-    for part in parts[1:]:
-        p = part.strip()
+def _parse_entry(text: str, entry: str, start: int) -> TargetGraph:
+    """Parse the target expression entry, which starts at offset start of
+    text; an error gives text and the position in it."""
+    if not entry.strip():
+        raise TargetParseError(text, start, "empty target expression")
+    result = None
+    for part in entry.split("+"):
+        p, pos = part.strip(), start + len(part) - len(part.lstrip())
+        start += len(part) + 1
+        if result is None:
+            result = _parse_simple(text, p, pos)
+            continue
         m = re.fullmatch(r"(\d*)K1", p)
         if not m:
             raise TargetParseError(text, pos, f"expected <t>K1 after '+', got {p!r}")
@@ -206,8 +199,12 @@ def parse_target(text: str) -> TargetGraph:
         if t < 1:
             raise TargetParseError(text, pos, "isolated-vertex count must be >= 1")
         result = with_isolated(result, t)
-        pos += len(part) + 1
     return result
+
+
+def parse_target(text: str) -> TargetGraph:
+    """Parse one target expression, e.g. "K11", "B17", "K3+1K1"."""
+    return _parse_entry(text, text, 0)
 
 
 def _sort_key(t: TargetGraph) -> tuple:
@@ -275,12 +272,17 @@ class TargetList:
 
 
 def parse_targets(text: str) -> TargetList:
-    return TargetList(tuple(parse_target(p) for p in text.split(",")))
+    return TargetList(tuple(parse_target_sequence(text)))
 
 
 def parse_target_sequence(text: str) -> list[TargetGraph]:
-    """Parse a comma-separated target list preserving the given color order."""
-    return [parse_target(p) for p in text.split(",")]
+    """Parse a comma-separated target list preserving the given color order;
+    an error gives its position in the whole list."""
+    targets, start = [], 0
+    for entry in text.split(","):
+        targets.append(_parse_entry(text, entry, start))
+        start += len(entry) + 1
+    return targets
 
 
 def strip_k2(targets: TargetList) -> TargetList:

@@ -206,6 +206,18 @@ class TestDerive:
     def test_bad_target_is_usage_error(self, capsys):
         assert run(["derive", "C5,K3"]) == 1
 
+    @pytest.mark.parametrize(
+        "targets, message",
+        [
+            ("C4,,K3", "empty target expression at position 3 in 'C4,,K3'"),
+            ("C4,S0", "star K_{1,k} needs k >= 1, got 0 at position 3 in 'C4,S0'"),
+            ("C4,K0", "clique size must be >= 1, got 0 at position 3 in 'C4,K0'"),
+            ("C4,0K1", "kK1 needs k >= 1, got 0 at position 3 in 'C4,0K1'"),
+        ],
+    )
+    def test_target_list_errors_quote_the_whole_list(self, targets, message):
+        assert run_captured(["derive", targets]) == (1, "", f"error: {message}\n")
+
     def test_registry_fact_on_a_list_with_a_k2_entry_is_used(self, tmp_path, capsys):
         # derive strips K2 before each lookup; the registry files the fact without it
         path = tmp_path / "reg.txt"

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -356,6 +357,29 @@ def _by_status(status):
     return next(r for r in SWEEP if r["status"] == status and r["nodes"] >= 2 * 4096)
 
 
+# tests/data/split_plans.json: [depth, item count, sha256 over (items, gaps)]
+# of every plan, recorded before the plan was a listing of the whole tree;
+# "sweep" is by split_sweep.json index with SPLIT_AFTER 4096, "larger" by
+# instance at the real SPLIT_AFTER
+PLANS = json.loads((Path(__file__).parent / "data" / "split_plans.json").read_text())
+SPLIT_AFTER = search.SPLIT_AFTER
+
+
+@pytest.fixture
+def plans(monkeypatch):
+    """The list fills with the pin of each plan a split makes."""
+    split, pins = search._Split.split, []
+
+    def recorded(self, *args):
+        split(self, *args)
+        if self.items:
+            digest = hashlib.sha256(json.dumps([self.items, self.gaps]).encode()).hexdigest()
+            pins.append([len(self.items[0]), len(self.items), digest])
+
+    monkeypatch.setattr(search._Split, "split", recorded)
+    return pins
+
+
 class TestSplit:
     # tests/data/split_sweep.json: 150 seeded random instances (n <= 9, two or
     # three colors from C4, K3, K4, S3, S4, B2, B3, P3, K3+1K1, some with
@@ -369,6 +393,51 @@ class TestSplit:
             split += len(forks) > before
             _no_child_left()
         assert split == sum(rec["nodes"] >= 4096 for rec in SWEEP)
+
+    def test_sweep_plans_are_pinned(self, forks, plans):
+        got = []
+        for i, rec in enumerate(SWEEP):
+            _sweep_outcome(rec)
+            got += [[i, *pin] for pin in plans]
+            plans.clear()
+        assert got == PLANS["sweep"]
+
+    def test_larger_plans_are_pinned(self, forks, plans, monkeypatch):
+        # each search stops at the first budget check after its split
+        monkeypatch.setattr(search, "SPLIT_AFTER", SPLIT_AFTER)
+        got = []
+        for case, *_ in PLANS["larger"]:
+            spec, n = case.split("@")
+            out = search_coloring(int(n), parse_target_sequence(spec), SearchBudget(node_limit=SPLIT_AFTER + 1))
+            assert (out.status, out.nodes_explored) == ("unknown", SPLIT_AFTER + 2)
+            got += [[case, *pin] for pin in plans]
+            plans.clear()
+        assert got == PLANS["larger"]
+        _no_child_left()
+
+    def test_plan_work_bounds_the_listing(self, forks, monkeypatch):
+        # listing nodes per plan, as dfs counts them: a listing cut by the
+        # bound stops at its node_limit + 1
+        monkeypatch.setattr(search, "_PLAN_WORK", 300)
+        dfs, plan, spent = search._Tree.dfs, search._Split._plan, []
+
+        def counted(self, prefix, colors, nodes, node_limit, stop=None, listed=None, **hook):
+            out = dfs(self, prefix, colors, nodes, node_limit, stop, listed, **hook)
+            if listed is not None:
+                spent[-1] += out[2]
+            return out
+
+        def planned(self, *args):
+            spent.append(0)
+            return plan(self, *args)
+
+        monkeypatch.setattr(search._Tree, "dfs", counted)
+        monkeypatch.setattr(search._Split, "_plan", planned)
+        for rec in SWEEP:
+            assert _sweep_outcome(rec) == _expected(rec), rec
+            _no_child_left()
+        assert max(spent) == 301
+        assert len(forks) == len(spent) == sum(rec["nodes"] >= 4096 for rec in SWEEP)
 
     def test_more_helpers_than_cores_claim_each_item_once(self, forks, monkeypatch):
         # three helpers and the main process on this machine's cores race for
@@ -477,3 +546,9 @@ class TestSplit:
                 waiter.join(timeout=10)
         assert not waiter.is_alive()
         assert forks == []
+
+    @pytest.mark.parametrize("cpus, helpers", [(6, 5), (1, 0), (None, 0)])
+    def test_helper_count_without_affinity_uses_cpu_count(self, monkeypatch, cpus, helpers):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert search._helper_count() == helpers

@@ -22,6 +22,7 @@ from c4ramsey.targets import (
     TargetGraph,
     TargetList,
     TargetParseError,
+    parse_target_sequence,
     strip_k2,
     target_edges,
 )
@@ -185,6 +186,17 @@ class TestParseRender:
         with pytest.raises(TargetParseError) as e:
             parse_target("K3+oops")
         assert e.value.pos > 0
+
+    @pytest.mark.parametrize(
+        "text, pos",
+        [("C4,,K3", 3), ("C4,S0", 3), ("C4,K0", 3), ("C4,0K1", 3), ("B0", 0), ("K3,C4, K3+0K1", 10), ("K3,C4+x", 6)],
+    )
+    def test_list_errors_give_the_position_in_the_whole_list(self, text, pos):
+        for parse in (parse_targets, parse_target_sequence):
+            with pytest.raises(TargetParseError) as e:
+                parse(text)
+            assert (e.value.text, e.value.pos) == (text, pos)
+            assert str(e.value).endswith(f" at position {pos} in {text!r}")
 
     @given(st.sampled_from("KSB"), st.integers(2, 1000))
     def test_round_trip_simple(self, family, k):
