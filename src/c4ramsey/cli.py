@@ -203,10 +203,7 @@ def _cmd_search(args) -> int:
 
 def _cmd_partition_check(args) -> int:
     g = graph6_decode(_read_arg_or_file(args.graph6))
-    targets = parse_target_sequence(args.targets)
-    if len(targets) != 2:
-        raise SystemExit("partition-check needs exactly two targets")
-    outcome = partition_check(g, (targets[0], targets[1]), _budget(args))
+    outcome = partition_check(g, parse_target_sequence(args.targets), _budget(args))
     return _report(args, "partition-check", outcome)
 
 

@@ -145,6 +145,16 @@ def contains_target(g: SimpleGraph, t: TargetGraph) -> bool:
         return any(
             (adj[u] & adj[v]).bit_count() >= 2 for u in range(n) for v in range(u + 1, n)
         )
+    if t.kind == tg.CLIQUE and t.k == 3:
+        # a triangle is an edge uv, u < v, whose ends share a neighbour
+        for u, a in enumerate(adj):
+            above = a >> u + 1 << u + 1
+            while above:
+                b = above & -above
+                above ^= b
+                if adj[b.bit_length() - 1] & a:
+                    return True
+        return False
     if t.kind == tg.CLIQUE:
         return n >= t.k and _clique_in(adj, (1 << n) - 1, t.k)
     if t.kind == tg.STAR:

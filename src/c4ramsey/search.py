@@ -11,6 +11,7 @@ cores, with the same status, node count and witness (see _Split).
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -51,6 +52,9 @@ class SearchBudget:
             raise ValueError(f"budget limits must be positive, got {self.node_limit} nodes and {self.time_limit} s")
 
 
+_DEFAULT_BUDGET = SearchBudget()
+
+
 @dataclass(frozen=True)
 class SearchOutcome:
     status: str  # feasible | infeasible | unknown
@@ -86,12 +90,14 @@ def _never(adj: list[int], u: int, v: int) -> bool:
     return False
 
 
+@functools.lru_cache(maxsize=128)
 def _creates_test(t: TargetGraph) -> Callable[[list[int], int, int], int]:
     """Compile target t into a test (adj, u, v) -> truthy.
 
     The test says whether adding edge uv to the class with adjacency adj
     would create a copy of t.  The class is assumed t-free before the
-    addition, so only copies through the new edge need checking.
+    addition, so only copies through the new edge need checking.  Each
+    target is compiled once per process.
     """
     kind, k = t.kind, t.k
     if kind == tg.PATH3_KIND:
@@ -156,9 +162,14 @@ def _creates_test(t: TargetGraph) -> Callable[[list[int], int, int], int]:
     raise ValueError(f"unsupported incremental target {t}")
 
 
+def _capped(test: Callable[[list[int], int, int], int], cap: int) -> Callable[[list[int], int, int], int]:
+    """test, also refusing an edge at a vertex that has cap edges already."""
+    return lambda adj, u, v: adj[u].bit_count() >= cap or adj[v].bit_count() >= cap or test(adj, u, v)
+
+
 def _search_edges(
     n: int,
-    edge_list: list[tuple[int, int]],
+    edges: list[tuple[int, int, int, int]],
     targets: Sequence[TargetGraph],
     budget: SearchBudget,
     degree_caps: Optional[Sequence[int]] = None,
@@ -166,8 +177,9 @@ def _search_edges(
 ) -> tuple[str, Optional[list[int]], int]:
     """Core backtracking over a fixed edge list.
 
+    edges lists each edge as (u, v, 1 << u, 1 << v), in search order.
     Returns (status, assignment or None, nodes).  The assignment is indexed
-    parallel to edge_list.  A node is one color tried on one edge.  With
+    parallel to edges.  A node is one color tried on one edge.  With
     split, a search still running after SPLIT_AFTER nodes shares its tree
     with helper processes (see _Split); the result is the same.
     """
@@ -176,7 +188,7 @@ def _search_edges(
     # an edgeless target that fits is in every color class
     if any(eff is not None and eff.kind == tg.EMPTY for eff in effective):
         return INFEASIBLE, None, 0
-    tree = _Tree(n, edge_list, effective, degree_caps, time.monotonic() + budget.time_limit)
+    tree = _Tree(n, edges, effective, degree_caps, time.monotonic() + budget.time_limit)
     # color-permutation reduction: on the first edge, only the first color of
     # each group of identical declared targets and degree caps is tried
     groups = targets if degree_caps is None else list(zip(targets, degree_caps))
@@ -192,17 +204,15 @@ def _search_edges(
 
 
 class _Tree:
-    """The fixed part of one search: the edges in search order, one target
-    test and degree cap (None: uncapped) per color, and the deadline."""
+    """The fixed part of one search: the edges in search order, one test per
+    color (its target's, with its degree cap folded in), and the deadline."""
 
-    def __init__(self, n, edge_list, effective, degree_caps, deadline):
+    def __init__(self, n, edges, effective, degree_caps, deadline):
         self.n = n
-        self.tests = [
-            (_creates_test(eff) if eff is not None else _never,
-             None if degree_caps is None else degree_caps[col])
-            for col, eff in enumerate(effective)
-        ]
-        self.edges = [(u, v, 1 << u, 1 << v) for u, v in edge_list]
+        self.tests = [_creates_test(eff) if eff is not None else _never for eff in effective]
+        if degree_caps is not None:
+            self.tests = [_capped(test, cap) for test, cap in zip(self.tests, degree_caps)]
+        self.edges = edges
         self.every = range(len(effective))
         self.deadline = deadline
 
@@ -223,12 +233,11 @@ class _Tree:
         searched below.  on_split(idx, cursors, assignment) is called
         once, at the first budget check at or past split_at.
         """
-        n, edges, every = self.n, self.edges, self.every
-        # one slot per color: its target test, its adjacency rows, its cap
-        slots = [(test, [0] * n, cap) for test, cap in self.tests]
+        n, edges, every, tests = self.n, self.edges, self.every, self.tests
+        rows = [[0] * n for _ in tests]  # rows[col]: color col's adjacency rows
         for i, col in enumerate(prefix):
             u, v, bu, bv = edges[i]
-            a = slots[col][1]
+            a = rows[col]
             a[u] |= bv
             a[v] |= bu
         m = len(edges)
@@ -251,10 +260,8 @@ class _Tree:
                         if nodes >= split_at:
                             split_at = _NEVER
                             on_split(idx, cursors, assignment)
-                    test, a, cap = slots[col]
-                    if cap is not None and (a[u].bit_count() >= cap or a[v].bit_count() >= cap):
-                        continue
-                    if test(a, u, v):
+                    a = rows[col]
+                    if tests[col](a, u, v):
                         continue
                     a[u] |= bv
                     a[v] |= bu
@@ -266,7 +273,7 @@ class _Tree:
                     idx -= 1
                     colors = cursors.pop()
                     u, v, bu, bv = edges[idx]
-                    a = slots[assignment[idx]][1]
+                    a = rows[assignment[idx]]
                     a[u] ^= bv
                     a[v] ^= bu
                     continue
@@ -281,7 +288,7 @@ class _Tree:
             idx -= 1
             colors = cursors.pop()
             u, v, bu, bv = edges[idx]
-            a = slots[assignment[idx]][1]
+            a = rows[assignment[idx]]
             a[u] ^= bv
             a[v] ^= bu
 
@@ -526,7 +533,7 @@ def search_coloring(
     """Search for a good coloring of K_n avoiding targets[i] in color i."""
     if not 1 <= n <= 128:
         raise ValueError(f"n must be in [1, 128], got {n}")
-    budget = budget or SearchBudget()
+    budget = budget or _DEFAULT_BUDGET
     start = time.monotonic()
     if degree_caps is not None:
         if len(degree_caps) != len(targets):
@@ -540,10 +547,10 @@ def search_coloring(
                 INFEASIBLE, 0, time.monotonic() - start, None,
                 f"degree caps sum to {sum(degree_caps)} < n - 1 = {n - 1}",
             )
-    edge_list = list(pair_iter(n))
-    status, assignment, nodes = _search_edges(n, edge_list, targets, budget, degree_caps, split=True)
+    edges = [(u, v, 1 << u, 1 << v) for u, v in pair_iter(n)]
+    status, assignment, nodes = _search_edges(n, edges, targets, budget, degree_caps, split=True)
     wall = time.monotonic() - start
-    # edge_list is the canonical pair order, so assignment is the coloring
+    # edges are in canonical pair order, so assignment is the coloring
     witness = EdgeColoring(n, len(targets), assignment) if status == FEASIBLE else None
     return _finished(status, nodes, wall, witness, list(targets), "witness verified",
                      "exhaustive modulo first-edge color-permutation reduction")
@@ -588,35 +595,49 @@ def computed_ramsey(outcomes: dict[int, SearchOutcome]) -> Optional[int]:
 
 def partition_check(
     g: SimpleGraph,
-    pair_targets: tuple[TargetGraph, TargetGraph] = (clique(3), clique(4)),
+    pair_targets: Sequence[TargetGraph] = (clique(3), clique(4)),
     budget: Optional[SearchBudget] = None,
 ) -> SearchOutcome:
     """Can g's non-edges be split into two classes avoiding the pair targets?
 
-    g must be C4-free.  A feasible outcome carries the full 3-colored
-    witness (g's edges in color 0, the split in colors 1 and 2), verified
-    good for (C4, pair_targets[0], pair_targets[1]).
+    g must be C4-free and pair_targets must hold exactly two targets.  A
+    feasible outcome carries the full 3-colored witness (g's edges in color
+    0, the split in colors 1 and 2), verified good for
+    (C4, pair_targets[0], pair_targets[1]).
     """
+    if len(pair_targets) != 2:
+        raise ValueError(f"need exactly two pair targets, got {len(pair_targets)}")
     if contains_target(g, CYCLE4):
         raise ValueError("input graph contains a C4; partition kernel requires C4-free input")
-    budget = budget or SearchBudget()
+    budget = budget or _DEFAULT_BUDGET
     start = time.monotonic()
-    comp_edges = g.complement().edges()
+    # the non-edges in pair order, each with its pair index: row v's bits
+    # below v are the pairs (u, v), whose indices start at v*(v-1)//2
+    non_edges, where = [], []
+    offset = 0
+    for v, row in enumerate(g.adj):
+        bv = 1 << v
+        free = ~row & (bv - 1)
+        while free:
+            bu = free & -free
+            free ^= bu
+            u = bu.bit_length() - 1
+            non_edges.append((u, v, bu, bv))
+            where.append(offset + u)
+        offset += v
     # Not split across cores: the main process keeps its current path's
     # subtree, and on feasible partition searches that part holds the witness
     # and most nodes (59.3%, 90.7% and 98.9% of 160,930, 705,356 and
     # 6,104,075), so a helper only runs items after the witness.
-    status, assignment, nodes = _search_edges(g.n, comp_edges, pair_targets, budget)
+    status, assignment, nodes = _search_edges(g.n, non_edges, pair_targets, budget)
     wall = time.monotonic() - start
     witness = None
     if status == FEASIBLE:
-        # g's edges in color 0; comp_edges lists the non-edges in pair order
-        split = iter(assignment)
-        adj = g.adj
-        witness = EdgeColoring(
-            g.n, 3, [0 if adj[u] >> v & 1 else next(split) + 1 for u, v in pair_iter(g.n)]
-        )
+        # g's edges in color 0, each non-edge's color shifted by one
+        colors = [0] * (g.n * (g.n - 1) // 2)
+        for i, col in zip(where, assignment):
+            colors[i] = col + 1
+        witness = EdgeColoring(g.n, 3, colors)
     swap = " modulo first-edge color swap" if pair_targets[0] == pair_targets[1] else ""
-    return _finished(status, nodes, wall, witness, [CYCLE4, pair_targets[0], pair_targets[1]],
+    return _finished(status, nodes, wall, witness, [CYCLE4, *pair_targets],
                      "3-colored witness verified", "exhaustive over all non-edge splits" + swap)
-

@@ -449,6 +449,11 @@ class TestPartitionCheck:
 
     def test_wrong_target_count_is_usage_error(self, capsys):
         assert run(["partition-check", "--graph6", "G?????", "--targets", "K3"]) == 1
+        assert capsys.readouterr().err == "error: need exactly two pair targets, got 1\n"
+
+    def test_three_targets_are_a_usage_error(self, capsys):
+        assert run(["partition-check", "--graph6", "G?????", "--targets", "K3,K3,K3"]) == 1
+        assert capsys.readouterr().err == "error: need exactly two pair targets, got 3\n"
 
 
 class TestWitnessCommand:

@@ -177,6 +177,39 @@ class TestContainsTarget:
         for t in targets:
             assert contains_target(g, t) == brute_contains(g, t), (g, t)
 
+    def test_triangle_scan_agrees_with_brute_force(self):
+        # n = 1..12 at every density from edgeless to complete
+        rng = random.Random("k3-scan")
+        seen = set()
+        for n in range(1, 13):
+            for p in [i / 10 for i in range(11)]:
+                for _ in range(3):
+                    g = random_graph(rng, n, p)
+                    got = contains_target(g, clique(3))
+                    assert got == brute_contains(g, clique(3)), g
+                    seen.add(got)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("n", [62, 128])
+    def test_triangle_scan_on_dense_large_graphs(self, n):
+        rng = random.Random(n)
+        for p in (0.5, 0.9):
+            g = random_graph(rng, n, p)
+            assert contains_target(g, clique(3)) and brute_contains(g, clique(3))
+        # a complete bipartite graph is the densest triangle-free one; an
+        # edge inside a side closes a triangle with each vertex of the other
+        order = list(range(n))
+        rng.shuffle(order)
+        side, other = order[: n // 2], order[n // 2:]
+        g = SimpleGraph(n, [(u, v) for u in side for v in other])
+        assert not contains_target(g, clique(3))
+        if n == 62:
+            assert not brute_contains(g, clique(3))
+        assert find_target_copy(g, clique(3)) is None
+        g.add_edge(*sorted(other)[-2:])
+        assert contains_target(g, clique(3))
+        assert find_target_copy(g, clique(3)) is not None
+
     def test_c4_equals_common_neighbor_rule(self):
         rng = random.Random(99)
         for _ in range(40):

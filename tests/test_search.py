@@ -228,6 +228,12 @@ class TestPartitionCheck:
         with pytest.raises(ValueError):
             partition_check(g)
 
+    @pytest.mark.parametrize("pair_targets", [(), (clique(3),), (clique(3), clique(3), clique(3))], ids=len)
+    def test_needs_exactly_two_targets(self, pair_targets):
+        # a third target would get a color of its own that the witness check skips
+        with pytest.raises(ValueError, match="need exactly two pair targets"):
+            partition_check(SimpleGraph(3), pair_targets)
+
     def test_agrees_with_brute_force(self):
         rng = random.Random(42)
         checked = 0
@@ -277,6 +283,16 @@ class TestKernel:
         assert len(answers) > 60
         # K2 and S1 are single edges: every addition creates them
         assert set(answers) == ({True} if target in (clique(2), star(1)) else {True, False})
+
+    def test_each_target_is_compiled_once(self):
+        assert _creates_test(clique(5)) is _creates_test(parse_target_sequence("K5")[0])
+        assert _creates_test(book(3)) is not _creates_test(book(4))
+
+    @pytest.mark.parametrize("target", [empty_graph(3), with_isolated(clique(3), 1)], ids=str)
+    def test_unsupported_kind_raises_on_every_call(self, target):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="unsupported incremental target"):
+                _creates_test(target)
 
     @pytest.mark.parametrize(
         "n,targets,caps,status,nodes",
