@@ -79,7 +79,17 @@ def lemma_p3_bound(q: BoundQuery) -> int:
 
 
 def lemma2_bound(q: BoundQuery) -> int:
-    """The weaker floor-form bound the P3 variant improves on."""
+    """A floor-form bound: s + 3 + m(m-1)/2 + floor(sqrt((m(m-1)/2)^2 + (m-1)^2 (s+1))).
+
+    Its value is at most lemma_p3_bound's: on m = 1..7 with up to three r_i
+    in 1, 4, ..., 37 it is below on 16,650 inputs and equal on 6 (m = 1,
+    r = (7,) gives 9 against 10), and
+    tests/test_bounds.py::TestLemmaBounds::test_p3_is_mt_minus_one_on_grid
+    asserts lemma_p3_bound >= lemma2_bound.  PAPER.md holds only the
+    abstract and names neither the target list this bounds nor the one
+    lemma_p3_bound bounds, so the two are not known to bound the same list,
+    and derive uses neither.
+    """
     m, s = q.m, q.s
     radicand = (m * (m - 1) // 2) ** 2 + (m - 1) ** 2 * (s + 1)
     return s + 3 + m * (m - 1) // 2 + isqrt_floor(radicand)

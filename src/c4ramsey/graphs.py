@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import binascii
 import functools
-import itertools
+import struct
 from typing import Iterable, Optional, Sequence
 
 from . import targets as tg
@@ -301,16 +301,16 @@ class EdgeColoring:
 
     def color_class(self, i: int) -> SimpleGraph:
         self._check_color(i)
-        # one "0"/"1" flag per pair in canonical order, built in C: bytes()
-        # takes colors 0..255, so an unassigned pair or a larger color falls
-        # back to the 0/1 bytes of color == i
+        # one "0"/"1" flag per pair in canonical order, built in C and read
+        # as the pair bitset: bytes() takes colors 0..255, so an unassigned
+        # pair or a larger color falls back to the 0/1 bytes of color == i
         try:
             flags = bytes(self.colors).translate(_class_flags(i))
         except ValueError:
             flags = bytes(map(i.__eq__, self.colors)).translate(_class_flags(1))
         g = SimpleGraph.__new__(SimpleGraph)
         g.n = self.n
-        g.adj = _rows_from_bits(flags.decode(), self.n)
+        g.adj = _rows_from_bits(int(flags[::-1] or b"0", 2), self.n)
         return g
 
     def __eq__(self, other) -> bool:
@@ -432,33 +432,34 @@ def graph6_decode(text: str) -> SimpleGraph:
         )
     # 'A' is a zero group in base64: it pads the body to whole 4-char groups
     packed = binascii.a2b_base64(body.translate(_G6_TO_B64) + b"A" * (-len(body) % 4))
-    bits = format(int.from_bytes(packed, "big"), f"0{8 * len(packed)}b")
-    if "1" in bits[npairs:]:
+    pairs = int.from_bytes(packed.translate(_REVERSE_BITS), "little")
+    if pairs >> npairs:
         raise Graph6Error("nonzero padding bits")
     g = SimpleGraph.__new__(SimpleGraph)
     g.n = n
-    g.adj = _rows_from_bits(bits, n)
+    g.adj = _rows_from_bits(pairs, n)
     return g
 
 
-def _rows_from_bits(bits: str, n: int) -> list[int]:
-    """Adjacency rows from "0"/"1" pair flags in canonical order.
+def _rows_from_bits(pairs: int, n: int) -> list[int]:
+    """Adjacency rows from the pair bitset: bit pair_index(u, v) is pair uv.
 
-    bits may run past the last pair with "0"s (graph6 padding).  Per edge
-    is cheaper up to about 3n edges (n = 11, 28 edges: 6 us against 9 us),
-    per vertex above (n = 128, 4,074 edges: 780 us against 180 us; 2-core
-    x86, Python 3.11).  Partition inputs are sparse, the classes of random
-    colorings dense.
+    Up to 3n edges it goes per edge, above by the bit-matrix network below.
+    Per edge costs a step per vertex and per edge, the network the same
+    for any edges: at n = 11, 3.1 against 5.2 us with 11 edges and 7.4
+    against 3.4 us with 33; at n = 128, 220 against 77 us with 384 edges
+    and 1,040 against 79 us with 4,074 (2-core x86, Python 3.11).  The
+    classes of random colorings are dense; partition inputs (n = 8-11, at
+    most 2.4n edges in the benchmark's batch) stay per edge, where the two
+    differ by a few microseconds.
     """
-    if bits.count("1") <= 3 * n:
-        return _rows_per_edge(bits, n)
-    return _rows_per_vertex(bits, n)
+    if pairs.bit_count() <= 3 * n:
+        return _rows_per_edge(pairs, n)
+    return _rows_per_vertex(pairs, n)
 
 
-def _rows_per_edge(bits: str, n: int) -> list[int]:
-    """Adjacency rows from pair flags, one step per vertex and edge."""
-    # bit pair_index(u, v) is the pair's bit; n = 1 has no pairs
-    pairs = int(bits[::-1] or "0", 2)
+def _rows_per_edge(pairs: int, n: int) -> list[int]:
+    """Adjacency rows from the pair bitset, one step per vertex and edge."""
     adj = [0] * n
     for v in range(1, n):
         row = pairs & ((1 << v) - 1)
@@ -472,17 +473,78 @@ def _rows_per_edge(bits: str, n: int) -> list[int]:
     return adj
 
 
-def _rows_per_vertex(bits: str, n: int) -> list[int]:
-    """Adjacency rows from pair flags, transposed as strings."""
-    # square[v*n + u] is the bit of pair (u, v) for u < v and "0" for u >= v,
-    # so read bit-reversed, block v of square is v's lower row; its
-    # transpose's block u is u's upper row
-    zeros = "0" * n
-    square = "".join([bits[v * (v - 1) // 2 : v * (v + 1) // 2] + zeros[v:] for v in range(n)])
-    transpose = "".join([square[u::n] for u in range(n)])
-    rows = int(square[::-1], 2) | int(transpose[::-1], 2)
-    mask = (1 << n) - 1
-    return [rows >> shift & mask for shift in range(0, n * n, n)]
+@functools.lru_cache(maxsize=None)
+def _bit_network(width: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+    """Shift stages and masks for _rows_per_vertex on a width x width matrix.
+
+    Moves: row v (v bits) starts at v(v-1)/2 and must go left by
+    d(v) = v*width - v(v-1)/2, one stage per bit of d, most significant
+    first.  d rises with v, and so does d with its lower bits cleared, so
+    rows never overlap on the way.  A stage's mask covers the rows whose d has
+    its bit, where they stand at that stage: the sum of 2**end - 2**start
+    over their spans.  Swaps: the delta swaps of a bit-matrix transpose
+    (Hacker's Delight, 2nd ed., section 7-3); swap j trades bit j of row
+    and column index, moving the bits of rows without bit j and columns
+    with it by j*(width - 1).  Its mask repeats one row pattern.
+    """
+    size = width * width // 8
+    moves = []
+    pos = [v * (v - 1) // 2 for v in range(width)]
+    shift = [v * width - pos[v] for v in range(width)]
+    for b in reversed(range(shift[-1].bit_length())):
+        step = 1 << b
+        starts, ends = bytearray(size), bytearray(size)
+        for v in range(1, width):
+            if shift[v] & step:
+                p, e = pos[v], pos[v] + v
+                starts[p >> 3] |= 1 << (p & 7)
+                ends[e >> 3] |= 1 << (e & 7)
+                pos[v] += step
+        moves.append((step, int.from_bytes(ends, "little") - int.from_bytes(starts, "little")))
+    swaps = []
+    row_bytes = width // 8
+    j = width
+    while j > 1:
+        j //= 2
+        # a row's columns with bit j: whole bytes from j = 8 on, else one
+        # byte pattern (0xF0, 0xCC, 0xAA)
+        if j >= 8:
+            row = (bytes(j // 8) + b"\xff" * (j // 8)) * (width // (2 * j))
+        else:
+            row = bytes([sum(1 << c for c in range(8) if c & j)]) * row_bytes
+        mask = (row * j + bytes(row_bytes * j)) * (width // (2 * j))
+        swaps.append((j * (width - 1), int.from_bytes(mask, "little")))
+    return tuple(moves), tuple(swaps)
+
+
+# struct codes of the unsigned words that hold one row of a width x width
+# matrix
+_WORDS = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+
+def _rows_per_vertex(pairs: int, n: int) -> list[int]:
+    """Adjacency rows from the pair bitset by a bit-matrix network.
+
+    Row v's lower part, bits v(v-1)/2 .. v(v+1)/2 - 1 of pairs, moves to
+    bit v*W of a W x W matrix, W the next power of two >= max(n, 8); the
+    matrix ORed with its transpose holds every row, and one to_bytes and
+    one struct.unpack split them.
+    """
+    width = 1 << max(n - 1, 7).bit_length()
+    moves, swaps = _bit_network(width)
+    for step, mask in moves:
+        t = pairs & mask
+        pairs = pairs ^ t | t << step
+    x = pairs
+    for shift, mask in swaps:
+        t = (x ^ x >> shift) & mask
+        x ^= t ^ t << shift
+    data = (x | pairs).to_bytes(width * width // 8, "little")
+    if width <= 64:
+        return list(struct.unpack_from(f"<{n}{_WORDS[width]}", data))
+    # a 128-bit row is two 64-bit words, low word first
+    words = struct.unpack_from(f"<{2 * n}Q", data)
+    return [low | high << 64 for low, high in zip(words[::2], words[1::2])]
 
 
 # ---------------------------------------------------------------------------
@@ -490,12 +552,63 @@ def _rows_per_vertex(bits: str, n: int) -> list[int]:
 # order ('-', and only '-', for unassigned); '#' starts a comment.
 # coloring_to_text writes the canonical form: the header, then one line per
 # pair in canonical order, single spaces, '\n' line ends and no comment.
-# coloring_from_text reads that form in bulk and any other document, with
-# comments, other pair orders, missing pairs or other blanks, line by line.
+# coloring_from_text reads that form in bulk when c <= 10 and any other
+# document, with comments, other pair orders, missing pairs or other blanks,
+# line by line.
 
-# Colors below this have cached tokens; larger ones are written one by one
-# and read by the line loop.
+# With at most this many colors every token is one character, '0'..'9' or
+# '-', so the canonical body of K_n is one per-n template with a token slot
+# at a fixed offset on every line.
+_TEMPLATE_COLORS = 10
+# Colors below this have cached tokens in the line-by-line writer; larger
+# ones are written one by one.
 _TOKEN_COLORS = 256
+
+_DIGITS = b"0123456789"
+# colors 0..9 to their tokens, and every other byte to 0
+_COLOR_TO_TOKEN = bytes(_DIGITS[b] if b < 10 else 0 for b in range(256))
+# tokens to colors, '-' to 255
+_TOKEN_TO_COLOR = bytes.maketrans(_DIGITS + b"-", bytes(range(10)) + b"\xff")
+
+
+@functools.lru_cache(maxsize=16)
+def _text_template(n: int) -> tuple[bytes, tuple[tuple[int, int, int, int, int], ...]]:
+    """The canonical body of K_n with a 0 byte in every token slot, and the
+    slots as runs (start, stop, step, first, last).
+
+    Consecutive lines of equal width hold pairs first..last-1, and their
+    slots are at range(start, stop, step).  Within a column a run ends
+    where the width of u changes; a run that the next column's first lines
+    continue at the same width goes on, so all of K_10 is one run and K_128
+    has 261.
+    """
+    names = [str(u) for u in range(n)]
+    parts, runs = [], []
+    offset = pair = 0
+    for v in range(1, n):
+        tail = f" {v} \0\n"
+        parts.append(tail.join(names[:v]) + tail)
+        for lo, hi in ((0, 10), (10, 100), (100, v)):
+            count = min(hi, v) - lo
+            if count <= 0:
+                break
+            step = len(names[lo]) + len(tail)
+            start, first = offset + step - 2, pair
+            if runs and runs[-1][1:3] == (start, step):
+                start, _, _, first, _ = runs.pop()
+            offset += step * count
+            pair += count
+            runs.append((start, offset + step - 2, step, first, pair))
+    return "".join(parts).encode(), tuple(runs)
+
+
+def _filled_template(n: int, tokens: bytes) -> bytearray:
+    """The canonical body of K_n with tokens[i] in pair i's slot."""
+    body, runs = _text_template(n)
+    body = bytearray(body)
+    for start, stop, step, first, last in runs:
+        body[start:stop:step] = tokens[first:last]
+    return body
 
 
 @functools.lru_cache(maxsize=16)
@@ -510,49 +623,64 @@ class _ColorTokens(dict):
 
 
 @functools.lru_cache(maxsize=16)
-def _color_tokens(c: int) -> tuple[_ColorTokens, dict[str, int]]:
-    """Pair-line tails by color, and colors by tail, for colors below c."""
-    write = _ColorTokens({col: f"{col}\n" for col in range(c)})
-    write[UNASSIGNED] = "-\n"
-    read = {str(col): col for col in range(c)}
-    read["-"] = UNASSIGNED
-    return write, read
+def _color_tokens(c: int) -> _ColorTokens:
+    """Pair-line tails by color for colors below c, and for UNASSIGNED."""
+    tokens = _ColorTokens({col: f"{col}\n" for col in range(c)})
+    tokens[UNASSIGNED] = "-\n"
+    return tokens
 
 
 def coloring_to_text(coloring: EdgeColoring) -> str:
-    heads = _pair_heads(coloring.n)
-    tokens, _ = _color_tokens(min(coloring.c, _TOKEN_COLORS))
+    n, c = coloring.n, coloring.c
+    header = f"{n} {c}\n"
+    if c <= _TEMPLATE_COLORS:
+        # a complete coloring's tokens fill the template's slots; an
+        # unassigned pair, or a color that bytes() refuses or that has no
+        # one-character token, takes the join below
+        try:
+            tokens = bytes(coloring.colors).translate(_COLOR_TO_TOKEN)
+        except (ValueError, TypeError):
+            tokens = None
+        if tokens is not None and b"\0" not in tokens:
+            return header + _filled_template(n, tokens).decode()
+    heads = _pair_heads(n)
+    tokens = _color_tokens(min(c, _TOKEN_COLORS))
     parts = [""] * (2 * len(heads))
     parts[::2] = heads
     parts[1::2] = map(tokens.__getitem__, coloring.colors)
-    return f"{coloring.n} {coloring.c}\n" + "".join(parts)
+    return header + "".join(parts)
 
 
 def _canonical_colors(text: str) -> Optional[tuple[int, int, list[int]]]:
-    """(n, c, colors) if text is exactly coloring_to_text's output, else None.
+    """(n, c, colors) if text is exactly coloring_to_text's output and
+    c <= 10, else None.
 
-    Every body line must be its pair's head followed by a color token;
-    str.removeprefix leaves a line without its head whole, and the token
-    lookup then fails unless the line is a bare token.  Heads hold two
-    blanks, tokens none and the header one, so a count of blanks rules out
-    bare tokens.  The text is then the canonical text of (n, c, colors).
+    Strided slices read the template's token slots; each must hold a color
+    token below c or '-', and the template filled with these tokens must
+    be the body, which checks every byte outside the slots at once.  Only
+    ASCII text can match, so its bytes stand for its characters.
     """
-    lines = text.split("\n")
-    a, _, b = lines[0].partition(" ")
+    if not text.isascii():
+        return None
+    header, newline, body = text.encode().partition(b"\n")
+    a, _, b = header.partition(b" ")
     try:
         n, c = int(a), int(b)
     except ValueError:
         return None
-    if f"{n} {c}" != lines[0] or not (1 <= n <= MAX_VERTICES and c >= 1):
+    if not newline or b"%d %d" % (n, c) != header:
         return None
-    heads = _pair_heads(n)
-    if len(lines) != len(heads) + 2 or lines[-1] or text.count(" ") != 2 * len(heads) + 1:
+    if not (1 <= n <= MAX_VERTICES and 1 <= c <= _TEMPLATE_COLORS):
         return None
-    _, read = _color_tokens(min(c, _TOKEN_COLORS))
-    try:
-        colors = list(map(read.__getitem__, map(str.removeprefix, itertools.islice(lines, 1, None), heads)))
-    except KeyError:
+    template, runs = _text_template(n)
+    if len(body) != len(template):
         return None
+    tokens = b"".join([body[start:stop:step] for start, stop, step, _, _ in runs])
+    if tokens.translate(None, _DIGITS[:c] + b"-") or _filled_template(n, tokens) != body:
+        return None
+    colors = list(tokens.translate(_TOKEN_TO_COLOR))
+    if b"-" in tokens:
+        colors = [UNASSIGNED if col == 255 else col for col in colors]
     return n, c, colors
 
 

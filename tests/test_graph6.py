@@ -4,7 +4,8 @@ import networkx as nx
 import pytest
 
 from c4ramsey import SimpleGraph, graph6_decode, graph6_encode
-from c4ramsey.graphs import Graph6Error, _rows_per_edge, _rows_per_vertex
+from c4ramsey import graphs
+from c4ramsey.graphs import Graph6Error, _rows_from_bits, _rows_per_edge, _rows_per_vertex
 
 from conftest import random_graph
 
@@ -171,5 +172,54 @@ def test_per_edge_and_per_vertex_rows_agree(n):
     rng = random.Random(n)
     for p in (0.0, 0.05, 0.5, 1.0):
         g = random_graph(rng, n, p)
-        bits = "".join(str(int(g.has_edge(u, v))) for v in range(1, n) for u in range(v)) + "0" * 7
-        assert _rows_per_edge(bits, n) == _rows_per_vertex(bits, n) == g.adj
+        flags = [g.has_edge(u, v) for v in range(1, n) for u in range(v)]
+        pairs = sum(1 << i for i, flag in enumerate(flags) if flag)
+        assert _rows_per_edge(pairs, n) == _rows_per_vertex(pairs, n) == g.adj
+
+
+def per_pair_rows(pairs: int, n: int) -> list[int]:
+    """Adjacency rows from a pair bitset, one pair at a time."""
+    adj = [0] * n
+    i = 0
+    for v in range(n):
+        for u in range(v):
+            if pairs >> i & 1:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            i += 1
+    return adj
+
+
+def random_pairs(rng: random.Random, n: int, p: float) -> int:
+    npairs = n * (n - 1) // 2
+    return sum(1 << i for i in range(npairs) if rng.random() < p)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.05, 0.5, 1.0])
+def test_row_builders_match_per_pair_oracle_for_every_n(p):
+    rng = random.Random(str(p))
+    for n in range(1, 129):
+        pairs = random_pairs(rng, n, p)
+        expected = per_pair_rows(pairs, n)
+        assert _rows_per_edge(pairs, n) == expected, n
+        assert _rows_per_vertex(pairs, n) == expected, n
+        assert _rows_from_bits(pairs, n) == expected, n
+
+
+@pytest.mark.parametrize("n", [8, 9, 12, 62, 64, 65, 128])
+@pytest.mark.parametrize("extra, builder", [(-1, "_rows_per_edge"), (0, "_rows_per_edge"), (1, "_rows_per_vertex")])
+def test_rows_switch_to_the_network_past_3n_edges(monkeypatch, n, extra, builder):
+    npairs = n * (n - 1) // 2
+    size = 3 * n + extra
+    rng = random.Random(n * 10 + extra)
+    pairs = sum(1 << i for i in rng.sample(range(npairs), size))
+    used = []
+    for name in ("_rows_per_edge", "_rows_per_vertex"):
+
+        def spy(pairs, n, name=name, real=getattr(graphs, name)):
+            used.append(name)
+            return real(pairs, n)
+
+        monkeypatch.setattr(graphs, name, spy)
+    assert _rows_from_bits(pairs, n) == per_pair_rows(pairs, n)
+    assert used == [builder]
