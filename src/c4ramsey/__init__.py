@@ -1,14 +1,7 @@
 """Upper-bound derivations and desk-scale coloring searches for Ramsey
 numbers of C4 versus complete, star and book graphs."""
 
-from .bounds import (
-    BoundQuery,
-    isqrt_ceil,
-    isqrt_floor,
-    lemma2_bound,
-    lemma_p3_bound,
-    theorem_mt_bound,
-)
+from .bounds import BoundQuery, isqrt_ceil, theorem_mt_bound
 from .derive import CannotDeriveError, DerivationTree, derive, replay
 from .graphs import (
     EdgeColoring,

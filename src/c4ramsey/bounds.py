@@ -1,22 +1,18 @@
-"""Exact-integer evaluation of the upper-bound formulas.
+"""Exact-integer evaluation of Theorem MT, the package's one bound formula.
 
-Everything here is integer arithmetic: the ceil(m * sqrt(...)) terms are
-rewritten as integer square roots of integer radicands, because the bounds
-sit exactly on floor/ceil boundaries (sqrt(36), sqrt(49), ...) where any
-floating-point rounding would be wrong.  Python ints are exact at any size,
-so no bound has a width limit.
+Every bound the paper's abstract states follows from Theorem MT on some
+(m, r_1..r_n), so `derive` and every `bound` option evaluate
+`theorem_mt_bound`.  Its ceil(m * sqrt(...)) term is rewritten as the
+integer square root of an integer radicand, because the bounds sit exactly
+on ceiling boundaries (sqrt(36), sqrt(49), ...) where any floating-point
+rounding would be wrong.  Python ints are exact at any size, so no bound
+has a width limit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-def isqrt_floor(x: int) -> int:
-    """floor(sqrt(x)) for x >= 0."""
-    if x < 0:
-        raise ValueError(f"negative input {x}")
-    return math.isqrt(x)
 
 
 def isqrt_ceil(x: int) -> int:
@@ -30,7 +26,7 @@ def isqrt_ceil(x: int) -> int:
 
 @dataclass(frozen=True)
 class BoundQuery:
-    """Parameters (m, r_1..r_n) of the bound formulas; n = len(r)."""
+    """Parameters (m, r_1..r_n) of Theorem MT; n = len(r)."""
 
     m: int
     r: tuple[int, ...] = ()
@@ -49,7 +45,7 @@ class BoundQuery:
 
     @property
     def s(self) -> int:
-        """sum(r_i) - n, the quantity every formula is built from."""
+        """sum(r_i) - n, the quantity Theorem MT is built from."""
         return sum(self.r) - self.n
 
 
@@ -71,25 +67,3 @@ def theorem_mt_bound(q: BoundQuery) -> int:
     # ceil(m * sqrt((m+1)^2/4 + s)) = ceil(sqrt(m^2 (m+1)^2 / 4 + m^2 s)),
     # and m^2 (m+1)^2 / 4 = (m(m+1)/2)^2 is an exact integer.
     return s + 1 + m * (m + 1) // 2 + isqrt_ceil((m * (m + 1) // 2) ** 2 + m * m * s)
-
-
-def lemma_p3_bound(q: BoundQuery) -> int:
-    """The P3-headed variant; always theorem_mt_bound(q) - 1."""
-    return theorem_mt_bound(q) - 1
-
-
-def lemma2_bound(q: BoundQuery) -> int:
-    """A floor-form bound: s + 3 + m(m-1)/2 + floor(sqrt((m(m-1)/2)^2 + (m-1)^2 (s+1))).
-
-    Its value is at most lemma_p3_bound's: on m = 1..7 with up to three r_i
-    in 1, 4, ..., 37 it is below on 16,650 inputs and equal on 6 (m = 1,
-    r = (7,) gives 9 against 10), and
-    tests/test_bounds.py::TestLemmaBounds::test_p3_is_mt_minus_one_on_grid
-    asserts lemma_p3_bound >= lemma2_bound.  PAPER.md holds only the
-    abstract and names neither the target list this bounds nor the one
-    lemma_p3_bound bounds, so the two are not known to bound the same list,
-    and derive uses neither.
-    """
-    m, s = q.m, q.s
-    radicand = (m * (m - 1) // 2) ** 2 + (m - 1) ** 2 * (s + 1)
-    return s + 3 + m * (m - 1) // 2 + isqrt_floor(radicand)

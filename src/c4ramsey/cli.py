@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .bounds import BoundQuery, lemma2_bound, lemma_p3_bound, theorem_mt_bound
+from .bounds import BoundQuery, theorem_mt_bound
 from .derive import CannotDeriveError, derive, replay
 from .graphs import (
     coloring_from_text,
@@ -80,9 +80,7 @@ def _emit(args, doc: dict, text: str) -> None:
 
 
 # the options each bound formula reads; any other one given is a usage error
-_BOUND_OPTIONS = {"mt": ("m", "r"), "lemma2": ("m", "r"), "p3": ("m", "r"), "parsons": (),
-                  "book": ("registry",), "stars": ("m",)}
-_MT_FORMULAS = {"mt": theorem_mt_bound, "lemma2": lemma2_bound, "p3": lemma_p3_bound}
+_BOUND_OPTIONS = {"mt": ("m", "r"), "parsons": (), "book": ("registry",), "stars": ("m",)}
 
 
 def _cmd_bound(args) -> int:
@@ -90,18 +88,17 @@ def _cmd_bound(args) -> int:
     for name in ("m", "r", "registry"):
         if getattr(args, name) is not None and name not in _BOUND_OPTIONS[formula]:
             raise SystemExit(f"--{name} does not apply to --{formula}")
-    m = 1 if args.m is None else args.m
-    if formula in _MT_FORMULAS:
-        value = _MT_FORMULAS[formula](BoundQuery(m, tuple(args.r or [])))
+    # every formula is Theorem MT on the r it picks: Parsons' star bound on
+    # (k,), the multicolor star bound on (k_1..k_n), and the book bound on
+    # (s,), s the better of Parsons' bound and a registry fact on R(C4,S_k)
+    if formula == "book":
+        parsons = theorem_mt_bound(BoundQuery(1, (args.book,)))
+        fact = _load_registry_arg(args.registry).best_upper(TargetList((CYCLE4, star(args.book))))
+        r = [parsons if fact is None else min(parsons, fact.value)]
     else:
-        # Parsons' star bound, the book bound and the multicolor star bound
-        # are Theorem MT on the r each picks; a book's r_1 bounds R(C4,S_k)
-        r = args.stars or [args.parsons]
-        if formula == "book":
-            parsons = theorem_mt_bound(BoundQuery(1, (args.book,)))
-            fact = _load_registry_arg(args.registry).best_upper(TargetList((CYCLE4, star(args.book))))
-            r = [parsons if fact is None else min(parsons, fact.value)]
-        value = theorem_mt_bound(BoundQuery(m, tuple(r)))
+        r = {"mt": args.r or [], "parsons": [args.parsons], "stars": args.stars}[formula]
+    m = 1 if args.m is None else args.m
+    value = theorem_mt_bound(BoundQuery(m, tuple(r)))
     _emit(args, {"command": "bound", "formula": formula, "value": value}, str(value))
     return EXIT_OK
 
@@ -263,8 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     formula = p.add_mutually_exclusive_group(required=True)
     # None when not given, as for the formulas that take values
     formula.add_argument("--mt", action="store_true", default=None)
-    formula.add_argument("--lemma2", action="store_true", default=None)
-    formula.add_argument("--p3", action="store_true", default=None)
     formula.add_argument("--parsons", type=int, metavar="K")
     formula.add_argument("--book", type=int, metavar="K")
     formula.add_argument("--stars", type=int, nargs="+", metavar="K")

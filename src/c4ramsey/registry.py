@@ -125,12 +125,8 @@ class Registry:
         return f if f is not None and f.kind == "exact" else None
 
     def facts(self) -> list[RamseyFact]:
-        seen = []
-        for table in (self._upper, self._lower):
-            for f in table.values():
-                if f not in seen:
-                    seen.append(f)
-        return sorted(seen, key=lambda f: (f.key(), f.kind))
+        # an exact fact sits in both tables as one object, so (key, kind) never ties
+        return sorted({*self._upper.values(), *self._lower.values()}, key=lambda f: (f.key(), f.kind))
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(render_registry(self))

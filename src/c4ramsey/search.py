@@ -21,6 +21,7 @@ from .graphs import (
     EdgeColoring,
     SimpleGraph,
     _clique_in,
+    coloring_to_text,
     contains_target,
     is_good_coloring,
     pair_iter,
@@ -64,8 +65,6 @@ class SearchOutcome:
     certificate_note: str = ""
 
     def to_dict(self) -> dict:
-        from .graphs import coloring_to_text
-
         return {
             "status": self.status,
             "nodes": self.nodes_explored,

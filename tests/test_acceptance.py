@@ -6,6 +6,7 @@ inline; they also appear in captured output on failure).
 
 import contextlib
 import io
+import math
 import random
 import time
 
@@ -21,9 +22,6 @@ from c4ramsey import (
     graph6_encode,
     is_good_coloring,
     isqrt_ceil,
-    isqrt_floor,
-    lemma2_bound,
-    lemma_p3_bound,
     partition_check,
     ramsey_by_search,
     replay,
@@ -109,14 +107,14 @@ def test_criterion_4_formula_relations():
         for _ in range(10_000):
             m = rng.randint(1, 50)
             s = rng.randint(1, 10**6)
-            q = BoundQuery(m, (s + 1,))
-            assert theorem_mt_bound(q) == lemma_p3_bound(q) + 1
-            assert lemma_p3_bound(q) >= lemma2_bound(q)
+            # Theorem MT's ceiling term c is the least with 4c^2 >= m^2 ((m+1)^2 + 4s)
+            c = theorem_mt_bound(BoundQuery(m, (s + 1,))) - s - 1 - m * (m + 1) // 2
+            assert 4 * c * c >= m * m * ((m + 1) ** 2 + 4 * s) > 4 * (c - 1) * (c - 1)
             points += 1
         assert points >= 10**4
         for _ in range(10_000):
             k = rng.randint(1, 10**6)
-            assert isqrt_ceil(k + 1) == isqrt_floor(k) + 1
+            assert isqrt_ceil(k + 1) == math.isqrt(k) + 1
 
     report(4, "formula relations", check, 10.0)
 

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 import random
 
 import pytest
@@ -10,9 +11,6 @@ from c4ramsey import (
     RamseyFact,
     Registry,
     isqrt_ceil,
-    isqrt_floor,
-    lemma2_bound,
-    lemma_p3_bound,
     theorem_mt_bound,
 )
 from c4ramsey.cli import run
@@ -20,17 +18,17 @@ from c4ramsey.cli import run
 
 class TestIsqrt:
     def test_paper_case_values(self):
-        assert isqrt_floor(36) == 6
+        assert isqrt_ceil(36) == 6
         assert isqrt_ceil(43) == 7
 
     def test_zero(self):
         assert isqrt_ceil(0) == 0
-        assert isqrt_floor(0) == 0
 
     @given(st.integers(0, 2**63 - 1))
     def test_floor_definition(self, x):
-        f = isqrt_floor(x)
-        assert f * f <= x < (f + 1) * (f + 1)
+        # the ceiling is the floor root, plus one unless x is a square
+        f = math.isqrt(x)
+        assert isqrt_ceil(x) == f + (f * f != x)
 
     @given(st.integers(0, 2**63 - 1))
     def test_ceil_is_smallest_dominating_square(self, x):
@@ -39,14 +37,14 @@ class TestIsqrt:
 
     @given(st.integers(1, 10**6))
     def test_ceil_shift_identity(self, k):
-        assert isqrt_ceil(k + 1) == isqrt_floor(k) + 1
+        assert isqrt_ceil(k + 1) == math.isqrt(k) + 1
 
     def test_no_width_limit(self):
         # the roots are exact on ints of any size, 64 bits and far beyond
         for x in (2**63 - 1, 2**63, 2**200 + 12345, (10**30 + 7) ** 2, (10**30 + 7) ** 2 + 1):
-            f, c = isqrt_floor(x), isqrt_ceil(x)
-            assert f * f <= x < (f + 1) * (f + 1)
+            c = isqrt_ceil(x)
             assert c * c >= x > (c - 1) * (c - 1)
+            assert c == math.isqrt(x) + (math.isqrt(x) ** 2 != x)
         with pytest.raises(ValueError):
             isqrt_ceil(-1)
 
@@ -93,32 +91,6 @@ class TestTheoremMtBound:
             bumped[i] += rng.randint(1, 10)
             assert theorem_mt_bound(BoundQuery(m, tuple(bumped))) >= base
             assert theorem_mt_bound(BoundQuery(m + 1, tuple(r))) >= base
-
-
-class TestLemmaBounds:
-    def test_m1_lemma2_is_sum_plus_3(self):
-        assert lemma2_bound(BoundQuery(1, (5, 9))) == 5 + 9 - 2 + 3
-        assert lemma2_bound(BoundQuery(1, ())) == 3
-
-    def test_hand_evaluated_case(self):
-        assert lemma2_bound(BoundQuery(2, (5,))) == 10
-
-    def test_p3_examples(self):
-        assert lemma_p3_bound(BoundQuery(1, (36,))) == 42
-        assert lemma_p3_bound(BoundQuery(2, ())) == 6
-
-    def test_p3_is_mt_minus_one_on_grid(self):
-        rng = random.Random(11)
-        count = 0
-        for _ in range(12000):
-            m = rng.randint(1, 50)
-            s = rng.randint(1, 10**6)
-            q = BoundQuery(m, (s + 1,))  # sum r - n = s
-            assert q.s == s
-            assert theorem_mt_bound(q) == lemma_p3_bound(q) + 1
-            assert lemma_p3_bound(q) >= lemma2_bound(q)
-            count += 1
-        assert count >= 10**4
 
 
 def mt(m, *r):

@@ -24,7 +24,7 @@ from c4ramsey import (
     search_coloring,
     seed_registry,
 )
-from c4ramsey import cli, graphs, witness
+from c4ramsey import cli, search, witness
 from c4ramsey.cli import run
 from c4ramsey.graphs import EdgeColoring, coloring_from_text, coloring_to_text, find_target_copy, pair_iter
 from c4ramsey.targets import CYCLE4, clique, parse_targets, strip_k2
@@ -107,12 +107,6 @@ class TestBound:
         assert run(["bound", "--stars", "3", "4", "--m", "2"]) == 0
         assert out_of(capsys) == "15"
 
-    def test_p3_and_lemma2(self, capsys):
-        assert run(["bound", "--p3", "--m", "1", "--r", "36"]) == 0
-        assert out_of(capsys) == "42"
-        assert run(["bound", "--lemma2", "--m", "2", "--r", "5"]) == 0
-        assert out_of(capsys) == "10"
-
     def test_json(self, capsys):
         assert run(["bound", "--mt", "--m", "1", "--r", "36", "--json"]) == 0
         doc = json.loads(out_of(capsys))
@@ -137,8 +131,8 @@ class TestBound:
             (["--stars", "3", "4", "--r", "2"], "--r"),
             (["--stars", "3", "--registry", "nonexist.txt"], "--registry"),
             (["--mt", "--m", "1", "--r", "36", "--registry", "nonexist.txt"], "--registry"),
-            (["--lemma2", "--r", "5", "--registry", "nonexist.txt"], "--registry"),
-            (["--p3", "--r", "36", "--registry", "nonexist.txt"], "--registry"),
+            (["--mt", "--r", "36", "--registry", "nonexist.txt"], "--registry"),
+            (["--stars", "3", "4", "--m", "2", "--registry", "nonexist.txt"], "--registry"),
             (["--book", "17", "--r", "5"], "--r"),
         ],
     )
@@ -151,23 +145,19 @@ class TestBound:
     def test_m_defaults_to_one_where_it_is_read(self, capsys):
         assert run(["bound", "--stars", "3", "4"]) == 0
         assert run(["bound", "--stars", "3", "4", "--m", "1"]) == 0
-        assert run(["bound", "--p3", "--r", "36"]) == 0
-        assert out_of(capsys).split() == ["10", "10", "42"]
+        assert run(["bound", "--mt", "--r", "36"]) == 0
+        assert out_of(capsys).split() == ["10", "10", "43"]
 
     def test_n_mismatch_is_usage_error(self, capsys):
         assert run(["bound", "--mt", "--m", "1", "--n", "2", "--r", "36"]) == 1
 
-    @pytest.mark.parametrize("formula", ["--mt", "--p3"])
-    def test_m1_without_r_says_none_was_given(self, formula, capsys):
-        assert run(["bound", formula]) == 1
+    @pytest.mark.parametrize("flags", ["--mt", "--mt --m 1"])
+    def test_m1_without_r_says_none_was_given(self, flags, capsys):
+        assert run(["bound", *flags.split()]) == 1
         assert capsys.readouterr().err == "error: m=1 needs some r_i > 1, and no r_i was given\n"
-        assert run(["bound", formula, "--r", "1", "1"]) == 1
+        assert run(["bound", *flags.split(), "--r", "1", "1"]) == 1
         assert capsys.readouterr().err == (
             "error: m=1 with all r_i=1 is excluded (some non-C4 target must exceed K2)\n")
-
-    def test_lemma2_without_r(self, capsys):
-        assert run(["bound", "--lemma2"]) == 0
-        assert out_of(capsys) == "3"
 
     def test_large_r_is_exact(self, capsys):
         # m = 1: (r - 1) + 1 + 1 + c, c the least with c^2 >= r
@@ -378,7 +368,7 @@ class TestSearch:
             calls.append(coloring.n)
             return coloring_to_text(coloring)
 
-        monkeypatch.setattr(graphs, "coloring_to_text", counted)  # SearchOutcome.to_dict's
+        monkeypatch.setattr(search, "coloring_to_text", counted)  # SearchOutcome.to_dict's
         monkeypatch.setattr(cli, "coloring_to_text", counted)
         code, out, err = run_captured(argv + ["--witness-out", str(out_path), "--json"])
         assert code == 0 and err == "" and len(calls) == 1
@@ -737,12 +727,16 @@ def test_derive_plans_lists_with_a_c4_plus_isolated_vertices(capsys, targets):
 
 
 # `bound` lines swept with a fixed seed: every --parsons K and --book K for K
-# in -3..299 and three huge K, random --stars, --mt, --p3 and --lemma2 lines,
-# --book against a registry file of random C4,S_k facts, and --json lines
+# in -3..299 and three huge K, random --stars and --mt lines, --book against
+# a registry file of random C4,S_k facts, and --json lines.  The stream still
+# draws the --p3 and --lemma2 lines of the formulas `bound` once had, so the
+# other lines stay as they were; _bound_sweep keeps them apart
 _HUGE = (10**6 + 3, 2**62, 10**40)
+_DELETED_FORMULAS = ("--p3", "--lemma2")
 
 
-def _bound_sweep(registry_path):
+def _bound_sweep(registry_path, deleted=False):
+    """The swept argvs; with deleted=True, only the lines of the deleted formulas."""
     rng = random.Random(19)
     lines = [[flag, str(k)] for flag in ("--parsons", "--book") for k in [*range(-3, 300), *_HUGE]]
 
@@ -764,7 +758,7 @@ def _bound_sweep(registry_path):
         lines.append(["--book", str(rng.randint(-1, 40)), "--registry", registry_path])
     for _ in range(50):
         lines.append(rng.choice(lines[:-63]) + ["--json"])
-    return [["bound", *line] for line in lines]
+    return [["bound", *line] for line in lines if (line[0] in _DELETED_FORMULAS) == deleted]
 
 
 def _star_registry(path):
@@ -779,9 +773,9 @@ def _star_registry(path):
 
 
 # sha256 over "ARGV\nCODE\n" + stdout of every swept line, the registry
-# path written as REG; recorded with the separate Parsons, book and stars
-# formulas, before `bound` evaluated them all as Theorem MT
-BOUND_SWEEP_DIGEST = "eb62f6697cd56f5eed754d2ce4e8bcc74acfc3b1bf1ddadeb53664ac1526b582"
+# path written as REG; recorded while `bound` still had --p3 and --lemma2,
+# over the 4,728 lines that are not theirs
+BOUND_SWEEP_DIGEST = "f77931ccde5cb8499de67e8019b3fe5cfe7885867d658b927f7297bdeaf20afd"
 
 # bound ARGS -> (exit code, stdout), recorded with the sweep; EMPTY names an
 # empty registry file
@@ -804,8 +798,8 @@ BOUND_SPOTS = {
     "--stars 17 17 17": (0, "57"),
     "--mt --m 1 --r 36": (0, "43"),
     "--mt --m 3": (0, "13"),
-    "--p3 --m 1 --r 36": (0, "42"),
-    "--lemma2 --m 2 --r 5": (0, "10"),
+    "--p3 --m 1 --r 36": (1, ""),
+    "--lemma2 --m 2 --r 5": (1, ""),
     "--parsons 1": (1, ""),
     "--book 1": (1, ""),
     "--stars 1": (1, ""),
@@ -832,3 +826,13 @@ def test_bound_sweep_outputs_are_pinned(tmp_path):
         shown = " ".join("REG" if a == reg else a for a in argv)
         digest.update(f"{shown}\n{code}\n{out}".encode())
     assert digest.hexdigest() == BOUND_SWEEP_DIGEST
+
+
+def test_bound_sweep_lines_of_deleted_formulas_are_usage_errors(tmp_path):
+    reg = str(tmp_path / "stars.txt")
+    _star_registry(reg)
+    dropped = _bound_sweep(reg, deleted=True)
+    assert len(dropped) == 1997 and len(_bound_sweep(reg)) == 4728
+    for argv in dropped:
+        code, out, err = run_captured(argv)
+        assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1, argv

@@ -54,7 +54,7 @@ def assert_contract(argv, codes):
 
 
 NUMBER = st.sampled_from([str(i) for i in range(-2, 41)] + JUNK + HUGE)
-BOUND = {"--mt": None, "--lemma2": None, "--p3": None, "--parsons": one(NUMBER), "--book": one(NUMBER),
+BOUND = {"--mt": None, "--parsons": one(NUMBER), "--book": one(NUMBER),
          "--stars": st.lists(NUMBER, max_size=3), "--m": one(NUMBER), "--r": st.lists(NUMBER, max_size=3),
          "--registry": one(st.sampled_from(JUNK)), "--json": None}
 
