@@ -8,7 +8,9 @@ coloring_to_text and coloring_from_text on a random 2-coloring of K_n,
 EdgeColoring.color_class(0) on it, and graph6_encode and graph6_decode on
 its color-0 class; at n = 128 it also times verify_lower_bound of the
 coloring against C4,K4, which rejects it with a copy as the
-witness-pipeline does.  Each figure is the minimum over --repeats timeit
+witness-pipeline does, and coloring_from_text of the canonical text of a
+random 11-coloring, whose two-character tokens the per-n template cannot
+read (c11_read_n128).  Each figure is the minimum over --repeats timeit
 runs of the time per call, in microseconds.
 
 Cold cases, per n, each the minimum over --repeats fresh interpreters, in
@@ -120,6 +122,8 @@ def main() -> None:
         }
         if n == 128:
             calls["verify_lower_bound"] = (_rejected_copy, coloring)
+            eleven = cr.EdgeColoring(n, 11, [rng.randrange(11) for _ in range(n * (n - 1) // 2)])
+            calls["c11_read"] = (cr.coloring_from_text, cr.coloring_to_text(eleven))
         number = max(20, 20_000 // n)
         for name, (fn, arg) in calls.items():
             runs = timeit.repeat(lambda: fn(arg), number=number, repeat=args.repeats)

@@ -6,7 +6,12 @@
 Run from the root of a checkout.  Runs search_coloring on each instance of
 the perfbench search-ladder (perfbench's workloads.ladder_instances()),
 --repeats times, and reports its status, nodes, the median wall time and
-nodes per second.  Each search is bracketed by timings of perfbench's
+nodes per second.  It also runs each instance on one core, through
+search._search_edges(..., split=False), so that the kernel's speed reads
+apart from whether a split search's helper had a core of its own
+(one_core_* fields), and times the capped search S4,S4 at n = 9 with
+degree caps [6, 8] on one core (case S4_S4_9_caps).  Each search is
+bracketed by timings of perfbench's
 pure-Python speed kernel (run._kernel, 2.5 ms at the reference speed), and
 the scaled figures are the raw ones times 2.5 ms over the mean kernel time
 around that search, as perfbench scales.  Also reports pair_speed: the time
@@ -23,7 +28,8 @@ With --pool, reads the outputs of several runs instead and prints their
 cases pooled, as the "before" and "after" lists of BENCH_17.json hold them:
 per instance the median of every run's raw times (wall_s_raw_median), each
 run's scaled median (wall_s_scaled_median_by_run), and nodes per second
-over the raw median and over the median of the scaled ones; every run's
+over the raw median and over the median of the scaled ones, for the split
+and the one-core runs; every run's
 pair_speed readings pooled, with their median and quartiles; the peak RSS
 figures of every run.  Runs must agree on statuses and node counts.
 """
@@ -45,11 +51,14 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import c4ramsey as cr  # noqa: E402
+from c4ramsey import search  # noqa: E402
+from c4ramsey.graphs import pair_iter  # noqa: E402
 from run import KERNEL_REF_S, _kernel  # noqa: E402
 from workloads import ladder_instances  # noqa: E402
 
 PAIR_CALLS = 40
 PAIR_READINGS = 5
+CAPPED = ("S4,S4", 9, [6, 8])  # 31,870 nodes, below the split
 
 
 def _kernel_s(times: int = 3) -> float:
@@ -74,6 +83,49 @@ def _pair_speed(times: int = PAIR_CALLS) -> float:
     return alone / paired
 
 
+def _one_core(n: int, targets, degree_caps=None) -> tuple[str, int]:
+    """search_coloring's search, run in this process only."""
+    edges = [(u, v, 1 << u, 1 << v) for u, v in pair_iter(n)]
+    status, _, nodes = search._search_edges(n, edges, targets, cr.SearchBudget(), degree_caps, split=False)
+    return status, nodes
+
+
+def _timed(call, repeats: int) -> tuple[tuple[str, int], list[float], list[float]]:
+    """call() repeats times: its one outcome, and the raw and the scaled
+    wall time of each call."""
+    raw, scaled, outcomes = [], [], set()
+    for _ in range(repeats):
+        before = _kernel_s()
+        start = time.perf_counter()
+        outcomes.add(call())
+        took = time.perf_counter() - start
+        after = _kernel_s()
+        raw.append(took)
+        scaled.append(took * KERNEL_REF_S / ((before + after) / 2))
+    (outcome,) = outcomes
+    return outcome, raw, scaled
+
+
+def _timings(prefix: str, nodes: int, raw: list[float], scaled: list[float]) -> dict:
+    wall, wall_scaled = statistics.median(raw), statistics.median(scaled)
+    return {
+        f"{prefix}wall_s_raw": round(wall, 6), f"{prefix}wall_s_scaled": round(wall_scaled, 6),
+        f"{prefix}nodes_per_s_raw": round(nodes / wall), f"{prefix}nodes_per_s_scaled": round(nodes / wall_scaled),
+        f"{prefix}wall_s_raw_by_repeat": [round(t, 6) for t in raw],
+    }
+
+
+def _pooled(prefix: str, nodes: int, by_run: tuple) -> dict:
+    raw = [t for c in by_run for t in c[f"{prefix}wall_s_raw_by_repeat"]]
+    scaled = [c[f"{prefix}wall_s_scaled"] for c in by_run]
+    wall = statistics.median(raw)
+    return {
+        f"{prefix}wall_s_raw_median": round(wall, 6), f"{prefix}wall_s_scaled_median_by_run": scaled,
+        f"{prefix}wall_s_raw_by_repeat": raw, f"{prefix}nodes_per_s_raw": round(nodes / wall),
+        f"{prefix}nodes_per_s_scaled": round(nodes / statistics.median(scaled)),
+    }
+
+
 def pool(runs: list[list[dict]]) -> list[dict]:
     """The cases of several runs of this script pooled, in BENCH_17.json's
     format."""
@@ -96,14 +148,10 @@ def pool(runs: list[list[dict]]) -> list[dict]:
         if any((c["case"], c["status"], c["nodes"]) != (first["case"], first["status"], first["nodes"])
                for c in by_run):
             raise ValueError(f"runs disagree on {first['case']}")
-        raw = [t for c in by_run for t in c["wall_s_raw_by_repeat"]]
-        scaled = [c["wall_s_scaled"] for c in by_run]
-        wall = statistics.median(raw)
+        prefixes = [p for p in ("", "one_core_") if f"{p}wall_s_raw_by_repeat" in first]
         cases.append({
             "case": first["case"], "status": first["status"], "nodes": first["nodes"],
-            "wall_s_raw_median": round(wall, 4), "wall_s_scaled_median_by_run": scaled, "wall_s_raw_by_repeat": raw,
-            "nodes_per_s_raw": round(first["nodes"] / wall),
-            "nodes_per_s_scaled": round(first["nodes"] / statistics.median(scaled)),
+            **{k: v for p in prefixes for k, v in _pooled(p, first["nodes"], by_run).items()},
             "runs": len(by_run), "repeats": first["repeats"], "python": first["python"],
             "cpu_count": first["cpu_count"],
         })
@@ -118,28 +166,26 @@ def main() -> int:
     if args.pool:
         print(json.dumps(pool([json.loads(Path(p).read_text()) for p in args.pool]), indent=1))
         return 0
+    env = {"repeats": args.repeats, "python": platform.python_version(), "cpu_count": os.cpu_count()}
     cases = []
     for spec, n in ladder_instances():
         targets = cr.parse_target_sequence(spec)
-        raw, scaled, outcomes = [], [], set()
-        for _ in range(args.repeats):
-            before = _kernel_s()
-            start = time.perf_counter()
+
+        def split():
             out = cr.search_coloring(n, targets)
-            took = time.perf_counter() - start
-            after = _kernel_s()
-            outcomes.add((out.status, out.nodes_explored))
-            raw.append(took)
-            scaled.append(took * KERNEL_REF_S / ((before + after) / 2))
-        (status, nodes), = outcomes
-        wall, wall_scaled = statistics.median(raw), statistics.median(scaled)
-        cases.append({
-            "case": f"{spec.replace(',', '_')}_{n}", "status": status, "nodes": nodes,
-            "wall_s_raw": round(wall, 4), "wall_s_scaled": round(wall_scaled, 4),
-            "nodes_per_s_raw": round(nodes / wall), "nodes_per_s_scaled": round(nodes / wall_scaled),
-            "wall_s_raw_by_repeat": [round(t, 4) for t in raw], "repeats": args.repeats,
-            "python": platform.python_version(), "cpu_count": os.cpu_count(),
-        })
+            return out.status, out.nodes_explored
+
+        (status, nodes), raw, scaled = _timed(split, args.repeats)
+        one_core, one_raw, one_scaled = _timed(lambda: _one_core(n, targets), args.repeats)
+        if one_core != (status, nodes):
+            raise AssertionError(f"{spec}@{n}: one core gave {one_core}, the split {(status, nodes)}")
+        cases.append({"case": f"{spec.replace(',', '_')}_{n}", "status": status, "nodes": nodes,
+                      **_timings("", nodes, raw, scaled), **_timings("one_core_", nodes, one_raw, one_scaled), **env})
+    spec, n, caps = CAPPED
+    targets = cr.parse_target_sequence(spec)
+    (status, nodes), raw, scaled = _timed(lambda: _one_core(n, targets, caps), args.repeats)
+    cases.append({"case": f"{spec.replace(',', '_')}_{n}_caps", "degree_caps": caps, "status": status, "nodes": nodes,
+                  **_timings("one_core_", nodes, raw, scaled), **env})
     readings = [round(_pair_speed(), 3) for _ in range(PAIR_READINGS)]
     cases.append({"case": "pair_speed", "median": statistics.median(readings), "readings": readings,
                   "kernel_calls": PAIR_CALLS})

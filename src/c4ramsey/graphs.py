@@ -651,6 +651,23 @@ def coloring_to_text(coloring: EdgeColoring) -> str:
     return header + "".join(parts)
 
 
+def _canonical_header(text: str) -> Optional[tuple[int, int, str]]:
+    """(n, c, body) if text is ASCII and starts with the line "n c" as
+    coloring_to_text writes it, 1 <= n <= MAX_VERTICES and c >= 1, else
+    None; body is the text after that line."""
+    if not text.isascii():
+        return None
+    header, newline, body = text.partition("\n")
+    a, _, b = header.partition(" ")
+    try:
+        n, c = int(a), int(b)
+    except ValueError:
+        return None
+    if not newline or f"{n} {c}" != header or not (1 <= n <= MAX_VERTICES and c >= 1):
+        return None
+    return n, c, body
+
+
 def _canonical_colors(text: str) -> Optional[tuple[int, int, list[int]]]:
     """(n, c, colors) if text is exactly coloring_to_text's output and
     c <= 10, else None.
@@ -660,18 +677,11 @@ def _canonical_colors(text: str) -> Optional[tuple[int, int, list[int]]]:
     be the body, which checks every byte outside the slots at once.  Only
     ASCII text can match, so its bytes stand for its characters.
     """
-    if not text.isascii():
+    head = _canonical_header(text)
+    if head is None or head[1] > _TEMPLATE_COLORS:
         return None
-    header, newline, body = text.encode().partition(b"\n")
-    a, _, b = header.partition(b" ")
-    try:
-        n, c = int(a), int(b)
-    except ValueError:
-        return None
-    if not newline or b"%d %d" % (n, c) != header:
-        return None
-    if not (1 <= n <= MAX_VERTICES and 1 <= c <= _TEMPLATE_COLORS):
-        return None
+    n, c, body = head
+    body = body.encode()
     template, runs = _text_template(n)
     if len(body) != len(template):
         return None
@@ -684,8 +694,38 @@ def _canonical_colors(text: str) -> Optional[tuple[int, int, list[int]]]:
     return n, c, colors
 
 
+@functools.lru_cache(maxsize=16)
+def _token_colors(c: int) -> dict[str, int]:
+    """Pair-line tokens to colors, for colors below c and for UNASSIGNED."""
+    colors = {f"{col}": col for col in range(c)}
+    colors["-"] = UNASSIGNED
+    return colors
+
+
+def _canonical_tokens(text: str) -> Optional[tuple[int, int, list[int]]]:
+    """(n, c, colors) if text is exactly coloring_to_text's output, c > 10
+    and every color is below 256, else None.
+
+    Tokens of two or more characters have no fixed offsets, so the text is
+    split into lines: each must be its pair's head with a token of the read
+    table after it.  The removed head leaves a line unchanged where it is
+    missing, and a token has no blank, so the blank count, two in each
+    head, tells that no head is missing.
+    """
+    head = _canonical_header(text)
+    if head is None or head[1] <= _TEMPLATE_COLORS:
+        return None
+    n, c, body = head
+    heads = _pair_heads(n)
+    lines = body.split("\n")
+    if len(lines) != len(heads) + 1 or lines[-1] or body.count(" ") != 2 * len(heads):
+        return None
+    colors = list(map(_token_colors(min(c, _TOKEN_COLORS)).get, map(str.removeprefix, lines, heads)))
+    return None if None in colors else (n, c, colors)
+
+
 def coloring_from_text(text: str) -> EdgeColoring:
-    fast = _canonical_colors(text)
+    fast = _canonical_colors(text) or _canonical_tokens(text)
     if fast is None:
         return _coloring_from_lines(text)
     # the canonical form has n, c and every color in range already

@@ -7,6 +7,14 @@ been enumerated (modulo the declared color-permutation reduction on the
 first edge); budget exhaustion is always reported as Unknown.  A long
 search_coloring run is shared with helper processes on the machine's other
 cores, with the same status, node count and witness (see _Split).
+
+The backtracking loop is generated from source, once per process for each
+list of effective targets and binding degree caps (see _kernel): every
+color's target test is written inline in its own unrolled block, with the
+degree cap folded in, so a node calls no Python function (but _clique_in
+for a clique of five or more vertices).  An edge resumes at one past its
+last color after a backtrack, so no cursor stack is kept.  _creates_test
+compiles the same test text on its own, for the brute-force checks.
 """
 
 from __future__ import annotations
@@ -84,86 +92,225 @@ def _effective_target(t: TargetGraph, n: int) -> Optional[TargetGraph]:
     return t.base if t.kind == tg.WITH_ISOLATED else t
 
 
-def _never(adj: list[int], u: int, v: int) -> bool:
-    """The test of a target too large to fit: no edge creates it."""
-    return False
+# One test snippet per target kind.  A snippet runs ACCEPT exactly when
+# adding edge uv to the class with adjacency rows {a} creates no copy of the
+# target, and otherwise falls through.  The class is assumed target-free
+# before the addition, so only copies through the new edge are checked.
+_C4 = """\
+# a new 4-cycle is uv plus a path u-a-b-v already in the class
+rest, av = {a}[u], {a}[v]
+while rest:
+    b = rest & -rest
+    if {a}[b.bit_length() - 1] & av:
+        break
+    rest ^= b
+else:
+    ACCEPT
+"""
+_K4 = """\
+# a new K4 is uv plus an edge among the common neighbours
+rest = {a}[u] & {a}[v]
+while rest:
+    b = rest & -rest
+    rest ^= b
+    if {a}[b.bit_length() - 1] & rest:
+        break
+else:
+    ACCEPT
+"""
+_BOOK = """\
+# spine uv: the pages are the common neighbours of u and v
+common = {a}[u] & {a}[v]
+if common.bit_count() < {k}:
+    # page edge uv: the spine is ux (or vx) and v (or u) is its new page,
+    # so x lies in N(u) & N(v).  Spine ux had |N(u) & N(x)| pages before
+    # and gains v; the class was B_k-free, so the book appears exactly when
+    # that count was k-1.  A neighbour x of u outside N(v) gains no page,
+    # so no other x can complete a book.
+    au, av = {a}[u], {a}[v]
+    while common:
+        b = common & -common
+        common ^= b
+        x = {a}[b.bit_length() - 1]
+        if (au & x).bit_count() >= {pages} or (av & x).bit_count() >= {pages}:
+            break
+    else:
+        ACCEPT
+"""
+
+
+def _snippet(t: Optional[TargetGraph], cap: Optional[int] = None) -> str:
+    """The snippet of target t with degree cap cap folded in.  t None is a
+    target too large to fit, which no edge creates; cap None is a cap that
+    cannot refuse an edge."""
+    kind, k = (t.kind, t.k) if t is not None else (None, 0)
+    if kind == tg.STAR:
+        d = k - 1 if cap is None else min(k - 1, cap)
+        return f"if {{a}}[u].bit_count() < {d} and {{a}}[v].bit_count() < {d}:\n    ACCEPT\n"
+    if kind is None:
+        text = "ACCEPT\n"
+    elif kind == tg.PATH3_KIND:
+        text = "if not ({a}[u] or {a}[v]):\n    ACCEPT\n"
+    elif kind == tg.CYCLE4_KIND:
+        text = _C4
+    elif kind == tg.CLIQUE and k == 3:
+        text = "if not {a}[u] & {a}[v]:\n    ACCEPT\n"
+    elif kind == tg.CLIQUE and k == 4:
+        text = _K4
+    elif kind == tg.CLIQUE:
+        text = f"if not _clique_in({{a}}, {{a}}[u] & {{a}}[v], {k - 2}):\n    ACCEPT\n"
+    elif kind == tg.BOOK:
+        text = _BOOK.replace("{k}", str(k)).replace("{pages}", str(k - 1))
+    else:
+        raise ValueError(f"unsupported incremental target {t}")
+    if cap is None:
+        return text
+    # a vertex with cap edges of this color already takes no more
+    return f"if {{a}}[u].bit_count() < {cap} and {{a}}[v].bit_count() < {cap}:\n" + _indent(text, 1)
+
+
+def _indent(text: str, levels: int) -> str:
+    """text with each non-blank line indented by levels of four spaces."""
+    return "".join("    " * levels + line if line.strip() else line for line in text.splitlines(True))
+
+
+def _filled(snippet: str, a: str, accept: str, levels: int) -> str:
+    """snippet on rows a, with its ACCEPT line replaced by the lines accept,
+    indented by levels."""
+    lines = []
+    for line in snippet.replace("{a}", a).splitlines(True):
+        body = line.lstrip(" ")
+        lines.append(_indent(accept, (len(line) - len(body)) // 4) if body == "ACCEPT\n" else line)
+    return _indent("".join(lines), levels)
+
+
+def _compiled(source: str, name: str):
+    """The function name that source defines, run with the names kernels use."""
+    scope = {"time": time, "_clique_in": _clique_in, "FEASIBLE": FEASIBLE, "INFEASIBLE": INFEASIBLE,
+             "UNKNOWN": UNKNOWN, "NEVER": _NEVER}
+    exec(compile(source, f"<c4ramsey.search {name}>", "exec"), scope)
+    return scope[name]
 
 
 @functools.lru_cache(maxsize=128)
-def _creates_test(t: TargetGraph) -> Callable[[list[int], int, int], int]:
-    """Compile target t into a test (adj, u, v) -> truthy.
+def _creates_test(t: TargetGraph) -> Callable[[list[int], int, int], bool]:
+    """Target t's snippet compiled into a test (adj, u, v) -> bool.
 
     The test says whether adding edge uv to the class with adjacency adj
-    would create a copy of t.  The class is assumed t-free before the
-    addition, so only copies through the new edge need checking.  Each
-    target is compiled once per process.
+    would create a copy of t.  It runs the text the search kernel inlines,
+    so checking it checks the kernel's tests.  Each target is compiled once
+    per process.
     """
-    kind, k = t.kind, t.k
-    if kind == tg.PATH3_KIND:
-        return lambda adj, u, v: adj[u] or adj[v]
-    if kind == tg.STAR:
-        d = k - 1
-        return lambda adj, u, v: adj[u].bit_count() >= d or adj[v].bit_count() >= d
-    if kind == tg.CYCLE4_KIND:
-
-        def c4(adj, u, v):
-            # a new 4-cycle is uv plus a path u-a-b-v already in the class
-            rest, av = adj[u], adj[v]
-            while rest:
-                b = rest & -rest
-                if adj[b.bit_length() - 1] & av:
-                    return True
-                rest ^= b
-            return False
-
-        return c4
-    if kind == tg.CLIQUE and k == 3:
-        return lambda adj, u, v: adj[u] & adj[v]
-    if kind == tg.CLIQUE and k == 4:
-
-        def k4(adj, u, v):
-            # a new K4 is uv plus an edge among the common neighbours
-            rest = adj[u] & adj[v]
-            while rest:
-                b = rest & -rest
-                rest ^= b
-                if adj[b.bit_length() - 1] & rest:
-                    return True
-            return False
-
-        return k4
-    if kind == tg.CLIQUE:
-        need = k - 2
-        return lambda adj, u, v: _clique_in(adj, adj[u] & adj[v], need)
-    if kind == tg.BOOK:
-        pages = k - 1
-
-        def bk(adj, u, v):
-            # spine uv: the pages are the common neighbours of u and v
-            common = adj[u] & adj[v]
-            if common.bit_count() >= k:
-                return True
-            # page edge uv: the spine is ux (or vx) and v (or u) is its new
-            # page, so x lies in N(u) & N(v).  Spine ux had |N(u) & N(x)|
-            # pages before and gains v; the class was B_k-free, so the book
-            # appears exactly when that count was k-1.  A neighbour x of u
-            # outside N(v) gains no page, so no other x can complete a book.
-            au, av = adj[u], adj[v]
-            while common:
-                b = common & -common
-                common ^= b
-                ax = adj[b.bit_length() - 1]
-                if (au & ax).bit_count() >= pages or (av & ax).bit_count() >= pages:
-                    return True
-            return False
-
-        return bk
-    raise ValueError(f"unsupported incremental target {t}")
+    return _test_function(_snippet(t))
 
 
-def _capped(test: Callable[[list[int], int, int], int], cap: int) -> Callable[[list[int], int, int], int]:
-    """test, also refusing an edge at a vertex that has cap edges already."""
-    return lambda adj, u, v: adj[u].bit_count() >= cap or adj[v].bit_count() >= cap or test(adj, u, v)
+def _test_function(snippet: str) -> Callable[[list[int], int, int], bool]:
+    """snippet compiled on its own: (adj, u, v) -> whether it refuses uv."""
+    body = _filled(snippet, "adj", "return False\n", 1)
+    return _compiled(f"def test(adj, u, v):\n{body}    return True\n", "test")
+
+
+# The search kernel.  Edge base takes each color of colors in turn, and
+# below each the later edges are searched in DFS order.  A fresh edge tries
+# the colors from start = 0 on; once every color has failed at an edge, the
+# edge before it is undone and resumed at start = its color + 1.  Each color
+# is one unrolled block, its target's test inlined on its own rows r0, r1,
+# ...  Budget checks fall at each multiple of 4096 nodes and at
+# node_limit + 1; the first at or past split_at calls on_split(idx,
+# assignment), and where that returns a depth D the search keeps the edges
+# before D as they are and ends once it would backtrack into them.  With
+# listed, each accepted prefix of length stop is appended to it with the
+# node count at that moment, and the search goes on as if everything below
+# it had failed.
+_KERNEL = """\
+def kernel(edges, rows, assignment, base, colors, stop, listed, nodes, node_limit, deadline, split_at, on_split):
+    {rows} = rows
+    check = min(nodes - nodes % 4096 + 4096, node_limit + 1)
+    floor, held = base + 1, False
+    for first in colors:
+        idx = base
+        u, v, bu, bv = edges[idx]
+{count}        ok = False
+{first_tests}        if ok:
+            row = rows[first]
+            row[u] |= bv
+            row[v] |= bu
+            assignment[base] = first
+            idx, start = base + 1, 0
+            while True:
+                while idx < stop:
+                    u, v, bu, bv = edges[idx]
+{fresh}                    break
+                else:
+                    if listed is None:
+                        return FEASIBLE, assignment, nodes
+                    listed.append((nodes, tuple(assignment[:stop])))
+                # no color is left to try at idx: undo the edge before it and resume it
+                while idx != floor:
+                    idx -= 1
+                    u, v, bu, bv = edges[idx]
+                    start = assignment[idx]
+                    row = rows[start]
+                    row[u] ^= bv
+                    row[v] ^= bu
+                    start += 1
+{resumed}                else:
+                    break
+            u, v, bu, bv = edges[base]
+            row = rows[first]
+            row[u] ^= bv
+            row[v] ^= bu
+        if held:
+            break
+    return INFEASIBLE, None, nodes
+"""
+# one node: counted, then the budget checked
+_COUNT = """\
+nodes += 1
+if nodes >= check:
+    if nodes > node_limit or time.monotonic() > deadline:
+        return UNKNOWN, None, nodes
+    check = min(check + 4096, node_limit + 1)
+    if nodes >= split_at:
+        split_at = NEVER
+        depth = on_split(idx, assignment)
+        if depth is not None:
+            floor, held = max(floor, depth), True
+"""
+# color {col} taken at edge idx; {then} goes on to the next edge
+_ACCEPT = """\
+r{col}[u] |= bv
+r{col}[v] |= bu
+assignment[idx] = {col}
+idx += 1
+start = 0
+{then}
+"""
+
+
+@functools.lru_cache(maxsize=128)
+def _kernel(effective: tuple, caps: tuple):
+    """The search kernel for the effective targets, one per color (None for
+    a target too large to fit), with the binding degree caps (None for a
+    cap that cannot refuse an edge), compiled on first use."""
+
+    def tries(col, snippet, then):
+        accept = _ACCEPT.format(col=col, then=then)
+        return _indent(f"if start <= {col}:\n", 5) + _indent(_COUNT, 6) + _filled(snippet, f"r{col}", accept, 6)
+
+    first_tests, fresh, resumed = [], [], []
+    for col, (t, cap) in enumerate(zip(effective, caps)):
+        snippet = _snippet(t, cap)
+        first_tests.append(_indent(f"{'el' if col else ''}if first == {col}:\n", 2)
+                           + _filled(snippet, f"r{col}", "ok = True\n", 3))
+        fresh.append(tries(col, snippet, "continue"))
+        if col:  # a resumed edge has start >= 1
+            resumed.append(tries(col, snippet, "break"))
+    source = _KERNEL.format(
+        rows="(" + "".join(f"r{col}, " for col in range(len(effective))) + ")", count=_indent(_COUNT, 2),
+        first_tests="".join(first_tests), fresh="".join(fresh), resumed="".join(resumed),
+    )
+    return _compiled(source, "kernel")
 
 
 def _search_edges(
@@ -193,31 +340,32 @@ def _search_edges(
     groups = targets if degree_caps is None else list(zip(targets, degree_caps))
     first = [i for i, g in enumerate(groups) if groups.index(g) == i]
     if not split:
-        return tree.dfs((), iter(first), 0, budget.node_limit)
+        return tree.dfs((), first, 0, budget.node_limit)
     splitter = _Split(tree, first, budget.node_limit)
     try:
-        return splitter.walk(*tree.dfs((), iter(first), 0, budget.node_limit,
+        return splitter.walk(*tree.dfs((), first, 0, budget.node_limit,
                                        split_at=SPLIT_AFTER, on_split=splitter.split))
     finally:
         splitter.close()
 
 
 class _Tree:
-    """The fixed part of one search: the edges in search order, one test per
-    color (its target's, with its degree cap folded in), and the deadline."""
+    """The fixed part of one search: the edges in search order, the kernel
+    of its targets and degree caps, and the deadline."""
 
     def __init__(self, n, edges, effective, degree_caps, deadline):
         self.n = n
-        self.tests = [_creates_test(eff) if eff is not None else _never for eff in effective]
-        if degree_caps is not None:
-            self.tests = [_capped(test, cap) for test, cap in zip(self.tests, degree_caps)]
+        # a vertex has at most n - 2 edges of a color before uv, so a cap of
+        # n - 1 or more never refuses one
+        caps = [cap if cap < n - 1 else None for cap in degree_caps or [n - 1] * len(effective)]
+        self.kernel = _kernel(tuple(effective), tuple(caps))
         self.edges = edges
         self.every = range(len(effective))
         self.deadline = deadline
 
     def dfs(self, prefix, colors, nodes, node_limit, stop=None, listed=None,
             split_at=_NEVER, on_split=None):
-        """The backtracking loop below a fixed prefix of edge colors.
+        """The search below a fixed prefix of edge colors.
 
         Tries colors on edge len(prefix), the base depth, and goes on in DFS
         order without backtracking into the prefix.  Returns (status,
@@ -229,11 +377,12 @@ class _Tree:
 
         With a stop depth, every accepted prefix of that length is appended
         to listed, with the node count at that moment, instead of being
-        searched below.  on_split(idx, cursors, assignment) is called
-        once, at the first budget check at or past split_at.
+        searched below.  on_split(idx, assignment) is called once, at the
+        first budget check at or past split_at; where it returns a depth D,
+        the search ends once it would backtrack above D.
         """
-        n, edges, every, tests = self.n, self.edges, self.every, self.tests
-        rows = [[0] * n for _ in tests]  # rows[col]: color col's adjacency rows
+        n, edges = self.n, self.edges
+        rows = [[0] * n for _ in self.every]  # rows[col]: color col's adjacency rows
         for i, col in enumerate(prefix):
             u, v, bu, bv = edges[i]
             a = rows[col]
@@ -242,54 +391,12 @@ class _Tree:
         m = len(edges)
         if stop is None:
             stop = m
-        base = idx = len(prefix)
+        base = len(prefix)
         assignment = [*prefix, *[-1] * (m - base)]
-        cursors = []  # cursors[i]: the colors not yet tried on edge base + i
-        deadline = self.deadline
-        check = min(nodes - nodes % 4096 + 4096, node_limit + 1)
-        while True:
-            while idx < stop:
-                u, v, bu, bv = edges[idx]
-                for col in colors:
-                    nodes += 1
-                    if nodes >= check:
-                        if nodes > node_limit or time.monotonic() > deadline:
-                            return UNKNOWN, None, nodes
-                        check = min(check + 4096, node_limit + 1)
-                        if nodes >= split_at:
-                            split_at = _NEVER
-                            on_split(idx, cursors, assignment)
-                    a = rows[col]
-                    if tests[col](a, u, v):
-                        continue
-                    a[u] |= bv
-                    a[v] |= bu
-                    break
-                else:
-                    # every color failed here: undo the previous edge and resume it
-                    if idx == base:
-                        return INFEASIBLE, None, nodes
-                    idx -= 1
-                    colors = cursors.pop()
-                    u, v, bu, bv = edges[idx]
-                    a = rows[assignment[idx]]
-                    a[u] ^= bv
-                    a[v] ^= bu
-                    continue
-                assignment[idx] = col
-                cursors.append(colors)
-                colors = iter(every)
-                idx += 1
-            if listed is None:
-                return FEASIBLE, assignment, nodes
-            # list the prefix, then go on as if everything below it had failed
-            listed.append((nodes, tuple(assignment[:stop])))
-            idx -= 1
-            colors = cursors.pop()
-            u, v, bu, bv = edges[idx]
-            a = rows[assignment[idx]]
-            a[u] ^= bv
-            a[v] ^= bu
+        if base == stop:  # no edges at all
+            return FEASIBLE, assignment, nodes
+        return self.kernel(edges, rows, assignment, base, colors, stop, listed, nodes, node_limit,
+                           self.deadline, split_at, on_split)
 
 
 class _Split:
@@ -316,20 +423,20 @@ class _Split:
         self.pids = []
         self.helpers = {}  # result pipe read end -> bytes received, not yet parsed
 
-    def split(self, idx, cursors, assignment):
-        """The split hook: plan items, empty the cursors above their depth,
-        queue the items and start the helpers."""
+    def split(self, idx, assignment):
+        """The split hook: plan items, queue them and start the helpers.
+        Returns the items' depth, above which the main process's own search
+        must not backtrack, or None where nothing is handed out."""
         import os
         import signal
 
         helpers = _helper_count()
         if not helpers:
-            return
+            return None
         plan = self._plan(assignment[:idx])
         if plan is None:
-            return
+            return None
         depth, self.items, self.gaps = plan
-        cursors[:depth] = [iter(())] * depth
         self.queue, w = os.pipe()
         records = b"".join(i.to_bytes(_ITEM_BYTES, "little") for i in range(len(self.items)))
         written = os.write(w, records)
@@ -356,6 +463,7 @@ class _Split:
                 self.helpers[r] = b""
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        return depth
 
     def _plan(self, path):
         """(D, items, gaps) for the shallowest depth D <= len(path) that
@@ -369,7 +477,7 @@ class _Split:
         plan, work = None, 0
         for depth in range(1, len(path) + 1):
             listed = []
-            status, _, used = self.tree.dfs((), iter(self.first), 0, _PLAN_WORK - work, depth, listed)
+            status, _, used = self.tree.dfs((), self.first, 0, _PLAN_WORK - work, depth, listed)
             if status == UNKNOWN:
                 break
             work += used
@@ -400,8 +508,7 @@ class _Split:
         """Run item i on a process's node counter nodes, within node_limit
         nodes of its own: (status, assignment, the item's nodes, the counter
         after it)."""
-        every = self.tree.every
-        status, assignment, after = self.tree.dfs(self.items[i], iter(every), nodes, nodes + self.node_limit)
+        status, assignment, after = self.tree.dfs(self.items[i], self.tree.every, nodes, nodes + self.node_limit)
         return status, assignment, after - nodes, after
 
     def _help(self, r, out, mask):

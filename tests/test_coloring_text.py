@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from c4ramsey import EdgeColoring, coloring_from_text, coloring_to_text
-from c4ramsey.graphs import _canonical_colors, _coloring_from_lines, pair_iter
+from c4ramsey.graphs import _canonical_colors, _canonical_tokens, _coloring_from_lines, pair_iter
 
 
 def reference_text(col: EdgeColoring) -> str:
@@ -249,3 +249,64 @@ def test_one_character_edit_reads_as_the_loop_reads_it(col, data):
     ch = data.draw(st.sampled_from(list("0123456789 -\n\r\t#x")))
     assert_same_as_loop(text[:i] + ch + text[i + 1 :])
     assert_same_as_loop(text[:i] + ch + text[i:])
+
+
+# Canonical text with c > 10 and every color below 256 is read in bulk by
+# _canonical_tokens, line by line without the line loop's checks.
+
+
+def assert_tokens_same_as_loop(text: str) -> None:
+    assert outcome(coloring_from_text, text) == outcome(_coloring_from_lines, text)
+    fast = _canonical_tokens(text)
+    if fast is not None:
+        assert fast[1] > 10
+        assert coloring_to_text(EdgeColoring(*fast)) == text
+
+
+@pytest.mark.parametrize("c", [11, 12, 100, 255, 256, 300])
+@pytest.mark.parametrize("n", [1, 2, 15, 128])
+def test_multi_character_tokens_read_in_bulk(n, c):
+    col = random_coloring(random.Random(n * c), n, c, 0.1)
+    text = coloring_to_text(col)
+    assert_tokens_same_as_loop(text)
+    # colors of 256 and above have no cached token: the line loop reads them
+    assert (_canonical_tokens(text) is not None) == all(x < 256 for x in col.colors)
+    assert coloring_from_text(text) == col
+
+
+@pytest.mark.parametrize("c", [1, 10])
+def test_one_character_tokens_are_not_read_by_the_token_path(c):
+    assert _canonical_tokens(coloring_to_text(random_coloring(random.Random(c), 20, c, 0.1))) is None
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+@pytest.mark.parametrize("n, c", [(2, 11), (5, 100), (14, 256), (14, 300)])
+def test_mutated_multi_character_documents_read_as_the_loop_reads_them(name, n, c):
+    rng = random.Random(f"{name} {n} {c}")
+    col = random_coloring(rng, n, c, 0.0)
+    col.colors = [x % 256 for x in col.colors]
+    text = coloring_to_text(col)
+    assert _canonical_tokens(text) is not None
+    npairs = n * (n - 1) // 2
+    for i in sorted({1, npairs - 1, rng.randrange(1, npairs + 1)} & set(range(1, npairs + 1))):
+        mutated = MUTATIONS[name](text, i)
+        if mutated != text:
+            assert_tokens_same_as_loop(mutated)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([2, 5, 14, 128]),
+    st.sampled_from([11, 12, 100, 255, 256, 300]),
+    st.integers(0, 2**32),
+    st.data(),
+)
+def test_one_character_edit_of_multi_character_text_reads_as_the_loop_reads_it(n, c, seed, data):
+    col = random_coloring(random.Random(seed), n, c, 0.1)
+    col.colors = [x if x < 256 else 255 for x in col.colors]
+    text = coloring_to_text(col)
+    i = data.draw(st.integers(0, len(text)))
+    ch = data.draw(st.sampled_from(list("0123456789 -\n\r\t#x")))
+    assert_tokens_same_as_loop(text[:i] + ch + text[i + 1 :])
+    assert_tokens_same_as_loop(text[:i] + ch + text[i:])
+    assert_tokens_same_as_loop(text[:i] + text[i + 1 :])

@@ -1,0 +1,184 @@
+"""Search outcomes pinned on paths of the search kernel that
+tests/data/split_sweep.json does not reach, and the degree caps the kernel
+folds into its target tests checked against brute force.
+
+tests/data/kernel_pins.json holds, per case, the status, node count and
+witness (its colors as one digit string) that search_coloring or
+partition_check gave before the kernel was generated from source:
+
+- K5 and K6 targets, whose test goes through graphs._clique_in;
+- targets too large for n, which get no test (one with binding caps);
+- first-edge color lists with a gap or a cut tail (K3,K3,C4 tries colors 0
+  and 2 on the first edge, C4,K3,C4 colors 0 and 1);
+- P3 and B2 with binding degree caps;
+- the partition pairs (K5, K3) and (S4, B3).
+
+Regenerate with `PYTHONPATH=src python tests/test_kernel_pins.py` (it
+prints the JSON) only on purpose: the file pins what kernel changes must
+keep.
+"""
+
+import json
+import random
+from pathlib import Path
+
+import pytest
+
+from c4ramsey import SearchBudget, SimpleGraph, graph6_decode, partition_check, search, search_coloring
+from c4ramsey.graphs import pair_iter
+from c4ramsey.targets import CYCLE4, PATH3, book, clique, parse_target_sequence, star
+
+from conftest import brute_contains
+
+PINS_PATH = Path(__file__).parent / "data" / "kernel_pins.json"
+
+# (n, targets, degree caps, node limit) for search_coloring
+SEARCHES = [
+    (6, "K5,K3", None, None),
+    (6, "K3,K5", None, None),
+    (6, "C4,K6", None, None),
+    (6, "K6,K6", None, None),
+    (9, "P3,K5", None, None),
+    (11, "P3,K6", None, None),
+    (10, "C4,K5", None, None),
+    (14, "K5,K5", None, None),
+    (13, "K3,K5", None, 100_000),
+    (6, "C4,K7", None, None),
+    (6, "S6,C4", None, None),
+    (5, "C4,B4", None, None),
+    (6, "K3,K8,C4", None, None),
+    (6, "C4,K7", [5, 2], None),
+    (5, "P3,P3,K3", None, None),
+    (5, "P3,K3,P3", None, None),
+    (5, "K3,K3,C4", None, None),
+    (6, "K3,K3,C4", None, None),
+    (12, "K3,K3,C4", None, None),
+    (5, "C4,K3,C4", None, None),
+    (10, "C4,K3,C4", None, None),
+    (8, "C4,P3,C4", None, None),
+    (11, "C4,K3,C4", None, 50_000),
+    (7, "P3,K4", [1, 5], None),
+    (5, "P3,B2", [1, 3], None),
+    (6, "P3,K4", [1, 4], None),
+    (8, "P3,B2", [1, 6], None),
+    (6, "B2,C4", [3, 3], None),
+    (7, "B2,K3", [4, 4], None),
+    (6, "B2,P3", [4, 1], None),
+    (9, "B2,C4", [4, 6], None),
+]
+
+# (graph6, pair targets, node limit) for partition_check; "E???" and "H??????"
+# are the edgeless graphs on 6 and 9 vertices
+PARTITIONS = [
+    ("E???", "K5,K3", None),
+    ("E???", "S4,B3", None),
+    ("Ka__Q?AwCWIs", "K5,K3", None),
+    ("Ka__Q?AwCWIs", "S4,B3", None),
+    ("JySKGcB_`@?", "K5,K3", None),
+    ("JySKGcB_`@?", "S4,B3", None),
+    ("GmOJ@G", "S4,B3", None),
+    ("H??????", "K5,K3", None),
+    ("H??????", "K3,K5", None),
+    ("H??????", "S4,B3", 50_000),
+]
+
+
+def _witness(out):
+    return "".join(map(str, out.witness.colors)) if out.witness else None
+
+
+def _budget(node_limit):
+    return SearchBudget(node_limit=node_limit) if node_limit else None
+
+
+def _search(n, targets, caps, node_limit):
+    out = search_coloring(n, parse_target_sequence(targets), _budget(node_limit), caps)
+    return {"status": out.status, "nodes": out.nodes_explored, "witness": _witness(out)}, out.witness
+
+
+def _partition(g6, targets, node_limit):
+    out = partition_check(graph6_decode(g6), tuple(parse_target_sequence(targets)), _budget(node_limit))
+    return {"status": out.status, "nodes": out.nodes_explored, "witness": _witness(out)}, out.witness
+
+
+def _record():
+    return {
+        "search": [{"n": n, "targets": t, "caps": caps, "node_limit": limit, **_search(n, t, caps, limit)[0]}
+                   for n, t, caps, limit in SEARCHES],
+        "partition": [{"graph6": g6, "targets": t, "node_limit": limit, **_partition(g6, t, limit)[0]}
+                      for g6, t, limit in PARTITIONS],
+    }
+
+
+PINS = json.loads(PINS_PATH.read_text()) if PINS_PATH.exists() else {"search": [], "partition": []}
+
+
+def _classes_avoid(witness, targets):
+    """Brute-force check of each color class of a small witness."""
+    for i, t in enumerate(targets):
+        g = SimpleGraph(witness.n, witness.color_class(i).edges())
+        assert not brute_contains(g, t), (i, t)
+
+
+def test_pins_cover_the_cases():
+    assert [(r["n"], r["targets"], r["caps"], r["node_limit"]) for r in PINS["search"]] == SEARCHES
+    assert [(r["graph6"], r["targets"], r["node_limit"]) for r in PINS["partition"]] == PARTITIONS
+
+
+@pytest.mark.parametrize("rec", PINS["search"], ids=lambda r: f"{r['targets']}@{r['n']}:{r['caps']}:{r['node_limit']}")
+def test_search_matches_pin(rec):
+    got, witness = _search(rec["n"], rec["targets"], rec["caps"], rec["node_limit"])
+    assert got == {k: rec[k] for k in ("status", "nodes", "witness")}
+    if witness is not None and rec["n"] <= 6:
+        _classes_avoid(witness, parse_target_sequence(rec["targets"]))
+
+
+@pytest.mark.parametrize("rec", PINS["partition"], ids=lambda r: f"{r['graph6']}:{r['targets']}:{r['node_limit']}")
+def test_partition_matches_pin(rec):
+    got, witness = _partition(rec["graph6"], rec["targets"], rec["node_limit"])
+    assert got == {k: rec[k] for k in ("status", "nodes", "witness")}
+    if witness is not None and witness.n <= 6:
+        _classes_avoid(witness, [CYCLE4, *parse_target_sequence(rec["targets"])])
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_no_targets_is_infeasible_without_a_node(n):
+    # no color for the first edge: the kernel has no color block at all
+    out = search_coloring(n, [])
+    assert (out.status, out.nodes_explored) == ("infeasible", 0)
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("target", [CYCLE4, PATH3, clique(3), clique(4), clique(5), star(3), book(2), None], ids=str)
+def test_capped_test_matches_brute_force(target, cap):
+    # the kernel's test of a color with a binding cap, compiled on its own:
+    # uv is refused when it creates the target (None: a target too large to
+    # fit, never created) or gives u or v more than cap edges
+    test = search._test_function(search._snippet(target, cap))
+    rng = random.Random(f"capped-{target}-{cap}")
+    answers = set()
+    for round_ in range(6):
+        n = rng.randint(5, 7)
+        g = SimpleGraph(n)
+        pairs = list(pair_iter(n))
+        rng.shuffle(pairs)
+        for u, v in pairs:
+            grown = g.copy()
+            grown.add_edge(u, v)
+            over_cap = max(grown.degree(u), grown.degree(v)) > cap
+            refused = over_cap or (target is not None and brute_contains(grown, target))
+            assert test(g.adj, u, v) == refused
+            answers.add(refused)
+            if not refused and rng.random() < (1.0 if round_ % 2 else 0.7):
+                g = grown
+    assert answers == ({True} if cap == 0 else {True, False})
+
+
+if __name__ == "__main__":
+    pins = _record()
+    print("{")
+    for key in ("search", "partition"):
+        print(f' "{key}": [')
+        print(",\n".join("  " + json.dumps(r) for r in pins[key]))
+        print(" ]" + ("," if key == "search" else ""))
+    print("}")
