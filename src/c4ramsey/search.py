@@ -9,12 +9,15 @@ search_coloring run is shared with helper processes on the machine's other
 cores, with the same status, node count and witness (see _Split).
 
 The backtracking loop is generated from source, once per process for each
-list of effective targets and binding degree caps (see _kernel): every
+list of effective targets, binding degree caps and first-edge reduction
+(see _kernel).  It is one loop for every edge, the first included: every
 color's target test is written inline in its own unrolled block, with the
 degree cap folded in, so a node calls no Python function (but _clique_in
-for a clique of five or more vertices).  An edge resumes at one past its
-last color after a backtrack, so no cursor stack is kept.  _creates_test
-compiles the same test text on its own, for the brute-force checks.
+for a clique of five or more vertices), and the reduction is a guard on
+the blocks of the colors it skips on edge 0.  An edge resumes at one past
+its last color after a backtrack, so no cursor stack is kept.
+_creates_test compiles the same test text on its own, for the brute-force
+checks.
 """
 
 from __future__ import annotations
@@ -210,59 +213,45 @@ def _test_function(snippet: str) -> Callable[[list[int], int, int], bool]:
     return _compiled(f"def test(adj, u, v):\n{body}    return True\n", "test")
 
 
-# The search kernel.  Edge base takes each color of colors in turn, and
-# below each the later edges are searched in DFS order.  A fresh edge tries
-# the colors from start = 0 on; once every color has failed at an edge, the
-# edge before it is undone and resumed at start = its color + 1.  Each color
-# is one unrolled block, its target's test inlined on its own rows r0, r1,
-# ...  Budget checks fall at each multiple of 4096 nodes and at
-# node_limit + 1; the first at or past split_at calls on_split(idx,
-# assignment), and where that returns a depth D the search keeps the edges
-# before D as they are and ends once it would backtrack into them.  With
-# listed, each accepted prefix of length stop is appended to it with the
-# node count at that moment, and the search goes on as if everything below
-# it had failed.
+# The search kernel: one loop for every edge, the base edge included.  A
+# fresh edge tries the colors from start = 0 on; once every color has failed
+# at an edge, the edge before it is undone and resumed at start = its color +
+# 1, and a backtrack that reaches floor (base at first) ends the search.  Each
+# color is one unrolled block, its target's test inlined on its own rows r0,
+# r1, ...  The first-edge color-permutation reduction is compiled in: a
+# color whose declared group appeared earlier in the list is skipped on edge
+# 0, which only a search from the root reaches.  Budget checks fall at each
+# multiple of 4096 nodes and at node_limit + 1; the first at or past
+# split_at calls on_split(idx, assignment), which returns a depth D (0 where
+# nothing is handed out), and the search keeps the edges before D as they
+# are and ends once it would backtrack into them.  With listed, each
+# accepted prefix of length stop is appended to it with the node count at
+# that moment, and the search goes on as if everything below it had failed.
 _KERNEL = """\
-def kernel(edges, rows, assignment, base, colors, stop, listed, nodes, node_limit, deadline, split_at, on_split):
+def kernel(edges, rows, assignment, base, stop, listed, nodes, node_limit, deadline, split_at, on_split):
     {rows} = rows
     check = min(nodes - nodes % 4096 + 4096, node_limit + 1)
-    floor, held = base + 1, False
-    for first in colors:
-        idx = base
-        u, v, bu, bv = edges[idx]
-{count}        ok = False
-{first_tests}        if ok:
-            row = rows[first]
-            row[u] |= bv
-            row[v] |= bu
-            assignment[base] = first
-            idx, start = base + 1, 0
-            while True:
-                while idx < stop:
-                    u, v, bu, bv = edges[idx]
-{fresh}                    break
-                else:
-                    if listed is None:
-                        return FEASIBLE, assignment, nodes
-                    listed.append((nodes, tuple(assignment[:stop])))
-                # no color is left to try at idx: undo the edge before it and resume it
-                while idx != floor:
-                    idx -= 1
-                    u, v, bu, bv = edges[idx]
-                    start = assignment[idx]
-                    row = rows[start]
-                    row[u] ^= bv
-                    row[v] ^= bu
-                    start += 1
-{resumed}                else:
-                    break
-            u, v, bu, bv = edges[base]
-            row = rows[first]
+    floor = idx = base
+    start = 0
+    while True:
+        while idx < stop:
+            u, v, bu, bv = edges[idx]
+{fresh}            break
+        else:
+            if listed is None:
+                return FEASIBLE, assignment, nodes
+            listed.append((nodes, tuple(assignment[:stop])))
+        # no color is left to try at idx: undo the edge before it and resume it
+        while idx != floor:
+            idx -= 1
+            u, v, bu, bv = edges[idx]
+            start = assignment[idx]
+            row = rows[start]
             row[u] ^= bv
             row[v] ^= bu
-        if held:
-            break
-    return INFEASIBLE, None, nodes
+            start += 1
+{resumed}        else:
+            return INFEASIBLE, None, nodes
 """
 # one node: counted, then the budget checked
 _COUNT = """\
@@ -273,9 +262,7 @@ if nodes >= check:
     check = min(check + 4096, node_limit + 1)
     if nodes >= split_at:
         split_at = NEVER
-        depth = on_split(idx, assignment)
-        if depth is not None:
-            floor, held = max(floor, depth), True
+        floor = max(floor, on_split(idx, assignment))
 """
 # color {col} taken at edge idx; {then} goes on to the next edge
 _ACCEPT = """\
@@ -289,27 +276,26 @@ start = 0
 
 
 @functools.lru_cache(maxsize=128)
-def _kernel(effective: tuple, caps: tuple):
+def _kernel(effective: tuple, caps: tuple, repeats: tuple):
     """The search kernel for the effective targets, one per color (None for
     a target too large to fit), with the binding degree caps (None for a
-    cap that cannot refuse an edge), compiled on first use."""
+    cap that cannot refuse an edge), compiled on first use.  repeats[col]
+    says whether color col's declared group appeared earlier in the list, so
+    that color is not tried on edge 0."""
 
     def tries(col, snippet, then):
+        skip = " and idx" if repeats[col] else ""
         accept = _ACCEPT.format(col=col, then=then)
-        return _indent(f"if start <= {col}:\n", 5) + _indent(_COUNT, 6) + _filled(snippet, f"r{col}", accept, 6)
+        return _indent(f"if start <= {col}{skip}:\n", 3) + _indent(_COUNT, 4) + _filled(snippet, f"r{col}", accept, 4)
 
-    first_tests, fresh, resumed = [], [], []
+    fresh, resumed = [], []
     for col, (t, cap) in enumerate(zip(effective, caps)):
         snippet = _snippet(t, cap)
-        first_tests.append(_indent(f"{'el' if col else ''}if first == {col}:\n", 2)
-                           + _filled(snippet, f"r{col}", "ok = True\n", 3))
         fresh.append(tries(col, snippet, "continue"))
         if col:  # a resumed edge has start >= 1
             resumed.append(tries(col, snippet, "break"))
-    source = _KERNEL.format(
-        rows="(" + "".join(f"r{col}, " for col in range(len(effective))) + ")", count=_indent(_COUNT, 2),
-        first_tests="".join(first_tests), fresh="".join(fresh), resumed="".join(resumed),
-    )
+    source = _KERNEL.format(rows="(" + "".join(f"r{col}, " for col in range(len(effective))) + ")",
+                            fresh="".join(fresh), resumed="".join(resumed))
     return _compiled(source, "kernel")
 
 
@@ -334,55 +320,54 @@ def _search_edges(
     # an edgeless target that fits is in every color class
     if any(eff is not None and eff.kind == tg.EMPTY for eff in effective):
         return INFEASIBLE, None, 0
-    tree = _Tree(n, edges, effective, degree_caps, time.monotonic() + budget.time_limit)
     # color-permutation reduction: on the first edge, only the first color of
     # each group of identical declared targets and degree caps is tried
     groups = targets if degree_caps is None else list(zip(targets, degree_caps))
-    first = [i for i, g in enumerate(groups) if groups.index(g) == i]
+    repeats = [groups.index(g) < i for i, g in enumerate(groups)]
+    tree = _Tree(n, edges, effective, degree_caps, repeats, time.monotonic() + budget.time_limit)
     if not split:
-        return tree.dfs((), first, 0, budget.node_limit)
-    splitter = _Split(tree, first, budget.node_limit)
+        return tree.dfs((), 0, budget.node_limit)
+    splitter = _Split(tree, budget.node_limit)
     try:
-        return splitter.walk(*tree.dfs((), first, 0, budget.node_limit,
-                                       split_at=SPLIT_AFTER, on_split=splitter.split))
+        return splitter.walk(*tree.dfs((), 0, budget.node_limit, split_at=SPLIT_AFTER, on_split=splitter.split))
     finally:
         splitter.close()
 
 
 class _Tree:
     """The fixed part of one search: the edges in search order, the kernel
-    of its targets and degree caps, and the deadline."""
+    of its targets, degree caps and first-edge reduction, and the deadline."""
 
-    def __init__(self, n, edges, effective, degree_caps, deadline):
+    def __init__(self, n, edges, effective, degree_caps, repeats, deadline):
         self.n = n
         # a vertex has at most n - 2 edges of a color before uv, so a cap of
         # n - 1 or more never refuses one
         caps = [cap if cap < n - 1 else None for cap in degree_caps or [n - 1] * len(effective)]
-        self.kernel = _kernel(tuple(effective), tuple(caps))
+        self.kernel = _kernel(tuple(effective), tuple(caps), tuple(repeats))
         self.edges = edges
-        self.every = range(len(effective))
+        self.color_count = len(effective)
         self.deadline = deadline
 
-    def dfs(self, prefix, colors, nodes, node_limit, stop=None, listed=None,
-            split_at=_NEVER, on_split=None):
+    def dfs(self, prefix, nodes, node_limit, stop=None, listed=None, split_at=_NEVER, on_split=None):
         """The search below a fixed prefix of edge colors.
 
-        Tries colors on edge len(prefix), the base depth, and goes on in DFS
-        order without backtracking into the prefix.  Returns (status,
-        assignment or None, nodes): feasible at the first good coloring,
-        infeasible once colors and everything below them have failed, and
-        unknown once nodes passes node_limit (at node_limit + 1) or a budget
-        check finds the deadline past.  nodes counts on from the value given;
+        Tries the colors on edge len(prefix), the base depth (on edge 0 only
+        the first of each group), and goes on in DFS order without
+        backtracking into the prefix.  Returns (status, assignment or None,
+        nodes): feasible at the first good coloring, infeasible once the base
+        edge's colors and everything below them have failed, and unknown
+        once nodes passes node_limit (at node_limit + 1) or a budget check
+        finds the deadline past.  nodes counts on from the value given;
         the budget is checked at each multiple of 4096 and at node_limit + 1.
 
         With a stop depth, every accepted prefix of that length is appended
         to listed, with the node count at that moment, instead of being
         searched below.  on_split(idx, assignment) is called once, at the
-        first budget check at or past split_at; where it returns a depth D,
-        the search ends once it would backtrack above D.
+        first budget check at or past split_at; the search ends once it would
+        backtrack above the depth it returns.
         """
         n, edges = self.n, self.edges
-        rows = [[0] * n for _ in self.every]  # rows[col]: color col's adjacency rows
+        rows = [[0] * n for _ in range(self.color_count)]  # rows[col]: color col's adjacency rows
         for i, col in enumerate(prefix):
             u, v, bu, bv = edges[i]
             a = rows[col]
@@ -393,9 +378,7 @@ class _Tree:
             stop = m
         base = len(prefix)
         assignment = [*prefix, *[-1] * (m - base)]
-        if base == stop:  # no edges at all
-            return FEASIBLE, assignment, nodes
-        return self.kernel(edges, rows, assignment, base, colors, stop, listed, nodes, node_limit,
+        return self.kernel(edges, rows, assignment, base, stop, listed, nodes, node_limit,
                            self.deadline, split_at, on_split)
 
 
@@ -413,9 +396,8 @@ class _Split:
     own nodes.
     """
 
-    def __init__(self, tree, first, node_limit):
+    def __init__(self, tree, node_limit):
         self.tree = tree
-        self.first = first  # the colors tried on the first edge
         self.node_limit = node_limit
         self.items = []  # prefixes of depth D, in DFS order
         self.gaps = []  # gaps[i]: nodes just before items[i]; gaps[-1]: after the last
@@ -426,16 +408,16 @@ class _Split:
     def split(self, idx, assignment):
         """The split hook: plan items, queue them and start the helpers.
         Returns the items' depth, above which the main process's own search
-        must not backtrack, or None where nothing is handed out."""
+        must not backtrack, or 0 where nothing is handed out."""
         import os
         import signal
 
         helpers = _helper_count()
         if not helpers:
-            return None
+            return 0
         plan = self._plan(assignment[:idx])
         if plan is None:
-            return None
+            return 0
         depth, self.items, self.gaps = plan
         self.queue, w = os.pipe()
         records = b"".join(i.to_bytes(_ITEM_BYTES, "little") for i in range(len(self.items)))
@@ -477,7 +459,7 @@ class _Split:
         plan, work = None, 0
         for depth in range(1, len(path) + 1):
             listed = []
-            status, _, used = self.tree.dfs((), self.first, 0, _PLAN_WORK - work, depth, listed)
+            status, _, used = self.tree.dfs((), 0, _PLAN_WORK - work, depth, listed)
             if status == UNKNOWN:
                 break
             work += used
@@ -508,7 +490,7 @@ class _Split:
         """Run item i on a process's node counter nodes, within node_limit
         nodes of its own: (status, assignment, the item's nodes, the counter
         after it)."""
-        status, assignment, after = self.tree.dfs(self.items[i], self.tree.every, nodes, nodes + self.node_limit)
+        status, assignment, after = self.tree.dfs(self.items[i], nodes, nodes + self.node_limit)
         return status, assignment, after - nodes, after
 
     def _help(self, r, out, mask):
@@ -639,6 +621,8 @@ def search_coloring(
     """Search for a good coloring of K_n avoiding targets[i] in color i."""
     if not 1 <= n <= 128:
         raise ValueError(f"n must be in [1, 128], got {n}")
+    if not targets:
+        raise ValueError("need at least one target")
     budget = budget or _DEFAULT_BUDGET
     start = time.monotonic()
     if degree_caps is not None:

@@ -11,6 +11,9 @@ partition_check gave before the kernel was generated from source:
 - first-edge color lists with a gap or a cut tail (K3,K3,C4 tries colors 0
   and 2 on the first edge, C4,K3,C4 colors 0 and 1);
 - P3 and B2 with binding degree caps;
+- pairs of lists that differ only in their declared groups of identical
+  targets and caps, which the first-edge reduction sees (see PAIRS),
+  recorded before the reduction was compiled into the kernel;
 - the partition pairs (K5, K3) and (S4, B3).
 
 Regenerate with `PYTHONPATH=src python tests/test_kernel_pins.py` (it
@@ -65,7 +68,19 @@ SEARCHES = [
     (7, "B2,K3", [4, 4], None),
     (6, "B2,P3", [4, 1], None),
     (9, "B2,C4", [4, 6], None),
+    (6, "C4,C4", [5, 5], None),
+    (6, "C4,C4", [5, 6], None),
+    (7, "K3,K3", None, None),
+    (7, "K3,K3+1K1", None, None),
+    (6, "C4,C4", [3, 3], None),
+    (6, "C4,C4", [3, 4], None),
 ]
+
+# SEARCHES indices of pairs where only the first list has a repeated declared
+# group.  In the first two the colors' effective targets and binding caps
+# agree as well (a cap of n - 1 or more binds no more than none, and K3+1K1
+# searches as K3), so only the reduction tells their kernels apart.
+PAIRS = [(31, 32), (33, 34), (35, 36)]
 
 # (graph6, pair targets, node limit) for partition_check; "E???" and "H??????"
 # are the edgeless graphs on 6 and 9 vertices
@@ -141,11 +156,22 @@ def test_partition_matches_pin(rec):
         _classes_avoid(witness, [CYCLE4, *parse_target_sequence(rec["targets"])])
 
 
-@pytest.mark.parametrize("n", [2, 4])
-def test_no_targets_is_infeasible_without_a_node(n):
-    # no color for the first edge: the kernel has no color block at all
-    out = search_coloring(n, [])
-    assert (out.status, out.nodes_explored) == ("infeasible", 0)
+@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize("pair", PAIRS)
+def test_kernel_cache_tells_declared_groups_apart(pair, order):
+    # both lists run in one process, from a cold kernel cache: a kernel
+    # reused across them would try the wrong colors on the first edge
+    search._kernel.cache_clear()
+    for i in pair[::-1] if order else pair:
+        rec = PINS["search"][i]
+        got = _search(rec["n"], rec["targets"], rec["caps"], rec["node_limit"])[0]
+        assert got == {k: rec[k] for k in ("status", "nodes", "witness")}
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_no_targets_is_refused(n):
+    with pytest.raises(ValueError, match="need at least one target"):
+        search_coloring(n, [])
 
 
 @pytest.mark.parametrize("cap", [0, 1, 2, 3, 4])

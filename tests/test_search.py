@@ -387,10 +387,11 @@ def plans(monkeypatch):
     split, pins = search._Split.split, []
 
     def recorded(self, *args):
-        split(self, *args)
+        depth = split(self, *args)
         if self.items:
             digest = hashlib.sha256(json.dumps([self.items, self.gaps]).encode()).hexdigest()
             pins.append([len(self.items[0]), len(self.items), digest])
+        return depth
 
     monkeypatch.setattr(search._Split, "split", recorded)
     return pins
@@ -413,7 +414,7 @@ class TestSplit:
     def test_sweep_plans_are_pinned(self, forks, plans):
         got = []
         for i, rec in enumerate(SWEEP):
-            _sweep_outcome(rec)
+            assert _sweep_outcome(rec) == _expected(rec), rec
             got += [[i, *pin] for pin in plans]
             plans.clear()
         assert got == PLANS["sweep"]
@@ -437,8 +438,8 @@ class TestSplit:
         monkeypatch.setattr(search, "_PLAN_WORK", 300)
         dfs, plan, spent = search._Tree.dfs, search._Split._plan, []
 
-        def counted(self, prefix, colors, nodes, node_limit, stop=None, listed=None, **hook):
-            out = dfs(self, prefix, colors, nodes, node_limit, stop, listed, **hook)
+        def counted(self, prefix, nodes, node_limit, stop=None, listed=None, **hook):
+            out = dfs(self, prefix, nodes, node_limit, stop, listed, **hook)
             if listed is not None:
                 spent[-1] += out[2]
             return out
