@@ -37,6 +37,12 @@ def pair_iter(n: int) -> Iterable[tuple[int, int]]:
             yield (u, v)
 
 
+@functools.lru_cache(maxsize=16)
+def _pair_table(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """(u, v, 1 << u, 1 << v) for every pair of range(n) in canonical pair order."""
+    return tuple([(u, v, 1 << u, 1 << v) for u, v in pair_iter(n)])
+
+
 class SimpleGraph:
     """Undirected simple graph on n <= 128 vertices, adjacency as bitsets."""
 
@@ -78,10 +84,7 @@ class SimpleGraph:
         return sum(a.bit_count() for a in self.adj) // 2
 
     def copy(self) -> "SimpleGraph":
-        g = SimpleGraph.__new__(SimpleGraph)
-        g.n = self.n
-        g.adj = list(self.adj)
-        return g
+        return _from_rows(self.n, list(self.adj))
 
     def complement(self) -> "SimpleGraph":
         g = SimpleGraph(self.n)
@@ -118,6 +121,14 @@ class SimpleGraph:
         return f"SimpleGraph(n={self.n}, edges={self.edges()})"
 
 
+def _from_rows(n: int, adj: list[int]) -> SimpleGraph:
+    """The graph on n vertices with adjacency rows adj, taken as they are."""
+    g = SimpleGraph.__new__(SimpleGraph)
+    g.n = n
+    g.adj = adj
+    return g
+
+
 def _clique_in(adj: list[int], cand: int, need: int) -> bool:
     """Branch and bound: do the vertices of bitset cand hold a clique of size need?"""
     if need == 0:
@@ -136,15 +147,26 @@ def _clique_in(adj: list[int], cand: int, need: int) -> bool:
 
 
 def contains_target(g: SimpleGraph, t: TargetGraph) -> bool:
-    """Subgraph (not induced) containment of a target-family graph."""
+    """Subgraph (not induced) containment of a target-family graph.
+
+    Plain loops over the adjacency rows: C4 is a pair of vertices with two
+    common neighbours, K3 and K4 an edge scan (an edge whose ends share a
+    neighbour, or with an edge among its ends' common neighbours above
+    it), and a larger clique a branch and bound by _clique_in.  Unlike
+    find_target_copy it names no copy, which makes it the faster check.
+    """
     adj = g.adj
     n = g.n
     if t.kind == tg.PATH3_KIND:
         return any(a.bit_count() >= 2 for a in adj)
     if t.kind == tg.CYCLE4_KIND:
-        return any(
-            (adj[u] & adj[v]).bit_count() >= 2 for u in range(n) for v in range(u + 1, n)
-        )
+        # a 4-cycle is two vertices with two common neighbours
+        for u, a in enumerate(adj):
+            for b in adj[u + 1:]:
+                common = a & b
+                if common & (common - 1):
+                    return True
+        return False
     if t.kind == tg.CLIQUE and t.k == 3:
         # a triangle is an edge uv, u < v, whose ends share a neighbour
         for u, a in enumerate(adj):
@@ -154,6 +176,22 @@ def contains_target(g: SimpleGraph, t: TargetGraph) -> bool:
                 above ^= b
                 if adj[b.bit_length() - 1] & a:
                     return True
+        return False
+    if t.kind == tg.CLIQUE and t.k == 4:
+        # a K4 is an edge uv, u < v, with an edge among the common
+        # neighbours of u and v above v
+        for u, a in enumerate(adj):
+            above = a >> u + 1 << u + 1
+            while above:
+                b = above & -above
+                above ^= b
+                v = b.bit_length() - 1
+                common = a & adj[v] >> v + 1 << v + 1
+                while common & (common - 1):
+                    w = common & -common
+                    common ^= w
+                    if adj[w.bit_length() - 1] & common:
+                        return True
         return False
     if t.kind == tg.CLIQUE:
         return n >= t.k and _clique_in(adj, (1 << n) - 1, t.k)
@@ -302,16 +340,34 @@ class EdgeColoring:
     def color_class(self, i: int) -> SimpleGraph:
         self._check_color(i)
         # one "0"/"1" flag per pair in canonical order, built in C and read
-        # as the pair bitset: bytes() takes colors 0..255, so an unassigned
-        # pair or a larger color falls back to the 0/1 bytes of color == i
+        # as the pair bitset: bytearray() takes colors 0..255, so an
+        # unassigned pair or a larger color falls back to the 0/1 bytes of
+        # color == i
         try:
-            flags = bytes(self.colors).translate(_class_flags(i))
+            flags = bytearray(self.colors).translate(_class_flags(i))
         except ValueError:
             flags = bytes(map(i.__eq__, self.colors)).translate(_class_flags(1))
-        g = SimpleGraph.__new__(SimpleGraph)
-        g.n = self.n
-        g.adj = _rows_from_bits(int(flags[::-1] or b"0", 2), self.n)
-        return g
+        return _from_rows(self.n, _rows_from_bits(int(flags[::-1] or b"0", 2), self.n))
+
+    def color_classes(self) -> list[SimpleGraph]:
+        """Every color class, in color order, as color_class builds them.
+
+        Up to 120(c - 1) pairs one pass over the pairs fills the rows of all
+        classes, and of a spare one for the unassigned pairs; above,
+        color_class builds each in bulk.  The pass costs about 0.17 us a
+        pair, a bulk class about 6 us plus 0.03 us a pair: at n = 11, c = 3
+        the pass took 8.6 against 25 us, at n = 28 the bulk classes 50
+        against 65 us (timeit on random colorings, 2-core x86, Python 3.11).
+        """
+        n, c = self.n, self.c
+        if n * (n - 1) // 2 > 120 * (c - 1):
+            return [self.color_class(i) for i in range(c)]
+        rows = [[0] * n for _ in range(c + 1)]  # rows[UNASSIGNED] is the spare
+        for (u, v, bu, bv), col in zip(_pair_table(n), self.colors):
+            row = rows[col]
+            row[u] |= bv
+            row[v] |= bu
+        return [_from_rows(n, adj) for adj in rows[:c]]
 
     def __eq__(self, other) -> bool:
         return (
@@ -340,17 +396,18 @@ class IncompleteColoringError(ValueError):
 
 
 def is_good_coloring(coloring: EdgeColoring, target_list: Sequence[TargetGraph]) -> bool:
-    """True iff no color class contains its target (an (H_1,...,H_c)-coloring)."""
+    """True iff no color class contains its target (an (H_1,...,H_c)-coloring).
+
+    Builds every class up front by EdgeColoring.color_classes and tests
+    each with contains_target; verify_lower_bound, which names the first
+    copy, builds them one at a time instead."""
     if len(target_list) != coloring.c:
         raise ValueError(
             f"need {coloring.c} targets (one per color), got {len(target_list)}"
         )
     if not coloring.is_complete():
         raise IncompleteColoringError("coloring is partial; goodness undefined")
-    return all(
-        not contains_target(coloring.color_class(i), t)
-        for i, t in enumerate(target_list)
-    )
+    return not any(map(contains_target, coloring.color_classes(), target_list))
 
 
 # ---------------------------------------------------------------------------
@@ -435,10 +492,7 @@ def graph6_decode(text: str) -> SimpleGraph:
     pairs = int.from_bytes(packed.translate(_REVERSE_BITS), "little")
     if pairs >> npairs:
         raise Graph6Error("nonzero padding bits")
-    g = SimpleGraph.__new__(SimpleGraph)
-    g.n = n
-    g.adj = _rows_from_bits(pairs, n)
-    return g
+    return _from_rows(n, _rows_from_bits(pairs, n))
 
 
 def _rows_from_bits(pairs: int, n: int) -> list[int]:
@@ -635,10 +689,10 @@ def coloring_to_text(coloring: EdgeColoring) -> str:
     header = f"{n} {c}\n"
     if c <= _TEMPLATE_COLORS:
         # a complete coloring's tokens fill the template's slots; an
-        # unassigned pair, or a color that bytes() refuses or that has no
-        # one-character token, takes the join below
+        # unassigned pair, or a color that bytearray() refuses or that has
+        # no one-character token, takes the join below
         try:
-            tokens = bytes(coloring.colors).translate(_COLOR_TO_TOKEN)
+            tokens = bytearray(coloring.colors).translate(_COLOR_TO_TOKEN)
         except (ValueError, TypeError):
             tokens = None
         if tokens is not None and b"\0" not in tokens:

@@ -17,7 +17,10 @@ for a clique of five or more vertices), and the reduction is a guard on
 the blocks of the colors it skips on edge 0.  An edge resumes at one past
 its last color after a backtrack, so no cursor stack is kept.
 _creates_test compiles the same test text on its own, for the brute-force
-checks.
+checks.  What a search needs besides its edges (the kernel, or that an
+edgeless target makes it infeasible) is worked out once per process for
+each n, target list and degree caps (see _setup), so a short search pays
+one cache lookup for it.
 """
 
 from __future__ import annotations
@@ -32,10 +35,10 @@ from .graphs import (
     EdgeColoring,
     SimpleGraph,
     _clique_in,
+    _pair_table,
     coloring_to_text,
     contains_target,
     is_good_coloring,
-    pair_iter,
 )
 from .targets import CYCLE4, TargetGraph, clique
 
@@ -299,9 +302,28 @@ def _kernel(effective: tuple, caps: tuple, repeats: tuple):
     return _compiled(source, "kernel")
 
 
+@functools.lru_cache(maxsize=256)
+def _setup(n: int, targets: tuple, degree_caps: Optional[tuple]):
+    """The kernel of an n-vertex search for targets under degree_caps (None
+    for no caps), or None where an edgeless target fits: it is in every
+    color class, so no coloring exists.  Built once per process for each
+    key; targets and caps are tuples."""
+    effective = tuple(_effective_target(t, n) for t in targets)
+    if any(eff is not None and eff.kind == tg.EMPTY for eff in effective):
+        return None
+    # color-permutation reduction: on the first edge, only the first color of
+    # each group of identical declared targets and degree caps is tried
+    groups = targets if degree_caps is None else tuple(zip(targets, degree_caps))
+    repeats = tuple(groups.index(g) < i for i, g in enumerate(groups))
+    # a vertex has at most n - 2 edges of a color before uv, so a cap of
+    # n - 1 or more never refuses one
+    caps = tuple(cap if cap < n - 1 else None for cap in degree_caps or [n - 1] * len(targets))
+    return _kernel(effective, caps, repeats)
+
+
 def _search_edges(
     n: int,
-    edges: list[tuple[int, int, int, int]],
+    edges: Sequence[tuple[int, int, int, int]],
     targets: Sequence[TargetGraph],
     budget: SearchBudget,
     degree_caps: Optional[Sequence[int]] = None,
@@ -315,16 +337,10 @@ def _search_edges(
     split, a search still running after SPLIT_AFTER nodes shares its tree
     with helper processes (see _Split); the result is the same.
     """
-    targets = list(targets)
-    effective = [_effective_target(t, n) for t in targets]
-    # an edgeless target that fits is in every color class
-    if any(eff is not None and eff.kind == tg.EMPTY for eff in effective):
+    kernel = _setup(n, tuple(targets), None if degree_caps is None else tuple(degree_caps))
+    if kernel is None:
         return INFEASIBLE, None, 0
-    # color-permutation reduction: on the first edge, only the first color of
-    # each group of identical declared targets and degree caps is tried
-    groups = targets if degree_caps is None else list(zip(targets, degree_caps))
-    repeats = [groups.index(g) < i for i, g in enumerate(groups)]
-    tree = _Tree(n, edges, effective, degree_caps, repeats, time.monotonic() + budget.time_limit)
+    tree = _Tree(n, edges, kernel, len(targets), time.monotonic() + budget.time_limit)
     if not split:
         return tree.dfs((), 0, budget.node_limit)
     splitter = _Split(tree, budget.node_limit)
@@ -336,16 +352,14 @@ def _search_edges(
 
 class _Tree:
     """The fixed part of one search: the edges in search order, the kernel
-    of its targets, degree caps and first-edge reduction, and the deadline."""
+    of its targets, degree caps and first-edge reduction (see _setup), and
+    the deadline."""
 
-    def __init__(self, n, edges, effective, degree_caps, repeats, deadline):
+    def __init__(self, n, edges, kernel, color_count, deadline):
         self.n = n
-        # a vertex has at most n - 2 edges of a color before uv, so a cap of
-        # n - 1 or more never refuses one
-        caps = [cap if cap < n - 1 else None for cap in degree_caps or [n - 1] * len(effective)]
-        self.kernel = _kernel(tuple(effective), tuple(caps), tuple(repeats))
+        self.kernel = kernel
         self.edges = edges
-        self.color_count = len(effective)
+        self.color_count = color_count
         self.deadline = deadline
 
     def dfs(self, prefix, nodes, node_limit, stop=None, listed=None, split_at=_NEVER, on_split=None):
@@ -637,8 +651,7 @@ def search_coloring(
                 INFEASIBLE, 0, time.monotonic() - start, None,
                 f"degree caps sum to {sum(degree_caps)} < n - 1 = {n - 1}",
             )
-    edges = [(u, v, 1 << u, 1 << v) for u, v in pair_iter(n)]
-    status, assignment, nodes = _search_edges(n, edges, targets, budget, degree_caps, split=True)
+    status, assignment, nodes = _search_edges(n, _pair_table(n), targets, budget, degree_caps, split=True)
     wall = time.monotonic() - start
     # edges are in canonical pair order, so assignment is the coloring
     witness = EdgeColoring(n, len(targets), assignment) if status == FEASIBLE else None
@@ -701,20 +714,11 @@ def partition_check(
         raise ValueError("input graph contains a C4; partition kernel requires C4-free input")
     budget = budget or _DEFAULT_BUDGET
     start = time.monotonic()
-    # the non-edges in pair order, each with its pair index: row v's bits
-    # below v are the pairs (u, v), whose indices start at v*(v-1)//2
-    non_edges, where = [], []
-    offset = 0
-    for v, row in enumerate(g.adj):
-        bv = 1 << v
-        free = ~row & (bv - 1)
-        while free:
-            bu = free & -free
-            free ^= bu
-            u = bu.bit_length() - 1
-            non_edges.append((u, v, bu, bv))
-            where.append(offset + u)
-        offset += v
+    # the non-edges in pair order, and their pair indices
+    pairs = _pair_table(g.n)
+    adj = g.adj
+    where = [i for i, (u, _, _, bv) in enumerate(pairs) if not adj[u] & bv]
+    non_edges = [pairs[i] for i in where]
     # Not split across cores: the main process keeps its current path's
     # subtree, and on feasible partition searches that part holds the witness
     # and most nodes (59.3%, 90.7% and 98.9% of 160,930, 705,356 and
@@ -724,7 +728,7 @@ def partition_check(
     witness = None
     if status == FEASIBLE:
         # g's edges in color 0, each non-edge's color shifted by one
-        colors = [0] * (g.n * (g.n - 1) // 2)
+        colors = [0] * len(pairs)
         for i, col in zip(where, assignment):
             colors[i] = col + 1
         witness = EdgeColoring(g.n, 3, colors)

@@ -210,6 +210,49 @@ class TestContainsTarget:
         assert contains_target(g, clique(3))
         assert find_target_copy(g, clique(3)) is not None
 
+    @pytest.mark.parametrize("target", [CYCLE4, clique(4)], ids=str)
+    def test_c4_and_k4_scans_agree_with_brute_force(self, target):
+        # n = 1..12 at every density from edgeless to complete
+        rng = random.Random(f"scan-{target}")
+        seen = set()
+        for n in range(1, 13):
+            for p in [i / 10 for i in range(11)]:
+                for _ in range(3):
+                    g = random_graph(rng, n, p)
+                    got = contains_target(g, target)
+                    assert got == brute_contains(g, target), g
+                    seen.add(got)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("n", [62, 128])
+    def test_c4_and_k4_scans_on_large_graphs(self, n):
+        rng = random.Random(n)
+        for p in (0.5, 0.9):
+            g = random_graph(rng, n, p)
+            for t in (CYCLE4, clique(4)):
+                assert contains_target(g, t) and find_target_copy(g, t) is not None
+        order = list(range(n))
+        rng.shuffle(order)
+        # a complete 3-partite graph is the densest K4-free one; an edge
+        # inside a part closes a K4 with a vertex of each other part
+        parts = [order[i::3] for i in range(3)]
+        g = SimpleGraph(n, [(u, v) for i, j in ((0, 1), (0, 2), (1, 2)) for u in parts[i] for v in parts[j]])
+        assert not contains_target(g, clique(4))
+        assert find_target_copy(g, clique(4)) is None
+        g.add_edge(*parts[2][-2:])
+        assert contains_target(g, clique(4))
+        assert find_target_copy(g, clique(4)) is not None
+        # in a windmill of triangles two vertices share at most one
+        # neighbour; an edge between two blades closes a C4 through the hub
+        hub, rest = order[0], order[1:]
+        blades = list(zip(rest[::2], rest[1::2]))
+        g = SimpleGraph(n, [(hub, v) for v in rest] + blades)
+        assert not contains_target(g, CYCLE4)
+        assert find_target_copy(g, CYCLE4) is None
+        g.add_edge(blades[0][0], blades[-1][1])
+        assert contains_target(g, CYCLE4)
+        assert find_target_copy(g, CYCLE4) is not None
+
     def test_c4_equals_common_neighbor_rule(self):
         rng = random.Random(99)
         for _ in range(40):
@@ -404,6 +447,22 @@ class TestColorClass:
     def test_matches_per_pair_builder(self, n, c, shape, seed):
         col = self.drawn_coloring(n, c, shape, seed)
         self.check_against_per_pair_builder(col, sorted({0, c - 1, *col.colors} - {-1}))
+
+    @pytest.mark.parametrize("c", [1, 2, 3, 4, 300])
+    @pytest.mark.parametrize("n", [1, 2, 11, 16, 17, 22, 23, 27, 28, 62, 128])
+    def test_color_classes_match_color_class(self, monkeypatch, n, c):
+        # one pass up to 120(c - 1) pairs: for c = 2, 3 and 4 up to n = 16,
+        # 22 and 27; every class by color_class above
+        one_pass = n * (n - 1) // 2 <= 120 * (c - 1)
+        for shape in self.SHAPES:
+            col = self.drawn_coloring(n, c, shape, seed=n * 1000 + c)
+            expected = [col.color_class(i) for i in range(c)]
+            with monkeypatch.context() as m:
+                calls = []
+                m.setattr(EdgeColoring, "color_class", lambda self, i: calls.append(i) or expected[i])
+                got = col.color_classes()
+            assert got == expected
+            assert calls == ([] if one_pass else list(range(c)))
 
     @pytest.mark.parametrize("c", [1, 3, 300])
     def test_bad_color_raises_index_error(self, c):
