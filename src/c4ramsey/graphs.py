@@ -84,7 +84,10 @@ class SimpleGraph:
         return sum(a.bit_count() for a in self.adj) // 2
 
     def copy(self) -> "SimpleGraph":
-        return _from_rows(self.n, list(self.adj))
+        g = SimpleGraph.__new__(SimpleGraph)
+        g.n = self.n
+        g.adj = list(self.adj)
+        return g
 
     def complement(self) -> "SimpleGraph":
         g = SimpleGraph(self.n)
@@ -119,14 +122,6 @@ class SimpleGraph:
 
     def __repr__(self):
         return f"SimpleGraph(n={self.n}, edges={self.edges()})"
-
-
-def _from_rows(n: int, adj: list[int]) -> SimpleGraph:
-    """The graph on n vertices with adjacency rows adj, taken as they are."""
-    g = SimpleGraph.__new__(SimpleGraph)
-    g.n = n
-    g.adj = adj
-    return g
 
 
 def _clique_in(adj: list[int], cand: int, need: int) -> bool:
@@ -347,27 +342,35 @@ class EdgeColoring:
             flags = bytearray(self.colors).translate(_class_flags(i))
         except ValueError:
             flags = bytes(map(i.__eq__, self.colors)).translate(_class_flags(1))
-        return _from_rows(self.n, _rows_from_bits(int(flags[::-1] or b"0", 2), self.n))
+        g = SimpleGraph.__new__(SimpleGraph)
+        g.n = self.n
+        g.adj = _rows_from_bits(int(flags[::-1] or b"0", 2), self.n)
+        return g
 
     def color_classes(self) -> list[SimpleGraph]:
         """Every color class, in color order, as color_class builds them.
 
-        Up to 120(c - 1) pairs one pass over the pairs fills the rows of all
-        classes, and of a spare one for the unassigned pairs; above,
-        color_class builds each in bulk.  The pass costs about 0.17 us a
-        pair, a bulk class about 6 us plus 0.03 us a pair: at n = 11, c = 3
-        the pass took 8.6 against 25 us, at n = 28 the bulk classes 50
-        against 65 us (timeit on random colorings, 2-core x86, Python 3.11).
+        One pass over the pairs fills the rows of all classes, and of a
+        spare one for the unassigned pairs.  It costs about 0.17 us a pair,
+        where c color_class calls cost about 6 us each plus 0.03 us a pair,
+        so it wins on small graphs (6.5 against 14 us at n = 11, c = 3) and
+        loses from about n = 21 (36 against 22 us at n = 29, c = 3; 810
+        against 260 us at n = 128, c = 2; timeit on random colorings, 2-core
+        x86, Python 3.11).
         """
-        n, c = self.n, self.c
-        if n * (n - 1) // 2 > 120 * (c - 1):
-            return [self.color_class(i) for i in range(c)]
-        rows = [[0] * n for _ in range(c + 1)]  # rows[UNASSIGNED] is the spare
+        n = self.n
+        rows = [[0] * n for _ in range(self.c + 1)]  # rows[UNASSIGNED] is the spare
         for (u, v, bu, bv), col in zip(_pair_table(n), self.colors):
             row = rows[col]
             row[u] |= bv
             row[v] |= bu
-        return [_from_rows(n, adj) for adj in rows[:c]]
+        classes = []
+        for adj in rows[:-1]:
+            g = SimpleGraph.__new__(SimpleGraph)
+            g.n = n
+            g.adj = adj
+            classes.append(g)
+        return classes
 
     def __eq__(self, other) -> bool:
         return (
@@ -398,9 +401,10 @@ class IncompleteColoringError(ValueError):
 def is_good_coloring(coloring: EdgeColoring, target_list: Sequence[TargetGraph]) -> bool:
     """True iff no color class contains its target (an (H_1,...,H_c)-coloring).
 
-    Builds every class up front by EdgeColoring.color_classes and tests
-    each with contains_target; verify_lower_bound, which names the first
-    copy, builds them one at a time instead."""
+    Builds every class in one pass by EdgeColoring.color_classes, then
+    tests them in color order with contains_target up to the first that
+    holds its target; verify_lower_bound, which names that copy, builds
+    the classes one at a time instead."""
     if len(target_list) != coloring.c:
         raise ValueError(
             f"need {coloring.c} targets (one per color), got {len(target_list)}"
@@ -492,7 +496,10 @@ def graph6_decode(text: str) -> SimpleGraph:
     pairs = int.from_bytes(packed.translate(_REVERSE_BITS), "little")
     if pairs >> npairs:
         raise Graph6Error("nonzero padding bits")
-    return _from_rows(n, _rows_from_bits(pairs, n))
+    g = SimpleGraph.__new__(SimpleGraph)
+    g.n = n
+    g.adj = _rows_from_bits(pairs, n)
+    return g
 
 
 def _rows_from_bits(pairs: int, n: int) -> list[int]:

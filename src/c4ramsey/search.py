@@ -9,18 +9,15 @@ search_coloring run is shared with helper processes on the machine's other
 cores, with the same status, node count and witness (see _Split).
 
 The backtracking loop is generated from source, once per process for each
-list of effective targets, binding degree caps and first-edge reduction
-(see _kernel).  It is one loop for every edge, the first included: every
+n, target list and degree caps (see _kernel), so a short search pays one
+cache lookup for it.  It is one loop for every edge, the first included: every
 color's target test is written inline in its own unrolled block, with the
 degree cap folded in, so a node calls no Python function (but _clique_in
 for a clique of five or more vertices), and the reduction is a guard on
 the blocks of the colors it skips on edge 0.  An edge resumes at one past
 its last color after a backtrack, so no cursor stack is kept.
 _creates_test compiles the same test text on its own, for the brute-force
-checks.  What a search needs besides its edges (the kernel, or that an
-edgeless target makes it infeasible) is worked out once per process for
-each n, target list and degree caps (see _setup), so a short search pays
-one cache lookup for it.
+checks.
 """
 
 from __future__ import annotations
@@ -278,13 +275,24 @@ start = 0
 """
 
 
-@functools.lru_cache(maxsize=128)
-def _kernel(effective: tuple, caps: tuple, repeats: tuple):
-    """The search kernel for the effective targets, one per color (None for
-    a target too large to fit), with the binding degree caps (None for a
-    cap that cannot refuse an edge), compiled on first use.  repeats[col]
-    says whether color col's declared group appeared earlier in the list, so
-    that color is not tried on edge 0."""
+@functools.lru_cache(maxsize=256)
+def _kernel(n: int, targets: tuple, degree_caps: Optional[tuple]):
+    """The search kernel of an n-vertex search for targets under degree_caps
+    (None for no caps), compiled on first use, or None where an edgeless
+    target fits: it is in every color class, so no coloring exists.  Built
+    once per process for each n, target list and caps, all tuples, so a
+    short search pays one cache lookup for it."""
+    effective = [_effective_target(t, n) for t in targets]
+    if any(eff is not None and eff.kind == tg.EMPTY for eff in effective):
+        return None
+    # color-permutation reduction: on the first edge, only the first color of
+    # each group of identical declared targets and degree caps is tried, so a
+    # color whose group appeared earlier is not tried on edge 0
+    groups = targets if degree_caps is None else list(zip(targets, degree_caps))
+    repeats = [groups.index(g) < i for i, g in enumerate(groups)]
+    # a vertex has at most n - 2 edges of a color before uv, so a cap of
+    # n - 1 or more never refuses one (None: no cap test)
+    caps = [cap if cap < n - 1 else None for cap in degree_caps or [n - 1] * len(targets)]
 
     def tries(col, snippet, then):
         skip = " and idx" if repeats[col] else ""
@@ -300,25 +308,6 @@ def _kernel(effective: tuple, caps: tuple, repeats: tuple):
     source = _KERNEL.format(rows="(" + "".join(f"r{col}, " for col in range(len(effective))) + ")",
                             fresh="".join(fresh), resumed="".join(resumed))
     return _compiled(source, "kernel")
-
-
-@functools.lru_cache(maxsize=256)
-def _setup(n: int, targets: tuple, degree_caps: Optional[tuple]):
-    """The kernel of an n-vertex search for targets under degree_caps (None
-    for no caps), or None where an edgeless target fits: it is in every
-    color class, so no coloring exists.  Built once per process for each
-    key; targets and caps are tuples."""
-    effective = tuple(_effective_target(t, n) for t in targets)
-    if any(eff is not None and eff.kind == tg.EMPTY for eff in effective):
-        return None
-    # color-permutation reduction: on the first edge, only the first color of
-    # each group of identical declared targets and degree caps is tried
-    groups = targets if degree_caps is None else tuple(zip(targets, degree_caps))
-    repeats = tuple(groups.index(g) < i for i, g in enumerate(groups))
-    # a vertex has at most n - 2 edges of a color before uv, so a cap of
-    # n - 1 or more never refuses one
-    caps = tuple(cap if cap < n - 1 else None for cap in degree_caps or [n - 1] * len(targets))
-    return _kernel(effective, caps, repeats)
 
 
 def _search_edges(
@@ -337,7 +326,7 @@ def _search_edges(
     split, a search still running after SPLIT_AFTER nodes shares its tree
     with helper processes (see _Split); the result is the same.
     """
-    kernel = _setup(n, tuple(targets), None if degree_caps is None else tuple(degree_caps))
+    kernel = _kernel(n, tuple(targets), None if degree_caps is None else tuple(degree_caps))
     if kernel is None:
         return INFEASIBLE, None, 0
     tree = _Tree(n, edges, kernel, len(targets), time.monotonic() + budget.time_limit)
@@ -352,7 +341,7 @@ def _search_edges(
 
 class _Tree:
     """The fixed part of one search: the edges in search order, the kernel
-    of its targets, degree caps and first-edge reduction (see _setup), and
+    of its targets, degree caps and first-edge reduction (see _kernel), and
     the deadline."""
 
     def __init__(self, n, edges, kernel, color_count, deadline):

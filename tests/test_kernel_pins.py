@@ -15,8 +15,8 @@ partition_check gave before the kernel was generated from source:
   targets and caps, which the first-edge reduction sees (see PAIRS),
   recorded before the reduction was compiled into the kernel;
 - pairs of lists that differ only in n or only in the degree caps, which
-  the search set-up cache sees (see SETUP_PAIRS), recorded before that
-  cache was added;
+  the kernel cache must tell apart (see KEY_PAIRS), recorded before
+  that cache was keyed by them;
 - the partition pairs (K5, K3) and (S4, B3).
 
 Regenerate with `PYTHONPATH=src python tests/test_kernel_pins.py` (it
@@ -90,9 +90,9 @@ SEARCHES = [
 PAIRS = [(31, 32), (33, 34), (35, 36)]
 
 # SEARCHES indices of pairs that differ only in n or only in the degree caps,
-# which the search set-up cache must tell apart: K5 fits on 6 vertices and
+# which the kernel cache must tell apart: K5 fits on 6 vertices and
 # not on 4, where color 0 refuses no edge, and cap 2 or 3 binds color 0.
-SETUP_PAIRS = [(37, 38), (39, 40)]
+KEY_PAIRS = [(37, 38), (39, 40)]
 
 # (graph6, pair targets, node limit) for partition_check; "E???" and "H??????"
 # are the edgeless graphs on 6 and 9 vertices
@@ -171,23 +171,22 @@ def test_partition_matches_pin(rec):
 @pytest.mark.parametrize("order", [0, 1])
 @pytest.mark.parametrize("pair", PAIRS)
 def test_kernel_cache_tells_declared_groups_apart(pair, order):
-    # both lists run in one process, from cold caches: a kernel reused
+    # both lists run in one process, from a cold cache: a kernel reused
     # across them would try the wrong colors on the first edge
     _run_from_cold_caches(pair[::-1] if order else pair)
 
 
 @pytest.mark.parametrize("order", [0, 1])
-@pytest.mark.parametrize("pair", SETUP_PAIRS)
-def test_setup_cache_tells_n_and_caps_apart(pair, order):
-    # a set-up reused across n would test K5 on 4 vertices or skip it on 6
+@pytest.mark.parametrize("pair", KEY_PAIRS)
+def test_kernel_cache_tells_n_and_caps_apart(pair, order):
+    # a kernel reused across n would test K5 on 4 vertices or skip it on 6
     # (a K6 in color 0, a bad witness); across caps, cap the wrong degree
     _run_from_cold_caches(pair[::-1] if order else pair)
 
 
 def _run_from_cold_caches(indices):
     """The SEARCHES records at indices, run in order in this process from
-    cleared set-up and kernel caches, each against its pin."""
-    search._setup.cache_clear()
+    a cleared kernel cache, each against its pin."""
     search._kernel.cache_clear()
     for i in indices:
         rec = PINS["search"][i]
