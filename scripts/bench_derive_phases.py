@@ -1,31 +1,45 @@
-"""Per-phase cost of `derive LIST --json`, phase by phase as the CLI runs it.
+"""Per-phase cost of `derive LIST --json`, with the child table cold and warm.
 
     python3 scripts/bench_derive_phases.py [--seed 7] [--repeats 5]
+    python3 scripts/bench_derive_phases.py --first-call LIST
 
 Run from the root of a checkout.  For each derive-cli list that perfbench
 makes from --seed, the phases of `c4ramsey derive LIST --json` are timed in
 the order `cli._cmd_derive` runs them: registry (seed_registry(), which the
 CLI calls once per command), parse (parse_targets), derive, replay (against
-that registry, as the CLI replays), and
-encode (json.dumps of the printed document: the node table with indent=2,
-or the one-line cannot-derive answer).  Each phase is summed over one pass
-of the lists; the figure is the median over --repeats passes.  Then the
-planning time of the long lists C4,K5000 and C4,B20,B20,B20 is timed, one
-derive() each, median of --repeats, with the first (cold) call reported
-apart.  Prints the cases as a JSON list, in the case format of the
-BENCH_*.json files.
+that registry, as the CLI replays), and encode (json.dumps of the printed
+document: the node table with indent=2, or the one-line cannot-derive
+answer).  Each phase is summed over one pass of the lists; the figure is the
+median over --repeats passes.  The passes run twice: warm, after one
+untimed pass, so that derive's child table holds the lists' children, as in
+every pass of a perfbench run after its first; and cold, with the table
+emptied before each list, as in a process that runs one command.
+
+Then it reports the child table: the entries it holds after a pass of the
+lists, the interned child lists beside them, and the memory it keeps then
+(tracemalloc: the traced memory freed by emptying the table), and the same
+after planning C4,B20,B20,B20, which fills the table past its bound.  Then the planning time of the long lists
+C4,B20,B20,B20, C4,K5000 and C4,S30,S30,S30 (one derive() each with a fresh
+seed_registry()): median of --repeats calls in this process, and the median
+of --repeats first calls, each in a fresh process (`--first-call LIST`, which
+prints that one time).  A checkout without the child table reports its
+table figures as null and times its cold pass like the warm one.  Prints
+the cases as a JSON list, in the case format of the BENCH_*.json files.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import platform
 import random
 import statistics
+import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,14 +48,20 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import c4ramsey as cr  # noqa: E402
 from workloads import derive_make  # noqa: E402
 
+derive_module = sys.modules["c4ramsey.derive"]
+clear_table = getattr(derive_module, "_clear_child_table", lambda: None)
+
 PHASES = ("registry", "parse", "derive", "replay", "encode")
-PLAN_LISTS = ("C4,K5000", "C4,B20,B20,B20")
+PLAN_LISTS = ("C4,B20,B20,B20", "C4,K5000", "C4,S30,S30,S30")
+BIG = "C4,B20,B20,B20"
 
 
-def phase_pass(lists) -> dict[str, float]:
+def phase_pass(lists, cold: bool) -> dict[str, float]:
     totals = dict.fromkeys(PHASES, 0.0)
     clock = time.perf_counter
     for text in lists:
+        if cold:
+            clear_table()
         t0 = clock()
         registry = cr.seed_registry()
         t1 = clock()
@@ -64,30 +84,86 @@ def phase_pass(lists) -> dict[str, float]:
     return totals
 
 
+def plan(text: str) -> tuple[float, int]:
+    """One derive() of text with a fresh seed_registry(): seconds, value."""
+    targets, registry = cr.parse_targets(text), cr.seed_registry()
+    t0 = time.perf_counter()
+    value = cr.derive(targets, registry).value
+    return time.perf_counter() - t0, value
+
+
+def table_size(name: str = "_child_table") -> int | None:
+    table = getattr(derive_module, name, None)
+    return None if table is None else len(table)
+
+
+def retained_bytes() -> int | None:
+    """Traced memory freed by emptying the child table (tracemalloc on)."""
+    if table_size() is None:
+        return None
+    gc.collect()
+    before = tracemalloc.get_traced_memory()[0]
+    clear_table()
+    gc.collect()
+    return before - tracemalloc.get_traced_memory()[0]
+
+
+def table_cases(lists, env: dict) -> list[dict]:
+    tracemalloc.start()
+    clear_table()
+    phase_pass(lists, cold=False)
+    entries, interned = table_size(), table_size("_interned")
+    family_bytes = retained_bytes()
+    plan(BIG)
+    big_entries, big_interned = table_size(), table_size("_interned")
+    big_bytes = retained_bytes()
+    tracemalloc.stop()
+    return [
+        {"case": "child_table_after_family", "lists": len(lists), "entries": entries,
+         "interned": interned, "retained_bytes": family_bytes, **env},
+        {"case": f"child_table_after_{BIG.replace(',', '_')}", "entries": big_entries,
+         "interned": big_interned, "retained_bytes": big_bytes, "bound": getattr(derive_module, "CHILD_TABLE_SIZE", None), **env},
+    ]
+
+
+def first_call(text: str, repeats: int) -> list[float]:
+    """--repeats first-call plan times of text, each in a fresh process."""
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--first-call", text]
+    return [json.loads(subprocess.run(cmd, check=True, capture_output=True, text=True).stdout)["wall_s"]
+            for _ in range(repeats)]
+
+
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--first-call", metavar="LIST", help="print the plan time of LIST, planned first in this process")
     args = ap.parse_args()
+    if args.first_call:
+        took, value = plan(args.first_call)
+        print(json.dumps({"list": args.first_call, "value": value, "wall_s": round(took, 4)}))
+        return
     env = {"repeats": args.repeats, "python": platform.python_version(), "cpu_count": os.cpu_count()}
     lists = derive_make(random.Random(args.seed))["lists"]
-    passes = [phase_pass(lists) for _ in range(args.repeats)]
-    cases = [
-        {"case": f"derive_cli_seed{args.seed}_{phase}", "lists": len(lists),
-         "wall_s_median": round(statistics.median(p[phase] for p in passes), 4), **env}
-        for phase in PHASES
-    ]
+    cases = []
+    for label, cold in (("warm", False), ("cold", True)):
+        clear_table()
+        phase_pass(lists, cold)  # untimed: fills the table for the warm passes
+        passes = [phase_pass(lists, cold) for _ in range(args.repeats)]
+        cases += [
+            {"case": f"derive_cli_seed{args.seed}_{label}_{phase}", "lists": len(lists),
+             "wall_s_median": round(statistics.median(p[phase] for p in passes), 4), **env}
+            for phase in PHASES
+        ]
+    cases += table_cases(lists, env)
     for text in PLAN_LISTS:
-        targets = cr.parse_targets(text)
-        times, value = [], None
-        for _ in range(args.repeats):
-            registry = cr.seed_registry()
-            t0 = time.perf_counter()
-            value = cr.derive(targets, registry).value
-            times.append(time.perf_counter() - t0)
-        cases.append({"case": f"plan_{text.replace(',', '_')}", "value": value,
-                      "wall_s_median": round(statistics.median(times), 4),
-                      "wall_s_first": round(times[0], 4), **env})
+        clear_table()
+        runs = [plan(text) for _ in range(args.repeats)]
+        firsts = first_call(text, args.repeats)
+        cases.append({"case": f"plan_{text.replace(',', '_')}", "value": runs[0][1],
+                      "wall_s_median": round(statistics.median(t for t, _ in runs), 4),
+                      "wall_s_first_median": round(statistics.median(firsts), 4),
+                      "wall_s_first_by_run": [round(t, 4) for t in firsts], **env})
     print(json.dumps(cases, indent=1))
 
 

@@ -3,6 +3,14 @@
 Each derivation rule is one function in _RULES.  derive() runs them all on
 every list it plans; replay() runs a node's own rule, answering it from the
 node's children, and compares what the rule concludes with the node.
+
+The child lists a rule yields on a list depend on the list alone, not on the
+registry, so the first derive() or replay() that meets a list works them out
+and the child table keeps them for the rest of the process: every later
+call that meets the list, whatever its registry, reads them from there.
+Equal child lists are interned, one object each.  The table holds at most
+CHILD_TABLE_SIZE lists and is emptied when it reaches that, so a large plan
+keeps no more than a few MB.
 """
 
 from __future__ import annotations
@@ -179,11 +187,12 @@ def _option_sort_key(opt: TargetGraph) -> tuple:
 
 
 @functools.cache
-def _ordered_deletions(t: TargetGraph) -> tuple[tuple[TargetGraph, tuple], ...]:
-    """delete_options(t) in the order the planner tries them, each with its
-    sort key.  Targets are frozen, so this is computed once per target."""
+def _ordered_deletions(t: TargetGraph) -> tuple[tuple[TargetGraph, str], ...]:
+    """delete_options(t) in the order the planner tries them (by
+    _option_sort_key), each with its TheoremMT note "t->option".  Targets
+    are frozen, so this is computed once per target."""
     options = sorted(tg.delete_options(t), key=_option_sort_key)
-    return tuple((opt, _option_sort_key(opt)) for opt in options)
+    return tuple((opt, f"{t}->{opt}") for opt in options)
 
 
 # derive refuses a list whose plan_size exceeds this.  Just below it,
@@ -225,7 +234,9 @@ def derive(targets: TargetList, registry: Registry) -> DerivationTree:
     _plan generators, not Python recursion, so long chains such as C4,K1200
     need no recursion limit.  The loop answers each child list a rule yields
     from a memo of trees and sets of missing facts, so each list is planned
-    once.  A list whose plan_size exceeds MAX_PLAN_SIZE raises ValueError.
+    once; the rules read the child lists themselves from the child table, so
+    a list met by an earlier call is not built again.  A list whose plan_size
+    exceeds MAX_PLAN_SIZE raises ValueError.
     """
     root = strip_k2(targets)
     size = plan_size(root)
@@ -261,21 +272,74 @@ def _plan(tl: TargetList, registry: Registry) -> Generator:
     """Plan one K2-free list: run the rules of _RULES in order and return the
     node with the smallest value, or None.  Among equal values the node
     planned first, so the earlier rule, wins."""
-    candidates = []
+    best = None
     for rule in _RULES.values():
         node = rule(tl, registry)
         if node is not None and type(node) is not DerivationTree:
             node = yield from node
         if node is None:
             continue
-        candidates.append(node)
+        if best is None or node.value < best.value:
+            best = node
         if node.rule == "TrivialEmpty":
             # No later rule can win here: UnionK1 needs every other entry to
             # be H+1K1, and TheoremMT's value exceeds k, because the kK1 entry
             # gives r >= k - 1 (the registry holds no upper bound below the
             # trivial lower bound).  So no child is planned.
             break
-    return min(candidates, key=lambda c: c.value) if candidates else None
+    return best
+
+
+# The child table.  The lists a rule yields on a list depend on the list
+# alone, not on the registry, so they are worked out once per process and
+# shared by every derive() and replay() call: _child_table maps a list's key()
+# to them (see _children), and _interned maps a key() to the one object that
+# stands for every equal child list.  Both are emptied together when either
+# reaches CHILD_TABLE_SIZE entries, so a large plan keeps no more than that;
+# the 272-list derive-cli family fills 1,721 entries and interns 3,079 lists.
+# An entry is a function of its key alone, so emptying the table, or two
+# threads filling it at once, changes no answer.  An entry is one flat tuple
+# because a cold plan adds one per list it meets (some 12,000 for
+# C4,B20,B20,B20), and each further object per entry showed in its time.
+CHILD_TABLE_SIZE = 2**13
+_child_table: dict[str, tuple] = {}
+_interned: dict[str, TargetList] = {}
+
+
+def _clear_child_table() -> None:
+    _child_table.clear()
+    _interned.clear()
+
+
+def _intern(tl: TargetList) -> TargetList:
+    if len(_interned) >= CHILD_TABLE_SIZE:
+        _clear_child_table()
+    return _interned.setdefault(tl.key(), tl)
+
+
+def _children(tl: TargetList) -> tuple:
+    """The lists that UnionK1 and TheoremMT yield on tl, from the child table,
+    in one flat tuple: for each non-C4 entry, its _ordered_deletions and then
+    the K2-free list with the entry replaced by each option in turn; last,
+    UnionK1's inner list, or None where UnionK1 does not apply.  Only those
+    two rules ask, and only where they apply, so every entry has a vertex to
+    delete."""
+    key = tl.key()
+    kids = _child_table.get(key)
+    if kids is None:
+        others, built = tl.others, []
+        for i, gi in enumerate(others):
+            deletions = _ordered_deletions(gi)
+            built.append(deletions)
+            built += [_intern(strip_k2(tl.replace_other(i, opt))) for opt, _ in deletions]
+        inner = None
+        if _union_k1_applies(tl):
+            inner = _intern(TargetList(tl.targets[:tl.m] + tuple(t.base for t in others)))
+        built.append(inner)
+        if len(_child_table) >= CHILD_TABLE_SIZE:
+            _clear_child_table()
+        kids = _child_table[key] = tuple(built)
+    return kids
 
 
 # The rules.  Each takes a K2-free list and the registry.  A rule that needs
@@ -302,16 +366,21 @@ def _trivial_empty(tl: TargetList, registry: Registry) -> DerivationTree | None:
     return DerivationTree(tl, "TrivialEmpty", k, "upper")
 
 
+def _union_k1_applies(tl: TargetList) -> bool:
+    """UnionK1's shape: a C4, and every other entry some H + 1K1."""
+    others = tl.others
+    return (tl.m >= 1 and bool(others) and others[0].kind == tg.WITH_ISOLATED  # the common miss, tested first
+            and all(t.kind == tg.WITH_ISOLATED and t.k == 1 for t in others))
+
+
 def _union_k1(tl: TargetList, registry: Registry) -> Generator:
     """R(C4s, H_1+K1, ...) <= max(R(C4s, H_1, ...), |V(H_i)| + 1)."""
-    others = tl.others
-    if (tl.m < 1 or not others or others[0].kind != tg.WITH_ISOLATED  # the common miss, tested first
-            or any(t.kind != tg.WITH_ISOLATED or t.k != 1 for t in others)):
+    if not _union_k1_applies(tl):
         return None
-    child = yield TargetList(tl.targets[:tl.m] + tuple(t.base for t in others))
+    child = yield _children(tl)[-1]
     if isinstance(child, set):
         return None
-    floors = [t.vertex_count for t in others]
+    floors = [t.vertex_count for t in tl.others]
     return DerivationTree(tl, "UnionK1", max([child.value] + floors), child.kind, (child,), {"floors": floors})
 
 
@@ -324,19 +393,20 @@ def _theorem_mt(tl: TargetList, registry: Registry) -> Generator:
         return None
     chosen: list[DerivationTree] = []
     cuts: list[str] = []
-    for i, gi in enumerate(others):
+    kids, at = _children(tl), 0  # kids[at]: the deletions of the entry at hand, its lists after them
+    for _ in others:
         best = None
-        for opt, opt_key in _ordered_deletions(gi):
-            child = yield tl.replace_other(i, opt)
-            if isinstance(child, set):
-                continue
-            ck = (child.value,) + opt_key
-            if best is None or ck < best[0]:
-                best = (ck, child, opt)
+        for _opt, cut in kids[at]:
+            at += 1
+            child = yield kids[at]
+            # options come in _option_sort_key order, so among equal values the first is kept
+            if not isinstance(child, set) and (best is None or child.value < best.value):
+                best, best_cut = child, cut
         if best is None:
             return None
-        chosen.append(best[1])
-        cuts.append(f"{gi}->{best[2]}")
+        at += 1
+        chosen.append(best)
+        cuts.append(best_cut)
     r = [c.value for c in chosen]
     if m == 1 and all(v <= 1 for v in r):  # Theorem MT needs some r_i > 1 when m = 1
         return None

@@ -264,11 +264,13 @@ class TargetList:
         The other entries stay in order, so new is inserted at its sorted
         place among them, or joins the C4 prefix if it is a C4."""
         m, targets = self.m, self.targets
-        rest = targets[m : m + i] + targets[m + i + 1 :]
+        j = m + i
         if new.kind == CYCLE4_KIND:
-            return TargetList._canonical(targets[:m] + (new,) + rest, m + 1)
-        at = bisect.bisect_left(rest, _sort_key(new), key=_sort_key)
-        return TargetList._canonical(targets[:m] + rest[:at] + (new,) + rest[at:], m)
+            return TargetList._canonical(targets[:m] + (new,) + targets[m:j] + targets[j + 1 :], m + 1)
+        at = bisect.bisect_left(targets, _sort_key(new), m, key=_sort_key)
+        if at <= j:  # new goes before the entry it replaces, or in its place
+            return TargetList._canonical(targets[:at] + (new,) + targets[at:j] + targets[j + 1 :], m)
+        return TargetList._canonical(targets[:j] + targets[j + 1 : at] + (new,) + targets[at:], m)
 
 
 def parse_targets(text: str) -> TargetList:
@@ -289,7 +291,10 @@ def strip_k2(targets: TargetList) -> TargetList:
     """Drop K2 entries: a color that may not contain a single edge is unused,
     so the Ramsey number is unchanged.  Keeps the list nonempty; a list
     without K2 comes back as the same object."""
-    for t in targets.others:  # sorted by size: any K2 comes before every larger entry
+    ts, m = targets.targets, targets.m
+    if m == len(ts) or ts[m].vertex_count > 2:  # the common case: no entry of 2 vertices or fewer
+        return targets
+    for t in ts[m:]:  # sorted by size: any K2 comes before every larger entry
         if t.vertex_count > 2:
             return targets
         if t.kind == CLIQUE:

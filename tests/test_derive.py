@@ -144,7 +144,7 @@ class TestDeletionOrder:
                 continue
             seen.add(t)
             want = sorted(delete_options(t), key=_option_sort_key)
-            assert _ordered_deletions(t) == tuple((o, _option_sort_key(o)) for o in want)
+            assert _ordered_deletions(t) == tuple((o, f"{t}->{o}") for o in want)
             todo.extend(want)
         assert len(seen) > 50
 
