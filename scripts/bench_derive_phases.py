@@ -1,4 +1,4 @@
-"""Per-phase cost of `derive LIST --json`, with the child table cold and warm.
+"""Per-phase cost of `derive LIST --json`, and the cost of long plans.
 
     python3 scripts/bench_derive_phases.py [--seed 7] [--repeats 5]
     python3 scripts/bench_derive_phases.py --first-call LIST
@@ -10,21 +10,15 @@ CLI calls once per command), parse (parse_targets), derive, replay (against
 that registry, as the CLI replays), and encode (json.dumps of the printed
 document: the node table with indent=2, or the one-line cannot-derive
 answer).  Each phase is summed over one pass of the lists; the figure is the
-median over --repeats passes.  The passes run twice: warm, after one
-untimed pass, so that derive's child table holds the lists' children, as in
-every pass of a perfbench run after its first; and cold, with the table
-emptied before each list, as in a process that runs one command.
+median over --repeats passes, after one untimed pass.
 
-Then it reports the child table: the entries it holds after a pass of the
-lists, the interned child lists beside them, and the memory it keeps then
-(tracemalloc: the traced memory freed by emptying the table), and the same
-after planning C4,B20,B20,B20, which fills the table past its bound.  Then the planning time of the long lists
-C4,B20,B20,B20, C4,K5000 and C4,S30,S30,S30 (one derive() each with a fresh
-seed_registry()): median of --repeats calls in this process, and the median
-of --repeats first calls, each in a fresh process (`--first-call LIST`, which
-prints that one time).  A checkout without the child table reports its
-table figures as null and times its cold pass like the warm one.  Prints
-the cases as a JSON list, in the case format of the BENCH_*.json files.
+Then the long lists C4,B20,B20,B20, C4,K5000 and C4,S30,S30,S30, one
+derive() each with a fresh seed_registry(): the median of --repeats calls in
+this process; the median of --repeats first calls, each in a fresh process
+(`--first-call LIST`, which prints that one time); and, from one more call
+under tracemalloc, the peak traced memory while it plans and the memory its
+tree keeps once derive() returns.  Prints the cases as a JSON list, in the
+case format of the BENCH_*.json files.
 """
 
 from __future__ import annotations
@@ -48,20 +42,14 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import c4ramsey as cr  # noqa: E402
 from workloads import derive_make  # noqa: E402
 
-derive_module = sys.modules["c4ramsey.derive"]
-clear_table = getattr(derive_module, "_clear_child_table", lambda: None)
-
 PHASES = ("registry", "parse", "derive", "replay", "encode")
 PLAN_LISTS = ("C4,B20,B20,B20", "C4,K5000", "C4,S30,S30,S30")
-BIG = "C4,B20,B20,B20"
 
 
-def phase_pass(lists, cold: bool) -> dict[str, float]:
+def phase_pass(lists) -> dict[str, float]:
     totals = dict.fromkeys(PHASES, 0.0)
     clock = time.perf_counter
     for text in lists:
-        if cold:
-            clear_table()
         t0 = clock()
         registry = cr.seed_registry()
         t1 = clock()
@@ -92,38 +80,17 @@ def plan(text: str) -> tuple[float, int]:
     return time.perf_counter() - t0, value
 
 
-def table_size(name: str = "_child_table") -> int | None:
-    table = getattr(derive_module, name, None)
-    return None if table is None else len(table)
-
-
-def retained_bytes() -> int | None:
-    """Traced memory freed by emptying the child table (tracemalloc on)."""
-    if table_size() is None:
-        return None
+def plan_memory(text: str) -> tuple[int, int]:
+    """Traced bytes of one derive() of text: its peak, and what its tree keeps."""
+    targets, registry = cr.parse_targets(text), cr.seed_registry()
     gc.collect()
-    before = tracemalloc.get_traced_memory()[0]
-    clear_table()
-    gc.collect()
-    return before - tracemalloc.get_traced_memory()[0]
-
-
-def table_cases(lists, env: dict) -> list[dict]:
     tracemalloc.start()
-    clear_table()
-    phase_pass(lists, cold=False)
-    entries, interned = table_size(), table_size("_interned")
-    family_bytes = retained_bytes()
-    plan(BIG)
-    big_entries, big_interned = table_size(), table_size("_interned")
-    big_bytes = retained_bytes()
+    tree = cr.derive(targets, registry)
+    gc.collect()
+    kept, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    return [
-        {"case": "child_table_after_family", "lists": len(lists), "entries": entries,
-         "interned": interned, "retained_bytes": family_bytes, **env},
-        {"case": f"child_table_after_{BIG.replace(',', '_')}", "entries": big_entries,
-         "interned": big_interned, "retained_bytes": big_bytes, "bound": getattr(derive_module, "CHILD_TABLE_SIZE", None), **env},
-    ]
+    del tree
+    return peak, kept
 
 
 def first_call(text: str, repeats: int) -> list[float]:
@@ -145,25 +112,22 @@ def main() -> None:
         return
     env = {"repeats": args.repeats, "python": platform.python_version(), "cpu_count": os.cpu_count()}
     lists = derive_make(random.Random(args.seed))["lists"]
-    cases = []
-    for label, cold in (("warm", False), ("cold", True)):
-        clear_table()
-        phase_pass(lists, cold)  # untimed: fills the table for the warm passes
-        passes = [phase_pass(lists, cold) for _ in range(args.repeats)]
-        cases += [
-            {"case": f"derive_cli_seed{args.seed}_{label}_{phase}", "lists": len(lists),
-             "wall_s_median": round(statistics.median(p[phase] for p in passes), 4), **env}
-            for phase in PHASES
-        ]
-    cases += table_cases(lists, env)
+    phase_pass(lists)  # untimed: lazy imports and the cached deletion orders
+    passes = [phase_pass(lists) for _ in range(args.repeats)]
+    cases = [
+        {"case": f"derive_cli_seed{args.seed}_{phase}", "lists": len(lists),
+         "wall_s_median": round(statistics.median(p[phase] for p in passes), 4), **env}
+        for phase in PHASES
+    ]
     for text in PLAN_LISTS:
-        clear_table()
         runs = [plan(text) for _ in range(args.repeats)]
         firsts = first_call(text, args.repeats)
+        peak, kept = plan_memory(text)
         cases.append({"case": f"plan_{text.replace(',', '_')}", "value": runs[0][1],
                       "wall_s_median": round(statistics.median(t for t, _ in runs), 4),
                       "wall_s_first_median": round(statistics.median(firsts), 4),
-                      "wall_s_first_by_run": [round(t, 4) for t in firsts], **env})
+                      "wall_s_first_by_run": [round(t, 4) for t in firsts],
+                      "traced_peak_mb": round(peak / 2**20, 2), "tree_kept_mb": round(kept / 2**20, 2), **env})
     print(json.dumps(cases, indent=1))
 
 

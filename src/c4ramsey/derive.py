@@ -4,13 +4,10 @@ Each derivation rule is one function in _RULES.  derive() runs them all on
 every list it plans; replay() runs a node's own rule, answering it from the
 node's children, and compares what the rule concludes with the node.
 
-The child lists a rule yields on a list depend on the list alone, not on the
-registry, so the first derive() or replay() that meets a list works them out
-and the child table keeps them for the rest of the process: every later
-call that meets the list, whatever its registry, reads them from there.
-Equal child lists are interned, one object each.  The table holds at most
-CHILD_TABLE_SIZE lists and is emptied when it reaches that, so a large plan
-keeps no more than a few MB.
+A rule builds the child lists it yields K2-free, where it asks for them, so
+derive() looks each up in its memo as it comes.  Nothing is kept from one
+call to the next: a one-shot `c4ramsey derive` pays what a long-running
+process pays.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ from .registry import Registry, seed_registry
 from .targets import TargetGraph, TargetList, parse_targets, strip_k2
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class DerivationTree:
     """One node of a derivation.  derive() shares a subtree between all the
     parents that use it, so nodes compare by identity; two trees are compared
@@ -38,6 +35,15 @@ class DerivationTree:
     children: tuple["DerivationTree", ...] = ()
     notes: dict = field(default_factory=dict)
     citation: str = ""
+
+    def __init__(self, targets: TargetList, rule: str, value: int, kind: str,
+                 children: tuple["DerivationTree", ...] = (), notes: dict | None = None, citation: str = ""):
+        # derive() makes a node for most lists it plans, so the fields go
+        # straight into __dict__, past the frozen __setattr__ that the
+        # dataclass __init__ calls once per field at some four times the cost
+        fields = self.__dict__
+        fields["targets"], fields["rule"], fields["value"], fields["kind"] = targets, rule, value, kind
+        fields["children"], fields["notes"], fields["citation"] = children, {} if notes is None else notes, citation
 
     def to_dict(self) -> dict:
         """The node table {"nodes": [...]}: each distinct node object once,
@@ -168,7 +174,7 @@ def _answered(steps: Generator, children: dict[str, DerivationTree]) -> Derivati
     sent = None
     try:
         while True:
-            key = strip_k2(steps.send(sent)).key()
+            key = steps.send(sent).key()
             sent = children.get(key) or {key}
     except StopIteration as done:
         return done.value
@@ -234,9 +240,7 @@ def derive(targets: TargetList, registry: Registry) -> DerivationTree:
     _plan generators, not Python recursion, so long chains such as C4,K1200
     need no recursion limit.  The loop answers each child list a rule yields
     from a memo of trees and sets of missing facts, so each list is planned
-    once; the rules read the child lists themselves from the child table, so
-    a list met by an earlier call is not built again.  A list whose plan_size
-    exceeds MAX_PLAN_SIZE raises ValueError.
+    once.  A list whose plan_size exceeds MAX_PLAN_SIZE raises ValueError.
     """
     root = strip_k2(targets)
     size = plan_size(root)
@@ -251,18 +255,19 @@ def derive(targets: TargetList, registry: Registry) -> DerivationTree:
     result = None
     while stack:
         tl, plan, missing = stack[-1]
-        if isinstance(result, set):
-            missing |= result
         try:
-            child = plan.send(result)
+            while True:  # answer the plan's child lists from the memo until one is new
+                if isinstance(result, set):
+                    missing |= result
+                child = plan.send(result)
+                result = memo.get(child.key())
+                if result is None:
+                    break
         except StopIteration as done:
             stack.pop()
             result = memo[tl.key()] = done.value or missing or {tl.key()}
             continue
-        child = strip_k2(child)
-        result = memo.get(child.key())
-        if result is None:
-            stack.append(frame(child))
+        stack.append(frame(child))
     if isinstance(result, set):
         raise CannotDeriveError(result)
     return result
@@ -290,62 +295,11 @@ def _plan(tl: TargetList, registry: Registry) -> Generator:
     return best
 
 
-# The child table.  The lists a rule yields on a list depend on the list
-# alone, not on the registry, so they are worked out once per process and
-# shared by every derive() and replay() call: _child_table maps a list's key()
-# to them (see _children), and _interned maps a key() to the one object that
-# stands for every equal child list.  Both are emptied together when either
-# reaches CHILD_TABLE_SIZE entries, so a large plan keeps no more than that;
-# the 272-list derive-cli family fills 1,721 entries and interns 3,079 lists.
-# An entry is a function of its key alone, so emptying the table, or two
-# threads filling it at once, changes no answer.  An entry is one flat tuple
-# because a cold plan adds one per list it meets (some 12,000 for
-# C4,B20,B20,B20), and each further object per entry showed in its time.
-CHILD_TABLE_SIZE = 2**13
-_child_table: dict[str, tuple] = {}
-_interned: dict[str, TargetList] = {}
-
-
-def _clear_child_table() -> None:
-    _child_table.clear()
-    _interned.clear()
-
-
-def _intern(tl: TargetList) -> TargetList:
-    if len(_interned) >= CHILD_TABLE_SIZE:
-        _clear_child_table()
-    return _interned.setdefault(tl.key(), tl)
-
-
-def _children(tl: TargetList) -> tuple:
-    """The lists that UnionK1 and TheoremMT yield on tl, from the child table,
-    in one flat tuple: for each non-C4 entry, its _ordered_deletions and then
-    the K2-free list with the entry replaced by each option in turn; last,
-    UnionK1's inner list, or None where UnionK1 does not apply.  Only those
-    two rules ask, and only where they apply, so every entry has a vertex to
-    delete."""
-    key = tl.key()
-    kids = _child_table.get(key)
-    if kids is None:
-        others, built = tl.others, []
-        for i, gi in enumerate(others):
-            deletions = _ordered_deletions(gi)
-            built.append(deletions)
-            built += [_intern(strip_k2(tl.replace_other(i, opt))) for opt, _ in deletions]
-        inner = None
-        if _union_k1_applies(tl):
-            inner = _intern(TargetList(tl.targets[:tl.m] + tuple(t.base for t in others)))
-        built.append(inner)
-        if len(_child_table) >= CHILD_TABLE_SIZE:
-            _clear_child_table()
-        kids = _child_table[key] = tuple(built)
-    return kids
-
-
 # The rules.  Each takes a K2-free list and the registry.  A rule that needs
 # no child derivation returns its node, or None where it does not apply.  A
-# rule that does is a generator: it yields each child list, is sent back that
-# list's tree or its set of missing facts, and returns its node, or None.
+# rule that does returns a generator (or None where it does not apply): it
+# yields each child list, K2-free, is sent back that list's tree or its set of
+# missing facts, and returns its node, or None.
 
 
 def _registry(tl: TargetList, registry: Registry) -> DerivationTree | None:
@@ -366,18 +320,18 @@ def _trivial_empty(tl: TargetList, registry: Registry) -> DerivationTree | None:
     return DerivationTree(tl, "TrivialEmpty", k, "upper")
 
 
-def _union_k1_applies(tl: TargetList) -> bool:
-    """UnionK1's shape: a C4, and every other entry some H + 1K1."""
+def _union_k1(tl: TargetList, registry: Registry) -> Generator | None:
+    """R(C4s, H_1+K1, ...) <= max(R(C4s, H_1, ...), |V(H_i)| + 1).  Most
+    lists are not of its shape, so it answers them without a generator."""
     others = tl.others
-    return (tl.m >= 1 and bool(others) and others[0].kind == tg.WITH_ISOLATED  # the common miss, tested first
-            and all(t.kind == tg.WITH_ISOLATED and t.k == 1 for t in others))
-
-
-def _union_k1(tl: TargetList, registry: Registry) -> Generator:
-    """R(C4s, H_1+K1, ...) <= max(R(C4s, H_1, ...), |V(H_i)| + 1)."""
-    if not _union_k1_applies(tl):
+    if (tl.m < 1 or not others or others[0].kind != tg.WITH_ISOLATED  # the common miss, tested first
+            or any(t.kind != tg.WITH_ISOLATED or t.k != 1 for t in others)):
         return None
-    child = yield _children(tl)[-1]
+    return _union_k1_steps(tl)
+
+
+def _union_k1_steps(tl: TargetList) -> Generator:
+    child = yield strip_k2(TargetList(tl.targets[:tl.m] + tuple(t.base for t in tl.others)))
     if isinstance(child, set):
         return None
     floors = [t.vertex_count for t in tl.others]
@@ -393,18 +347,18 @@ def _theorem_mt(tl: TargetList, registry: Registry) -> Generator:
         return None
     chosen: list[DerivationTree] = []
     cuts: list[str] = []
-    kids, at = _children(tl), 0  # kids[at]: the deletions of the entry at hand, its lists after them
-    for _ in others:
+    for i, gi in enumerate(others):
         best = None
-        for _opt, cut in kids[at]:
-            at += 1
-            child = yield kids[at]
+        for opt, cut in _ordered_deletions(gi):
+            child = tl.replace_other(i, opt)
+            if opt.kind == tg.CLIQUE and opt.k == 2:  # tl is K2-free, so only a new K2 can need stripping
+                child = strip_k2(child)
+            child = yield child
             # options come in _option_sort_key order, so among equal values the first is kept
             if not isinstance(child, set) and (best is None or child.value < best.value):
                 best, best_cut = child, cut
         if best is None:
             return None
-        at += 1
         chosen.append(best)
         cuts.append(best_cut)
     r = [c.value for c in chosen]

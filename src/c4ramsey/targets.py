@@ -10,6 +10,7 @@ total.
 from __future__ import annotations
 
 import bisect
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
@@ -38,6 +39,7 @@ class TargetGraph:
     # derived once here; equality, hashing and repr use (kind, k, base) only
     vertex_count: int = field(init=False, repr=False, compare=False)
     _name: str = field(init=False, repr=False, compare=False)
+    _order: tuple = field(init=False, repr=False, compare=False)  # (vertex_count, _name): list order
 
     def __post_init__(self):
         kind, k = self.kind, self.k
@@ -59,9 +61,15 @@ class TargetGraph:
             raise ValueError(f"unknown target kind {kind!r}")
         object.__setattr__(self, "vertex_count", count)
         object.__setattr__(self, "_name", name)
+        object.__setattr__(self, "_order", (count, name))
 
     def __str__(self) -> str:
         return self._name
+
+    def __hash__(self) -> int:
+        # equal targets have equal names, and a str keeps its hash, so this
+        # is quicker than hashing (kind, k, base) again on every lookup
+        return hash(self._name)
 
 
 CYCLE4 = TargetGraph(CYCLE4_KIND)
@@ -207,8 +215,7 @@ def parse_target(text: str) -> TargetGraph:
     return _parse_entry(text, text, 0)
 
 
-def _sort_key(t: TargetGraph) -> tuple:
-    return (t.vertex_count, t._name)
+_sort_key = operator.attrgetter("_order")
 
 
 @dataclass(frozen=True)
@@ -253,9 +260,8 @@ class TargetList:
         """A list from targets already in canonical order, m of them C4s;
         skips __post_init__'s sort."""
         tl = object.__new__(cls)
-        object.__setattr__(tl, "targets", targets)
-        object.__setattr__(tl, "m", m)
-        object.__setattr__(tl, "_key", ",".join([t._name for t in targets]))
+        fields = tl.__dict__  # where a frozen dataclass keeps its fields; the quickest way in
+        fields["targets"], fields["m"], fields["_key"] = targets, m, ",".join([t._name for t in targets])
         return tl
 
     def replace_other(self, i: int, new: TargetGraph) -> "TargetList":
@@ -267,7 +273,7 @@ class TargetList:
         j = m + i
         if new.kind == CYCLE4_KIND:
             return TargetList._canonical(targets[:m] + (new,) + targets[m:j] + targets[j + 1 :], m + 1)
-        at = bisect.bisect_left(targets, _sort_key(new), m, key=_sort_key)
+        at = bisect.bisect_left(targets, new._order, m, key=_sort_key)
         if at <= j:  # new goes before the entry it replaces, or in its place
             return TargetList._canonical(targets[:at] + (new,) + targets[at:j] + targets[j + 1 :], m)
         return TargetList._canonical(targets[:j] + targets[j + 1 : at] + (new,) + targets[at:], m)
@@ -291,10 +297,7 @@ def strip_k2(targets: TargetList) -> TargetList:
     """Drop K2 entries: a color that may not contain a single edge is unused,
     so the Ramsey number is unchanged.  Keeps the list nonempty; a list
     without K2 comes back as the same object."""
-    ts, m = targets.targets, targets.m
-    if m == len(ts) or ts[m].vertex_count > 2:  # the common case: no entry of 2 vertices or fewer
-        return targets
-    for t in ts[m:]:  # sorted by size: any K2 comes before every larger entry
+    for t in targets.others:  # sorted by size: any K2 comes before every larger entry
         if t.vertex_count > 2:
             return targets
         if t.kind == CLIQUE:
