@@ -68,8 +68,9 @@ def _budget(args) -> SearchBudget:
 
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--node-limit", type=int, default=50_000_000)
-    p.add_argument("--time-limit", type=float, default=600.0, metavar="SECS")
+    default = SearchBudget()
+    p.add_argument("--node-limit", type=int, default=default.node_limit)
+    p.add_argument("--time-limit", type=float, default=default.time_limit, metavar="SECS")
 
 
 def _emit(args, doc: dict, text: str) -> None:

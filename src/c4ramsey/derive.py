@@ -188,16 +188,14 @@ class CannotDeriveError(ValueError):
         super().__init__("cannot derive; missing facts for: " + ", ".join(self.missing))
 
 
-def _option_sort_key(opt: TargetGraph) -> tuple:
-    return (opt.vertex_count, str(opt))
-
-
-@functools.cache
+@functools.lru_cache(maxsize=256)
 def _ordered_deletions(t: TargetGraph) -> tuple[tuple[TargetGraph, str], ...]:
-    """delete_options(t) in the order the planner tries them (by
-    _option_sort_key), each with its TheoremMT note "t->option".  Targets
-    are frozen, so this is computed once per target."""
-    options = sorted(tg.delete_options(t), key=_option_sort_key)
+    """delete_options(t) in the order the planner tries them, by vertex
+    count and then name (targets._sort_key), each with its TheoremMT note
+    "t->option".  Targets are frozen, so this is kept for the 256 targets
+    used last: all 279 lists of the derive-cli benchmark family meet 55,
+    while a chain such as C4,K5000 meets thousands and uses each once."""
+    options = sorted(tg.delete_options(t), key=tg._sort_key)
     return tuple((opt, f"{t}->{opt}") for opt in options)
 
 
@@ -354,7 +352,7 @@ def _theorem_mt(tl: TargetList, registry: Registry) -> Generator:
             if opt.kind == tg.CLIQUE and opt.k == 2:  # tl is K2-free, so only a new K2 can need stripping
                 child = strip_k2(child)
             child = yield child
-            # options come in _option_sort_key order, so among equal values the first is kept
+            # options come in _ordered_deletions order, so among equal values the first is kept
             if not isinstance(child, set) and (best is None or child.value < best.value):
                 best, best_cut = child, cut
         if best is None:

@@ -1,10 +1,11 @@
-"""Bitset-backed simple graphs and edge colorings of complete graphs.
+"""Bitset-backed simple graphs and complete edge colorings of complete graphs.
 
 Vertex capacity is fixed at 128.  Adjacency rows are Python ints used as
 bitsets; edge colors live in a flat triangular array indexed by
 pair_index(u, v) = v*(v-1)//2 + u for u < v, i.e. the pairs in the order
 (0,1), (0,2), (1,2), (0,3), ... — the same column-major order graph6 uses,
-so one pair-order serves both serializers.
+so one pair-order serves both serializers.  Every pair of a coloring has a
+color: there is no partial coloring, in memory or in coloring text.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from . import targets as tg
 from .targets import TargetGraph
 
 MAX_VERTICES = 128
-UNASSIGNED = -1
 
 
 def pair_index(u: int, v: int) -> int:
@@ -274,40 +274,47 @@ def find_target_copy(g: SimpleGraph, t: TargetGraph) -> Optional[tuple[int, ...]
         cands[i] = cand
 
 
-class EdgeColoring:
-    """Edge coloring of K_n with c colors, pair colors in canonical pair order.
+def _check_size(n: int, c: int) -> None:
+    if not 1 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count must be in [1, {MAX_VERTICES}], got {n}")
+    if c < 1:
+        raise ValueError(f"color count must be >= 1, got {c}")
 
-    A pair may be UNASSIGNED, as every pair of EdgeColoring(n, c) is and as
-    a '-' line in coloring text makes one.  A partial coloring has color
-    classes; goodness is defined only for complete ones."""
+
+def _check_pair_color(col, c: int) -> None:
+    if not isinstance(col, int):
+        raise TypeError(f"color {col!r} is not an integer")
+    if not 0 <= col < c:
+        raise ValueError(f"color {col} out of range for c={c}")
+
+
+class EdgeColoring:
+    """Complete edge coloring of K_n with c colors: every pair, in canonical
+    pair order, has an integer color in 0..c-1.  The constructor enforces
+    it, and set() keeps it."""
 
     __slots__ = ("n", "c", "colors")
 
-    def __init__(self, n: int, c: int, colors: Optional[Sequence[int]] = None):
-        if not 1 <= n <= MAX_VERTICES:
-            raise ValueError(f"vertex count must be in [1, {MAX_VERTICES}], got {n}")
-        if c < 1:
-            raise ValueError(f"color count must be >= 1, got {c}")
+    def __init__(self, n: int, c: int, colors: Sequence[int]):
+        _check_size(n, c)
         self.n = n
         self.c = c
+        colors = list(colors)
         npairs = n * (n - 1) // 2
-        if colors is None:
-            self.colors = [UNASSIGNED] * npairs
-        else:
-            colors = list(colors)
-            if len(colors) != npairs:
-                raise ValueError(f"expected {npairs} pair colors, got {len(colors)}")
-            # check each distinct color; where one is bad (or a color cannot
-            # be hashed or compared), scan in pair order for the first bad one
-            try:
-                bad = any(col != UNASSIGNED and not 0 <= col < c for col in set(colors))
-            except TypeError:
-                bad = True
-            if bad:
-                for col in colors:
-                    if col != UNASSIGNED and not 0 <= col < c:
-                        raise ValueError(f"color {col} out of range for c={c}")
-            self.colors = colors
+        if len(colors) != npairs:
+            raise ValueError(f"expected {npairs} pair colors, got {len(colors)}")
+        # a sum of ints is an int, and a float, a numpy integer or any other
+        # number among them makes it another type (1.0 and 1 would be one
+        # set member); where the sum or a distinct color is bad, or the colors
+        # cannot be summed, scan in pair order for the first bad one
+        try:
+            bad = type(sum(colors)) is not int or any(not 0 <= col < c for col in set(colors))
+        except TypeError:
+            bad = True
+        if bad:
+            for col in colors:
+                _check_pair_color(col, c)
+        self.colors = colors
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
@@ -325,19 +332,14 @@ class EdgeColoring:
     def set(self, u: int, v: int, color: int) -> None:
         self._check_vertex(u)
         self._check_vertex(v)
-        if color != UNASSIGNED:
-            self._check_color(color)
+        _check_pair_color(color, self.c)
         self.colors[pair_index(u, v)] = color
-
-    def is_complete(self) -> bool:
-        return UNASSIGNED not in self.colors
 
     def color_class(self, i: int) -> SimpleGraph:
         self._check_color(i)
         # one "0"/"1" flag per pair in canonical order, built in C and read
-        # as the pair bitset: bytearray() takes colors 0..255, so an
-        # unassigned pair or a larger color falls back to the 0/1 bytes of
-        # color == i
+        # as the pair bitset: bytearray() takes colors 0..255, so a larger
+        # color falls back to the 0/1 bytes of color == i
         try:
             flags = bytearray(self.colors).translate(_class_flags(i))
         except ValueError:
@@ -350,22 +352,21 @@ class EdgeColoring:
     def color_classes(self) -> list[SimpleGraph]:
         """Every color class, in color order, as color_class builds them.
 
-        One pass over the pairs fills the rows of all classes, and of a
-        spare one for the unassigned pairs.  It costs about 0.17 us a pair,
-        where c color_class calls cost about 6 us each plus 0.03 us a pair,
-        so it wins on small graphs (6.5 against 14 us at n = 11, c = 3) and
+        One pass over the pairs fills the rows of all classes.  It costs
+        about 0.17 us a pair, where c color_class calls cost about 6 us each
+        plus 0.03 us a pair, so it wins on small graphs (6.5 against 14 us at n = 11, c = 3) and
         loses from about n = 21 (36 against 22 us at n = 29, c = 3; 810
         against 260 us at n = 128, c = 2; timeit on random colorings, 2-core
         x86, Python 3.11).
         """
         n = self.n
-        rows = [[0] * n for _ in range(self.c + 1)]  # rows[UNASSIGNED] is the spare
+        rows = [[0] * n for _ in range(self.c)]
         for (u, v, bu, bv), col in zip(_pair_table(n), self.colors):
             row = rows[col]
             row[u] |= bv
             row[v] |= bu
         classes = []
-        for adj in rows[:-1]:
+        for adj in rows:
             g = SimpleGraph.__new__(SimpleGraph)
             g.n = n
             g.adj = adj
@@ -384,18 +385,13 @@ class EdgeColoring:
         return hash((self.n, self.c, tuple(self.colors)))
 
     def __repr__(self):
-        done = "complete" if self.is_complete() else "partial"
-        return f"EdgeColoring(n={self.n}, c={self.c}, {done})"
+        return f"EdgeColoring(n={self.n}, c={self.c})"
 
 
 @functools.lru_cache(maxsize=256)
 def _class_flags(i: int) -> bytes:
     """bytes.translate table: byte i to "1", every other byte to "0"."""
     return bytes(49 if b == i else 48 for b in range(256))
-
-
-class IncompleteColoringError(ValueError):
-    pass
 
 
 def is_good_coloring(coloring: EdgeColoring, target_list: Sequence[TargetGraph]) -> bool:
@@ -409,8 +405,6 @@ def is_good_coloring(coloring: EdgeColoring, target_list: Sequence[TargetGraph])
         raise ValueError(
             f"need {coloring.c} targets (one per color), got {len(target_list)}"
         )
-    if not coloring.is_complete():
-        raise IncompleteColoringError("coloring is partial; goodness undefined")
     return not any(map(contains_target, coloring.color_classes(), target_list))
 
 
@@ -502,41 +496,9 @@ def graph6_decode(text: str) -> SimpleGraph:
     return g
 
 
-def _rows_from_bits(pairs: int, n: int) -> list[int]:
-    """Adjacency rows from the pair bitset: bit pair_index(u, v) is pair uv.
-
-    Up to 3n edges it goes per edge, above by the bit-matrix network below.
-    Per edge costs a step per vertex and per edge, the network the same
-    for any edges: at n = 11, 3.1 against 5.2 us with 11 edges and 7.4
-    against 3.4 us with 33; at n = 128, 220 against 77 us with 384 edges
-    and 1,040 against 79 us with 4,074 (2-core x86, Python 3.11).  The
-    classes of random colorings are dense; partition inputs (n = 8-11, at
-    most 2.4n edges in the benchmark's batch) stay per edge, where the two
-    differ by a few microseconds.
-    """
-    if pairs.bit_count() <= 3 * n:
-        return _rows_per_edge(pairs, n)
-    return _rows_per_vertex(pairs, n)
-
-
-def _rows_per_edge(pairs: int, n: int) -> list[int]:
-    """Adjacency rows from the pair bitset, one step per vertex and edge."""
-    adj = [0] * n
-    for v in range(1, n):
-        row = pairs & ((1 << v) - 1)
-        pairs >>= v
-        adj[v] |= row
-        bit = 1 << v
-        while row:
-            low = row & -row
-            adj[low.bit_length() - 1] |= bit
-            row ^= low
-    return adj
-
-
 @functools.lru_cache(maxsize=None)
 def _bit_network(width: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
-    """Shift stages and masks for _rows_per_vertex on a width x width matrix.
+    """Shift stages and masks for _rows_from_bits on a width x width matrix.
 
     Moves: row v (v bits) starts at v(v-1)/2 and must go left by
     d(v) = v*width - v(v-1)/2, one stage per bit of d, most significant
@@ -583,8 +545,9 @@ def _bit_network(width: int) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[i
 _WORDS = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 
-def _rows_per_vertex(pairs: int, n: int) -> list[int]:
-    """Adjacency rows from the pair bitset by a bit-matrix network.
+def _rows_from_bits(pairs: int, n: int) -> list[int]:
+    """Adjacency rows from the pair bitset, bit pair_index(u, v) for pair uv,
+    by a bit-matrix network.
 
     Row v's lower part, bits v(v-1)/2 .. v(v+1)/2 - 1 of pairs, moves to
     bit v*W of a W x W matrix, W the next power of two >= max(n, 8); the
@@ -609,17 +572,18 @@ def _rows_per_vertex(pairs: int, n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Coloring text format: line 1 "N c", then "u v color" per pair in canonical
-# order ('-', and only '-', for unassigned); '#' starts a comment.
+# Coloring text format: line 1 "N c", then "u v color" for every pair, each
+# color in 0..c-1; '#' starts a comment.  A document that leaves a pair out,
+# or gives it '-' where a color belongs, is refused with the pair named.
 # coloring_to_text writes the canonical form: the header, then one line per
 # pair in canonical order, single spaces, '\n' line ends and no comment.
-# coloring_from_text reads that form in bulk when c <= 10 and any other
-# document, with comments, other pair orders, missing pairs or other blanks,
+# coloring_from_text reads that form in bulk when every color is below 256
+# and any other document, with comments, other pair orders or other blanks,
 # line by line.
 
-# With at most this many colors every token is one character, '0'..'9' or
-# '-', so the canonical body of K_n is one per-n template with a token slot
-# at a fixed offset on every line.
+# With at most this many colors every token is one character, '0'..'9', so
+# the canonical body of K_n is one per-n template with a token slot at a
+# fixed offset on every line.
 _TEMPLATE_COLORS = 10
 # Colors below this have cached tokens in the line-by-line writer; larger
 # ones are written one by one.
@@ -628,8 +592,8 @@ _TOKEN_COLORS = 256
 _DIGITS = b"0123456789"
 # colors 0..9 to their tokens, and every other byte to 0
 _COLOR_TO_TOKEN = bytes(_DIGITS[b] if b < 10 else 0 for b in range(256))
-# tokens to colors, '-' to 255
-_TOKEN_TO_COLOR = bytes.maketrans(_DIGITS + b"-", bytes(range(10)) + b"\xff")
+# tokens to colors
+_TOKEN_TO_COLOR = bytes.maketrans(_DIGITS, bytes(range(10)))
 
 
 @functools.lru_cache(maxsize=16)
@@ -685,19 +649,17 @@ class _ColorTokens(dict):
 
 @functools.lru_cache(maxsize=16)
 def _color_tokens(c: int) -> _ColorTokens:
-    """Pair-line tails by color for colors below c, and for UNASSIGNED."""
-    tokens = _ColorTokens({col: f"{col}\n" for col in range(c)})
-    tokens[UNASSIGNED] = "-\n"
-    return tokens
+    """Pair-line tails by color for colors below c."""
+    return _ColorTokens({col: f"{col}\n" for col in range(c)})
 
 
 def coloring_to_text(coloring: EdgeColoring) -> str:
     n, c = coloring.n, coloring.c
     header = f"{n} {c}\n"
     if c <= _TEMPLATE_COLORS:
-        # a complete coloring's tokens fill the template's slots; an
-        # unassigned pair, or a color that bytearray() refuses or that has
-        # no one-character token, takes the join below
+        # the tokens fill the template's slots; a color stored past the
+        # constructor's check, which bytearray() refuses or which has no
+        # one-character token, takes the join below
         try:
             tokens = bytearray(coloring.colors).translate(_COLOR_TO_TOKEN)
         except (ValueError, TypeError):
@@ -734,7 +696,7 @@ def _canonical_colors(text: str) -> Optional[tuple[int, int, list[int]]]:
     c <= 10, else None.
 
     Strided slices read the template's token slots; each must hold a color
-    token below c or '-', and the template filled with these tokens must
+    token below c, and the template filled with these tokens must
     be the body, which checks every byte outside the slots at once.  Only
     ASCII text can match, so its bytes stand for its characters.
     """
@@ -747,20 +709,15 @@ def _canonical_colors(text: str) -> Optional[tuple[int, int, list[int]]]:
     if len(body) != len(template):
         return None
     tokens = b"".join([body[start:stop:step] for start, stop, step, _, _ in runs])
-    if tokens.translate(None, _DIGITS[:c] + b"-") or _filled_template(n, tokens) != body:
+    if tokens.translate(None, _DIGITS[:c]) or _filled_template(n, tokens) != body:
         return None
-    colors = list(tokens.translate(_TOKEN_TO_COLOR))
-    if b"-" in tokens:
-        colors = [UNASSIGNED if col == 255 else col for col in colors]
-    return n, c, colors
+    return n, c, list(tokens.translate(_TOKEN_TO_COLOR))
 
 
 @functools.lru_cache(maxsize=16)
 def _token_colors(c: int) -> dict[str, int]:
-    """Pair-line tokens to colors, for colors below c and for UNASSIGNED."""
-    colors = {f"{col}": col for col in range(c)}
-    colors["-"] = UNASSIGNED
-    return colors
+    """Pair-line tokens to colors, for colors below c."""
+    return {f"{col}": col for col in range(c)}
 
 
 def _canonical_tokens(text: str) -> Optional[tuple[int, int, list[int]]]:
@@ -808,8 +765,8 @@ def _coloring_from_lines(text: str) -> EdgeColoring:
     if len(head) != 2:
         raise ValueError(f"bad header {rows[0]!r}; expected 'N c'")
     n, c = int(head[0]), int(head[1])
-    coloring = EdgeColoring(n, c)
-    colors = coloring.colors
+    _check_size(n, c)
+    colors = [0] * (n * (n - 1) // 2)
     seen = bytearray(len(colors))
     for line in rows[1:]:
         parts = line.split()
@@ -825,9 +782,13 @@ def _coloring_from_lines(text: str) -> EdgeColoring:
             raise ValueError(f"duplicate pair {u} {v}")
         seen[idx] = 1
         if parts[2] == "-":
-            continue
+            raise ValueError(f"unassigned pair {u} {v}: every pair needs a color in 0..{c - 1}")
         col = int(parts[2])
         if not 0 <= col < c:
             raise ValueError(f"color out of range for c={c} in line {line!r}")
         colors[idx] = col
-    return coloring
+    missing = seen.find(0)
+    if missing >= 0:
+        u, v = list(pair_iter(n))[missing]
+        raise ValueError(f"missing pair {u} {v}: every pair needs a color in 0..{c - 1}")
+    return EdgeColoring(n, c, colors)

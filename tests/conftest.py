@@ -66,12 +66,9 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5) -> SimpleGraph:
 
 def two_five_cycles() -> EdgeColoring:
     """K5 split into two edge-disjoint Hamiltonian 5-cycles."""
-    col = EdgeColoring(5, 2)
-    cycle = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
-    for u, v in cycle:
+    col = EdgeColoring(5, 2, [1] * 10)
+    for u, v in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]:
         col.set(u, v, 0)
-    for u, v in [(0, 2), (2, 4), (4, 1), (1, 3), (3, 0)]:
-        col.set(u, v, 1)
     return col
 
 

@@ -26,7 +26,7 @@ from c4ramsey import (
 )
 from c4ramsey import cli, search, witness
 from c4ramsey.cli import run
-from c4ramsey.graphs import EdgeColoring, coloring_from_text, coloring_to_text, find_target_copy, pair_iter
+from c4ramsey.graphs import EdgeColoring, coloring_from_text, coloring_to_text, find_target_copy
 from c4ramsey.targets import CYCLE4, clique, parse_targets, strip_k2
 
 from conftest import two_five_cycles
@@ -320,18 +320,14 @@ class TestVerify:
         assert unquote(fact.citation.removeprefix("computed: ")) == str(path)
 
     def test_bad_witness_exit_2(self, tmp_path, capsys):
-        mono = EdgeColoring(3, 2)
-        for u, v in pair_iter(3):
-            mono.set(u, v, 0)
+        mono = EdgeColoring(3, 2, [0] * 3)
         path = tmp_path / "bad.txt"
         path.write_text(coloring_to_text(mono))
         assert run(["verify", "P3,P3", "--coloring", f"@{path}"]) == 2
         assert "BAD WITNESS" in out_of(capsys)
 
     def test_bad_witness_json_names_copy(self, tmp_path, capsys):
-        mono = EdgeColoring(3, 2)
-        for u, v in pair_iter(3):
-            mono.set(u, v, 0)
+        mono = EdgeColoring(3, 2, [0] * 3)
         path = tmp_path / "bad.txt"
         path.write_text(coloring_to_text(mono))
         assert run(["verify", "P3,P3", "--coloring", f"@{path}", "--json"]) == 2
@@ -357,7 +353,7 @@ class TestSearch:
             ["search", "--targets", "C4,C4", "--n", "5", "--witness-out", str(path)]
         ) == 0
         col = coloring_from_text(path.read_text())
-        assert col.n == 5 and col.is_complete()
+        assert col.n == 5 and len(col.colors) == 10
 
     @pytest.mark.parametrize("argv", [["search", "--targets", "C4,C4", "--n", "5"], ["partition-check", "--graph6", "G?????"]])
     def test_witness_text_rendered_once_for_file_and_json(self, argv, tmp_path, monkeypatch):
@@ -409,6 +405,10 @@ class TestSearch:
         assert run(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "--witness-out" in captured.err and not path.exists()
+
+    @pytest.mark.parametrize("argv", [["search", "--targets", "C4,C4", "--n", "6"], ["partition-check", "--graph6", "G?????"]])
+    def test_budget_flags_default_to_the_library_budget(self, argv):
+        assert cli._budget(cli.build_parser().parse_args(argv)) == search.SearchBudget()
 
     def test_nan_time_limit_is_usage_error(self, capsys):
         assert run(["search", "--targets", "C4,C4", "--n", "5", "--time-limit", "nan"]) == 1
@@ -527,6 +527,24 @@ class TestWitnessCommand:
         assert run([
             "witness", "C4,K3", "--coloring", f"@{path}", "--add-clique", "4"
         ]) == 2
+
+
+# a document that gives a pair '-' and one that leaves a pair out: verify and
+# witness refuse each alike, as a usage error with one line naming the pair
+PARTIAL_DOCUMENTS = {
+    "unassigned": ("3 2\n0 1 0\n0 2 -\n1 2 1\n", "error: unassigned pair 0 2: every pair needs a color in 0..1\n"),
+    "missing": ("3 2\n0 1 0\n1 2 1\n", "error: missing pair 0 2: every pair needs a color in 0..1\n"),
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "witness"])
+@pytest.mark.parametrize("name", sorted(PARTIAL_DOCUMENTS))
+def test_partial_coloring_is_a_usage_error_for_verify_and_witness(tmp_path, command, name):
+    text, message = PARTIAL_DOCUMENTS[name]
+    path = tmp_path / "partial.txt"
+    path.write_text(text)
+    for coloring in (text, f"@{path}"):
+        assert run_captured([command, "C4,K3", "--coloring", coloring]) == (1, "", message)
 
 
 class TestRegistry:

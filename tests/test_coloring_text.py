@@ -20,13 +20,12 @@ def reference_text(col: EdgeColoring) -> str:
     """The canonical form, written out pair by pair."""
     lines = [f"{col.n} {col.c}"]
     for (u, v), c in zip(pair_iter(col.n), col.colors):
-        lines.append(f"{u} {v} {'-' if c == -1 else c}")
+        lines.append(f"{u} {v} {c}")
     return "\n".join(lines) + "\n"
 
 
-def random_coloring(rng: random.Random, n: int, c: int, unset: float) -> EdgeColoring:
-    colors = [-1 if rng.random() < unset else rng.randrange(c) for _ in pair_iter(n)]
-    return EdgeColoring(n, c, colors)
+def random_coloring(rng: random.Random, n: int, c: int) -> EdgeColoring:
+    return EdgeColoring(n, c, [rng.randrange(c) for _ in pair_iter(n)])
 
 
 def outcome(read, text: str):
@@ -49,8 +48,7 @@ def assert_same_as_loop(text: str) -> None:
 def colorings(draw):
     n = draw(st.integers(1, 128))
     c = draw(st.integers(1, 12))  # c > 10 gives two-digit tokens
-    unset = draw(st.sampled_from([0.0, 0.2, 1.0]))
-    return random_coloring(random.Random(draw(st.integers(0, 2**32))), n, c, unset)
+    return random_coloring(random.Random(draw(st.integers(0, 2**32))), n, c)
 
 
 @settings(max_examples=150, deadline=None)
@@ -67,21 +65,20 @@ def test_round_trip(col):
 def test_writer_matches_reference_for_every_n(c):
     rng = random.Random(c)
     for n in range(1, 129):
-        col = random_coloring(rng, n, c, 0.2)
+        col = random_coloring(rng, n, c)
         text = coloring_to_text(col)
         assert text == reference_text(col)
         assert coloring_from_text(text) == col
 
 
 def test_writer_matches_reference_for_every_n_and_c():
-    # every other coloring is partial; c = 11 and 12 take the joined heads
+    # c = 11 and 12 take the joined heads
     rng = random.Random(0)
     for n in range(1, 129):
         heads = [f"{u} {v} " for u, v in pair_iter(n)]
         for c in range(1, 13):
-            palette = [*range(c), -1] if (n + c) % 2 else range(c)
-            col = EdgeColoring(n, c, rng.choices(palette, k=n * (n - 1) // 2))
-            tokens = ["-" if x == -1 else str(x) for x in col.colors]
+            col = EdgeColoring(n, c, rng.choices(range(c), k=n * (n - 1) // 2))
+            tokens = [str(x) for x in col.colors]
             expected = f"{n} {c}\n" + "".join([h + t + "\n" for h, t in zip(heads, tokens)])
             assert coloring_to_text(col) == expected, (n, c)
 
@@ -89,7 +86,7 @@ def test_writer_matches_reference_for_every_n_and_c():
 @pytest.mark.parametrize("c", [9, 10, 11])
 @pytest.mark.parametrize("n", [2, 11, 101, 128])
 def test_documents_either_side_of_one_character_tokens(n, c):
-    col = random_coloring(random.Random(n * c), n, c, 0.0)
+    col = random_coloring(random.Random(n * c), n, c)
     col.colors[-1] = c - 1
     text = coloring_to_text(col)
     assert_same_as_loop(text)
@@ -97,17 +94,8 @@ def test_documents_either_side_of_one_character_tokens(n, c):
     assert (_canonical_colors(text) is None) == (c > 10)
 
 
-@pytest.mark.parametrize("n", [2, 14, 128])
-def test_canonical_text_with_unassigned_pairs_reads_in_bulk(n):
-    col = random_coloring(random.Random(n), n, 3, 0.3)
-    col.colors[0] = -1
-    text = coloring_to_text(col)
-    assert _canonical_colors(text) == (n, 3, col.colors)
-    assert_same_as_loop(text)
-
-
 def near_canonical(n: int, c: int) -> str:
-    return coloring_to_text(random_coloring(random.Random(n + c), n, c, 0.0))
+    return coloring_to_text(random_coloring(random.Random(n + c), n, c))
 
 
 BOUNDARY_DOCUMENTS = {
@@ -146,7 +134,7 @@ def test_writer_joins_colors_without_a_one_character_token():
 
 def test_colors_beyond_the_token_table_round_trip():
     # tokens are cached for colors below 256; larger ones take the line loop
-    col = EdgeColoring(4, 1000, [0, 255, 256, 999, -1, 7])
+    col = EdgeColoring(4, 1000, [0, 255, 256, 999, 1, 7])
     text = coloring_to_text(col)
     assert text == reference_text(col)
     assert _canonical_colors(text) is None
@@ -218,7 +206,7 @@ MUTATIONS = {
 @pytest.mark.parametrize("n, c", [(2, 2), (5, 3), (10, 12), (14, 12)])
 def test_mutated_documents_read_as_the_loop_reads_them(name, n, c):
     rng = random.Random(f"{name} {n} {c}")
-    col = random_coloring(rng, n, c, 0.0)
+    col = random_coloring(rng, n, c)
     text = coloring_to_text(col)
     npairs = n * (n - 1) // 2
     for i in sorted({1, npairs - 1, rng.randrange(1, npairs + 1)} & set(range(1, npairs + 1))):
@@ -227,6 +215,32 @@ def test_mutated_documents_read_as_the_loop_reads_them(name, n, c):
             continue
         assert _canonical_colors(mutated) is None
         assert_same_as_loop(mutated)
+
+
+PARTIAL_EDITS = {
+    # pair line i (1-based) of a canonical document: its token made '-', the
+    # line dropped, and the same with a comment, which the bulk readers refuse
+    "unassigned": lambda t, i: edit_line(t, i, set_token("-")),
+    "missing": drop_line,
+    "unassigned, with a comment": lambda t, i: "# partial\n" + edit_line(t, i, set_token("-")),
+    "missing, with a comment": lambda t, i: "# partial\n" + drop_line(t, i),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARTIAL_EDITS))
+@pytest.mark.parametrize("c", [3, 12])  # the template reader and the token reader
+@pytest.mark.parametrize("n", [2, 14, 128])
+def test_partial_documents_are_refused_with_the_pair_named(n, c, name):
+    text = coloring_to_text(random_coloring(random.Random(n * c), n, c))
+    npairs = n * (n - 1) // 2
+    for i in sorted({1, npairs // 2 + 1, npairs}):
+        u, v = list(pair_iter(n))[i - 1]
+        partial = PARTIAL_EDITS[name](text, i)
+        assert _canonical_colors(partial) is None and _canonical_tokens(partial) is None
+        word = name.split(",")[0]
+        message = f"{word} pair {u} {v}: every pair needs a color in 0..{c - 1}"
+        for read in (coloring_from_text, _coloring_from_lines):
+            assert outcome(read, partial) == ("error", "ValueError", message)
 
 
 @settings(max_examples=300, deadline=None)
@@ -266,7 +280,7 @@ def assert_tokens_same_as_loop(text: str) -> None:
 @pytest.mark.parametrize("c", [11, 12, 100, 255, 256, 300])
 @pytest.mark.parametrize("n", [1, 2, 15, 128])
 def test_multi_character_tokens_read_in_bulk(n, c):
-    col = random_coloring(random.Random(n * c), n, c, 0.1)
+    col = random_coloring(random.Random(n * c), n, c)
     text = coloring_to_text(col)
     assert_tokens_same_as_loop(text)
     # colors of 256 and above have no cached token: the line loop reads them
@@ -276,14 +290,14 @@ def test_multi_character_tokens_read_in_bulk(n, c):
 
 @pytest.mark.parametrize("c", [1, 10])
 def test_one_character_tokens_are_not_read_by_the_token_path(c):
-    assert _canonical_tokens(coloring_to_text(random_coloring(random.Random(c), 20, c, 0.1))) is None
+    assert _canonical_tokens(coloring_to_text(random_coloring(random.Random(c), 20, c))) is None
 
 
 @pytest.mark.parametrize("name", sorted(MUTATIONS))
 @pytest.mark.parametrize("n, c", [(2, 11), (5, 100), (14, 256), (14, 300)])
 def test_mutated_multi_character_documents_read_as_the_loop_reads_them(name, n, c):
     rng = random.Random(f"{name} {n} {c}")
-    col = random_coloring(rng, n, c, 0.0)
+    col = random_coloring(rng, n, c)
     col.colors = [x % 256 for x in col.colors]
     text = coloring_to_text(col)
     assert _canonical_tokens(text) is not None
@@ -302,7 +316,7 @@ def test_mutated_multi_character_documents_read_as_the_loop_reads_them(name, n, 
     st.data(),
 )
 def test_one_character_edit_of_multi_character_text_reads_as_the_loop_reads_it(n, c, seed, data):
-    col = random_coloring(random.Random(seed), n, c, 0.1)
+    col = random_coloring(random.Random(seed), n, c)
     col.colors = [x if x < 256 else 255 for x in col.colors]
     text = coloring_to_text(col)
     i = data.draw(st.integers(0, len(text)))

@@ -13,7 +13,7 @@ from c4ramsey import (
     seed_registry,
     theorem_mt_bound,
 )
-from c4ramsey.derive import _RULES, ReplayError, _option_sort_key, _ordered_deletions, _reach, plan_size
+from c4ramsey.derive import _RULES, ReplayError, _ordered_deletions, _reach, plan_size
 from c4ramsey.registry import ContradictionError
 from c4ramsey.targets import EMPTY, WITH_ISOLATED, delete_options, parse_target, parse_targets
 
@@ -143,10 +143,15 @@ class TestDeletionOrder:
             if t in seen or t.vertex_count < 2:
                 continue
             seen.add(t)
-            want = sorted(delete_options(t), key=_option_sort_key)
+            want = sorted(delete_options(t), key=lambda o: (o.vertex_count, str(o)))
             assert _ordered_deletions(t) == tuple((o, f"{t}->{o}") for o in want)
             todo.extend(want)
         assert len(seen) > 50
+
+    def test_a_long_chain_leaves_a_bounded_cache(self):
+        derive(parse_targets("C4,K5000"), seed_registry())
+        info = _ordered_deletions.cache_info()
+        assert info.maxsize == 256 and info.currsize <= 256
 
 
 class TestPlanSize:

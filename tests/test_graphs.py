@@ -1,4 +1,6 @@
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,18 +17,14 @@ from c4ramsey import (
     is_good_coloring,
     pair_index,
 )
-from c4ramsey import graphs
-from c4ramsey.graphs import IncompleteColoringError, pair_iter
+from c4ramsey.graphs import pair_iter
 from c4ramsey.targets import CYCLE4, PATH3, book, clique, empty_graph, star, with_isolated
 
 from conftest import brute_contains, brute_first_copy, random_graph, two_five_cycles
 
 
 def complete_mono(n, c=1, color=0):
-    col = EdgeColoring(n, max(c, color + 1))
-    for u, v in pair_iter(n):
-        col.set(u, v, color)
-    return col
+    return EdgeColoring(n, max(c, color + 1), [color] * (n * (n - 1) // 2))
 
 
 class TestPairIndex:
@@ -85,8 +83,7 @@ class TestDegree:
             assert col.color_class(0).degree(v) == 2
 
     def test_other_color_zero(self):
-        col = EdgeColoring(2, 2)
-        col.set(0, 1, 1)
+        col = EdgeColoring(2, 2, [1])
         assert col.color_class(0).degree(0) == 0
         assert col.color_class(1).degree(0) == 1
 
@@ -96,14 +93,14 @@ class TestDegree:
             assert col.color_class(0).degree(v) == 2
             assert col.color_class(1).degree(v) == 2
 
-    def test_partial_counts_assigned_only(self):
-        col = EdgeColoring(4, 2)
+    def test_set_moves_a_pair_between_classes(self):
+        col = EdgeColoring(4, 2, [1] * 6)
         col.set(0, 1, 0)
         assert col.color_class(0).degree(0) == 1
-        assert col.color_class(1).degree(0) == 0
+        assert col.color_class(1).degree(0) == 2
 
     def test_index_errors(self):
-        col = EdgeColoring(3, 2)
+        col = EdgeColoring(3, 2, [0] * 3)
         with pytest.raises(IndexError):
             col.color_class(2).degree(0)
         with pytest.raises(IndexError):
@@ -111,39 +108,58 @@ class TestDegree:
 
     def test_degree_sum_is_n_minus_1(self):
         rng = random.Random(7)
-        col = EdgeColoring(7, 3)
-        for u, v in pair_iter(7):
-            col.set(u, v, rng.randrange(3))
+        col = EdgeColoring(7, 3, [rng.randrange(3) for _ in pair_iter(7)])
         for v in range(7):
             assert sum(col.color_class(i).degree(v) for i in range(3)) == 6
 
 
 def first_bad_color(colors, c):
-    """The per-pair check: the first color in pair order that is neither
-    unassigned nor in range(c), or None."""
-    return next((col for col in colors if col != -1 and not 0 <= col < c), None)
+    """The per-pair check: the first color in pair order that is not an
+    integer in range(c), or None."""
+    return next((col for col in colors if not isinstance(col, int) or not 0 <= col < c), None)
 
 
 class TestColoringConstructor:
-    COLORS = st.sampled_from([0, 1, 2, 3, -1, -2, True, False, 0.0, 1.0, 1.5, -1.0, 2.0, float("nan"), float("inf")])
+    COLORS = st.sampled_from([0, 1, 2, 3, -1, -2, True, False, 0.0, 1.0, 1.5, -1.0, 2.0, float("nan"), float("inf"),
+                              Fraction(1), Decimal(0)])
 
     @given(c=st.integers(1, 3), colors=st.lists(COLORS, min_size=6, max_size=6))
     def test_accepts_what_the_per_pair_check_accepts(self, c, colors):
         bad = first_bad_color(colors, c)
         if bad is None:
             assert EdgeColoring(4, c, colors).colors == colors
-        else:
+        elif isinstance(bad, int):
             with pytest.raises(ValueError) as err:
                 EdgeColoring(4, c, colors)
             assert str(err.value) == f"color {bad} out of range for c={c}"
+        else:
+            with pytest.raises(TypeError) as err:
+                EdgeColoring(4, c, colors)
+            assert str(err.value) == f"color {bad!r} is not an integer"
 
     def test_names_the_first_bad_color_in_pair_order(self):
         with pytest.raises(ValueError, match="^color 7 out of range for c=2$"):
             EdgeColoring(3, 2, [1, 7, 5])
 
+    def test_float_equal_to_a_used_color_is_refused(self):
+        # 1.0 == 1, so a set of the colors alone would not see it
+        with pytest.raises(TypeError, match=r"^color 1\.0 is not an integer$"):
+            EdgeColoring(3, 2, [0, 1, 1.0])
+
     def test_unhashable_color_is_a_type_error(self):
         with pytest.raises(TypeError):
             EdgeColoring(3, 2, [0, [1], 0])
+
+    def test_colors_are_required(self):
+        with pytest.raises(TypeError):
+            EdgeColoring(3, 2)
+
+    @pytest.mark.parametrize("color, error", [(-1, ValueError), (2, ValueError), (1.0, TypeError)])
+    def test_set_keeps_every_pair_an_integer_color(self, color, error):
+        col = EdgeColoring(3, 2, [0] * 3)
+        with pytest.raises(error):
+            col.set(0, 1, color)
+        assert col.colors == [0] * 3
 
 
 class TestContainsTarget:
@@ -303,11 +319,10 @@ class TestIsGoodColoring:
         with pytest.raises(ValueError):
             is_good_coloring(complete_mono(3), [PATH3, PATH3])
 
-    def test_partial_rejected(self):
-        col = EdgeColoring(3, 1)
-        col.set(0, 1, 0)
-        with pytest.raises(IncompleteColoringError):
-            is_good_coloring(col, [clique(3)])
+    def test_partial_coloring_cannot_be_built(self):
+        # -1 was the unassigned mark; every pair needs a color now
+        with pytest.raises(ValueError, match="^color -1 out of range for c=1$"):
+            EdgeColoring(3, 1, [0, -1, -1])
 
 
 class TestDeleteVertex:
@@ -317,8 +332,7 @@ class TestDeleteVertex:
             assert not any(contains_target(col.color_class(i).delete_vertex(v), CYCLE4) for i in range(2))
 
     def test_k2_to_k1(self):
-        col = EdgeColoring(2, 1)
-        col.set(0, 1, 0)
+        col = EdgeColoring(2, 1, [0])
         h = col.color_class(0).delete_vertex(0)
         assert h.n == 1 and h.edge_count() == 0
 
@@ -328,15 +342,22 @@ class TestColoringTextFormat:
         col = two_five_cycles()
         assert coloring_from_text(coloring_to_text(col)) == col
 
-    def test_partial_round_trip(self):
-        col = EdgeColoring(4, 2)
-        col.set(0, 1, 1)
-        assert coloring_from_text(coloring_to_text(col)) == col
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("4 2\n0 1 1\n", "missing pair 0 2: every pair needs a color in 0..1"),
+            ("3 2\n0 1 0\n0 2 -\n1 2 0\n", "unassigned pair 0 2: every pair needs a color in 0..1"),
+        ],
+    )
+    def test_partial_documents_refused(self, text, message):
+        with pytest.raises(ValueError) as err:
+            coloring_from_text(text)
+        assert str(err.value) == message
 
     def test_comments_and_whitespace(self):
         text = "# witness\n  3 2  \n0 1 0 # first\n0 2 1\n1 2 0\n"
         col = coloring_from_text(text)
-        assert col.get(0, 2) == 1 and col.is_complete()
+        assert col.get(0, 2) == 1 and col.colors == [0, 1, 0]
 
     def test_duplicate_pair_rejected(self):
         with pytest.raises(ValueError):
@@ -345,7 +366,7 @@ class TestColoringTextFormat:
     @pytest.mark.parametrize("n", [1, 2, 62, 63, 127, 128])
     def test_round_trip_at_size_boundaries(self, n):
         rng = random.Random(n)
-        col = EdgeColoring(n, 3, [rng.randrange(-1, 3) for _ in pair_iter(n)])
+        col = EdgeColoring(n, 3, [rng.randrange(3) for _ in pair_iter(n)])
         assert coloring_from_text(coloring_to_text(col)) == col
 
     def test_minus_one_is_not_unassigned(self):
@@ -371,6 +392,8 @@ class TestColoringTextFormat:
             "3 2\n0 3 0\n",  # vertex out of range
             "3 2\n-1 2 0\n",
             "3 2\n0 1 2\n",  # color out of range
+            "3 2\n0 1 0\n1 2 0\n",  # missing pair
+            "3 2\n0 1 -\n0 2 0\n1 2 0\n",  # unassigned pair
         ],
     )
     def test_malformed_rejected(self, text):
@@ -382,7 +405,7 @@ class TestColorClass:
     @pytest.mark.parametrize("n", [1, 2, 9, 62, 128])
     def test_matches_per_pair_oracle(self, n):
         rng = random.Random(n)
-        col = EdgeColoring(n, 3, [rng.randrange(-1, 3) for _ in pair_iter(n)])
+        col = EdgeColoring(n, 3, [rng.randrange(3) for _ in pair_iter(n)])
         for i in range(3):
             oracle = SimpleGraph(n)
             for u, v in pair_iter(n):
@@ -405,37 +428,35 @@ class TestColorClass:
     def drawn_coloring(n, c, shape, seed):
         """A coloring of K_n whose class 0 or c - 1 takes a given shape.
 
-        random: a few colors, c - 1 among them; partial: the same with
-        unassigned pairs; full and none: every pair in color 0 or none;
-        at_switch and past_switch: color 0 on exactly 3n or 3n + 1 pairs,
-        the last sparse and the first dense class size.
+        random: a few colors, c - 1 among them; full: every pair in color 0;
+        none: every pair in color c - 1, so class 0 is empty when c > 1;
+        sparse and dense: color 0 on n or 3n + 1 pairs (or on all of them),
+        the rest in the random palette's other colors.
         """
         rng = random.Random(seed)
         npairs = n * (n - 1) // 2
         palette = sorted({0, c - 1, *(rng.randrange(c) for _ in range(3))})
-        if shape == "partial":
-            palette.append(-1)
         colors = [rng.choice(palette) for _ in range(npairs)]
         if shape == "full":
             colors = [0] * npairs
         elif shape == "none":
-            colors = [c - 1 if c > 1 else -1] * npairs
-        elif shape in ("at_switch", "past_switch"):
-            size = min(npairs, 3 * n + (shape == "past_switch"))
-            others = [col for col in palette if col != 0] or [-1]
+            colors = [c - 1] * npairs
+        elif shape in ("sparse", "dense"):
+            size = min(npairs, n if shape == "sparse" else 3 * n + 1)
+            others = [col for col in palette if col != 0] or [0]
             colors = [rng.choice(others) for _ in range(npairs)]
             for idx in rng.sample(range(npairs), size):
                 colors[idx] = 0
         return EdgeColoring(n, c, colors)
 
-    SHAPES = ("random", "partial", "full", "none", "at_switch", "past_switch")
+    SHAPES = ("random", "full", "none", "sparse", "dense")
 
     @pytest.mark.parametrize("n", [1, 2, 62, 63, 128])
     @pytest.mark.parametrize("c", [1, 2, 300])
     @pytest.mark.parametrize("shape", SHAPES)
     def test_matches_per_pair_builder_at_edge_orders(self, n, c, shape):
         col = self.drawn_coloring(n, c, shape, seed=n * 1000 + c)
-        self.check_against_per_pair_builder(col, sorted({0, c - 1, *col.colors} - {-1}))
+        self.check_against_per_pair_builder(col, sorted({0, c - 1, *col.colors}))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -446,7 +467,7 @@ class TestColorClass:
     )
     def test_matches_per_pair_builder(self, n, c, shape, seed):
         col = self.drawn_coloring(n, c, shape, seed)
-        self.check_against_per_pair_builder(col, sorted({0, c - 1, *col.colors} - {-1}))
+        self.check_against_per_pair_builder(col, sorted({0, c - 1, *col.colors}))
 
     @pytest.mark.parametrize("c", [1, 2, 3, 4, 300])
     @pytest.mark.parametrize("n", [1, 2, 11, 16, 22, 29, 62, 128])
@@ -461,20 +482,3 @@ class TestColorClass:
         for bad in (c, -1):
             with pytest.raises(IndexError):
                 col.color_class(bad)
-
-    @pytest.mark.parametrize("extra, builder", [(0, "_rows_per_edge"), (1, "_rows_per_vertex")])
-    def test_rows_per_edge_up_to_3n_edges(self, monkeypatch, extra, builder):
-        n = 12
-        col = self.drawn_coloring(n, 2, ("at_switch", "past_switch")[extra], seed=5)
-        assert col.color_class(0).edge_count() == 3 * n + extra
-        used = []
-        for name in ("_rows_per_edge", "_rows_per_vertex"):
-
-            def spy(bits, n, name=name, real=getattr(graphs, name)):
-                used.append(name)
-                return real(bits, n)
-
-            monkeypatch.setattr(graphs, name, spy)
-        expected = col.color_class(0)
-        assert graph6_decode(graph6_encode(expected)) == expected
-        assert used == [builder, builder]

@@ -10,7 +10,7 @@ from c4ramsey import (
     search_coloring,
     verify_lower_bound,
 )
-from c4ramsey.graphs import pair_iter
+from c4ramsey.graphs import coloring_from_text, pair_iter
 from c4ramsey.targets import CYCLE4, PATH3, clique
 
 
@@ -23,20 +23,20 @@ class TestVerifyLowerBound:
         assert fact.targets.key() == "C4,C4"
 
     def test_mono_triangle_rejected_with_copy_named(self):
-        col = EdgeColoring(3, 2)
-        for u, v in pair_iter(3):
-            col.set(u, v, 0)
+        col = EdgeColoring(3, 2, [0] * 3)
         with pytest.raises(BadWitnessError) as e:
             verify_lower_bound(col, [PATH3, PATH3])
         assert e.value.color == 0
         assert e.value.target == PATH3
         assert len(e.value.vertices) == 3
 
-    def test_incomplete_rejected(self):
-        col = EdgeColoring(3, 2)
-        col.set(0, 1, 0)
+    def test_incomplete_witness_cannot_be_built(self):
+        # no partial coloring reaches verify_lower_bound: the constructor
+        # refuses a pair without a color, and so does the text reader
         with pytest.raises(ValueError):
-            verify_lower_bound(col, [PATH3, PATH3])
+            EdgeColoring(3, 2, [0, -1, -1])
+        with pytest.raises(ValueError, match="^missing pair 0 2"):
+            coloring_from_text("3 2\n0 1 0\n")
 
     def test_target_count_mismatch(self, k5_two_cycles):
         with pytest.raises(ValueError):
@@ -115,9 +115,7 @@ class TestExtendWithDisjointClique:
             extend_with_disjoint_clique(w, [CYCLE4, clique(3)], 3, c4_color, clique_color)
 
     def test_bad_input_coloring_rejected(self):
-        col = EdgeColoring(3, 2)
-        for u, v in pair_iter(3):
-            col.set(u, v, 1)  # a monochromatic K3 in the clique color
+        col = EdgeColoring(3, 2, [1] * 3)  # a monochromatic K3 in the clique color
         with pytest.raises(ValueError):
             extend_with_disjoint_clique(col, [CYCLE4, clique(3)], 3, 0, 1)
 
