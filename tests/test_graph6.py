@@ -200,3 +200,13 @@ def test_row_builders_match_per_pair_oracle_for_every_n(p):
     for n in range(1, 129):
         pairs = random_pairs(rng, n, p)
         assert _rows_from_bits(pairs, n) == per_pair_rows(pairs, n), n
+
+
+@pytest.mark.parametrize("n", [8, 9, 12, 62, 64, 65, 128])
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_network_rows_around_3n_edges(n, extra):
+    # Sparse graphs (up to 3n edges) once had a per-edge builder of their own.
+    npairs = n * (n - 1) // 2
+    rng = random.Random(n * 10 + extra)
+    pairs = sum(1 << i for i in rng.sample(range(npairs), 3 * n + extra))
+    assert _rows_from_bits(pairs, n) == per_pair_rows(pairs, n)
