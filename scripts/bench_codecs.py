@@ -10,8 +10,8 @@ its color-0 class; at n = 128 it also times verify_lower_bound of the
 coloring against C4,K4, which rejects it with a copy as the
 witness-pipeline does, and coloring_from_text of the canonical text of a
 random 11-coloring, whose two-character tokens the per-n template cannot
-read (c11_read_n128).  Each figure is the minimum over --repeats timeit
-runs of the time per call, in microseconds.
+hold, so the line loop reads it (c11_read_n128).  Each figure is the
+minimum over --repeats timeit runs of the time per call, in microseconds.
 
 Cold cases, per n, each the minimum over --repeats fresh interpreters, in
 microseconds: the first calls of coloring_to_text, coloring_from_text,
