@@ -10,8 +10,11 @@ its color-0 class; at n = 128 it also times verify_lower_bound of the
 coloring against C4,K4, which rejects it with a copy as the
 witness-pipeline does, and coloring_from_text of the canonical text of a
 random 11-coloring, whose two-character tokens the per-n template cannot
-hold, so the line loop reads it (c11_read_n128).  Each figure is the
-minimum over --repeats timeit runs of the time per call, in microseconds.
+hold, so the line loop reads it (c11_read_n128).  For n = 11, 29 (the
+size of the paper's partition witnesses) and 128 it times the
+EdgeColoring constructor on a list of random colors 0..2
+(edge_coloring_c3_n<N>).  Each figure is the minimum over --repeats
+timeit runs of the time per call, in microseconds.
 
 Cold cases, per n, each the minimum over --repeats fresh interpreters, in
 microseconds: the first calls of coloring_to_text, coloring_from_text,
@@ -42,6 +45,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import c4ramsey as cr  # noqa: E402
 
 ORDERS = (11, 62, 128)
+CONSTRUCT_ORDERS = (11, 29, 128)
 TARGETS = cr.parse_target_sequence("C4,K4")
 
 
@@ -103,6 +107,11 @@ def _cold_cases(n: int, repeats: int) -> dict[str, float]:
     return cases
 
 
+def _timed(case: str, call, number: int, repeats: int, env: dict) -> dict:
+    runs = timeit.repeat(call, number=number, repeat=repeats)
+    return {"case": case, "us_per_call_min": round(min(runs) / number * 1e6, 2), "calls_per_run": number, **env}
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=5)
@@ -126,11 +135,14 @@ def main() -> None:
             calls["c11_read"] = (cr.coloring_from_text, cr.coloring_to_text(eleven))
         number = max(20, 20_000 // n)
         for name, (fn, arg) in calls.items():
-            runs = timeit.repeat(lambda: fn(arg), number=number, repeat=args.repeats)
-            cases.append({"case": f"{name}_n{n}", "us_per_call_min": round(min(runs) / number * 1e6, 2),
-                          "calls_per_run": number, **env})
+            cases.append(_timed(f"{name}_n{n}", lambda: fn(arg), number, args.repeats, env))
         for name, us in _cold_cases(n, args.repeats).items():
             cases.append({"case": f"{name}_n{n}", "us_per_call_min": round(us, 2), "calls_per_run": 1, **env})
+    for n in CONSTRUCT_ORDERS:
+        rng = random.Random(n)
+        colors = [rng.randrange(3) for _ in range(n * (n - 1) // 2)]
+        cases.append(_timed(f"edge_coloring_c3_n{n}", lambda: cr.EdgeColoring(n, 3, colors),
+                            max(20, 20_000 // n), args.repeats, env))
     print(json.dumps(cases, indent=1))
 
 

@@ -288,10 +288,19 @@ def _check_pair_color(col, c: int) -> None:
         raise ValueError(f"color {col} out of range for c={c}")
 
 
+# the byte colors 0..255: its first c bytes are the colors of a c-coloring
+_BYTE_COLORS = bytes(range(256))
+
+
 class EdgeColoring:
     """Complete edge coloring of K_n with c colors: every pair, in canonical
     pair order, has an integer color in 0..c-1.  The constructor enforces
-    it, and set() keeps it."""
+    it, and set() keeps it.
+
+    colors is a bytearray when c <= 256, where every color fits in one
+    byte, and a list when c > 256.  The constructor packs it once, so color
+    classes and coloring text copy the bytes instead of converting a list.
+    """
 
     __slots__ = ("n", "c", "colors")
 
@@ -305,16 +314,25 @@ class EdgeColoring:
             raise ValueError(f"expected {npairs} pair colors, got {len(colors)}")
         # a sum of ints is an int, and a float, a numpy integer or any other
         # number among them makes it another type (1.0 and 1 would be one
-        # set member); where the sum or a distinct color is bad, or the colors
-        # cannot be summed, scan in pair order for the first bad one
+        # set member).  bytearray() refuses a color outside 0..255, and
+        # deleting the bytes 0..c-1 leaves the colors out of range.  Where a
+        # check fails, scan the given colors in pair order for the first bad
+        # one.
+        packed = colors
         try:
-            bad = type(sum(colors)) is not int or any(not 0 <= col < c for col in set(colors))
-        except TypeError:
+            if type(sum(colors)) is not int:
+                bad = True
+            elif c <= 256:
+                packed = bytearray(colors)
+                bad = bool(packed.translate(None, _BYTE_COLORS[:c]))
+            else:
+                bad = any(not 0 <= col < c for col in set(colors))
+        except (TypeError, ValueError):
             bad = True
         if bad:
             for col in colors:
                 _check_pair_color(col, c)
-        self.colors = colors
+        self.colors = packed
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
@@ -338,8 +356,9 @@ class EdgeColoring:
     def color_class(self, i: int) -> SimpleGraph:
         self._check_color(i)
         # one "0"/"1" flag per pair in canonical order, built in C and read
-        # as the pair bitset: bytearray() takes colors 0..255, so a larger
-        # color falls back to the 0/1 bytes of color == i
+        # as the pair bitset: bytearray() copies the packed colors, and a
+        # list (c > 256) with a color above 255 falls back to the 0/1 bytes
+        # of color == i
         try:
             flags = bytearray(self.colors).translate(_class_flags(i))
         except ValueError:
@@ -353,11 +372,11 @@ class EdgeColoring:
         """Every color class, in color order, as color_class builds them.
 
         One pass over the pairs fills the rows of all classes.  It costs
-        about 0.17 us a pair, where c color_class calls cost about 6 us each
-        plus 0.03 us a pair, so it wins on small graphs (6.5 against 14 us at n = 11, c = 3) and
-        loses from about n = 21 (36 against 22 us at n = 29, c = 3; 810
-        against 260 us at n = 128, c = 2; timeit on random colorings, 2-core
-        x86, Python 3.11).
+        about 0.12 us a pair, where c color_class calls cost about 4 us each
+        plus 0.008 us a pair, so it wins on small graphs (6.5 against 11 us
+        at n = 11, c = 3) and loses from about n = 18 (40 against 19 us at
+        n = 29, c = 3; 945 against 130 us at n = 128, c = 2; timeit on
+        random colorings, 2-core x86, Python 3.11).
         """
         n = self.n
         rows = [[0] * n for _ in range(self.c)]
@@ -585,8 +604,8 @@ def _rows_from_bits(pairs: int, n: int) -> list[int]:
 # and _coloring_from_lines reads any document and words every error.  It
 # writes and reads c > 10, and takes every document the template does not
 # match.  At n = 128 (2-core x86, Python 3.11) the template writes a
-# 2-coloring in about 0.1 ms and reads it in 0.15 ms; the pair lines write
-# an 11-coloring in about 2.8 ms and read it in 6 ms.
+# 2-coloring in about 0.055 ms and reads it in 0.13 ms; the pair lines
+# write an 11-coloring in about 3 ms and read it in 6.4 ms.
 
 # With at most this many colors every token is one character, '0'..'9', so
 # the canonical body of K_n is one per-n template with a token slot at a
@@ -658,7 +677,7 @@ def coloring_to_text(coloring: EdgeColoring) -> str:
     return header + "".join(lines)
 
 
-def _canonical_colors(text: str) -> Optional[tuple[int, int, list[int]]]:
+def _canonical_colors(text: str) -> Optional[tuple[int, int, bytearray]]:
     """(n, c, colors) if text is exactly coloring_to_text's output and
     c <= 10, else None.
 
@@ -686,7 +705,7 @@ def _canonical_colors(text: str) -> Optional[tuple[int, int, list[int]]]:
     tokens = b"".join([body[start:stop:step] for start, stop, step, _, _ in runs])
     if tokens.translate(None, _DIGITS[:c]) or _filled_template(n, tokens) != body:
         return None
-    return n, c, list(tokens.translate(_TOKEN_TO_COLOR))
+    return n, c, bytearray(tokens.translate(_TOKEN_TO_COLOR))
 
 
 def coloring_from_text(text: str) -> EdgeColoring:
@@ -711,7 +730,10 @@ def _coloring_from_lines(text: str) -> EdgeColoring:
     head = rows[0].split()
     if len(head) != 2:
         raise ValueError(f"bad header {rows[0]!r}; expected 'N c'")
-    n, c = int(head[0]), int(head[1])
+    try:
+        n, c = int(head[0]), int(head[1])
+    except ValueError:
+        raise _bad_token(rows[0], ("vertex count", "color count"), head) from None
     _check_size(n, c)
     colors = [0] * (n * (n - 1) // 2)
     seen = bytearray(len(colors))
@@ -719,7 +741,11 @@ def _coloring_from_lines(text: str) -> EdgeColoring:
         parts = line.split()
         if len(parts) != 3:
             raise ValueError(f"bad pair line {line!r}; expected 'u v color'")
-        u, v = int(parts[0]), int(parts[1])
+        try:
+            u, v = int(parts[0]), int(parts[1])
+            col = None if parts[2] == "-" else int(parts[2])
+        except ValueError:
+            raise _bad_token(line, ("vertex", "vertex", "color"), parts) from None
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"vertex out of range for n={n} in line {line!r}")
         if u == v:
@@ -728,9 +754,8 @@ def _coloring_from_lines(text: str) -> EdgeColoring:
         if seen[idx]:
             raise ValueError(f"duplicate pair {u} {v}")
         seen[idx] = 1
-        if parts[2] == "-":
+        if col is None:
             raise ValueError(f"unassigned pair {u} {v}: every pair needs a color in 0..{c - 1}")
-        col = int(parts[2])
         if not 0 <= col < c:
             raise ValueError(f"color out of range for c={c} in line {line!r}")
         colors[idx] = col
@@ -739,3 +764,13 @@ def _coloring_from_lines(text: str) -> EdgeColoring:
         u, v = list(pair_iter(n))[missing]
         raise ValueError(f"missing pair {u} {v}: every pair needs a color in 0..{c - 1}")
     return EdgeColoring(n, c, colors)
+
+
+def _bad_token(line: str, names: Sequence[str], tokens: Sequence[str]) -> ValueError:
+    """The error for the first of tokens that int() refuses, naming it and its line."""
+    for name, token in zip(names, tokens):
+        try:
+            int(token)
+        except ValueError:
+            return ValueError(f"bad {name} {token!r} in line {line!r}")
+    raise AssertionError(f"every token of {line!r} is an integer")

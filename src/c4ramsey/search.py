@@ -717,7 +717,7 @@ def partition_check(
     witness = None
     if status == FEASIBLE:
         # g's edges in color 0, each non-edge's color shifted by one
-        colors = [0] * len(pairs)
+        colors = bytearray(len(pairs))
         for i, col in zip(where, assignment):
             colors[i] = col + 1
         witness = EdgeColoring(g.n, 3, colors)

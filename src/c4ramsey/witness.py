@@ -87,9 +87,9 @@ def extend_with_disjoint_clique(
 
     n = witness.n
     # new vertex a's column, pairs (0, a) .. (a-1, a), follows the old ones
-    colors = list(witness.colors)
+    colors = witness.colors[:]
     for a in range(n, n + k):
-        colors += [clique_color_target] * n + [c4_color] * (a - n)
+        colors.extend([clique_color_target] * n + [c4_color] * (a - n))
     out = EdgeColoring(n + k, witness.c, colors)
     promoted = list(targets)
     promoted[clique_color_target] = clique(tgt.k + 1)

@@ -547,6 +547,24 @@ def test_partial_coloring_is_a_usage_error_for_verify_and_witness(tmp_path, comm
         assert run_captured([command, "C4,K3", "--coloring", coloring]) == (1, "", message)
 
 
+# a token that is not an integer: verify and witness name it and its line
+BAD_TOKEN_DOCUMENTS = {
+    "color": ("3 2\n0 1 0\n0 2 1.0\n1 2 1\n", "error: bad color '1.0' in line '0 2 1.0'\n"),
+    "header": ("3 x\n0 1 0\n0 2 1\n1 2 1\n", "error: bad color count 'x' in line '3 x'\n"),
+    "vertex": ("3 2\n0 1 0\n0 y 1\n1 2 1\n", "error: bad vertex 'y' in line '0 y 1'\n"),
+}
+
+
+@pytest.mark.parametrize("command", ["verify", "witness"])
+@pytest.mark.parametrize("name", sorted(BAD_TOKEN_DOCUMENTS))
+def test_non_integer_token_is_a_usage_error_for_verify_and_witness(tmp_path, command, name):
+    text, message = BAD_TOKEN_DOCUMENTS[name]
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    for coloring in (text, f"@{path}"):
+        assert run_captured([command, "C4,K3", "--coloring", coloring]) == (1, "", message)
+
+
 class TestRegistry:
     def test_list_contains_seed_facts(self, capsys):
         assert run(["registry"]) == 0

@@ -11,13 +11,17 @@ from c4ramsey import (
     coloring_from_text,
     coloring_to_text,
     contains_target,
+    extend_with_disjoint_clique,
     find_target_copy,
     graph6_decode,
     graph6_encode,
     is_good_coloring,
     pair_index,
+    parse_target_sequence,
+    partition_check,
+    search_coloring,
 )
-from c4ramsey.graphs import pair_iter
+from c4ramsey.graphs import _coloring_from_lines, pair_iter
 from c4ramsey.targets import CYCLE4, PATH3, book, clique, empty_graph, star, with_isolated
 
 from conftest import brute_contains, brute_first_copy, random_graph, two_five_cycles
@@ -127,7 +131,7 @@ class TestColoringConstructor:
     def test_accepts_what_the_per_pair_check_accepts(self, c, colors):
         bad = first_bad_color(colors, c)
         if bad is None:
-            assert EdgeColoring(4, c, colors).colors == colors
+            assert list(EdgeColoring(4, c, colors).colors) == colors
         elif isinstance(bad, int):
             with pytest.raises(ValueError) as err:
                 EdgeColoring(4, c, colors)
@@ -159,7 +163,63 @@ class TestColoringConstructor:
         col = EdgeColoring(3, 2, [0] * 3)
         with pytest.raises(error):
             col.set(0, 1, color)
-        assert col.colors == [0] * 3
+        assert list(col.colors) == [0] * 3
+
+
+class TestColoringStorage:
+    """colors is packed into a bytearray when c <= 256 and kept a list
+    above, whichever way the coloring is built."""
+
+    @pytest.mark.parametrize("c, kind", [(1, bytearray), (2, bytearray), (10, bytearray), (11, bytearray),
+                                         (255, bytearray), (256, bytearray), (257, list), (300, list)])
+    def test_storage_type(self, c, kind):
+        col = EdgeColoring(4, c, [0, c - 1, 0, 0, c - 1, 0])
+        assert type(col.colors) is kind
+        assert list(col.colors) == [0, c - 1, 0, 0, c - 1, 0]
+
+    @pytest.mark.parametrize("n, colors", [(3, 3), (1, 0), (1, -1)])
+    def test_an_int_is_not_a_color_sequence(self, n, colors):
+        # bytearray(3) would be three zero bytes, a complete 0-coloring of K_3
+        with pytest.raises(TypeError):
+            EdgeColoring(n, 2, colors)
+
+    @staticmethod
+    def assert_same(col, expected):
+        assert col == expected and hash(col) == hash(expected)
+        assert type(col.colors) is type(expected.colors)
+
+    @pytest.mark.parametrize("c", [2, 3, 10, 11, 256, 300])
+    def test_constructor_readers_and_set_agree(self, c):
+        rng = random.Random(c)
+        colors = [rng.randrange(c) for _ in pair_iter(9)]
+        expected = EdgeColoring(9, c, colors)
+        self.assert_same(EdgeColoring(9, c, tuple(colors)), expected)
+        self.assert_same(EdgeColoring(9, c, iter(colors)), expected)
+        if c <= 256:
+            self.assert_same(EdgeColoring(9, c, bytes(colors)), expected)
+        text = coloring_to_text(expected)
+        self.assert_same(coloring_from_text(text), expected)  # the template when c <= 10
+        self.assert_same(_coloring_from_lines(text), expected)
+        col = EdgeColoring(9, c, [0] * len(colors))
+        for (u, v), color in zip(pair_iter(9), colors):
+            col.set(u, v, color)
+        self.assert_same(col, expected)
+
+    def test_range_is_a_color_sequence(self):
+        self.assert_same(EdgeColoring(4, 6, range(6)), EdgeColoring(4, 6, [0, 1, 2, 3, 4, 5]))
+
+    def test_built_witnesses_agree_with_their_color_lists(self):
+        found = search_coloring(6, parse_target_sequence("C4,K3"))
+        w = found.witness
+        self.assert_same(w, EdgeColoring(6, 2, list(w.colors)))
+        ext, _ = extend_with_disjoint_clique(w, parse_target_sequence("C4,K3"), 3, 0, 1)
+        colors = list(w.colors)
+        for a in range(6, 9):
+            colors += [1] * 6 + [0] * (a - 6)
+        self.assert_same(ext, EdgeColoring(9, 2, colors))
+        part = partition_check(graph6_decode("JosOOooCGS?"))
+        self.assert_same(part.witness, EdgeColoring(11, 3, list(part.witness.colors)))
+        self.assert_same(part.witness, coloring_from_text(coloring_to_text(part.witness)))
 
 
 class TestContainsTarget:
@@ -357,7 +417,7 @@ class TestColoringTextFormat:
     def test_comments_and_whitespace(self):
         text = "# witness\n  3 2  \n0 1 0 # first\n0 2 1\n1 2 0\n"
         col = coloring_from_text(text)
-        assert col.get(0, 2) == 1 and col.colors == [0, 1, 0]
+        assert col.get(0, 2) == 1 and list(col.colors) == [0, 1, 0]
 
     def test_duplicate_pair_rejected(self):
         with pytest.raises(ValueError):
