@@ -176,6 +176,8 @@ def _cmd_search(args) -> int:
     if args.n_min is not None or args.n_max is not None:
         if args.n_min is None or args.n_max is None:
             raise SystemExit("--n-min and --n-max go together")
+        if args.n is not None:
+            raise SystemExit("--n and --n-min/--n-max do not go together")
         for flag, value in (("--degree-caps", args.degree_caps), ("--witness-out", args.witness_out)):
             if value is not None:
                 raise SystemExit(f"{flag} needs --n; it does not apply to --n-min/--n-max")

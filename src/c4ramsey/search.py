@@ -14,15 +14,19 @@ cache lookup for it.  It is one loop for every edge, the first included: every
 color's target test is written inline in its own unrolled block, with the
 degree cap folded in, so a node calls no Python function (but _clique_in
 for a clique of five or more vertices), and the reduction is a guard on
-the blocks of the colors it skips on edge 0.  An edge resumes at one past
-its last color after a backtrack, so no cursor stack is kept.
-_creates_test compiles the same test text on its own, for the brute-force
-checks.
+the blocks of the colors it skips on edge 0.  A fresh edge tries every
+color in turn; after a backtrack an edge resumes at one past its last
+color, so no cursor stack is kept.  For n <= 14 the tests scan a bitset
+through a per-n table of its set bits and count its bits through another,
+both built with the first kernel for that n (see _tables); above it they
+peel off one bit at a time.  _creates_test compiles the same test text on
+its own, in the form for a given n, for the brute-force checks.
 """
 
 from __future__ import annotations
 
 import functools
+import re
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -97,26 +101,28 @@ def _effective_target(t: TargetGraph, n: int) -> Optional[TargetGraph]:
 
 # One test snippet per target kind.  A snippet runs ACCEPT exactly when
 # adding edge uv to the class with adjacency rows {a} creates no copy of the
-# target, and otherwise falls through.  The class is assumed target-free
-# before the addition, so only copies through the new edge are checked.
+# target, and otherwise falls through; ACCEPT always leaves the snippet.  The
+# class is assumed target-free before the addition, so only copies through
+# the new edge are checked.  Snippets are written in table form: BITS[m] is
+# the ascending tuple of the set bits of m and POP[m] their count (see
+# _tables); _in_form rewrites both where n is too large for the tables.
 _C4 = """\
-# a new 4-cycle is uv plus a path u-a-b-v already in the class
-rest, av = {a}[u], {a}[v]
-while rest:
-    b = rest & -rest
-    if {a}[b.bit_length() - 1] & av:
+# a new 4-cycle is uv plus a path u-a-b-v already in the class, so there is
+# none while v has no neighbour in it
+av = {a}[v]
+if not av:
+    ACCEPT
+for b in BITS[{a}[u]]:
+    if {a}[b] & av:
         break
-    rest ^= b
 else:
     ACCEPT
 """
 _K4 = """\
 # a new K4 is uv plus an edge among the common neighbours
-rest = {a}[u] & {a}[v]
-while rest:
-    b = rest & -rest
-    rest ^= b
-    if {a}[b.bit_length() - 1] & rest:
+common = {a}[u] & {a}[v]
+for b in BITS[common]:
+    if {a}[b] & common:
         break
 else:
     ACCEPT
@@ -124,18 +130,16 @@ else:
 _BOOK = """\
 # spine uv: the pages are the common neighbours of u and v
 common = {a}[u] & {a}[v]
-if common.bit_count() < {k}:
+if POP[common] < {k}:
     # page edge uv: the spine is ux (or vx) and v (or u) is its new page,
     # so x lies in N(u) & N(v).  Spine ux had |N(u) & N(x)| pages before
     # and gains v; the class was B_k-free, so the book appears exactly when
     # that count was k-1.  A neighbour x of u outside N(v) gains no page,
     # so no other x can complete a book.
     au, av = {a}[u], {a}[v]
-    while common:
-        b = common & -common
-        common ^= b
-        x = {a}[b.bit_length() - 1]
-        if (au & x).bit_count() >= {pages} or (av & x).bit_count() >= {pages}:
+    for b in BITS[common]:
+        x = {a}[b]
+        if POP[au & x] >= {pages} or POP[av & x] >= {pages}:
             break
     else:
         ACCEPT
@@ -143,13 +147,13 @@ if common.bit_count() < {k}:
 
 
 def _snippet(t: Optional[TargetGraph], cap: Optional[int] = None) -> str:
-    """The snippet of target t with degree cap cap folded in.  t None is a
-    target too large to fit, which no edge creates; cap None is a cap that
-    cannot refuse an edge."""
+    """The snippet of target t with degree cap cap folded in, in table form.
+    t None is a target too large to fit, which no edge creates; cap None is a
+    cap that cannot refuse an edge."""
     kind, k = (t.kind, t.k) if t is not None else (None, 0)
     if kind == tg.STAR:
         d = k - 1 if cap is None else min(k - 1, cap)
-        return f"if {{a}}[u].bit_count() < {d} and {{a}}[v].bit_count() < {d}:\n    ACCEPT\n"
+        return f"if POP[{{a}}[u]] < {d} and POP[{{a}}[v]] < {d}:\n    ACCEPT\n"
     if kind is None:
         text = "ACCEPT\n"
     elif kind == tg.PATH3_KIND:
@@ -169,7 +173,43 @@ def _snippet(t: Optional[TargetGraph], cap: Optional[int] = None) -> str:
     if cap is None:
         return text
     # a vertex with cap edges of this color already takes no more
-    return f"if {{a}}[u].bit_count() < {cap} and {{a}}[v].bit_count() < {cap}:\n" + _indent(text, 1)
+    return f"if POP[{{a}}[u]] < {cap} and POP[{{a}}[v]] < {cap}:\n" + _indent(text, 1)
+
+
+# The largest n whose searches scan with the tables: at n = 14 they hold
+# 16,384 entries each, about 1.8 MB together, and take about 5 ms to build
+# (x86, Python 3.11).
+_TABLE_N = 14
+
+
+@functools.lru_cache(maxsize=None)
+def _tables(n: int) -> tuple[tuple, tuple]:
+    """(BITS, POP) for masks of n bits: BITS[m] the set-bit positions of m in
+    ascending order, POP[m] how many there are.  Built when the first kernel
+    or test for n is, never at import."""
+    bits, pop = [()], [0]
+    for i in range(n):
+        # the masks with top bit i are those below it with bit i added
+        bits += [b + (i,) for b in bits]
+        pop += [c + 1 for c in pop]
+    return tuple(bits), tuple(pop)
+
+
+_SCAN = re.compile(r"^( *)for b in BITS\[(.+)\]:$", re.M)
+_POP = re.compile(r"POP\[((?:[^][]|\[[^][]*\])+)\]")
+
+
+def _in_form(snippet: str, n: int) -> str:
+    """snippet as an n-vertex search inlines it: as written for n <= _TABLE_N,
+    else with each table scan turned into a loop that peels off the lowest set
+    bit, and each POP[m] into m.bit_count().  The loop's b is that bit, so
+    a row read [b] becomes [b.bit_length() - 1]; snippets use a scan's b for
+    nothing else."""
+    if n <= _TABLE_N:
+        return snippet
+    text = _SCAN.sub(r"\1rest = \2\n\1while rest:\n\1    b = rest & -rest\n\1    rest ^= b", snippet)
+    text = _POP.sub(lambda m: (m[1] if " " not in m[1] else f"({m[1]})") + ".bit_count()", text)
+    return text.replace("[b]", "[b.bit_length() - 1]")
 
 
 def _indent(text: str, levels: int) -> str:
@@ -178,7 +218,7 @@ def _indent(text: str, levels: int) -> str:
 
 
 def _filled(snippet: str, a: str, accept: str, levels: int) -> str:
-    """snippet on rows a, with its ACCEPT line replaced by the lines accept,
+    """snippet on rows a, with each ACCEPT line replaced by the lines accept,
     indented by levels."""
     lines = []
     for line in snippet.replace("{a}", a).splitlines(True):
@@ -187,52 +227,61 @@ def _filled(snippet: str, a: str, accept: str, levels: int) -> str:
     return _indent("".join(lines), levels)
 
 
-def _compiled(source: str, name: str):
-    """The function name that source defines, run with the names kernels use."""
+def _compiled(source: str, name: str, n: int):
+    """The function name that source defines, run with the names kernels of
+    n-vertex searches use: BITS and POP are their tables, None above
+    _TABLE_N, where no snippet reads them."""
     scope = {"time": time, "_clique_in": _clique_in, "FEASIBLE": FEASIBLE, "INFEASIBLE": INFEASIBLE,
              "UNKNOWN": UNKNOWN, "NEVER": _NEVER}
+    scope["BITS"], scope["POP"] = _tables(n) if n <= _TABLE_N else (None, None)
     exec(compile(source, f"<c4ramsey.search {name}>", "exec"), scope)
     return scope[name]
 
 
 @functools.lru_cache(maxsize=128)
-def _creates_test(t: TargetGraph) -> Callable[[list[int], int, int], bool]:
-    """Target t's snippet compiled into a test (adj, u, v) -> bool.
+def _creates_test(t: TargetGraph, n: int) -> Callable[[list[int], int, int], bool]:
+    """Target t's snippet compiled into a test (adj, u, v) -> bool for
+    graphs on at most n vertices.
 
     The test says whether adding edge uv to the class with adjacency adj
-    would create a copy of t.  It runs the text the search kernel inlines,
-    so checking it checks the kernel's tests.  Each target is compiled once
-    per process.
+    would create a copy of t.  It runs the text the kernel of an n-vertex
+    search inlines, so checking it checks the kernel's tests.  Each target
+    is compiled once per process for each n.
     """
-    return _test_function(_snippet(t))
+    return _test_function(_snippet(t), n)
 
 
-def _test_function(snippet: str) -> Callable[[list[int], int, int], bool]:
-    """snippet compiled on its own: (adj, u, v) -> whether it refuses uv."""
-    body = _filled(snippet, "adj", "return False\n", 1)
-    return _compiled(f"def test(adj, u, v):\n{body}    return True\n", "test")
+def _test_function(snippet: str, n: int) -> Callable[[list[int], int, int], bool]:
+    """snippet compiled on its own in its form for n vertices: (adj, u, v) ->
+    whether it refuses uv."""
+    body = _filled(_in_form(snippet, n), "adj", "return False\n", 1)
+    return _compiled(f"def test(adj, u, v, BITS=BITS, POP=POP):\n{body}    return True\n", "test", n)
 
 
-# The search kernel: one loop for every edge, the base edge included.  A
-# fresh edge tries the colors from start = 0 on; once every color has failed
-# at an edge, the edge before it is undone and resumed at start = its color +
-# 1, and a backtrack that reaches floor (base at first) ends the search.  Each
-# color is one unrolled block, its target's test inlined on its own rows r0,
-# r1, ...  The first-edge color-permutation reduction is compiled in: a
-# color whose declared group appeared earlier in the list is skipped on edge
-# 0, which only a search from the root reaches.  Budget checks fall at each
-# multiple of 4096 nodes and at node_limit + 1; the first at or past
-# split_at calls on_split(idx, assignment), which returns a depth D (0 where
-# nothing is handed out), and the search keeps the edges before D as they
-# are and ends once it would backtrack into them.  With listed, each
-# accepted prefix of length stop is appended to it with the node count at
-# that moment, and the search goes on as if everything below it had failed.
+# The search kernel: one loop for every edge, the base edge included.  Each
+# color is one unrolled block that counts a node and inlines its target's
+# test on the color's own rows r0, r1, ...  A fresh edge runs every color's
+# block in turn, unguarded.  Once every color has failed at an edge, the
+# edge before it is undone and resumed at start = its color + 1, through a
+# second set of blocks guarded by start <= col, the only code that reads
+# start; a backtrack that reaches floor (base at first) ends the search.
+# The first-edge color-permutation reduction is compiled in: the blocks of a
+# color whose declared group appeared earlier in the list are guarded by idx
+# as well, so it is skipped on edge 0, which only a search from the root
+# reaches.  Budget checks fall at each multiple of 4096 nodes and at
+# node_limit + 1; the first at or past split_at calls on_split(idx,
+# assignment), which returns a depth D (0 where nothing is handed out), and
+# the search keeps the edges before D as they are and ends once it would
+# backtrack into them.  With listed, each accepted prefix of length stop is
+# appended to it with the node count at that moment, and the search goes on
+# as if everything below it had failed.  The tables BITS and POP are bound
+# as defaults, so they are locals.
 _KERNEL = """\
-def kernel(edges, rows, assignment, base, stop, listed, nodes, node_limit, deadline, split_at, on_split):
+def kernel(edges, rows, assignment, base, stop, listed, nodes, node_limit, deadline, split_at, on_split,
+           BITS=BITS, POP=POP):
     {rows} = rows
     check = min(nodes - nodes % 4096 + 4096, node_limit + 1)
     floor = idx = base
-    start = 0
     while True:
         while idx < stop:
             u, v, bu, bv = edges[idx]
@@ -264,13 +313,13 @@ if nodes >= check:
         split_at = NEVER
         floor = max(floor, on_split(idx, assignment))
 """
-# color {col} taken at edge idx; {then} goes on to the next edge
+# color {col} taken at edge idx; {then} goes on to the next edge, which is
+# fresh
 _ACCEPT = """\
 r{col}[u] |= bv
 r{col}[v] |= bu
 assignment[idx] = {col}
 idx += 1
-start = 0
 {then}
 """
 
@@ -294,20 +343,22 @@ def _kernel(n: int, targets: tuple, degree_caps: Optional[tuple]):
     # n - 1 or more never refuses one (None: no cap test)
     caps = [cap if cap < n - 1 else None for cap in degree_caps or [n - 1] * len(targets)]
 
-    def tries(col, snippet, then):
-        skip = " and idx" if repeats[col] else ""
-        accept = _ACCEPT.format(col=col, then=then)
-        return _indent(f"if start <= {col}{skip}:\n", 3) + _indent(_COUNT, 4) + _filled(snippet, f"r{col}", accept, 4)
+    def tries(col, snippet, then, guard):
+        """Color col's block: a node counted and its test, under the line
+        guard where there is one."""
+        block = _COUNT + _filled(snippet, f"r{col}", _ACCEPT.format(col=col, then=then), 0)
+        return _indent(f"{guard}\n" + _indent(block, 1) if guard else block, 3)
 
     fresh, resumed = [], []
     for col, (t, cap) in enumerate(zip(effective, caps)):
-        snippet = _snippet(t, cap)
-        fresh.append(tries(col, snippet, "continue"))
+        snippet = _in_form(_snippet(t, cap), n)
+        fresh.append(tries(col, snippet, "continue", "if idx:" if repeats[col] else ""))
         if col:  # a resumed edge has start >= 1
-            resumed.append(tries(col, snippet, "break"))
+            skip = " and idx" if repeats[col] else ""
+            resumed.append(tries(col, snippet, "break", f"if start <= {col}{skip}:"))
     source = _KERNEL.format(rows="(" + "".join(f"r{col}, " for col in range(len(effective))) + ")",
                             fresh="".join(fresh), resumed="".join(resumed))
-    return _compiled(source, "kernel")
+    return _compiled(source, "kernel", n)
 
 
 def _search_edges(

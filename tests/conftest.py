@@ -56,6 +56,15 @@ def brute_contains(g: SimpleGraph, t) -> bool:
     return brute_first_copy(g, t) is not None
 
 
+def spread(g: SimpleGraph, label: list[int], n: int) -> list[int]:
+    """The adjacency rows of g placed on n vertices, vertex i at label[i]."""
+    adj = [0] * n
+    for u, v in g.edges():
+        adj[label[u]] |= 1 << label[v]
+        adj[label[v]] |= 1 << label[u]
+    return adj
+
+
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> SimpleGraph:
     g = SimpleGraph(n)
     for u, v in itertools.combinations(range(n), 2):

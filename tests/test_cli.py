@@ -399,6 +399,13 @@ class TestSearch:
         assert "--degree-caps" in captured.err and captured.err.count("\n") == 1
 
 
+    def test_n_with_range_is_usage_error(self, capsys):
+        argv = ["search", "--targets", "C4,K4", "--n", "5", "--n-min", "3", "--n-max", "4"]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "--n " in captured.err and captured.err.count("\n") == 1
+
     def test_witness_out_with_range_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "w.txt"
         argv = ["search", "--targets", "C4,C4", "--n-min", "4", "--n-max", "5", "--witness-out", str(path)]

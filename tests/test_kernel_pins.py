@@ -17,7 +17,10 @@ partition_check gave before the kernel was generated from source:
 - pairs of lists that differ only in n or only in the degree caps, which
   the kernel cache must tell apart (see KEY_PAIRS), recorded before
   that cache was keyed by them;
-- the partition pairs (K5, K3) and (S4, B3).
+- the partition pairs (K5, K3) and (S4, B3);
+- K4,C4,B2 at n = 15 and C4,B4,K4 at n = 16, whose C4, K4 and book tests
+  scan with bit loops rather than tables (n above search._TABLE_N),
+  recorded before the tables came in.
 
 Regenerate with `PYTHONPATH=src python tests/test_kernel_pins.py` (it
 prints the JSON) only on purpose: the file pins what kernel changes must
@@ -34,7 +37,7 @@ from c4ramsey import SearchBudget, SimpleGraph, graph6_decode, partition_check, 
 from c4ramsey.graphs import pair_iter
 from c4ramsey.targets import CYCLE4, PATH3, book, clique, parse_target_sequence, star
 
-from conftest import brute_contains
+from conftest import brute_contains, spread
 
 PINS_PATH = Path(__file__).parent / "data" / "kernel_pins.json"
 
@@ -81,6 +84,8 @@ SEARCHES = [
     (6, "K5,C4", None, None),
     (7, "C4,K4", [2, 6], None),
     (7, "C4,K4", [3, 6], None),
+    (15, "K4,C4,B2", None, None),
+    (16, "C4,B4,K4", None, None),
 ]
 
 # SEARCHES indices of pairs where only the first list has a repeated declared
@@ -200,26 +205,29 @@ def test_no_targets_is_refused(n):
         search_coloring(n, [])
 
 
+@pytest.mark.parametrize("ns", [(5, 7), (15, 16)], ids=["tables", "loops"])
 @pytest.mark.parametrize("cap", [0, 1, 2, 3, 4])
 @pytest.mark.parametrize("target", [CYCLE4, PATH3, clique(3), clique(4), clique(5), star(3), book(2), None], ids=str)
-def test_capped_test_matches_brute_force(target, cap):
-    # the kernel's test of a color with a binding cap, compiled on its own:
-    # uv is refused when it creates the target (None: a target too large to
-    # fit, never created) or gives u or v more than cap edges
-    test = search._test_function(search._snippet(target, cap))
-    rng = random.Random(f"capped-{target}-{cap}")
+def test_capped_test_matches_brute_force(target, cap, ns):
+    # the kernel's test of a color with a binding cap, compiled on its own
+    # for n vertices, n drawn from ns: uv is refused when it creates the
+    # target (None: a target too large to fit, never created) or gives u or
+    # v more than cap edges.  The graph has 5 to 7 vertices, spread over n.
+    rng = random.Random(f"capped-{target}-{cap}-{ns}")
     answers = set()
     for round_ in range(6):
-        n = rng.randint(5, 7)
-        g = SimpleGraph(n)
-        pairs = list(pair_iter(n))
+        n = rng.randint(*ns)
+        test = search._test_function(search._snippet(target, cap), n)
+        label = rng.sample(range(n), rng.randint(5, min(n, 7)))
+        g = SimpleGraph(len(label))
+        pairs = list(pair_iter(g.n))
         rng.shuffle(pairs)
         for u, v in pairs:
             grown = g.copy()
             grown.add_edge(u, v)
             over_cap = max(grown.degree(u), grown.degree(v)) > cap
             refused = over_cap or (target is not None and brute_contains(grown, target))
-            assert test(g.adj, u, v) == refused
+            assert test(spread(g, label, n), label[u], label[v]) == refused
             answers.add(refused)
             if not refused and rng.random() < (1.0 if round_ % 2 else 0.7):
                 g = grown

@@ -26,7 +26,7 @@ from c4ramsey.graphs import pair_iter
 from c4ramsey.search import _creates_test
 from c4ramsey.targets import CYCLE4, PATH3, book, clique, empty_graph, parse_target_sequence, star, with_isolated
 
-from conftest import brute_contains, random_graph
+from conftest import brute_contains, random_graph, spread
 
 
 def naive_feasible(n, targets, degree_caps=None):
@@ -258,25 +258,29 @@ class TestKernel:
          star(1), star(3), PATH3, CYCLE4],
         ids=str,
     )
-    def test_creates_matches_brute_force(self, target):
+    @pytest.mark.parametrize("ns", [(5, 7), (15, 16)], ids=["tables", "loops"])
+    def test_creates_matches_brute_force(self, target, ns):
         # grow a random target-free graph edge by edge; every non-edge of
-        # every intermediate graph is checked against the brute-force oracle.
-        # Odd rounds keep every edge they can, so the graph ends maximal and
-        # even K5 gets created.
-        rng = random.Random(f"creates-{target}")
-        test = _creates_test(target)
+        # every intermediate graph is checked against the brute-force oracle
+        # by the test compiled for n vertices, n drawn from ns: 5-7 scan with
+        # the tables, 15-16 with bit loops.  The graph has 5 to 7 vertices,
+        # spread over n.  Odd rounds keep every edge they can, so the graph
+        # ends maximal and even K5 gets created.
+        rng = random.Random(f"creates-{target}-{ns}")
         answers = []
         for round_ in range(6):
-            n = rng.randint(5, 7)
+            n = rng.randint(*ns)
+            test = _creates_test(target, n)
+            label = rng.sample(range(n), rng.randint(5, min(n, 7)))
             keep = 1.0 if round_ % 2 else 0.7
-            g = SimpleGraph(n)
-            pairs = list(pair_iter(n))
+            g = SimpleGraph(len(label))
+            pairs = list(pair_iter(g.n))
             rng.shuffle(pairs)
             for u, v in pairs:
                 grown = g.copy()
                 grown.add_edge(u, v)
                 hit = brute_contains(grown, target)
-                assert bool(test(g.adj, u, v)) == hit
+                assert bool(test(spread(g, label, n), label[u], label[v])) == hit
                 answers.append(hit)
                 if not hit and rng.random() < keep:
                     g = grown
@@ -285,14 +289,47 @@ class TestKernel:
         assert set(answers) == ({True} if target in (clique(2), star(1)) else {True, False})
 
     def test_each_target_is_compiled_once(self):
-        assert _creates_test(clique(5)) is _creates_test(parse_target_sequence("K5")[0])
-        assert _creates_test(book(3)) is not _creates_test(book(4))
+        assert _creates_test(clique(5), 7) is _creates_test(parse_target_sequence("K5")[0], 7)
+        assert _creates_test(book(3), 7) is not _creates_test(book(4), 7)
+        assert _creates_test(book(3), 7) is not _creates_test(book(3), 15)
+
+    def test_tables_list_and_count_the_bits(self):
+        bits, pop = search._tables(14)
+        assert len(bits) == len(pop) == 1 << 14
+        for m in range(1 << 14):
+            ones = tuple(i for i, digit in enumerate(reversed(bin(m))) if digit == "1")
+            assert bits[m] == ones and pop[m] == len(ones)
+
+    @pytest.mark.parametrize("n", [6, 9, 14, 15, 16])
+    def test_creates_test_runs_the_text_the_kernel_inlines(self, n, monkeypatch):
+        # both compile each target's snippet in the form for n: the test's
+        # lines are the snippet's, and the kernel's hold them in order
+        sources = []
+        compiled = search._compiled
+
+        def recorded(source, *args):
+            sources.append(source)
+            return compiled(source, *args)
+
+        monkeypatch.setattr(search, "_compiled", recorded)
+        targets = (CYCLE4, clique(4), book(3), star(3), PATH3)
+        search._kernel.__wrapped__(n, targets, None)
+        for t in targets:
+            search._creates_test.__wrapped__(t, n)
+        kernel, *tests = [[line.strip() for line in source.splitlines()] for source in sources]
+        assert any("BITS[" in line for line in kernel) == (n <= search._TABLE_N)
+        for col, (t, test) in enumerate(zip(targets, tests)):
+            text = search._in_form(search._snippet(t), n)
+            lines = [line.strip() for line in text.splitlines() if line.strip() != "ACCEPT"]
+            assert [line for line in test[1:-1] if line != "return False"] == [s.replace("{a}", "adj") for s in lines]
+            rest = iter(kernel)
+            assert all(s.replace("{a}", f"r{col}") in rest for s in lines)
 
     @pytest.mark.parametrize("target", [empty_graph(3), with_isolated(clique(3), 1)], ids=str)
     def test_unsupported_kind_raises_on_every_call(self, target):
         for _ in range(3):
             with pytest.raises(ValueError, match="unsupported incremental target"):
-                _creates_test(target)
+                _creates_test(target, 7)
 
     @pytest.mark.parametrize(
         "n,targets,caps,status,nodes",
