@@ -1,4 +1,4 @@
-"""Per-instance cost of the search-ladder decisions, raw and speed-scaled.
+"""Per-instance cost of the search-ladder decisions.
 
     python3 scripts/bench_ladder.py [--repeats 3] > run1.json
     python3 scripts/bench_ladder.py --pool run1.json run2.json ...
@@ -10,12 +10,11 @@ nodes per second.  It also runs each instance on one core, through
 search._search_edges(..., split=False), so that the kernel's speed reads
 apart from whether a split search's helper had a core of its own
 (one_core_* fields), and times the capped search S4,S4 at n = 9 with
-degree caps [6, 8] on one core (case S4_S4_9_caps).  Each search is
-bracketed by timings of perfbench's
-pure-Python speed kernel (run._kernel, 2.5 ms at the reference speed), and
-the scaled figures are the raw ones times 2.5 ms over the mean kernel time
-around that search, as perfbench scales.  Also reports pair_speed: the time
-of PAIR_CALLS kernel calls alone over their time while a forked copy of this
+degree caps [6, 8] on one core (case S4_S4_9_caps).  The figures are raw
+wall times: scaling them by a speed kernel timed around each search moved
+them by up to 2x between runs of one tree while the raw ones agreed.  Also
+reports pair_speed: the time of PAIR_CALLS calls of perfbench's pure-Python
+speed kernel (run._kernel) alone over their time while a forked copy of this
 process makes the same calls, about 1.0 where a second core is free and 0.5
 where the two share one, which tells whether a split search's helper had a
 core of its own; one reading swings widely, so PAIR_READINGS are taken and
@@ -25,13 +24,11 @@ RUSAGE_CHILDREN): the helper processes a long search forks.  Prints the
 cases of one run as a JSON list.
 
 With --pool, reads the outputs of several runs instead and prints their
-cases pooled, as the "before" and "after" lists of BENCH_17.json hold them:
-per instance the median of every run's raw times (wall_s_raw_median), each
-run's scaled median (wall_s_scaled_median_by_run), and nodes per second
-over the raw median and over the median of the scaled ones, for the split
-and the one-core runs; every run's
-pair_speed readings pooled, with their median and quartiles; the peak RSS
-figures of every run.  Runs must agree on statuses and node counts.
+cases pooled: per instance the median of every run's raw times
+(wall_s_raw_median) and nodes per second over it, for the split and the
+one-core runs; every run's pair_speed readings pooled, with their median
+and quartiles; the peak RSS figures of every run.  Runs must agree on
+statuses and node counts.
 """
 
 from __future__ import annotations
@@ -53,7 +50,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import c4ramsey as cr  # noqa: E402
 from c4ramsey import search  # noqa: E402
 from c4ramsey.graphs import pair_iter  # noqa: E402
-from run import KERNEL_REF_S, _kernel  # noqa: E402
+from run import _kernel  # noqa: E402
 from workloads import ladder_instances  # noqa: E402
 
 PAIR_CALLS = 40
@@ -61,7 +58,7 @@ PAIR_READINGS = 5
 CAPPED = ("S4,S4", 9, [6, 8])  # 31,870 nodes, below the split
 
 
-def _kernel_s(times: int = 3) -> float:
+def _kernel_s(times: int) -> float:
     start = time.perf_counter()
     for _ in range(times):
         _kernel()
@@ -90,45 +87,37 @@ def _one_core(n: int, targets, degree_caps=None) -> tuple[str, int]:
     return status, nodes
 
 
-def _timed(call, repeats: int) -> tuple[tuple[str, int], list[float], list[float]]:
-    """call() repeats times: its one outcome, and the raw and the scaled
-    wall time of each call."""
-    raw, scaled, outcomes = [], [], set()
+def _timed(call, repeats: int) -> tuple[tuple[str, int], list[float]]:
+    """call() repeats times: its one outcome, and the wall time of each
+    call."""
+    raw, outcomes = [], set()
     for _ in range(repeats):
-        before = _kernel_s()
         start = time.perf_counter()
         outcomes.add(call())
-        took = time.perf_counter() - start
-        after = _kernel_s()
-        raw.append(took)
-        scaled.append(took * KERNEL_REF_S / ((before + after) / 2))
+        raw.append(time.perf_counter() - start)
     (outcome,) = outcomes
-    return outcome, raw, scaled
+    return outcome, raw
 
 
-def _timings(prefix: str, nodes: int, raw: list[float], scaled: list[float]) -> dict:
-    wall, wall_scaled = statistics.median(raw), statistics.median(scaled)
+def _timings(prefix: str, nodes: int, raw: list[float]) -> dict:
+    wall = statistics.median(raw)
     return {
-        f"{prefix}wall_s_raw": round(wall, 6), f"{prefix}wall_s_scaled": round(wall_scaled, 6),
-        f"{prefix}nodes_per_s_raw": round(nodes / wall), f"{prefix}nodes_per_s_scaled": round(nodes / wall_scaled),
+        f"{prefix}wall_s_raw": round(wall, 6), f"{prefix}nodes_per_s_raw": round(nodes / wall),
         f"{prefix}wall_s_raw_by_repeat": [round(t, 6) for t in raw],
     }
 
 
 def _pooled(prefix: str, nodes: int, by_run: tuple) -> dict:
     raw = [t for c in by_run for t in c[f"{prefix}wall_s_raw_by_repeat"]]
-    scaled = [c[f"{prefix}wall_s_scaled"] for c in by_run]
     wall = statistics.median(raw)
     return {
-        f"{prefix}wall_s_raw_median": round(wall, 6), f"{prefix}wall_s_scaled_median_by_run": scaled,
-        f"{prefix}wall_s_raw_by_repeat": raw, f"{prefix}nodes_per_s_raw": round(nodes / wall),
-        f"{prefix}nodes_per_s_scaled": round(nodes / statistics.median(scaled)),
+        f"{prefix}wall_s_raw_median": round(wall, 6), f"{prefix}wall_s_raw_by_repeat": raw,
+        f"{prefix}nodes_per_s_raw": round(nodes / wall),
     }
 
 
 def pool(runs: list[list[dict]]) -> list[dict]:
-    """The cases of several runs of this script pooled, in BENCH_17.json's
-    format."""
+    """The cases of several runs of this script pooled."""
     if len({tuple(c["case"] for c in cases) for cases in runs}) != 1:
         raise ValueError("runs hold different cases")
     cases = []
@@ -175,17 +164,17 @@ def main() -> int:
             out = cr.search_coloring(n, targets)
             return out.status, out.nodes_explored
 
-        (status, nodes), raw, scaled = _timed(split, args.repeats)
-        one_core, one_raw, one_scaled = _timed(lambda: _one_core(n, targets), args.repeats)
+        (status, nodes), raw = _timed(split, args.repeats)
+        one_core, one_raw = _timed(lambda: _one_core(n, targets), args.repeats)
         if one_core != (status, nodes):
             raise AssertionError(f"{spec}@{n}: one core gave {one_core}, the split {(status, nodes)}")
         cases.append({"case": f"{spec.replace(',', '_')}_{n}", "status": status, "nodes": nodes,
-                      **_timings("", nodes, raw, scaled), **_timings("one_core_", nodes, one_raw, one_scaled), **env})
+                      **_timings("", nodes, raw), **_timings("one_core_", nodes, one_raw), **env})
     spec, n, caps = CAPPED
     targets = cr.parse_target_sequence(spec)
-    (status, nodes), raw, scaled = _timed(lambda: _one_core(n, targets, caps), args.repeats)
+    (status, nodes), raw = _timed(lambda: _one_core(n, targets, caps), args.repeats)
     cases.append({"case": f"{spec.replace(',', '_')}_{n}_caps", "degree_caps": caps, "status": status, "nodes": nodes,
-                  **_timings("one_core_", nodes, raw, scaled), **env})
+                  **_timings("one_core_", nodes, raw), **env})
     readings = [round(_pair_speed(), 3) for _ in range(PAIR_READINGS)]
     cases.append({"case": "pair_speed", "median": statistics.median(readings), "readings": readings,
                   "kernel_calls": PAIR_CALLS})

@@ -1,11 +1,12 @@
 """Bitset-backed simple graphs and complete edge colorings of complete graphs.
 
-Vertex capacity is fixed at 128.  Adjacency rows are Python ints used as
-bitsets; edge colors live in a flat triangular array indexed by
-pair_index(u, v) = v*(v-1)//2 + u for u < v, i.e. the pairs in the order
-(0,1), (0,2), (1,2), (0,3), ... — the same column-major order graph6 uses,
-so one pair-order serves both serializers.  Every pair of a coloring has a
-color: there is no partial coloring, in memory or in coloring text.
+Vertex capacity is fixed at 128 and color capacity at 256.  Adjacency rows
+are Python ints used as bitsets; edge colors live in a flat triangular
+bytearray, one byte a pair, indexed by pair_index(u, v) = v*(v-1)//2 + u for
+u < v, i.e. the pairs in the order (0,1), (0,2), (1,2), (0,3), ... — the
+same column-major order graph6 uses, so one pair-order serves both
+serializers.  Every pair of a coloring has a color: there is no partial
+coloring, in memory or in coloring text.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from . import targets as tg
 from .targets import TargetGraph
 
 MAX_VERTICES = 128
+# every color of a coloring is one byte
+MAX_COLORS = 256
 
 
 def pair_index(u: int, v: int) -> int:
@@ -277,8 +280,8 @@ def find_target_copy(g: SimpleGraph, t: TargetGraph) -> Optional[tuple[int, ...]
 def _check_size(n: int, c: int) -> None:
     if not 1 <= n <= MAX_VERTICES:
         raise ValueError(f"vertex count must be in [1, {MAX_VERTICES}], got {n}")
-    if c < 1:
-        raise ValueError(f"color count must be >= 1, got {c}")
+    if not 1 <= c <= MAX_COLORS:
+        raise ValueError(f"color count must be in [1, {MAX_COLORS}], got {c}")
 
 
 def _check_pair_color(col, c: int) -> None:
@@ -293,13 +296,12 @@ _BYTE_COLORS = bytes(range(256))
 
 
 class EdgeColoring:
-    """Complete edge coloring of K_n with c colors: every pair, in canonical
-    pair order, has an integer color in 0..c-1.  The constructor enforces
-    it, and set() keeps it.
+    """Complete edge coloring of K_n with c <= 256 colors: every pair, in
+    canonical pair order, has an integer color in 0..c-1.
 
-    colors is a bytearray when c <= 256, where every color fits in one
-    byte, and a list when c > 256.  The constructor packs it once, so color
-    classes and coloring text copy the bytes instead of converting a list.
+    colors is a bytearray, one byte a pair, that the constructor packs and
+    checks once; nothing in the API changes it afterwards.  Color classes,
+    coloring text and the hash read those bytes directly.
     """
 
     __slots__ = ("n", "c", "colors")
@@ -313,20 +315,15 @@ class EdgeColoring:
         if len(colors) != npairs:
             raise ValueError(f"expected {npairs} pair colors, got {len(colors)}")
         # a sum of ints is an int, and a float, a numpy integer or any other
-        # number among them makes it another type (1.0 and 1 would be one
-        # set member).  bytearray() refuses a color outside 0..255, and
+        # number among them makes it another type (bytearray() would take a
+        # numpy integer).  bytearray() refuses a color outside 0..255, and
         # deleting the bytes 0..c-1 leaves the colors out of range.  Where a
         # check fails, scan the given colors in pair order for the first bad
         # one.
-        packed = colors
         try:
-            if type(sum(colors)) is not int:
-                bad = True
-            elif c <= 256:
-                packed = bytearray(colors)
-                bad = bool(packed.translate(None, _BYTE_COLORS[:c]))
-            else:
-                bad = any(not 0 <= col < c for col in set(colors))
+            bad = type(sum(colors)) is not int
+            packed = bytearray(colors)
+            bad = bad or bool(packed.translate(None, _BYTE_COLORS[:c]))
         except (TypeError, ValueError):
             bad = True
         if bad:
@@ -347,22 +344,11 @@ class EdgeColoring:
         self._check_vertex(v)
         return self.colors[pair_index(u, v)]
 
-    def set(self, u: int, v: int, color: int) -> None:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        _check_pair_color(color, self.c)
-        self.colors[pair_index(u, v)] = color
-
     def color_class(self, i: int) -> SimpleGraph:
         self._check_color(i)
-        # one "0"/"1" flag per pair in canonical order, built in C and read
-        # as the pair bitset: bytearray() copies the packed colors, and a
-        # list (c > 256) with a color above 255 falls back to the 0/1 bytes
-        # of color == i
-        try:
-            flags = bytearray(self.colors).translate(_class_flags(i))
-        except ValueError:
-            flags = bytes(map(i.__eq__, self.colors)).translate(_class_flags(1))
+        # one "0"/"1" flag per pair in canonical order, translated in C from
+        # the packed colors and read as the pair bitset
+        flags = self.colors.translate(_class_flags(i))
         g = SimpleGraph.__new__(SimpleGraph)
         g.n = self.n
         g.adj = _rows_from_bits(int(flags[::-1] or b"0", 2), self.n)
@@ -401,7 +387,7 @@ class EdgeColoring:
         )
 
     def __hash__(self):
-        return hash((self.n, self.c, tuple(self.colors)))
+        return hash((self.n, self.c, bytes(self.colors)))
 
     def __repr__(self):
         return f"EdgeColoring(n={self.n}, c={self.c})"
@@ -663,17 +649,13 @@ def coloring_to_text(coloring: EdgeColoring) -> str:
     n, c = coloring.n, coloring.c
     header = f"{n} {c}\n"
     if c <= _TEMPLATE_COLORS:
-        # the tokens fill the template's slots; a color stored past the
-        # constructor's check, which bytearray() refuses or which has no
-        # one-character token, takes the pair lines below
-        try:
-            tokens = bytearray(coloring.colors).translate(_COLOR_TO_TOKEN)
-        except (ValueError, TypeError):
-            tokens = None
-        if tokens is not None and b"\0" not in tokens:
+        # the tokens fill the template's slots; a byte written into colors
+        # past the constructor's check, which has no one-character token,
+        # takes the pair lines below
+        tokens = coloring.colors.translate(_COLOR_TO_TOKEN)
+        if b"\0" not in tokens:
             return header + _filled_template(n, tokens).decode()
-    # ':d' writes a bool color as 0 or 1 and refuses a non-integer one
-    lines = [f"{u} {v} {col:d}\n" for (u, v, _, _), col in zip(_pair_table(n), coloring.colors)]
+    lines = [f"{u} {v} {col}\n" for (u, v, _, _), col in zip(_pair_table(n), coloring.colors)]
     return header + "".join(lines)
 
 
@@ -761,7 +743,7 @@ def _coloring_from_lines(text: str) -> EdgeColoring:
         colors[idx] = col
     missing = seen.find(0)
     if missing >= 0:
-        u, v = list(pair_iter(n))[missing]
+        u, v, _, _ = _pair_table(n)[missing]
         raise ValueError(f"missing pair {u} {v}: every pair needs a color in 0..{c - 1}")
     return EdgeColoring(n, c, colors)
 

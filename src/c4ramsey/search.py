@@ -33,6 +33,7 @@ from typing import Callable, Optional, Sequence
 
 from . import targets as tg
 from .graphs import (
+    MAX_COLORS,
     EdgeColoring,
     SimpleGraph,
     _clique_in,
@@ -677,6 +678,8 @@ def search_coloring(
         raise ValueError(f"n must be in [1, 128], got {n}")
     if not targets:
         raise ValueError("need at least one target")
+    if len(targets) > MAX_COLORS:
+        raise ValueError(f"need at most {MAX_COLORS} targets (one per color), got {len(targets)}")
     budget = budget or _DEFAULT_BUDGET
     start = time.monotonic()
     if degree_caps is not None:

@@ -9,6 +9,7 @@ import pytest
 
 from c4ramsey import EdgeColoring, SimpleGraph
 from c4ramsey import targets as tg
+from c4ramsey.graphs import pair_iter
 
 
 def oracle_vertex_count(t) -> int:
@@ -75,10 +76,8 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5) -> SimpleGraph:
 
 def two_five_cycles() -> EdgeColoring:
     """K5 split into two edge-disjoint Hamiltonian 5-cycles."""
-    col = EdgeColoring(5, 2, [1] * 10)
-    for u, v in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]:
-        col.set(u, v, 0)
-    return col
+    cycle = {(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)}
+    return EdgeColoring(5, 2, [0 if pair in cycle else 1 for pair in pair_iter(5)])
 
 
 @pytest.fixture

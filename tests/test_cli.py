@@ -638,6 +638,25 @@ class TestTopLevel:
         assert run([]) == 1
 
 
+class TestColorCountAbove256:
+    # a coloring has at most 256 colors, one byte a pair: a longer target
+    # list, or a coloring header with more colors, is a usage error
+    TARGETS = ",".join(["K3"] * 257)
+    HEADER = "3 257\n0 1 0\n0 2 256\n1 2 1\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["search", "--targets", TARGETS, "--n", "5"],
+        ["search", "--targets", TARGETS, "--n-min", "4", "--n-max", "5"],
+        ["verify", "C4,K3", "--coloring", HEADER],
+        ["witness", "C4,K3", "--coloring", HEADER],
+    ], ids=["search", "search-range", "verify", "witness"])
+    def test_is_a_usage_error(self, argv, capsys):
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 class TestParserReuse:
     # one parser serves every run() in a process; no call may see another's
     # options, so each answer must match the same call in a fresh interpreter

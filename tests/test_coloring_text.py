@@ -66,7 +66,7 @@ def test_round_trip(col):
     assert coloring_from_text(text) == col
 
 
-@pytest.mark.parametrize("c", [1, 2, 12, 300])
+@pytest.mark.parametrize("c", [1, 2, 12, 256])
 def test_writer_matches_reference_for_every_n(c):
     rng = random.Random(c)
     for n in range(1, 129):
@@ -129,18 +129,13 @@ def test_boundary_documents_read_as_the_loop_reads_them(name):
 
 
 def test_writer_joins_colors_without_a_one_character_token():
-    # an int stored past EdgeColoring's check is written as a pair line; the
-    # packed colors of c <= 256 refuse a float when it is stored, and the
-    # list of c > 256 takes it, but it has no integer token and is refused
+    # a byte stored past EdgeColoring's check is written as a pair line; the
+    # packed colors refuse a float when it is stored
     col = EdgeColoring(3, 2, [0, 1, 0])
     col.colors[1] = 12
     assert coloring_to_text(col) == "3 2\n0 1 0\n0 2 12\n1 2 0\n"
     with pytest.raises(TypeError):
         col.colors[1] = 1.0
-    col = EdgeColoring(3, 300, [0, 1, 0])
-    col.colors[1] = 1.0
-    with pytest.raises(ValueError):
-        coloring_to_text(col)
 
 
 @pytest.mark.parametrize("c", [2, 12])  # the template and the pair lines
@@ -152,8 +147,9 @@ def test_writer_writes_bool_colors_as_digits(c):
 
 
 def test_colors_beyond_the_token_table_round_trip():
-    # colors of any width are written and read as pair lines
-    col = EdgeColoring(4, 1000, [0, 255, 256, 999, 1, 7])
+    # colors of two and three digits, 10 to 255, are written and read as
+    # pair lines
+    col = EdgeColoring(23, 256, [*range(10, 256), 0, 1, 9, 99, 100, 254, 255])
     text = coloring_to_text(col)
     assert text == reference_text(col)
     assert _canonical_colors(text) is None
@@ -294,7 +290,7 @@ def assert_pair_lines_same_as_loop(text: str) -> None:
     assert _canonical_colors(text) is None
 
 
-@pytest.mark.parametrize("c", [11, 12, 100, 255, 256, 300])
+@pytest.mark.parametrize("c", [11, 12, 100, 255, 256])
 @pytest.mark.parametrize("n", [1, 2, 15, 128])
 def test_multi_character_tokens_read_by_the_line_loop(n, c):
     col = random_coloring(random.Random(n * c), n, c)
@@ -305,7 +301,7 @@ def test_multi_character_tokens_read_by_the_line_loop(n, c):
 
 
 @pytest.mark.parametrize("name", sorted(MUTATIONS))
-@pytest.mark.parametrize("n, c", [(2, 11), (5, 100), (14, 256), (14, 300)])
+@pytest.mark.parametrize("n, c", [(2, 11), (5, 100), (14, 256)])
 def test_mutated_multi_character_documents_read_as_the_loop_reads_them(name, n, c):
     rng = random.Random(f"{name} {n} {c}")
     col = random_coloring(rng, n, c)
@@ -320,7 +316,7 @@ def test_mutated_multi_character_documents_read_as_the_loop_reads_them(name, n, 
 @settings(max_examples=300, deadline=None)
 @given(
     st.sampled_from([2, 5, 14, 128]),
-    st.sampled_from([11, 12, 100, 255, 256, 300]),
+    st.sampled_from([11, 12, 100, 255, 256]),
     st.integers(0, 2**32),
     st.data(),
 )
@@ -343,7 +339,7 @@ def test_writer_bytes_are_pinned():
     digest = hashlib.sha256()
     for n in [*range(1, 40), 62, 100, 128]:
         npairs = n * (n - 1) // 2
-        for c in [*range(1, 13), 100, 255, 256, 300, 1000]:
+        for c in [*range(1, 13), 100, 255, 256]:
             rng = random.Random(n * 10007 + c)
             variants = [rng.choices(range(c), k=npairs)]
             if c >= 2:
@@ -353,4 +349,4 @@ def test_writer_bytes_are_pinned():
                 text = coloring_to_text(col)
                 assert coloring_from_text(text) == col
                 digest.update(text.encode())
-    assert digest.hexdigest() == "5eda9bc4670564d061204df3810173cf769f16fe3cd66258a6c50e55bdb8f54d"
+    assert digest.hexdigest() == "35102458f961fb9873f80bd07be1bef90ccc82cc94c9cb03cb36013afc1aac75"

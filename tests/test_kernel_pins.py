@@ -205,6 +205,14 @@ def test_no_targets_is_refused(n):
         search_coloring(n, [])
 
 
+def test_more_than_256_targets_are_refused_before_a_kernel_is_built():
+    # a coloring has at most 256 colors, one byte a pair
+    before = search._kernel.cache_info()
+    with pytest.raises(ValueError, match=r"^need at most 256 targets \(one per color\), got 257$"):
+        search_coloring(5, [clique(3)] * 257)
+    assert search._kernel.cache_info() == before
+
+
 @pytest.mark.parametrize("ns", [(5, 7), (15, 16)], ids=["tables", "loops"])
 @pytest.mark.parametrize("cap", [0, 1, 2, 3, 4])
 @pytest.mark.parametrize("target", [CYCLE4, PATH3, clique(3), clique(4), clique(5), star(3), book(2), None], ids=str)
