@@ -290,7 +290,7 @@ def assert_pair_lines_same_as_loop(text: str) -> None:
     assert _canonical_colors(text) is None
 
 
-@pytest.mark.parametrize("c", [11, 12, 100, 255, 256])
+@pytest.mark.parametrize("c", [11, 12, 100, 101, 255, 256])  # 101: the first with a three-digit color
 @pytest.mark.parametrize("n", [1, 2, 15, 128])
 def test_multi_character_tokens_read_by_the_line_loop(n, c):
     col = random_coloring(random.Random(n * c), n, c)
@@ -301,7 +301,8 @@ def test_multi_character_tokens_read_by_the_line_loop(n, c):
 
 
 @pytest.mark.parametrize("name", sorted(MUTATIONS))
-@pytest.mark.parametrize("n, c", [(2, 11), (5, 100), (14, 256)])
+# (128, 255): the largest order, one color short of the byte limit
+@pytest.mark.parametrize("n, c", [(2, 11), (5, 100), (14, 256), (128, 255)])
 def test_mutated_multi_character_documents_read_as_the_loop_reads_them(name, n, c):
     rng = random.Random(f"{name} {n} {c}")
     col = random_coloring(rng, n, c)
