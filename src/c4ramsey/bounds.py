@@ -1,7 +1,7 @@
 """Exact-integer evaluation of Theorem MT, the package's one bound formula.
 
 Every bound the paper's abstract states follows from Theorem MT on some
-(m, r_1..r_n), so `derive` and every `bound` option evaluate
+(m, r_1..r_n), so `derive` and `bound --m M --r R..` both evaluate
 `theorem_mt_bound`.  Its ceil(m * sqrt(...)) term is rewritten as the
 integer square root of an integer radicand, because the bounds sit exactly
 on ceiling boundaries (sqrt(36), sqrt(49), ...) where any floating-point
@@ -55,7 +55,8 @@ def theorem_mt_bound(q: BoundQuery) -> int:
     The paper's corollaries are this bound on their own r: Parsons' star
     bound R(C4,K_{1,k}) <= k + ceil(sqrt(k)) + 1 is m = 1, r = (k,); the book
     bound R(C4,B_k) <= s + ceil(sqrt(s)) + 1 is m = 1, r = (s,), s an upper
-    bound on R(C4,K_{1,k}); the multicolor star bound is r = (k_1..k_n).
+    bound on R(C4,K_{1,k}), which `derive` takes from Parsons' bound or a
+    registry fact; the multicolor star bound is r = (k_1..k_n).
     """
     m, s = q.m, q.s
     if m == 1 and s < 1:

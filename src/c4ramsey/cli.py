@@ -33,7 +33,7 @@ from .search import (
     ramsey_by_search,
     search_coloring,
 )
-from .targets import CYCLE4, TargetList, parse_target_sequence, parse_targets, star
+from .targets import parse_target_sequence, parse_targets
 from .witness import (
     BadWitnessError,
     extend_with_disjoint_clique,
@@ -80,27 +80,9 @@ def _emit(args, doc: dict, text: str) -> None:
         print(text)
 
 
-# the options each bound formula reads; any other one given is a usage error
-_BOUND_OPTIONS = {"mt": ("m", "r"), "parsons": (), "book": ("registry",), "stars": ("m",)}
-
-
 def _cmd_bound(args) -> int:
-    formula = next(f for f in _BOUND_OPTIONS if getattr(args, f) is not None)
-    for name in ("m", "r", "registry"):
-        if getattr(args, name) is not None and name not in _BOUND_OPTIONS[formula]:
-            raise SystemExit(f"--{name} does not apply to --{formula}")
-    # every formula is Theorem MT on the r it picks: Parsons' star bound on
-    # (k,), the multicolor star bound on (k_1..k_n), and the book bound on
-    # (s,), s the better of Parsons' bound and a registry fact on R(C4,S_k)
-    if formula == "book":
-        parsons = theorem_mt_bound(BoundQuery(1, (args.book,)))
-        fact = _load_registry_arg(args.registry).best_upper(TargetList((CYCLE4, star(args.book))))
-        r = [parsons if fact is None else min(parsons, fact.value)]
-    else:
-        r = {"mt": args.r or [], "parsons": [args.parsons], "stars": args.stars}[formula]
-    m = 1 if args.m is None else args.m
-    value = theorem_mt_bound(BoundQuery(m, tuple(r)))
-    _emit(args, {"command": "bound", "formula": formula, "value": value}, str(value))
+    value = theorem_mt_bound(BoundQuery(args.m, tuple(args.r)))
+    _emit(args, {"command": "bound", "value": value}, str(value))
     return EXIT_OK
 
 
@@ -259,16 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("bound", help="evaluate one bound formula")
-    formula = p.add_mutually_exclusive_group(required=True)
-    # None when not given, as for the formulas that take values
-    formula.add_argument("--mt", action="store_true", default=None)
-    formula.add_argument("--parsons", type=int, metavar="K")
-    formula.add_argument("--book", type=int, metavar="K")
-    formula.add_argument("--stars", type=int, nargs="+", metavar="K")
-    p.add_argument("--m", type=int)  # None when not given; the formulas that read it take 1
-    p.add_argument("--r", type=int, nargs="*")
-    p.add_argument("--registry", metavar="PATH")
+    p = sub.add_parser("bound", help="evaluate Theorem MT on m and r_1..r_n")
+    p.add_argument("--m", type=int, default=1)
+    p.add_argument("--r", type=int, nargs="*", default=(), metavar="R")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_bound)
 

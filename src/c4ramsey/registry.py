@@ -59,10 +59,14 @@ class RamseyFact:
             raise ValueError(
                 f"bad fact line {line!r}; expected 'targets | kind | value | citation | trust'"
             )
+        try:
+            value = int(parts[2])
+        except ValueError:
+            raise ValueError(f"fact value must be an integer, got {parts[2]!r}") from None
         return RamseyFact(
             targets=parse_targets(parts[0]),
             kind=parts[1],
-            value=int(parts[2]),
+            value=value,
             citation=parts[3],
             trust=parts[4],
         )
@@ -139,11 +143,17 @@ def render_registry(reg: Registry) -> str:
 
 
 def parse_registry(text: str) -> Registry:
+    """The registry of a fact file.  A refused line raises its own error, of
+    the same type, with "line N: " (1-based) put before the message."""
     reg = Registry()
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            reg.add(RamseyFact.from_line(line))
+            try:
+                reg.add(RamseyFact.from_line(line))
+            except ValueError as e:
+                e.args = (f"line {number}: {e}",)
+                raise
     return reg
 
 

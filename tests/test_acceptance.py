@@ -82,12 +82,14 @@ def test_criterion_2_books_and_stars(tmp_path):
         assert theorem_mt_bound(BoundQuery(1, (23,))) == 29
         assert theorem_mt_bound(BoundQuery(1, (7,))) == 11
         assert isqrt_ceil(7) == 3
-        for argv, value in ((["--book", "17"], "28"), (["--book", "17", "--registry", str(empty)], "29"),
-                            (["--parsons", "7"], "11")):
+        # `bound --r` takes r_1 itself; `derive C4,B17` takes it from a registry
+        for argv, value in ((["bound", "--r", "22"], "28"), (["bound", "--r", "23"], "29"),
+                            (["bound", "--r", "7"], "11"), (["derive", "C4,B17"], "28"),
+                            (["derive", "C4,B17", "--registry", str(empty)], "29")):
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
-                assert run(["bound", *argv]) == 0
-            assert out.getvalue() == value + "\n"
+                assert run(argv) == 0
+            assert out.getvalue().split("\n", 1)[0] == value
 
     report(2, "books/stars corollaries", check, 1.0)
 

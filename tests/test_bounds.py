@@ -105,82 +105,99 @@ def bound(*args):
     return code, out.getvalue().strip()
 
 
+def book(k):
+    """`bound --r S`, S what `bound --r K` prints: the book bound on Parsons' star bound."""
+    code, s = bound("--r", k)
+    return bound("--r", s) if code == 0 else (code, s)
+
+
+def derived(targets, registry=None):
+    """(exit code, first stdout line) of `c4ramsey derive TARGETS [--registry PATH]`."""
+    out = io.StringIO()
+    argv = ["derive", targets] + ([] if registry is None else ["--registry", registry])
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+    return code, out.getvalue().split("\n", 1)[0]
+
+
 def star_registry(path, facts):
     """A registry file holding an upper bound on R(C4,S_k) for each k -> v."""
     Registry(RamseyFact.from_line(f"C4,S{k} | upper | {v} | | user") for k, v in facts.items()).save(path)
     return str(path)
 
 
-# `bound --parsons`, `--book` and `--stars` are Theorem MT on the r each picks:
-# r = (k,) for Parsons' star bound, r = (s,) for the book bound with s an
-# upper bound on R(C4,S_k), and r = (k_1..k_n) for the multicolor star bound
+# The paper's star, book and multicolor star bounds are Theorem MT on their
+# own r, which `bound --m M --r R..` evaluates: r = (k,) for Parsons' star
+# bound, r = (s,) for the book bound with s an upper bound on R(C4,S_k), and
+# r = (k_1..k_n) for the multicolor star bound.  `derive C4,Bk` takes s as the
+# better of Parsons' bound and a registry fact on R(C4,S_k)
 
 
 class TestParsonsAndBooks:
     def test_k7_prime_power_case(self):
         assert mt(1, 7) == 11 == 7 + isqrt_ceil(7) + 1
         assert isqrt_ceil(7) == 3
-        assert bound("--parsons", 7) == (0, "11")
+        assert bound("--r", 7) == (0, "11")
 
     def test_small_values(self):
         assert mt(1, 2) == 5
         assert mt(1, 17) == 23
-        assert bound("--parsons", 2) == (0, "5")
-        assert bound("--parsons", 17) == (0, "23")
+        assert bound("--r", 2) == (0, "5")
+        assert bound("--r", 17) == (0, "23")
 
     def test_k_below_2_rejected(self):
         with pytest.raises(ValueError):
             mt(1, 1)
         for k in (1, 0, -3):
-            assert bound("--parsons", k) == (1, "")
-            assert bound("--book", k) == (1, "")
+            assert bound("--r", k) == (1, "")
 
     def test_book_17_with_and_without_registry_fact(self, tmp_path):
         # the seed registry holds R(C4,S17) = 22 [Par3]; Parsons gives 23
         assert mt(1, 22) == 28 and mt(1, mt(1, 17)) == 29
-        assert bound("--book", 17) == (0, "28")
-        assert bound("--book", 17, "--registry", star_registry(tmp_path / "empty.txt", {})) == (0, "29")
+        assert bound("--r", 22) == derived("C4,B17") == (0, "28")
+        empty = star_registry(tmp_path / "empty.txt", {})
+        assert book(17) == derived("C4,B17", empty) == (0, "29")
 
     def test_book_2(self):
         assert mt(1, mt(1, 2)) == 9
-        assert bound("--book", 2) == (0, "9")
+        assert bound("--r", 5) == book(2) == derived("C4,B2") == (0, "9")
 
     def test_book_keeps_parsons_under_a_weaker_star_fact(self, tmp_path):
         weak = star_registry(tmp_path / "weak.txt", {5: 20})
         assert mt(1, 5) == 9
-        assert bound("--book", 5, "--registry", weak) == bound("--book", 5) == (0, "13")
+        assert derived("C4,B5", weak) == derived("C4,B5") == book(5) == (0, "13")
 
     def test_parsons_is_theorem_mt(self):
         for k in list(range(2, 5000)) + [10**6 + 3, 2**62, 10**40]:
             assert mt(1, k) == k + isqrt_ceil(k) + 1
         for k in [2, 3, 99, 10**6 + 3, 2**62, 10**40]:
-            assert bound("--parsons", k) == (0, str(mt(1, k)))
+            assert bound("--r", k) == (0, str(mt(1, k)))
 
     def test_book_is_theorem_mt_on_the_star_bound(self, tmp_path):
-        empty = star_registry(tmp_path / "empty.txt", {})
         for k in range(2, 500):
             s = mt(1, k)
-            assert bound("--book", k, "--registry", empty) == (0, str(mt(1, s))) == (0, str(s + isqrt_ceil(s) + 1))
+            assert book(k) == (0, str(mt(1, s))) == (0, str(s + isqrt_ceil(s) + 1))
         # star facts below, at and above Parsons' bound, each at least the trivial floor
         ks = range(2, 60)
         for shift in (lambda k, s: k + 1, lambda k, s: s - 1, lambda k, s: s, lambda k, s: s + 7):
             facts = {k: max(4, shift(k, mt(1, k))) for k in ks}
             reg = star_registry(tmp_path / "stars.txt", facts)
             for k in ks:
-                assert bound("--book", k, "--registry", reg) == (0, str(mt(1, min(mt(1, k), facts[k]))))
+                s = min(mt(1, k), facts[k])
+                assert derived(f"C4,B{k}", reg) == bound("--r", s) == (0, str(mt(1, s)))
 
 
 class TestStarsBound:
     def test_single_star_values(self):
         assert mt(1, 3) == 6
         assert mt(2, 1) == 7
-        assert bound("--stars", 3) == (0, "6")
-        assert bound("--stars", 1, "--m", 2) == (0, "7")
+        assert bound("--r", 3) == (0, "6")
+        assert bound("--r", 1, "--m", 2) == (0, "7")
 
     def test_precondition(self):
         with pytest.raises(ValueError):
             mt(1, 1)
-        assert bound("--stars", 1) == (1, "")
+        assert bound("--r", 1) == (1, "")
 
     def test_reduces_to_single_star_closed_form(self):
         # for n=1 the bound equals k + (m^2+m)/2 + ceil(m sqrt(k + (m^2+2m-3)/4));
@@ -196,9 +213,9 @@ class TestStarsBound:
                 assert mt(m, k) == k + m * (m + 1) // 2 + c
 
     def test_matches_theorem_mt(self):
-        # `bound --stars K.. --m M` prints Theorem MT on (M, K..), or exits 1
+        # `bound --m M --r K..` prints Theorem MT on (M, K..), or exits 1
         # where Theorem MT refuses them
-        assert bound("--stars", 3, 4, "--m", 2) == (0, str(mt(2, 3, 4))) == (0, "15")
+        assert bound("--r", 3, 4, "--m", 2) == (0, str(mt(2, 3, 4))) == (0, "15")
         rng = random.Random(18)
         for _ in range(5000):
             m = rng.randint(0, 4)
@@ -209,7 +226,7 @@ class TestStarsBound:
                 expected = (0, str(mt(m, *k)))
             except ValueError:
                 expected = (1, "")
-            assert bound("--stars", *k, "--m", m) == expected, (m, k)
+            assert bound("--r", *k, "--m", m) == expected, (m, k)
 
 
 class TestSedrakyanSpecialCase:

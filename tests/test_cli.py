@@ -80,78 +80,50 @@ def run_captured(argv):
 
 class TestBound:
     def test_mt_paper_case(self, capsys):
-        assert run(["bound", "--mt", "--m", "1", "--r", "36"]) == 0
+        assert run(["bound", "--m", "1", "--r", "36"]) == 0
         assert out_of(capsys) == "43"
 
     def test_mt_two_colors(self, capsys):
-        assert run(["bound", "--mt", "--m", "2", "--r", "75", "75"]) == 0
+        assert run(["bound", "--m", "2", "--r", "75", "75"]) == 0
         assert out_of(capsys) == "177"
 
     def test_parsons(self, capsys):
-        assert run(["bound", "--parsons", "7"]) == 0
+        assert run(["bound", "--r", "7"]) == 0
         assert out_of(capsys) == "11"
 
-    def test_book_uses_registry_star_fact(self, capsys):
-        assert run(["bound", "--book", "17"]) == 0
-        assert out_of(capsys) == "28"
+    def test_book_is_theorem_mt_on_the_registry_star_fact(self, capsys):
+        # R(C4,S17) = 22 [Par3] in the seed registry
+        assert run(["bound", "--r", "22"]) == 0
+        assert run(["derive", "C4,B17"]) == 0
+        assert out_of(capsys).splitlines()[:2] == ["28", "28"]
 
     def test_book_ignores_a_star_fact_weaker_than_parsons(self, tmp_path, capsys):
         path = tmp_path / "reg.txt"
         Registry([RamseyFact.from_line("C4,S5 | upper | 20 | weak | user")]).save(path)
-        assert run(["bound", "--book", "5", "--registry", str(path)]) == 0
-        assert out_of(capsys) == "13"  # Parsons: R(C4,S5) <= 9, 9 + 3 + 1
         assert run(["derive", "C4,B5", "--registry", str(path)]) == 0
-        assert out_of(capsys).splitlines()[0] == "13"
+        assert out_of(capsys).splitlines()[0] == "13"  # Parsons: R(C4,S5) <= 9, 9 + 3 + 1
+        assert run(["bound", "--r", "9"]) == 0
+        assert out_of(capsys) == "13"
 
     def test_stars(self, capsys):
-        assert run(["bound", "--stars", "3", "4", "--m", "2"]) == 0
+        assert run(["bound", "--m", "2", "--r", "3", "4"]) == 0
         assert out_of(capsys) == "15"
 
     def test_json(self, capsys):
-        assert run(["bound", "--mt", "--m", "1", "--r", "36", "--json"]) == 0
+        assert run(["bound", "--m", "1", "--r", "36", "--json"]) == 0
         doc = json.loads(out_of(capsys))
-        assert doc == {"command": "bound", "formula": "mt", "value": 43}
+        assert doc == {"command": "bound", "value": 43}
 
-    def test_no_formula_selected_is_usage_error(self, capsys):
-        assert run(["bound"]) == 1
-
-    @pytest.mark.parametrize("argv", [["--parsons", "5", "--book", "3"], ["--stars", "3", "--mt", "--r", "5"]])
-    def test_two_formulas_are_a_usage_error(self, argv, capsys):
-        assert run(["bound"] + argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error:") and captured.err.count("\n") == 1
-
-    @pytest.mark.parametrize(
-        "argv, flag",
-        [
-            (["--parsons", "7", "--m", "3"], "--m"),
-            (["--book", "17", "--m", "4"], "--m"),
-            (["--parsons", "7", "--registry", "nonexist.txt"], "--registry"),
-            (["--parsons", "7", "--r"], "--r"),
-            (["--stars", "3", "4", "--r", "2"], "--r"),
-            (["--stars", "3", "--registry", "nonexist.txt"], "--registry"),
-            (["--mt", "--m", "1", "--r", "36", "--registry", "nonexist.txt"], "--registry"),
-            (["--mt", "--r", "36", "--registry", "nonexist.txt"], "--registry"),
-            (["--stars", "3", "4", "--m", "2", "--registry", "nonexist.txt"], "--registry"),
-            (["--book", "17", "--r", "5"], "--r"),
-        ],
-    )
-    def test_an_option_the_formula_does_not_read_is_a_usage_error(self, argv, flag, capsys):
-        assert run(["bound"] + argv) == 1
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.count("\n") == 1
-        assert captured.err.startswith(f"error: {flag} does not apply to {argv[0]}")
-
-    def test_m_defaults_to_one_where_it_is_read(self, capsys):
-        assert run(["bound", "--stars", "3", "4"]) == 0
-        assert run(["bound", "--stars", "3", "4", "--m", "1"]) == 0
-        assert run(["bound", "--mt", "--r", "36"]) == 0
+    def test_m_defaults_to_one(self, capsys):
+        assert run(["bound", "--r", "3", "4"]) == 0
+        assert run(["bound", "--r", "3", "4", "--m", "1"]) == 0
+        assert run(["bound", "--r", "36"]) == 0
         assert out_of(capsys).split() == ["10", "10", "43"]
 
     def test_n_mismatch_is_usage_error(self, capsys):
-        assert run(["bound", "--mt", "--m", "1", "--n", "2", "--r", "36"]) == 1
+        assert run(["bound", "--m", "1", "--n", "2", "--r", "36"]) == 1
 
-    @pytest.mark.parametrize("flags", ["--mt", "--mt --m 1"])
+    @pytest.mark.parametrize("flags", ["", "--m 1", "--r"])
     def test_m1_without_r_says_none_was_given(self, flags, capsys):
         assert run(["bound", *flags.split()]) == 1
         assert capsys.readouterr().err == "error: m=1 needs some r_i > 1, and no r_i was given\n"
@@ -162,13 +134,13 @@ class TestBound:
     def test_large_r_is_exact(self, capsys):
         # m = 1: (r - 1) + 1 + 1 + c, c the least with c^2 >= r
         r = 10**49
-        assert run(["bound", "--mt", "--m", "1", "--r", str(r)]) == 0
+        assert run(["bound", "--m", "1", "--r", str(r)]) == 0
         c = int(out_of(capsys)) - r - 1
         assert c * c >= r > (c - 1) * (c - 1)
 
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no limit on int digits")
     def test_r_past_the_int_digit_limit_is_usage_error(self, capsys):
-        assert run(["bound", "--mt", "--r", "1" * (sys.get_int_max_str_digits() + 1)]) == 1
+        assert run(["bound", "--r", "1" * (sys.get_int_max_str_digits() + 1)]) == 1
         err = capsys.readouterr().err.strip()
         assert err.startswith("error:") and "\n" not in err
 
@@ -597,14 +569,26 @@ class TestRegistry:
         assert captured.out == ""
         assert captured.err == "error: upper bound 3 for C4,K3 is below the trivial lower bound 4\n"
 
-    @pytest.mark.parametrize("argv", [["derive", "C4,K10"], ["bound", "--book", "9"]])
+    @pytest.mark.parametrize("argv", [["derive", "C4,K10"], ["derive", "C4,B9"]])
     def test_registry_file_below_the_trivial_lower_bound_is_error(self, tmp_path, argv, capsys):
         path = tmp_path / "reg.txt"
         path.write_text("C4,K9 | upper | 2 | fake | user\n")
         assert run(argv + ["--registry", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: upper bound 2 for C4,K9 is below the trivial lower bound 9\n"
+        assert captured.err == "error: line 1: upper bound 2 for C4,K9 is below the trivial lower bound 9\n"
+
+    @pytest.mark.parametrize("line, message", [
+        ("C4,K3 | exct | 7 | x | user", "kind must be one of ('exact', 'upper', 'lower'), got 'exct'"),
+        ("C4,K3 | exact | x | x | user", "fact value must be an integer, got 'x'"),
+        ("C4,Q3 | exact | 7 | x | user", "unsupported target 'Q3' at position 3 in 'C4,Q3'"),
+    ], ids=["kind", "value", "target"])
+    def test_registry_file_error_names_the_bad_line(self, tmp_path, line, message, capsys):
+        path = tmp_path / "reg.txt"
+        path.write_text(f"# targets | kind | value | citation | trust\nC4,S3 | upper | 6 | a | user\n\n{line}\n")
+        assert run(["derive", "C4,K11", "--registry", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: line 4: {message}\n")
 
     @pytest.mark.parametrize("citation", ["see #3", "a | b"])
     def test_add_with_a_citation_the_file_cannot_carry_is_error(self, tmp_path, citation, capsys):
@@ -666,8 +650,8 @@ class TestParserReuse:
         ["derive", "C4,K3,K4"],
         ["search", "--targets", "C4,C4", "--n", "6"],
         ["derive", "C4,K11", "--depth"],
-        ["bound", "--parsons", "7", "--json"],
-        ["bound", "--parsons", "7"],
+        ["bound", "--r", "7", "--json"],
+        ["bound", "--r", "7"],
     ]
 
     @staticmethod
@@ -725,7 +709,7 @@ class TestClosedStdout:
 def test_runs_as_a_module():
     src = Path(c4ramsey.__file__).resolve().parents[1]
     done = subprocess.run(
-        [sys.executable, "-m", "c4ramsey.cli", "bound", "--parsons", "7"],
+        [sys.executable, "-m", "c4ramsey.cli", "bound", "--r", "7"],
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert (done.returncode, done.stdout) == (0, "11\n")
@@ -788,11 +772,12 @@ def test_derive_plans_lists_with_a_c4_plus_isolated_vertices(capsys, targets):
 
 
 
-# `bound` lines swept with a fixed seed: every --parsons K and --book K for K
-# in -3..299 and three huge K, random --stars and --mt lines, --book against
-# a registry file of random C4,S_k facts, and --json lines.  The stream still
-# draws the --p3 and --lemma2 lines of the formulas `bound` once had, so the
-# other lines stay as they were; _bound_sweep keeps them apart
+# `bound` lines swept with a fixed seed, written with the formula flags
+# `bound` once took: every --parsons K and --book K for K in -3..299 and three
+# huge K, random --stars and --mt lines, --book against a registry file of
+# random C4,S_k facts, and --json lines.  The stream also draws the --p3 and
+# --lemma2 lines of formulas deleted earlier, so the other lines stay as they
+# were; _bound_sweep keeps them apart
 _HUGE = (10**6 + 3, 2**62, 10**40)
 _DELETED_FORMULAS = ("--p3", "--lemma2")
 
@@ -834,38 +819,78 @@ def _star_registry(path):
     Registry(facts).save(path)
 
 
-# sha256 over "ARGV\nCODE\n" + stdout of every swept line, the registry
-# path written as REG; recorded while `bound` still had --p3 and --lemma2,
-# over the 4,728 lines that are not theirs
-BOUND_SWEEP_DIGEST = "f77931ccde5cb8499de67e8019b3fe5cfe7885867d658b927f7297bdeaf20afd"
+def _translated(argv):
+    """The command that now computes what an old `bound` line computed:
+    --mt goes, --parsons and --stars become --r, and --book K [--registry P]
+    becomes `derive C4,BK [--registry P]`."""
+    flag, rest = argv[1], argv[2:]
+    if flag == "--book":
+        return ["derive", f"C4,B{rest[0]}", *rest[1:]]
+    return ["bound", *([] if flag == "--mt" else ["--r"]), *rest]
 
-# bound ARGS -> (exit code, stdout), recorded with the sweep; EMPTY names an
-# empty registry file
+
+def _value(argv, code, out):
+    """The JSON "value" of a successful --json run (the root node's for
+    derive), else the first stdout line."""
+    if "--json" in argv and code == 0:
+        doc = json.loads(out)
+        return doc["tree"]["nodes"][-1]["value"] if argv[0] == "derive" else doc["value"]
+    return out.split("\n", 1)[0]
+
+
+def _book_bound_moved(argv):
+    return argv[1] == "--book" and int(argv[2]) in (1, *_HUGE)
+
+
+# sha256 over "ARGV\nCODE\nVALUE\n" of the 4,722 swept lines that are not
+# _book_bound_moved, the registry path written as REG, recorded while `bound`
+# still took the formula flags: ARGV is the old line, CODE and VALUE what it
+# gave then, which its translation must give now
+BOUND_SWEEP_DIGEST = "e844d9144a8a2718f1a6d402112d2837ead29f37c53edb1c7457104408540826"
+
+# (old line, exit code, value) of the translations whose outcome moved, in
+# sweep order.  `derive` does not read B1 as K3, so C4,B1 is cannot-derive
+# (exit 2) where --book 1 was a usage error (exit 1); and it refuses the
+# huge books as too large to plan (exit 1), where --book gave a value
+BOUND_SWEEP_MOVED = [
+    ("bound --book 1", 2, ""),
+    ("bound --book 1000003", 1, ""),
+    (f"bound --book {2**62}", 1, ""),
+    (f"bound --book {10**40}", 1, ""),
+    ("bound --book 1 --registry REG", 2, ""),
+    ("bound --book 1 --registry REG", 2, ""),
+]
+
+# bound ARGS -> (exit code, stdout); EMPTY names an empty registry file.  The
+# comments give the old formula line each one computes
 BOUND_SPOTS = {
-    "--parsons 7": (0, "11"),
-    "--parsons 2": (0, "5"),
-    "--parsons 17": (0, "23"),
-    "--parsons 1000003": (0, "1001005"),
-    f"--parsons {10**40}": (0, f"{10**40 + 10**20 + 1}"),
-    "--book 17": (0, "28"),
-    "--book 17 --registry EMPTY": (0, "29"),
-    "--book 2": (0, "9"),
-    "--book 5": (0, "13"),
-    f"--book {2**62}": (0, "4611686022722355203"),
-    "--book 17 --json": (0, '{\n  "command": "bound",\n  "formula": "book",\n  "value": 28\n}'),
-    "--stars 3": (0, "6"),
-    "--stars 1 --m 2": (0, "7"),
-    "--stars 3 4 --m 2": (0, "15"),
-    "--stars 3 4": (0, "10"),
-    "--stars 17 17 17": (0, "57"),
-    "--mt --m 1 --r 36": (0, "43"),
-    "--mt --m 3": (0, "13"),
+    "--r 7": (0, "11"),  # --parsons 7
+    "--r 2": (0, "5"),
+    "--r 17": (0, "23"),
+    "--r 1000003": (0, "1001005"),
+    f"--r {10**40}": (0, f"{10**40 + 10**20 + 1}"),
+    "--r 22": (0, "28"),  # --book 17: R(C4,S17) <= 22 in the seed registry
+    "--r 23": (0, "29"),  # --book 17 --registry EMPTY: Parsons' 23
+    "--r 5": (0, "9"),  # --book 2
+    "--r 9": (0, "13"),  # --book 5
+    f"--r {2**62 + 2**31 + 1}": (0, "4611686022722355203"),  # --book 2**62
+    "--r 22 --json": (0, '{\n  "command": "bound",\n  "value": 28\n}'),
+    "--r 3": (0, "6"),  # --stars 3
+    "--r 1 --m 2": (0, "7"),
+    "--r 3 4 --m 2": (0, "15"),
+    "--r 3 4": (0, "10"),
+    "--r 17 17 17": (0, "57"),
+    "--m 1 --r 36": (0, "43"),  # --mt --m 1 --r 36
+    "--m 3": (0, "13"),
+    "--r 1": (1, ""),
+    "--r 3 --m 0": (1, ""),
+    "--parsons 7": (1, ""),
+    "--book 17": (1, ""),
+    "--stars 3": (1, ""),
+    "--mt --m 3": (1, ""),
+    "--r 7 --registry EMPTY": (1, ""),
     "--p3 --m 1 --r 36": (1, ""),
     "--lemma2 --m 2 --r 5": (1, ""),
-    "--parsons 1": (1, ""),
-    "--book 1": (1, ""),
-    "--stars 1": (1, ""),
-    "--stars 3 --m 0": (1, ""),
 }
 
 
@@ -878,23 +903,42 @@ def test_bound_spot_values(tmp_path, args):
     assert err == "" if code == 0 else (err.startswith("error: ") and err.count("\n") == 1)
 
 
-def test_bound_sweep_outputs_are_pinned(tmp_path):
+def test_bound_sweep_translations_give_the_old_values(tmp_path):
     reg = str(tmp_path / "stars.txt")
     _star_registry(reg)
     digest = hashlib.sha256()
+    moved = []
     for argv in _bound_sweep(reg):
-        code, out, err = run_captured(argv)
-        assert err == "" if code == 0 else (out == "" and err.startswith("error: ") and err.count("\n") == 1), argv
+        new = _translated(argv)
+        code, out, err = run_captured(new)
+        assert err == "" if code == 0 else (out == "" and err.count("\n") == 1), new
         shown = " ".join("REG" if a == reg else a for a in argv)
-        digest.update(f"{shown}\n{code}\n{out}".encode())
+        value = _value(new, code, out)
+        if _book_bound_moved(argv):
+            moved.append((shown, code, value))
+        else:
+            digest.update(f"{shown}\n{code}\n{value}\n".encode())
     assert digest.hexdigest() == BOUND_SWEEP_DIGEST
+    assert moved == BOUND_SWEEP_MOVED
+
+
+@pytest.mark.parametrize("k, value", [
+    (10**6 + 3, "1002007"),
+    (2**62, "4611686022722355203"),
+    (10**40, f"{10**40 + 2 * 10**20 + 3}"),
+])
+def test_book_bound_past_the_plan_size_limit_is_two_bound_steps(k, value):
+    # what `bound --book K` printed: Theorem MT on Parsons' bound on R(C4,S_K)
+    code, s, err = run_captured(["bound", "--r", str(k)])
+    assert (code, err) == (0, "")
+    assert run_captured(["bound", "--r", s.strip()]) == (0, f"{value}\n", "")
 
 
 def test_bound_sweep_lines_of_deleted_formulas_are_usage_errors(tmp_path):
     reg = str(tmp_path / "stars.txt")
     _star_registry(reg)
-    dropped = _bound_sweep(reg, deleted=True)
-    assert len(dropped) == 1997 and len(_bound_sweep(reg)) == 4728
-    for argv in dropped:
+    kept, dropped = _bound_sweep(reg), _bound_sweep(reg, deleted=True)
+    assert len(dropped) == 1997 and len(kept) == 4728
+    for argv in kept + dropped:
         code, out, err = run_captured(argv)
         assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1, argv

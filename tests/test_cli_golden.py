@@ -60,7 +60,7 @@ CASES = {
     "witness-good-json": ["witness", "C4,K3", "--coloring", W6, "--add-clique", "2", "--json"],
     "witness-bad": ["witness", "C4,K3", "--coloring", BAD6],
     "witness-bad-json": ["witness", "C4,K3", "--coloring", BAD6, "--json"],
-    "bound-book": ["bound", "--book", "17"],
+    "bound-book": ["bound", "--r", "22"],  # the book bound on R(C4,S17) <= 22
 }
 
 # name -> (exit code, sha256 of stdout)

@@ -129,6 +129,16 @@ class TestFileFormat:
         with pytest.raises(ValueError):
             RamseyFact.from_line("C4,K10 | exact | 36")
 
+    @pytest.mark.parametrize("line, error, message", [
+        ("C4,K9 | upper | 2 | fake | user", ContradictionError, "upper bound 2 for C4,K9 is below the trivial"),
+        ("C4,K9 | upper | 1.5 | fake | user", ValueError, "fact value must be an integer, got '1.5'"),
+        ("C4,K9 | upper | 20", ValueError, "bad fact line"),
+    ])
+    def test_refused_file_line_keeps_its_error_and_is_named(self, line, error, message):
+        with pytest.raises(error, match=f"^line 3: {re.escape(message)}") as caught:
+            parse_registry(f"# comment\nC4,K10 | exact | 36 | [LaLR] | paper\n{line}\n")
+        assert type(caught.value) is error
+
     @pytest.mark.parametrize("citation", ["a | b", "see #3", "two\nlines", "cr\rlf", " padded", "sep\u2028"])
     def test_citation_the_line_cannot_carry_is_rejected(self, citation):
         with pytest.raises(ValueError, match="citation"):
