@@ -26,7 +26,6 @@ from .search import (
 )
 from .targets import (
     CYCLE4,
-    PATH3,
     TargetGraph,
     TargetList,
     book,

@@ -196,7 +196,7 @@ def _cmd_witness(args) -> int:
         extended, promoted = extend_with_disjoint_clique(
             coloring, targets, args.add_clique, args.c4_color, args.clique_color
         )
-    except (ValueError, BadWitnessError) as e:
+    except BadWitnessError as e:
         _emit(args, {"command": "witness", "status": "error", "message": str(e)}, f"ERROR: {e}")
         return EXIT_VERIFY
     text = coloring_to_text(extended)

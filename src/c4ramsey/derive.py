@@ -208,13 +208,13 @@ MAX_PLAN_SIZE = 2**25
 
 def _reach(t: TargetGraph) -> int:
     """How many targets deleting vertices one at a time turns t into, t
-    included: K_k, kK1 down to one vertex; S_k also jK1; B_k also S_j and K2;
-    P3 K2, 2K1 and K1; C4 also P3.  For H + tK1 at most t + 1 times H's."""
+    included: K_k and kK1 k (down to one vertex); S_k 2k (S_k..S2, K2 and
+    jK1 for j <= k); B_k 3k (B_k..B2, K3 and S_k's); C4 5 (C4, S2, K2, 2K1
+    and K1).  For H + tK1 at most t + 1 times H's."""
     times = 1
     if t.kind == tg.WITH_ISOLATED:  # its base is never H + sK1 itself
         times, t = t.k + 1, t.base
-    return times * {tg.CLIQUE: t.k, tg.EMPTY: t.k, tg.STAR: 2 * t.k, tg.BOOK: 3 * t.k + 1, tg.PATH3_KIND: 4,
-                    tg.CYCLE4_KIND: 5}[t.kind]
+    return times * {tg.CLIQUE: t.k, tg.EMPTY: t.k, tg.STAR: 2 * t.k, tg.BOOK: 3 * t.k, tg.CYCLE4_KIND: 5}[t.kind]
 
 
 def plan_size(tl: TargetList) -> int:

@@ -155,8 +155,6 @@ def contains_target(g: SimpleGraph, t: TargetGraph) -> bool:
     """
     adj = g.adj
     n = g.n
-    if t.kind == tg.PATH3_KIND:
-        return any(a.bit_count() >= 2 for a in adj)
     if t.kind == tg.CYCLE4_KIND:
         # a 4-cycle is two vertices with two common neighbours
         for u, a in enumerate(adj):

@@ -157,8 +157,6 @@ def _snippet(t: Optional[TargetGraph], cap: Optional[int] = None) -> str:
         return f"if POP[{{a}}[u]] < {d} and POP[{{a}}[v]] < {d}:\n    ACCEPT\n"
     if kind is None:
         text = "ACCEPT\n"
-    elif kind == tg.PATH3_KIND:
-        text = "if not ({a}[u] or {a}[v]):\n    ACCEPT\n"
     elif kind == tg.CYCLE4_KIND:
         text = _C4
     elif kind == tg.CLIQUE and k == 3:

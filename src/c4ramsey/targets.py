@@ -1,10 +1,9 @@
 """Closed family of forbidden target graphs.
 
 The family is: cliques K_k, the 4-cycle C4, stars K_{1,k} (written S<k>),
-books B_k = K2 + kK1, edgeless graphs kK1, the path P3, and any of those
-with extra isolated vertices (base + tK1).  The family is closed under
-single-vertex deletion, which is what makes the recursive bound planner
-total.
+books B_k = K2 + kK1, edgeless graphs kK1, and any of those with extra
+isolated vertices (base + tK1).  The family is closed under single-vertex
+deletion, so every list the bound planner reaches is a list of the family.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ CYCLE4_KIND = "cycle4"
 STAR = "star"
 BOOK = "book"
 EMPTY = "empty"
-PATH3_KIND = "path3"
 WITH_ISOLATED = "with_isolated"
 
 
@@ -29,8 +27,9 @@ class TargetGraph:
     """One member of the forbidden-graph family.
 
     Use the factory functions (clique, star, ...) instead of constructing
-    directly: they normalize degenerate forms (K1 = 1K1, nested isolated
-    unions are flattened) so that structural equality is plain ==.
+    directly: they normalize degenerate forms (K1 = 1K1, S1 = K2, B1 = K3,
+    nested isolated unions are flattened) so that structural equality is
+    plain ==.  The parser reads P3 as S2.
     """
 
     kind: str
@@ -53,8 +52,6 @@ class TargetGraph:
             count, name = k + 2, f"B{k}"
         elif kind == EMPTY:
             count, name = k, f"{k}K1"
-        elif kind == PATH3_KIND:
-            count, name = 3, "P3"
         elif kind == WITH_ISOLATED:
             count, name = self.base.vertex_count + k, f"{self.base._name}+{k}K1"
         else:
@@ -73,7 +70,6 @@ class TargetGraph:
 
 
 CYCLE4 = TargetGraph(CYCLE4_KIND)
-PATH3 = TargetGraph(PATH3_KIND)
 
 
 def clique(k: int) -> TargetGraph:
@@ -87,12 +83,16 @@ def clique(k: int) -> TargetGraph:
 def star(k: int) -> TargetGraph:
     if k < 1:
         raise ValueError(f"star K_{{1,k}} needs k >= 1, got {k}")
+    if k == 1:
+        return clique(2)
     return TargetGraph(STAR, k)
 
 
 def book(k: int) -> TargetGraph:
     if k < 1:
         raise ValueError(f"book B_k needs k >= 1, got {k}")
+    if k == 1:
+        return clique(3)
     return TargetGraph(BOOK, k)
 
 
@@ -128,8 +128,6 @@ def target_edges(t: TargetGraph) -> list[tuple[int, int]]:
         return edges
     if t.kind == EMPTY:
         return []
-    if t.kind == PATH3_KIND:
-        return [(0, 1), (1, 2)]
     if t.kind == WITH_ISOLATED:
         return target_edges(t.base)
     raise ValueError(f"unknown target kind {t.kind!r}")
@@ -142,17 +140,13 @@ def delete_options(t: TargetGraph) -> set[TargetGraph]:
     if t.kind == CLIQUE:
         return {clique(t.k - 1)}
     if t.kind == CYCLE4_KIND:
-        return {PATH3}
+        return {star(2)}
     if t.kind == STAR:
-        leaf = star(t.k - 1) if t.k >= 2 else empty_graph(1)
-        return {leaf, empty_graph(t.k)}
+        return {star(t.k - 1), empty_graph(t.k)}
     if t.kind == BOOK:
-        page = book(t.k - 1) if t.k >= 2 else clique(2)
-        return {star(t.k), page}
+        return {star(t.k), book(t.k - 1)}
     if t.kind == EMPTY:
         return {empty_graph(t.k - 1)}
-    if t.kind == PATH3_KIND:
-        return {clique(2), empty_graph(2)}
     if t.kind == WITH_ISOLATED:
         opts = {with_isolated(b, t.k) for b in delete_options(t.base)}
         opts.add(t.base if t.k == 1 else with_isolated(t.base, t.k - 1))
@@ -179,7 +173,7 @@ def _parse_simple(text: str, part: str, pos: int) -> TargetGraph:
     if part == "C4":
         return CYCLE4
     if part == "P3":
-        return PATH3
+        return star(2)
     make = clique if m[1] else star if m[2] else book if m[3] else empty_graph
     k = int(m[m.lastindex])
     try:

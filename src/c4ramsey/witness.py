@@ -63,7 +63,9 @@ def extend_with_disjoint_clique(
     a K4 holds a C4, so any larger k is refused before anything is built)
     with all cross edges in the promoted clique's color.  Returns the
     extended coloring and the promoted target list; the result is
-    re-verified before returning.
+    re-verified before returning.  An input that is not good raises
+    BadWitnessError as verify_lower_bound does; bad arguments raise
+    ValueError.
     """
     targets = list(targets)
     if len(targets) != witness.c:
@@ -83,7 +85,7 @@ def extend_with_disjoint_clique(
             f"color {clique_color_target} target is {tgt}, expected a clique"
         )
     if not is_good_coloring(witness, targets):
-        raise ValueError("input coloring is not good for the stated targets")
+        verify_lower_bound(witness, targets)  # names the copy; only a bad input pays for finding it
 
     n = witness.n
     # new vertex a's column, pairs (0, a) .. (a-1, a), follows the old ones

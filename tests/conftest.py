@@ -20,7 +20,6 @@ def oracle_vertex_count(t) -> int:
         tg.STAR: t.k + 1,
         tg.BOOK: t.k + 2,
         tg.EMPTY: t.k,
-        tg.PATH3_KIND: 3,
     }[t.kind] if t.kind != tg.WITH_ISOLATED else oracle_vertex_count(t.base) + t.k
 
 
@@ -36,8 +35,6 @@ def oracle_edges(t) -> list[tuple[int, int]]:
         return [(0, 1)] + [(s, p) for p in range(2, t.k + 2) for s in (0, 1)]
     if t.kind == tg.EMPTY:
         return []
-    if t.kind == tg.PATH3_KIND:
-        return [(0, 1), (1, 2)]
     if t.kind == tg.WITH_ISOLATED:
         return oracle_edges(t.base)
     raise ValueError(t)

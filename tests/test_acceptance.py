@@ -32,7 +32,7 @@ from c4ramsey import (
 )
 from c4ramsey.cli import run
 from c4ramsey.registry import Registry
-from c4ramsey.targets import CYCLE4, PATH3, clique, parse_targets, star
+from c4ramsey.targets import CYCLE4, clique, parse_targets, star
 
 from conftest import brute_contains, random_graph
 from test_search import brute_partition_feasible
@@ -124,7 +124,7 @@ def test_criterion_4_formula_relations():
 def test_criterion_5_desk_scale_ramsey_numbers():
     def check():
         assert computed_ramsey(ramsey_by_search([CYCLE4, CYCLE4], 4, 6)) == 6
-        assert computed_ramsey(ramsey_by_search([PATH3, PATH3], 2, 3)) == 3
+        assert computed_ramsey(ramsey_by_search([star(2), star(2)], 2, 3)) == 3
         assert computed_ramsey(ramsey_by_search([CYCLE4, clique(3)], 5, 7)) == 7
         assert computed_ramsey(ramsey_by_search([CYCLE4, star(3)], 4, 6)) == 6
 
@@ -194,8 +194,8 @@ def test_criterion_8_containment_oracle():
         from c4ramsey.targets import book, empty_graph, with_isolated
 
         targets = [
-            clique(3), clique(4), CYCLE4, star(2), star(3), book(1), book(2),
-            empty_graph(3), PATH3, with_isolated(clique(3), 1),
+            clique(3), clique(4), CYCLE4, star(2), star(3), book(2),
+            empty_graph(3), with_isolated(clique(3), 1),
         ]
         rng = random.Random(3)
         for _ in range(500):

@@ -246,6 +246,30 @@ class TestDerive:
             assert json.loads(out)["status"] == "cannot-derive"
 
 
+class TestOneNamePerGraph:
+    # S1 is K2, B1 is K3 and P3 is S2: derive and the registry treat each
+    # pair of names as one list
+    def test_s1_is_stripped_like_k2(self):
+        for targets in ("C4,S1,K11", "C4,K2,K11"):
+            code, out, err = run_captured(["derive", targets])
+            assert (code, out.splitlines()[0], err) == (0, "43", "")
+
+    def test_b1_misses_what_k3_misses(self):
+        assert run_captured(["derive", "C4,B1,K5"]) == run_captured(["derive", "C4,K3,K5"])
+        assert run_captured(["derive", "C4,K3,K5"]) == (2, "", "cannot derive; missing facts for: C4\n")
+
+    def test_p3_derives_as_s2(self):
+        assert run_captured(["derive", "C4,P3", "--json"]) == run_captured(["derive", "C4,S2", "--json"])
+        code, out, err = run_captured(["derive", "C4,P3"])
+        assert code == 0 and out.splitlines()[1].startswith("R(C4,S2) <= 5 ")
+
+    def test_s1_fact_below_the_seed_k2_fact_is_a_contradiction(self):
+        # the seed registry holds R(C4,K10) = 36, and C4,S1,K10 is C4,K10
+        code, out, err = run_captured(["registry", "--add", "C4,S1,K10 | upper | 35 | x | user"])
+        assert (code, out) == (1, "")
+        assert err == "error: upper bound 35 for C4,K2,K10 is below lower bound 36\n"
+
+
 class TestVerify:
     def test_out_of_range_vertex_is_usage_error(self, capsys):
         assert run(["verify", "C4,K3", "--coloring", "3 2\n0 5 1"]) == 1
@@ -305,7 +329,7 @@ class TestVerify:
         assert run(["verify", "P3,P3", "--coloring", f"@{path}", "--json"]) == 2
         doc = json.loads(out_of(capsys))
         assert doc["status"] == "bad-witness" and doc["color"] == 0
-        assert doc["target"] == "P3" and len(doc["vertices"]) == 3
+        assert doc["target"] == "S2" and len(doc["vertices"]) == 3
 
 
 class TestSearch:
@@ -452,12 +476,12 @@ class TestWitnessCommand:
             ["--clique-color", "-1"],
         ],
     )
-    def test_out_of_range_role_exit_2(self, tmp_path, flags):
+    def test_out_of_range_role_is_usage_error(self, tmp_path, flags):
         path = tmp_path / "w.txt"
         path.write_text(coloring_to_text(search_coloring(6, [CYCLE4, clique(3)]).witness))
         code, out, err = run_captured(["witness", "C4,K3", "--coloring", f"@{path}", *flags])
-        assert code == 2 and err == ""
-        assert out.startswith("ERROR: color ") and "not in 0..1" in out and out.count("\n") == 1
+        assert code == 1 and out == ""
+        assert err.startswith("error: color ") and "not in 0..1" in err and err.count("\n") == 1
 
     def test_witness_text_rendered_once_for_file_and_json(self, tmp_path, monkeypatch):
         path = tmp_path / "w.txt"
@@ -497,15 +521,31 @@ class TestWitnessCommand:
         path = tmp_path / "K6.txt"
         path.write_text(coloring_to_text(search_coloring(6, [CYCLE4, clique(3)]).witness))
         code, out, err = run_captured(["witness", "C4,K3", "--coloring", f"@{path}", "--add-clique", "5"])
-        assert code == 2 and err == ""
-        assert out == "ERROR: extension clique must have k = 2 or 3 (a K4 holds a C4), got 5\n"
+        assert code == 1 and out == ""
+        assert err == "error: extension clique must have k = 2 or 3 (a K4 holds a C4), got 5\n"
 
-    def test_bad_extension_exit_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "targets, flags, message",
+        [
+            ("C4", [], "need 2 targets, got 1"),
+            ("C4,K3", ["--add-clique", "4"], "extension clique must have k = 2 or 3 (a K4 holds a C4), got 4"),
+            ("C4,K3", ["--c4-color", "1", "--clique-color", "1"], "the two color roles must differ"),
+            ("K3,K3", [], "color 0 target is K3, expected C4"),
+            ("C4,C4", [], "color 1 target is C4, expected a clique"),
+        ],
+    )
+    def test_bad_arguments_are_usage_errors(self, tmp_path, targets, flags, message):
+        # like verify: exit 1 and one stderr line, not a verification failure
         path = tmp_path / "w.txt"
         path.write_text(coloring_to_text(two_five_cycles()))
-        assert run([
-            "witness", "C4,K3", "--coloring", f"@{path}", "--add-clique", "4"
-        ]) == 2
+        code, out, err = run_captured(["witness", targets, "--coloring", f"@{path}", *flags])
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_bad_input_coloring_exit_2_names_the_copy(self, tmp_path):
+        path = tmp_path / "w.txt"
+        path.write_text(coloring_to_text(EdgeColoring(3, 2, [1] * 3)))
+        code, out, err = run_captured(["witness", "C4,K3", "--coloring", f"@{path}"])
+        assert (code, out, err) == (2, "ERROR: color 1 contains a K3 on vertices [0, 1, 2]\n", "")
 
 
 # a document that gives a pair '-' and one that leaves a pair out: verify and
@@ -747,16 +787,17 @@ def test_derive_refuses_a_list_above_the_plan_size_limit(capsys, targets, size):
 # (exit code, sha256 of stdout) of derive and derive --json, recorded before
 # derive gained its plan-size check and re-pinned when the notes that never
 # bind (TheoremMT's vertex_floor and guard, TrivialEmpty's guard) were
-# dropped; tests/data/derive_values.json keeps their values from before.
+# dropped, and again when P3 became S2 (the bytes are the same with P3 for
+# S2); tests/data/derive_values.json keeps their values from before.
 # C4+tK1 entries are the C4 kind with isolated vertices, reached by no
 # derive-cli pool
 C4_WITH_ISOLATED = {
     "C4,C4+1K1": ((0, "e17e1df6e12ce977081e3500e0624a8b59d34a1748691e38203e56bee23c6cda"),
                   (0, "aac16691ba5e8bfc7cda2c36f1a984d988f0150198ddad3ee226aab677a9faa1")),
-    "C4,K3,C4+1K1": ((0, "6fd698d888f4130f6fd1147b153f999be4055dc5d3d1f40405dfa328a818bfca"),
-                     (0, "ea0158fa8579b0444345dec0f8f76bf7c6f7ee35ce8fc78e111d50d83b712412")),
-    "C4,C4,S3,C4+3K1": ((0, "7419054b115af9b4283ff3e4025286381b7a0fcc245ba616dad47573314b9f1d"),
-                        (0, "e8e55f969ea5e21b1aa1983898949f7ba60ef579aec6473e03e27c9eb7c5cafd")),
+    "C4,K3,C4+1K1": ((0, "6787745cdeec0f9fbfd3224c843bd3f5d147e6bd8e6b2ab97e99b346caaf0898"),
+                     (0, "9c475ca570e54a7c5228915a895fc72ac479f1f759a6b71f3bee00af2bba159c")),
+    "C4,C4,S3,C4+3K1": ((0, "14574bb6c409c3d620836ad8d642262fd20ada7c93e7e58ae4396cbf5da0293a"),
+                        (0, "70c142f8763acb2a69c584bd1ee59b39e8b2ec65b186740aef0de4871e6cec0c")),
 }
 
 
@@ -849,8 +890,8 @@ def _book_bound_moved(argv):
 BOUND_SWEEP_DIGEST = "e844d9144a8a2718f1a6d402112d2837ead29f37c53edb1c7457104408540826"
 
 # (old line, exit code, value) of the translations whose outcome moved, in
-# sweep order.  `derive` does not read B1 as K3, so C4,B1 is cannot-derive
-# (exit 2) where --book 1 was a usage error (exit 1); and it refuses the
+# sweep order.  `derive` reads B1 as K3, and C4,K3 is cannot-derive (exit 2)
+# where --book 1 was a usage error (exit 1); and it refuses the
 # huge books as too large to plan (exit 1), where --book gave a value
 BOUND_SWEEP_MOVED = [
     ("bound --book 1", 2, ""),

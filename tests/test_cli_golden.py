@@ -93,8 +93,10 @@ PINS = {
     "verify-bad-json": (2, "e2a2c17208007b6496408b8fb159fe11be2013efb0db03f979285cfc7db9a940"),
     "witness-good": (0, "514cc49d4cb26ddda2b8baec28658cf030c8b6f1a8c133ef20970912582c160b"),
     "witness-good-json": (0, "48654dd3e0b84a44e1945733bcef11f16847b260a3e055c24b2834c8e7194eb5"),
-    "witness-bad": (2, "30317eab1a49f90b8e6cd5391f78ba190d3e6bb7659e975b4ba6f1c1b06793b4"),
-    "witness-bad-json": (2, "a67111dfe7e71625f0f88ee0aa757bd82e2b305e50907836a817cc3237ef73c9"),
+    # re-pinned when a bad input began to name its copy, as verify does:
+    # "color 0 contains a C4 on vertices [0, 1, 2, 3]"
+    "witness-bad": (2, "d5059ed4aed39099d24577b3be4f9db99ee165ccededec8a6e910246d3884024"),
+    "witness-bad-json": (2, "9eedff3fb7a8f4fd7fc462b203bacaa0f2bd2222c2dfce570d4e10e957f5b137"),
     "bound-book": (0, "9961d158a7e0e2f990765971a9e490af826c0743b7d603020f34cc8944319fcb"),
 }
 

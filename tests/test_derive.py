@@ -155,7 +155,8 @@ class TestDeletionOrder:
 
 
 class TestPlanSize:
-    # every kind the parser accepts, each base kind also with isolated vertices
+    # every kind the parser accepts, each base kind also with isolated
+    # vertices; S1, B1 and P3 are read as K2, K3 and S2
     SHAPES = ["1K1", "4K1", "K2", "K5", "S1", "S4", "B1", "B3", "P3", "C4",
               "K4+2K1", "S3+1K1", "B2+2K1", "P3+1K1", "C4+1K1", "C4+3K1"]
 
@@ -224,9 +225,9 @@ def trivial_lower_bound(tl):
 
 class TestFloorRespectingRegistries:
     # registry facts at or up to 20 above the trivial lower bound
-    FACT_LISTS = ["C4", "C4,C4", "C4,P3", "C4,K3", "C4,2K1", "C4,S2", "C4,K4", "C4,B2", "C4,C4,P3", "C4,C4,K3",
-                  "C4,K3,K3", "C4,P3,K3", "C4,K3+1K1", "C4,K5", "C4,S3", "C4,C4,C4", "C4,K3,K4"]
-    LISTS = ["C4,K5", "C4,K6", "C4,K4,K4", "C4,C4,K4", "C4,B3", "C4,S4,K3", "C4,K4+1K1", "C4,C4,K3,P3",
+    FACT_LISTS = ["C4", "C4,C4", "C4,K3", "C4,2K1", "C4,S2", "C4,K4", "C4,B2", "C4,C4,S2", "C4,C4,K3",
+                  "C4,K3,K3", "C4,S2,K3", "C4,K3+1K1", "C4,K5", "C4,S3", "C4,C4,C4", "C4,K3,K4"]
+    LISTS = ["C4,K5", "C4,K6", "C4,K4,K4", "C4,C4,K4", "C4,B3", "C4,S4,K3", "C4,K4+1K1", "C4,C4,K3,S2",
              "C4,K4,3K1", "C4,C4,C4,K3", "C4,K3+1K1,K4", "C4,C4,B2+1K1"]
 
     def test_no_derived_value_is_below_the_trivial_lower_bound(self):

@@ -22,7 +22,7 @@ from c4ramsey import (
     search_coloring,
 )
 from c4ramsey.graphs import _coloring_from_lines, pair_iter
-from c4ramsey.targets import CYCLE4, PATH3, book, clique, empty_graph, star, with_isolated
+from c4ramsey.targets import CYCLE4, book, clique, empty_graph, star, with_isolated
 
 from conftest import brute_contains, brute_first_copy, random_graph, two_five_cycles
 
@@ -236,9 +236,9 @@ class TestContainsTarget:
         rng = random.Random(seed)
         g = random_graph(rng, rng.randint(2, 8), rng.choice([0.2, 0.5, 0.8]))
         targets = [
-            PATH3, CYCLE4, clique(3), clique(4), clique(5),
-            star(2), star(3), star(4), book(1), book(2), book(3),
-            empty_graph(3), with_isolated(clique(3), 2), with_isolated(PATH3, 1),
+            CYCLE4, clique(3), clique(4), clique(5),
+            star(2), star(3), star(4), book(2), book(3),
+            empty_graph(3), with_isolated(clique(3), 2), with_isolated(star(2), 1),
         ]
         for t in targets:
             assert contains_target(g, t) == brute_contains(g, t), (g, t)
@@ -342,10 +342,10 @@ class TestFindTargetCopy:
         assert find_target_copy(g, clique(3)) is None
 
     TARGETS = [
-        CYCLE4, PATH3, clique(2), clique(3), clique(4), clique(5),
-        star(1), star(2), star(3), star(4), book(1), book(2), book(3),
-        empty_graph(3), with_isolated(CYCLE4), with_isolated(PATH3),
-        with_isolated(clique(3)), with_isolated(star(2)), with_isolated(book(1)),
+        CYCLE4, clique(2), clique(3), clique(4), clique(5),
+        star(2), star(3), star(4), book(2), book(3),
+        empty_graph(3), with_isolated(CYCLE4),
+        with_isolated(clique(3)), with_isolated(star(2)), with_isolated(book(2)),
         with_isolated(clique(2), 2),
     ]
 
@@ -363,11 +363,11 @@ class TestIsGoodColoring:
 
     def test_mono_k3_bad_for_p3(self):
         col = complete_mono(3, c=2)
-        assert not is_good_coloring(col, [PATH3, PATH3])
+        assert not is_good_coloring(col, [star(2), star(2)])
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            is_good_coloring(complete_mono(3), [PATH3, PATH3])
+            is_good_coloring(complete_mono(3), [star(2), star(2)])
 
     def test_partial_coloring_cannot_be_built(self):
         # -1 was the unassigned mark; every pair needs a color now

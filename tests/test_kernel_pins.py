@@ -35,7 +35,7 @@ import pytest
 
 from c4ramsey import SearchBudget, SimpleGraph, graph6_decode, partition_check, search, search_coloring
 from c4ramsey.graphs import pair_iter
-from c4ramsey.targets import CYCLE4, PATH3, book, clique, parse_target_sequence, star
+from c4ramsey.targets import CYCLE4, book, clique, parse_target_sequence, star
 
 from conftest import brute_contains, spread
 
@@ -215,7 +215,7 @@ def test_more_than_256_targets_are_refused_before_a_kernel_is_built():
 
 @pytest.mark.parametrize("ns", [(5, 7), (15, 16)], ids=["tables", "loops"])
 @pytest.mark.parametrize("cap", [0, 1, 2, 3, 4])
-@pytest.mark.parametrize("target", [CYCLE4, PATH3, clique(3), clique(4), clique(5), star(3), book(2), None], ids=str)
+@pytest.mark.parametrize("target", [CYCLE4, star(2), clique(3), clique(4), clique(5), star(3), book(2), None], ids=str)
 def test_capped_test_matches_brute_force(target, cap, ns):
     # the kernel's test of a color with a binding cap, compiled on its own
     # for n vertices, n drawn from ns: uv is refused when it creates the

@@ -24,7 +24,7 @@ from c4ramsey import (
 from c4ramsey import search
 from c4ramsey.graphs import pair_iter
 from c4ramsey.search import _creates_test
-from c4ramsey.targets import CYCLE4, PATH3, book, clique, empty_graph, parse_target_sequence, star, with_isolated
+from c4ramsey.targets import CYCLE4, book, clique, empty_graph, parse_target_sequence, star, with_isolated
 
 from conftest import brute_contains, random_graph, spread
 
@@ -56,8 +56,8 @@ class TestSearchColoring:
         assert out.status == "infeasible"
 
     def test_p3_pair(self):
-        assert search_coloring(2, [PATH3, PATH3]).status == "feasible"
-        assert search_coloring(3, [PATH3, PATH3]).status == "infeasible"
+        assert search_coloring(2, [star(2), star(2)]).status == "feasible"
+        assert search_coloring(3, [star(2), star(2)]).status == "infeasible"
 
     def test_c4_k3(self):
         assert search_coloring(6, [CYCLE4, clique(3)]).status == "feasible"
@@ -120,8 +120,8 @@ class TestSearchColoring:
         [
             (4, [CYCLE4, CYCLE4]),
             (5, [CYCLE4, clique(3)]),
-            (3, [PATH3, PATH3]),
-            (4, [PATH3, clique(3)]),
+            (3, [star(2), star(2)]),
+            (4, [star(2), clique(3)]),
             (5, [CYCLE4, star(3)]),
         ],
     )
@@ -141,7 +141,7 @@ class TestDegreeCapSoundness:
         # numbers established here by independent exhaustive search
         out = search_coloring(9, [CYCLE4, clique(4)])
         assert out.status == "feasible"
-        r_p3_k4 = computed_ramsey(ramsey_by_search([PATH3, clique(4)], 6, 7))
+        r_p3_k4 = computed_ramsey(ramsey_by_search([star(2), clique(4)], 6, 7))
         r_c4_k3 = computed_ramsey(ramsey_by_search([CYCLE4, clique(3)], 6, 7))
         assert r_p3_k4 == 7 and r_c4_k3 == 7
         for v in range(9):
@@ -152,7 +152,7 @@ class TestDegreeCapSoundness:
         out = search_coloring(9, [CYCLE4, clique(4)], degree_caps=[6, 6])
         assert out.status == "feasible"
 
-    @pytest.mark.parametrize("target", [CYCLE4, PATH3, clique(3), star(2)], ids=str)
+    @pytest.mark.parametrize("target", [CYCLE4, clique(3), star(2)], ids=str)
     def test_identical_targets_with_unequal_caps_agree_with_naive_enumeration(self, target):
         # the first-edge color reduction may only merge colors whose targets
         # and caps both agree
@@ -172,7 +172,7 @@ class TestRamseyBySearch:
         assert computed_ramsey(outcomes) == 6
 
     def test_p3(self):
-        assert computed_ramsey(ramsey_by_search([PATH3, PATH3], 2, 3)) == 3
+        assert computed_ramsey(ramsey_by_search([star(2), star(2)], 2, 3)) == 3
 
     def test_c4_star3(self):
         outcomes = ramsey_by_search([CYCLE4, star(3)], 5, 6)
@@ -254,8 +254,8 @@ class TestPartitionCheck:
 class TestKernel:
     @pytest.mark.parametrize(
         "target",
-        [clique(2), clique(3), clique(4), clique(5), book(1), book(2), book(3), book(4),
-         star(1), star(3), PATH3, CYCLE4],
+        [clique(2), clique(3), clique(4), clique(5), book(2), book(3), book(4),
+         star(2), star(3), CYCLE4],
         ids=str,
     )
     @pytest.mark.parametrize("ns", [(5, 7), (15, 16)], ids=["tables", "loops"])
@@ -285,8 +285,8 @@ class TestKernel:
                 if not hit and rng.random() < keep:
                     g = grown
         assert len(answers) > 60
-        # K2 and S1 are single edges: every addition creates them
-        assert set(answers) == ({True} if target in (clique(2), star(1)) else {True, False})
+        # K2 is a single edge: every addition creates it
+        assert set(answers) == ({True} if target == clique(2) else {True, False})
 
     def test_each_target_is_compiled_once(self):
         assert _creates_test(clique(5), 7) is _creates_test(parse_target_sequence("K5")[0], 7)
@@ -312,7 +312,7 @@ class TestKernel:
             return compiled(source, *args)
 
         monkeypatch.setattr(search, "_compiled", recorded)
-        targets = (CYCLE4, clique(4), book(3), star(3), PATH3)
+        targets = (CYCLE4, clique(4), book(3), star(3), star(2))
         search._kernel.__wrapped__(n, targets, None)
         for t in targets:
             search._creates_test.__wrapped__(t, n)
@@ -339,7 +339,7 @@ class TestKernel:
             (8, [CYCLE4, book(3)], None, "feasible", 1783),
             (8, [clique(3), clique(4)], None, "feasible", 1512),
             (8, [CYCLE4, star(5)], None, "infeasible", 294516),
-            (5, [PATH3, star(3)], None, "infeasible", 40),
+            (5, [star(2), star(3)], None, "infeasible", 40),
             (9, [CYCLE4, clique(4)], [6, 6], "feasible", 282),
             (9, [CYCLE4, book(3)], None, "infeasible", 1342278),
             (9, [clique(3), clique(4)], None, "infeasible", 2540750),

@@ -1,3 +1,6 @@
+import itertools
+
+import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,7 +21,6 @@ from c4ramsey import targets as tg
 from c4ramsey.derive import _union_k1
 from c4ramsey.targets import (
     CYCLE4,
-    PATH3,
     TargetGraph,
     TargetList,
     TargetParseError,
@@ -34,7 +36,7 @@ TARGETS = st.recursive(
         st.builds(star, st.integers(1, 20)),
         st.builds(book, st.integers(1, 20)),
         st.builds(empty_graph, st.integers(1, 9)),
-        st.sampled_from([CYCLE4, PATH3]),
+        st.just(CYCLE4),
     ),
     lambda inner: st.builds(with_isolated, inner, st.integers(1, 4)),
     max_leaves=4,
@@ -51,7 +53,6 @@ def written_name(t) -> str:
         tg.STAR: f"S{t.k}",
         tg.BOOK: f"B{t.k}",
         tg.EMPTY: f"{t.k}K1",
-        tg.PATH3_KIND: "P3",
     }[t.kind]
 
 
@@ -72,7 +73,6 @@ class TestVertexCounts:
             (star(3), 4),
             (book(2), 4),
             (empty_graph(7), 7),
-            (PATH3, 3),
             (with_isolated(clique(3), 2), 5),
         ],
     )
@@ -107,6 +107,38 @@ class TestNormalization:
     def test_empty_plus_isolated_merges(self):
         assert with_isolated(empty_graph(2), 1) == empty_graph(3)
 
+    @pytest.mark.parametrize("text, name", [("S1", "K2"), ("B1", "K3"), ("P3", "S2"), ("P3+1K1", "S2+1K1")])
+    def test_degenerate_stars_books_and_p3_take_one_name(self, text, name):
+        assert str(parse_target(text)) == name
+        assert parse_target(text) == parse_target(name)
+
+    def test_equality_is_isomorphism(self):
+        # every member with at most 7 vertices, each graph built from its
+        # name with networkx alone: two are equal exactly when isomorphic
+        def book_graph(k):
+            return nx.Graph([(0, 1)] + [(s, p) for p in range(2, k + 2) for s in (0, 1)])
+
+        bases = (
+            [(f"K{k}", nx.complete_graph(k)) for k in range(1, 6)]
+            + [(f"S{k}", nx.star_graph(k)) for k in range(1, 5)]
+            + [(f"B{k}", book_graph(k)) for k in range(1, 4)]
+            + [(f"{k}K1", nx.empty_graph(k)) for k in range(1, 6)]
+            + [("C4", nx.cycle_graph(4)), ("P3", nx.path_graph(3))]
+        )
+        members = []
+        for name, g in bases:
+            for t in range(3):
+                padded = nx.disjoint_union(g, nx.empty_graph(t))
+                members.append((name + (f"+{t}K1" if t else ""), padded))
+        assert len(members) == 57 and max(g.number_of_nodes() for _, g in members) == 7
+        wrong = [
+            (a, b)
+            for (a, ga), (b, gb) in itertools.combinations(members, 2)
+            if (parse_target(a) == parse_target(b)) != nx.is_isomorphic(ga, gb)
+        ]
+        assert wrong == []
+        assert len({parse_target(name) for name, _ in members}) == 37
+
 
 class TestDeleteOptions:
     def test_clique(self):
@@ -114,14 +146,14 @@ class TestDeleteOptions:
 
     def test_book_contains_star(self):
         assert star(3) in delete_options(book(3))
-        assert delete_options(book(1)) == {star(1), clique(2)}
+        assert delete_options(book(2)) == {star(2), clique(3)}
 
     def test_star_contains_empty(self):
         assert delete_options(star(4)) == {star(3), empty_graph(4)}
 
-    def test_cycle4_and_path3(self):
-        assert delete_options(CYCLE4) == {PATH3}
-        assert delete_options(PATH3) == {clique(2), empty_graph(2)}
+    def test_cycle4_and_s2(self):
+        assert delete_options(CYCLE4) == {star(2)}
+        assert delete_options(star(2)) == {clique(2), empty_graph(2)}
 
     def test_with_isolated(self):
         opts = delete_options(with_isolated(clique(3), 1))
@@ -133,7 +165,7 @@ class TestDeleteOptions:
             delete_options(empty_graph(1))
 
     def test_vertex_counts_drop_by_one(self):
-        pool = [clique(4), CYCLE4, star(3), book(2), empty_graph(4), PATH3,
+        pool = [clique(4), CYCLE4, star(3), book(2), empty_graph(4), star(2),
                 with_isolated(book(2), 2), with_isolated(star(2), 1)]
         for t in pool:
             for opt in delete_options(t):
@@ -144,7 +176,7 @@ class TestDeleteOptions:
         # checked with graph containment both ways on concrete graphs
         from c4ramsey.targets import target_edges
 
-        pool = [clique(4), CYCLE4, star(3), book(2), empty_graph(3), PATH3,
+        pool = [clique(4), CYCLE4, star(3), book(2), empty_graph(3), star(2),
                 with_isolated(clique(3), 1)]
         for t in pool:
             concrete = SimpleGraph(t.vertex_count, target_edges(t))
@@ -166,7 +198,7 @@ class TestParseRender:
             ("K11", clique(11)),
             ("B17", book(17)),
             ("C4", CYCLE4),
-            ("P3", PATH3),
+            ("P3", star(2)),
             ("S4", star(4)),
             ("3K1", empty_graph(3)),
             ("K3+1K1", with_isolated(clique(3), 1)),
@@ -284,8 +316,8 @@ class TestReplaceOther:
             ("C4+1K1,K5", "C4+1K1", "C4", "C4,K5", 1),
             # deletions that give K2, which strip_k2 then drops
             ("C4,K3,K4", "K3", "K2", "C4,K2,K4", 1),
-            ("C4,P3,S2", "P3", "K2", "C4,K2,S2", 1),
-            ("C4,B1,K3", "B1", "K2", "C4,K2,K3", 1),
+            ("C4,S2,S2", "S2", "K2", "C4,K2,S2", 1),
+            ("C4,K3,S2", "S2", "K2", "C4,K2,K3", 1),
             ("C4,2K1,K3", "K3", "K2", "C4,2K1,K2", 1),
             # into the middle, and past entries of equal size
             ("C4,K3,K5,K7", "K7", "K4", "C4,K3,K4,K5", 1),

@@ -11,7 +11,7 @@ from c4ramsey import (
     verify_lower_bound,
 )
 from c4ramsey.graphs import coloring_from_text, pair_iter
-from c4ramsey.targets import CYCLE4, PATH3, clique
+from c4ramsey.targets import CYCLE4, clique, star
 
 
 class TestVerifyLowerBound:
@@ -25,9 +25,9 @@ class TestVerifyLowerBound:
     def test_mono_triangle_rejected_with_copy_named(self):
         col = EdgeColoring(3, 2, [0] * 3)
         with pytest.raises(BadWitnessError) as e:
-            verify_lower_bound(col, [PATH3, PATH3])
+            verify_lower_bound(col, [star(2), star(2)])
         assert e.value.color == 0
-        assert e.value.target == PATH3
+        assert e.value.target == star(2)
         assert len(e.value.vertices) == 3
 
     def test_incomplete_witness_cannot_be_built(self):
@@ -116,8 +116,9 @@ class TestExtendWithDisjointClique:
 
     def test_bad_input_coloring_rejected(self):
         col = EdgeColoring(3, 2, [1] * 3)  # a monochromatic K3 in the clique color
-        with pytest.raises(ValueError):
+        with pytest.raises(BadWitnessError) as e:
             extend_with_disjoint_clique(col, [CYCLE4, clique(3)], 3, 0, 1)
+        assert (e.value.color, e.value.target, e.value.vertices) == (1, clique(3), (0, 1, 2))
 
     def test_chain_to_n18_verifies(self):
         # C4,K3@6 -> C4,K4@9 -> C4,K5@12 -> C4,K6@15, then one more step,
