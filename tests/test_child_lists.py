@@ -8,7 +8,6 @@ strip_k2 of the list the rule rewrites.  They also check that a node made
 by DerivationTree's own __init__ is frozen and has notes of its own.
 """
 
-import dataclasses
 import sys
 
 import pytest
@@ -96,8 +95,8 @@ def test_nodes_are_frozen_and_keep_their_own_notes():
     a, b = dv.DerivationTree(tl, "TrivialEmpty", 3, "upper"), dv.DerivationTree(tl, "TrivialEmpty", 3, "upper")
     assert a.notes == {} and a.notes is not b.notes
     assert (a.children, a.citation) == ((), "")
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         a.value = 2
-    c = dataclasses.replace(a, value=2, notes={"m": 1})
+    c = dv.DerivationTree(a.targets, a.rule, 2, a.kind, notes={"m": 1})
     assert (c.targets, c.rule, c.value, c.kind, c.notes) == (tl, "TrivialEmpty", 2, "upper", {"m": 1})
     assert c != a  # nodes compare by identity

@@ -10,7 +10,6 @@ never writes: non-ASCII, quotes, control characters, bools, None, floats,
 nested and empty lists and dicts.
 """
 
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -190,7 +189,8 @@ def shared_trees(draw, words=TEXT, numbered=False):
 
 def unshared(tree: DerivationTree) -> DerivationTree:
     """The same tree with a new object for every written occurrence."""
-    return dataclasses.replace(tree, children=tuple(unshared(c) for c in tree.children))
+    children = tuple(unshared(c) for c in tree.children)
+    return DerivationTree(tree.targets, tree.rule, tree.value, tree.kind, children, tree.notes, tree.citation)
 
 
 @settings(max_examples=200, deadline=None)
