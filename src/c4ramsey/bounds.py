@@ -12,7 +12,8 @@ has a width limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from ._record import Record, set_field
 
 
 def isqrt_ceil(x: int) -> int:
@@ -24,20 +25,20 @@ def isqrt_ceil(x: int) -> int:
     return math.isqrt(x - 1) + 1
 
 
-@dataclass(frozen=True)
-class BoundQuery:
+class BoundQuery(Record):
     """Parameters (m, r_1..r_n) of Theorem MT; n = len(r)."""
 
-    m: int
-    r: tuple[int, ...] = ()
+    _fields = ("m", "r")
 
-    def __post_init__(self):
-        object.__setattr__(self, "r", tuple(self.r))
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
-        for ri in self.r:
+    def __init__(self, m: int, r: tuple[int, ...] = ()):
+        r = tuple(r)
+        if m < 1:
+            raise ValueError(f"m must be >= 1, got {m}")
+        for ri in r:
             if ri < 1:
                 raise ValueError(f"r_i must be >= 1, got {ri}")
+        set_field(self, "m", m)
+        set_field(self, "r", r)
 
     @property
     def n(self) -> int:

@@ -13,34 +13,30 @@ process pays.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from typing import Generator
 
 from . import targets as tg
+from ._record import Record
 from .bounds import BoundQuery, theorem_mt_bound
 from .registry import Registry, seed_registry
 from .targets import TargetGraph, TargetList, parse_targets, strip_k2
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class DerivationTree:
+class DerivationTree(Record):
     """One node of a derivation.  derive() shares a subtree between all the
     parents that use it, so nodes compare by identity; two trees are compared
-    through their node tables, to_dict(), which are flat."""
+    through their node tables, to_dict(), which are flat.  kind is "exact"
+    or "upper"; notes is a new dict where none is given."""
 
-    targets: TargetList
-    rule: str
-    value: int
-    kind: str  # "exact" or "upper"
-    children: tuple["DerivationTree", ...] = ()
-    notes: dict = field(default_factory=dict)
-    citation: str = ""
+    _fields = ("targets", "rule", "value", "kind", "children", "notes", "citation")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(self, targets: TargetList, rule: str, value: int, kind: str,
                  children: tuple["DerivationTree", ...] = (), notes: dict | None = None, citation: str = ""):
         # derive() makes a node for most lists it plans, so the fields go
-        # straight into __dict__, past the frozen __setattr__ that the
-        # dataclass __init__ calls once per field at some four times the cost
+        # straight into __dict__ in two tuple writes, quicker than seven
+        # set_field calls
         fields = self.__dict__
         fields["targets"], fields["rule"], fields["value"], fields["kind"] = targets, rule, value, kind
         fields["children"], fields["notes"], fields["citation"] = children, {} if notes is None else notes, citation

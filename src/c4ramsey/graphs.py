@@ -2,7 +2,7 @@
 
 Vertex capacity is fixed at 128 and color capacity at 256.  Adjacency rows
 are Python ints used as bitsets; edge colors live in a flat triangular
-bytearray, one byte a pair, indexed by pair_index(u, v) = v*(v-1)//2 + u for
+bytes object, one byte a pair, indexed by pair_index(u, v) = v*(v-1)//2 + u for
 u < v, i.e. the pairs in the order (0,1), (0,2), (1,2), (0,3), ... — the
 same column-major order graph6 uses, so one pair-order serves both
 serializers.  Every pair of a coloring has a color: there is no partial
@@ -297,9 +297,10 @@ class EdgeColoring:
     """Complete edge coloring of K_n with c <= 256 colors: every pair, in
     canonical pair order, has an integer color in 0..c-1.
 
-    colors is a bytearray, one byte a pair, that the constructor packs and
-    checks once; nothing in the API changes it afterwards.  Color classes,
-    coloring text and the hash read those bytes directly.
+    colors is an immutable bytes object, one byte a pair, that the
+    constructor packs and checks once, so a coloring keeps its checked
+    colors and its hash.  Color classes, coloring text and the hash read
+    those bytes directly.
     """
 
     __slots__ = ("n", "c", "colors")
@@ -313,14 +314,14 @@ class EdgeColoring:
         if len(colors) != npairs:
             raise ValueError(f"expected {npairs} pair colors, got {len(colors)}")
         # a sum of ints is an int, and a float, a numpy integer or any other
-        # number among them makes it another type (bytearray() would take a
-        # numpy integer).  bytearray() refuses a color outside 0..255, and
+        # number among them makes it another type (bytes() would take a
+        # numpy integer).  bytes() refuses a color outside 0..255, and
         # deleting the bytes 0..c-1 leaves the colors out of range.  Where a
         # check fails, scan the given colors in pair order for the first bad
         # one.
         try:
             bad = type(sum(colors)) is not int
-            packed = bytearray(colors)
+            packed = bytes(colors)
             bad = bad or bool(packed.translate(None, _BYTE_COLORS[:c]))
         except (TypeError, ValueError):
             bad = True
@@ -385,7 +386,7 @@ class EdgeColoring:
         )
 
     def __hash__(self):
-        return hash((self.n, self.c, bytes(self.colors)))
+        return hash((self.n, self.c, self.colors))
 
     def __repr__(self):
         return f"EdgeColoring(n={self.n}, c={self.c})"
@@ -647,17 +648,13 @@ def coloring_to_text(coloring: EdgeColoring) -> str:
     n, c = coloring.n, coloring.c
     header = f"{n} {c}\n"
     if c <= _TEMPLATE_COLORS:
-        # the tokens fill the template's slots; a byte written into colors
-        # past the constructor's check, which has no one-character token,
-        # takes the pair lines below
-        tokens = coloring.colors.translate(_COLOR_TO_TOKEN)
-        if b"\0" not in tokens:
-            return header + _filled_template(n, tokens).decode()
+        # every color is below c, so each has a one-character token
+        return header + _filled_template(n, coloring.colors.translate(_COLOR_TO_TOKEN)).decode()
     lines = [f"{u} {v} {col}\n" for (u, v, _, _), col in zip(_pair_table(n), coloring.colors)]
     return header + "".join(lines)
 
 
-def _canonical_colors(text: str) -> Optional[tuple[int, int, bytearray]]:
+def _canonical_colors(text: str) -> Optional[tuple[int, int, bytes]]:
     """(n, c, colors) if text is exactly coloring_to_text's output and
     c <= 10, else None.
 
@@ -685,7 +682,7 @@ def _canonical_colors(text: str) -> Optional[tuple[int, int, bytearray]]:
     tokens = b"".join([body[start:stop:step] for start, stop, step, _, _ in runs])
     if tokens.translate(None, _DIGITS[:c]) or _filled_template(n, tokens) != body:
         return None
-    return n, c, bytearray(tokens.translate(_TOKEN_TO_COLOR))
+    return n, c, tokens.translate(_TOKEN_TO_COLOR)
 
 
 def coloring_from_text(text: str) -> EdgeColoring:

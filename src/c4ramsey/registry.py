@@ -14,37 +14,36 @@ rejected at insertion time.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional
 
+from ._record import Record, set_field
 from .targets import EMPTY, TargetList, parse_targets, strip_k2
 
 KINDS = ("exact", "upper", "lower")
 TRUST_TAGS = ("paper", "computational", "derived", "user")
 
 
-@dataclass(frozen=True)
-class RamseyFact:
-    targets: TargetList
-    kind: str  # exact | upper | lower
-    value: int
-    citation: str = ""
-    trust: str = "user"
+class RamseyFact(Record):
+    _fields = ("targets", "kind", "value", "citation", "trust")
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.trust not in TRUST_TAGS:
-            raise ValueError(f"trust must be one of {TRUST_TAGS}, got {self.trust!r}")
-        if self.value < 1:
-            raise ValueError(f"fact value must be positive, got {self.value}")
-        c = self.citation
-        if c != c.strip() or "|" in c or "#" in c or len(c.splitlines()) > 1:
+    def __init__(self, targets: TargetList, kind: str, value: int, citation: str = "", trust: str = "user"):
+        # kind is exact, upper or lower
+        if kind not in KINDS:
+            raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+        if trust not in TRUST_TAGS:
+            raise ValueError(f"trust must be one of {TRUST_TAGS}, got {trust!r}")
+        if value < 1:
+            raise ValueError(f"fact value must be positive, got {value}")
+        if citation != citation.strip() or "|" in citation or "#" in citation or len(citation.splitlines()) > 1:
             # to_line() could not be read back: '|' splits fields, '#' starts
             # a comment, a line break ends the line and outer blanks are stripped
-            raise ValueError(f"citation {c!r} has '|', '#', a line break or outer blanks")
+            raise ValueError(f"citation {citation!r} has '|', '#', a line break or outer blanks")
+        set_field(self, "targets", targets)
+        set_field(self, "kind", kind)
+        set_field(self, "value", value)
+        set_field(self, "citation", citation)
+        set_field(self, "trust", trust)
 
     def key(self) -> str:
         return self.targets.key()
@@ -163,7 +162,11 @@ def load_registry(path: str | Path) -> Registry:
 
 @functools.cache
 def _parsed_seeds() -> Registry:
-    # the packaged file cannot change while the process runs
+    # the packaged file cannot change while the process runs.  Imported here:
+    # from Python 3.12 on importlib.resources imports inspect, which a
+    # search or verify call would otherwise load for nothing
+    from importlib import resources
+
     text = resources.files("c4ramsey").joinpath("data/seeds.txt").read_text()
     return parse_registry(text)
 

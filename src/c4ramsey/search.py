@@ -28,10 +28,10 @@ from __future__ import annotations
 import functools
 import re
 import time
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from . import targets as tg
+from ._record import Record, set_field
 from .graphs import (
     MAX_COLORS,
     EdgeColoring,
@@ -59,26 +59,30 @@ _PLAN_WORK = 16 * 4096  # most nodes spent listing items
 _NEVER = float("inf")
 
 
-@dataclass(frozen=True)
-class SearchBudget:
-    node_limit: int = 50_000_000
-    time_limit: float = 600.0
+class SearchBudget(Record):
+    _fields = ("node_limit", "time_limit")
 
-    def __post_init__(self):
-        if self.node_limit < 1 or not self.time_limit > 0:  # NaN is not > 0 either
-            raise ValueError(f"budget limits must be positive, got {self.node_limit} nodes and {self.time_limit} s")
+    def __init__(self, node_limit: int = 50_000_000, time_limit: float = 600.0):
+        if node_limit < 1 or not time_limit > 0:  # NaN is not > 0 either
+            raise ValueError(f"budget limits must be positive, got {node_limit} nodes and {time_limit} s")
+        set_field(self, "node_limit", node_limit)
+        set_field(self, "time_limit", time_limit)
 
 
 _DEFAULT_BUDGET = SearchBudget()
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
-    status: str  # feasible | infeasible | unknown
-    nodes_explored: int
-    wall_time: float
-    witness: Optional[EdgeColoring] = None
-    certificate_note: str = ""
+class SearchOutcome(Record):
+    _fields = ("status", "nodes_explored", "wall_time", "witness", "certificate_note")
+
+    def __init__(self, status: str, nodes_explored: int, wall_time: float,
+                 witness: Optional[EdgeColoring] = None, certificate_note: str = ""):
+        # status is feasible, infeasible or unknown
+        set_field(self, "status", status)
+        set_field(self, "nodes_explored", nodes_explored)
+        set_field(self, "wall_time", wall_time)
+        set_field(self, "witness", witness)
+        set_field(self, "certificate_note", certificate_note)
 
     def to_dict(self) -> dict:
         return {

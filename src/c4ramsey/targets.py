@@ -11,8 +11,9 @@ from __future__ import annotations
 import bisect
 import operator
 import re
-from dataclasses import dataclass, field
 from typing import Iterator, Optional
+
+from ._record import Record, set_field
 
 CLIQUE = "clique"
 CYCLE4_KIND = "cycle4"
@@ -22,8 +23,7 @@ EMPTY = "empty"
 WITH_ISOLATED = "with_isolated"
 
 
-@dataclass(frozen=True)
-class TargetGraph:
+class TargetGraph(Record):
     """One member of the forbidden-graph family.
 
     Use the factory functions (clique, star, ...) instead of constructing
@@ -32,16 +32,9 @@ class TargetGraph:
     plain ==.  The parser reads P3 as S2.
     """
 
-    kind: str
-    k: int = 0
-    base: Optional["TargetGraph"] = None
-    # derived once here; equality, hashing and repr use (kind, k, base) only
-    vertex_count: int = field(init=False, repr=False, compare=False)
-    _name: str = field(init=False, repr=False, compare=False)
-    _order: tuple = field(init=False, repr=False, compare=False)  # (vertex_count, _name): list order
+    _fields = ("kind", "k", "base")
 
-    def __post_init__(self):
-        kind, k = self.kind, self.k
+    def __init__(self, kind: str, k: int = 0, base: Optional[TargetGraph] = None):
         if kind == CLIQUE:
             count, name = k, f"K{k}"
         elif kind == CYCLE4_KIND:
@@ -53,12 +46,18 @@ class TargetGraph:
         elif kind == EMPTY:
             count, name = k, f"{k}K1"
         elif kind == WITH_ISOLATED:
-            count, name = self.base.vertex_count + k, f"{self.base._name}+{k}K1"
+            count, name = base.vertex_count + k, f"{base._name}+{k}K1"
         else:
             raise ValueError(f"unknown target kind {kind!r}")
-        object.__setattr__(self, "vertex_count", count)
-        object.__setattr__(self, "_name", name)
-        object.__setattr__(self, "_order", (count, name))
+        # vertex_count, _name and _order = (vertex_count, _name), the list
+        # order, are derived once here; equality, hashing and repr use
+        # (kind, k, base) only
+        set_field(self, "kind", kind)
+        set_field(self, "k", k)
+        set_field(self, "base", base)
+        set_field(self, "vertex_count", count)
+        set_field(self, "_name", name)
+        set_field(self, "_order", (count, name))
 
     def __str__(self) -> str:
         return self._name
@@ -212,26 +211,23 @@ def parse_target(text: str) -> TargetGraph:
 _sort_key = operator.attrgetter("_order")
 
 
-@dataclass(frozen=True)
-class TargetList:
+class TargetList(Record):
     """Canonically ordered target list: C4 entries first, rest sorted.
 
     m is the count of leading C4 entries; the rest are the others (the
     split the bound formulas operate on).
     """
 
-    targets: tuple[TargetGraph, ...]
-    # derived once here; equality and hashing use targets only
-    m: int = field(init=False, repr=False, compare=False)
-    _key: str = field(init=False, repr=False, compare=False)
+    _fields = ("targets",)
 
-    def __post_init__(self):
-        c4s = tuple(t for t in self.targets if t.kind == CYCLE4_KIND)
-        rest = sorted((t for t in self.targets if t.kind != CYCLE4_KIND), key=_sort_key)
+    def __init__(self, targets: tuple[TargetGraph, ...]):
+        c4s = tuple(t for t in targets if t.kind == CYCLE4_KIND)
+        rest = sorted((t for t in targets if t.kind != CYCLE4_KIND), key=_sort_key)
         ordered = c4s + tuple(rest)
-        object.__setattr__(self, "targets", ordered)
-        object.__setattr__(self, "m", len(c4s))
-        object.__setattr__(self, "_key", ",".join(t._name for t in ordered))
+        # m and the key are derived once here; equality and hashing use targets only
+        set_field(self, "targets", ordered)
+        set_field(self, "m", len(c4s))
+        set_field(self, "_key", ",".join([t._name for t in ordered]))
 
     @property
     def others(self) -> tuple[TargetGraph, ...]:
@@ -252,9 +248,12 @@ class TargetList:
     @classmethod
     def _canonical(cls, targets: tuple[TargetGraph, ...], m: int) -> "TargetList":
         """A list from targets already in canonical order, m of them C4s;
-        skips __post_init__'s sort."""
+        skips __init__'s sort."""
         tl = object.__new__(cls)
-        fields = tl.__dict__  # where a frozen dataclass keeps its fields; the quickest way in
+        # most of these lists are built only to be looked up by key(), so
+        # the fields go straight into __dict__, quicker than three set_field
+        # calls, though later reads of them are slower
+        fields = tl.__dict__
         fields["targets"], fields["m"], fields["_key"] = targets, m, ",".join([t._name for t in targets])
         return tl
 

@@ -89,7 +89,7 @@ def extend_with_disjoint_clique(
 
     n = witness.n
     # new vertex a's column, pairs (0, a) .. (a-1, a), follows the old ones
-    colors = witness.colors[:]
+    colors = bytearray(witness.colors)
     for a in range(n, n + k):
         colors.extend([clique_color_target] * n + [c4_color] * (a - n))
     out = EdgeColoring(n + k, witness.c, colors)

@@ -91,8 +91,9 @@ def test_writer_matches_reference_for_every_n_and_c():
 @pytest.mark.parametrize("c", [9, 10, 11])
 @pytest.mark.parametrize("n", [2, 11, 101, 128])
 def test_documents_either_side_of_one_character_tokens(n, c):
-    col = random_coloring(random.Random(n * c), n, c)
-    col.colors[-1] = c - 1
+    colors = list(random_coloring(random.Random(n * c), n, c).colors)
+    colors[-1] = c - 1
+    col = EdgeColoring(n, c, colors)
     text = coloring_to_text(col)
     assert_same_as_loop(text)
     assert coloring_from_text(text) == col
@@ -128,14 +129,16 @@ def test_boundary_documents_read_as_the_loop_reads_them(name):
     assert_same_as_loop(BOUNDARY_DOCUMENTS[name]())
 
 
-def test_writer_joins_colors_without_a_one_character_token():
-    # a byte stored past EdgeColoring's check is written as a pair line; the
-    # packed colors refuse a float when it is stored
+def test_colors_keep_their_checked_values():
+    # the packed colors are immutable bytes, so no color can be stored
+    # past EdgeColoring's check, and the hash and the text stay as built
     col = EdgeColoring(3, 2, [0, 1, 0])
-    col.colors[1] = 12
-    assert coloring_to_text(col) == "3 2\n0 1 0\n0 2 12\n1 2 0\n"
-    with pytest.raises(TypeError):
-        col.colors[1] = 1.0
+    before = hash(col)
+    for value in (12, 1, 1.0):
+        with pytest.raises(TypeError):
+            col.colors[1] = value
+    assert hash(col) == before and col == EdgeColoring(3, 2, [0, 1, 0])
+    assert coloring_to_text(col) == "3 2\n0 1 0\n0 2 1\n1 2 0\n"
 
 
 @pytest.mark.parametrize("c", [2, 12])  # the template and the pair lines

@@ -154,13 +154,13 @@ class TestColoringConstructor:
 
 
 class TestColoringStorage:
-    """colors is packed into a bytearray, one byte a pair, whichever way the
-    coloring is built, and a coloring has at most 256 colors."""
+    """colors is packed into immutable bytes, one byte a pair, whichever way
+    the coloring is built, and a coloring has at most 256 colors."""
 
     @pytest.mark.parametrize("c", [1, 2, 10, 11, 255, 256])
     def test_storage_type(self, c):
         col = EdgeColoring(4, c, [0, c - 1, 0, 0, c - 1, 0])
-        assert type(col.colors) is bytearray
+        assert type(col.colors) is bytes
         assert list(col.colors) == [0, c - 1, 0, 0, c - 1, 0]
 
     @pytest.mark.parametrize("c", [0, 257, 300])
@@ -174,14 +174,14 @@ class TestColoringStorage:
 
     @pytest.mark.parametrize("n, colors", [(3, 3), (1, 0), (1, -1)])
     def test_an_int_is_not_a_color_sequence(self, n, colors):
-        # bytearray(3) would be three zero bytes, a complete 0-coloring of K_3
+        # bytes(3) would be three zero bytes, a complete 0-coloring of K_3
         with pytest.raises(TypeError):
             EdgeColoring(n, 2, colors)
 
     @staticmethod
     def assert_same(col, expected):
         assert col == expected and hash(col) == hash(expected)
-        assert type(col.colors) is type(expected.colors)
+        assert type(col.colors) is bytes and type(expected.colors) is bytes
 
     @pytest.mark.parametrize("c", [2, 3, 10, 11, 256])
     def test_constructor_and_readers_agree(self, c):

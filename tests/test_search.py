@@ -355,6 +355,26 @@ class TestKernel:
         out = search_coloring(128, [star(100), star(100)], SearchBudget(node_limit=limit))
         assert (out.status, out.nodes_explored) == ("unknown", limit + 1)
 
+    @pytest.mark.parametrize(
+        "n, spec, status, total",
+        [
+            (6, "C4,C4", "infeasible", 1059),
+            (8, "C4,B3", "feasible", 1783),
+            (10, "C4,K3,C4", "feasible", 3069),
+            (6, "K3,K3,K3", "feasible", 57),
+        ],
+    )
+    def test_node_limit_at_the_search_total(self, n, spec, status, total):
+        # one below its total a search stops on its last node, unknown; at
+        # its total it finishes with the answer it gives unbounded
+        targets = parse_target_sequence(spec)
+        full = search_coloring(n, targets)
+        assert (full.status, full.nodes_explored) == (status, total)
+        short = search_coloring(n, targets, SearchBudget(node_limit=total - 1))
+        assert (short.status, short.nodes_explored, short.witness) == ("unknown", total, None)
+        exact = search_coloring(n, targets, SearchBudget(node_limit=total))
+        assert (exact.status, exact.nodes_explored, exact.witness) == (status, total, full.witness)
+
     def test_time_limit_is_checked_at_the_4096th_node(self):
         out = search_coloring(10, [CYCLE4, clique(4)], SearchBudget(time_limit=1e-9))
         assert (out.status, out.nodes_explored) == ("unknown", 4096)
