@@ -28,7 +28,6 @@ class RamseyFact(Record):
     _fields = ("targets", "kind", "value", "citation", "trust")
 
     def __init__(self, targets: TargetList, kind: str, value: int, citation: str = "", trust: str = "user"):
-        # kind is exact, upper or lower
         if kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
         if trust not in TRUST_TAGS:

@@ -174,7 +174,7 @@ class TestColoringStorage:
 
     @pytest.mark.parametrize("n, colors", [(3, 3), (1, 0), (1, -1)])
     def test_an_int_is_not_a_color_sequence(self, n, colors):
-        # bytes(3) would be three zero bytes, a complete 0-coloring of K_3
+        # bytearray(3) would be three zero bytes, a complete 0-coloring of K_3
         with pytest.raises(TypeError):
             EdgeColoring(n, 2, colors)
 
