@@ -126,20 +126,27 @@ class SimpleGraph:
     def __repr__(self):
         return f"SimpleGraph(n={self.n}, edges={self.edges()})"
 
+    def __reduce__(self):
+        return SimpleGraph, (self.n, self.edges())
+
 
 def _clique_in(adj: list[int], cand: int, need: int) -> bool:
     """Branch and bound: do the vertices of bitset cand hold a clique of size need?"""
-    if need == 0:
-        return True
-    if cand.bit_count() < need:
+    if need <= 2:
+        if need <= 1:
+            return need <= 0 or cand != 0
+        # an edge: a vertex of cand with a neighbour above it in cand
+        while cand:
+            b = cand & -cand
+            cand ^= b
+            if adj[b.bit_length() - 1] & cand:
+                return True
         return False
-    while cand:
+    # branch on the lowest vertex while enough vertices are left
+    while cand.bit_count() >= need:
         b = cand & -cand
-        v = b.bit_length() - 1
         cand ^= b
-        if cand.bit_count() + 1 < need:
-            return False
-        if _clique_in(adj, cand & adj[v], need - 1):
+        if _clique_in(adj, cand & adj[b.bit_length() - 1], need - 1):
             return True
     return False
 
@@ -148,10 +155,9 @@ def contains_target(g: SimpleGraph, t: TargetGraph) -> bool:
     """Subgraph (not induced) containment of a target-family graph.
 
     Plain loops over the adjacency rows: C4 is a pair of vertices with two
-    common neighbours, K3 and K4 an edge scan (an edge whose ends share a
-    neighbour, or with an edge among its ends' common neighbours above
-    it), and a larger clique a branch and bound by _clique_in.  Unlike
-    find_target_copy it names no copy, which makes it the faster check.
+    common neighbours, and every clique a branch and bound by _clique_in,
+    which ends in an edge scan.  Unlike find_target_copy it names no copy,
+    which makes it the faster check.
     """
     adj = g.adj
     n = g.n
@@ -163,34 +169,8 @@ def contains_target(g: SimpleGraph, t: TargetGraph) -> bool:
                 if common & (common - 1):
                     return True
         return False
-    if t.kind == tg.CLIQUE and t.k == 3:
-        # a triangle is an edge uv, u < v, whose ends share a neighbour
-        for u, a in enumerate(adj):
-            above = a >> u + 1 << u + 1
-            while above:
-                b = above & -above
-                above ^= b
-                if adj[b.bit_length() - 1] & a:
-                    return True
-        return False
-    if t.kind == tg.CLIQUE and t.k == 4:
-        # a K4 is an edge uv, u < v, with an edge among the common
-        # neighbours of u and v above v
-        for u, a in enumerate(adj):
-            above = a >> u + 1 << u + 1
-            while above:
-                b = above & -above
-                above ^= b
-                v = b.bit_length() - 1
-                common = a & adj[v] >> v + 1 << v + 1
-                while common & (common - 1):
-                    w = common & -common
-                    common ^= w
-                    if adj[w.bit_length() - 1] & common:
-                        return True
-        return False
     if t.kind == tg.CLIQUE:
-        return n >= t.k and _clique_in(adj, (1 << n) - 1, t.k)
+        return _clique_in(adj, (1 << n) - 1, t.k)
     if t.kind == tg.STAR:
         return any(a.bit_count() >= t.k for a in adj)
     if t.kind == tg.BOOK:
@@ -393,6 +373,9 @@ class EdgeColoring:
 
     def __repr__(self):
         return f"EdgeColoring(n={self.n}, c={self.c})"
+
+    def __reduce__(self):
+        return EdgeColoring, (self.n, self.c, self.colors)
 
 
 @functools.lru_cache(maxsize=256)

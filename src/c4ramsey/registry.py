@@ -161,13 +161,8 @@ def load_registry(path: str | Path) -> Registry:
 
 @functools.cache
 def _parsed_seeds() -> Registry:
-    # the packaged file cannot change while the process runs.  Imported here:
-    # from Python 3.12 on importlib.resources imports inspect, which a
-    # search or verify call would otherwise load for nothing
-    from importlib import resources
-
-    text = resources.files("c4ramsey").joinpath("data/seeds.txt").read_text()
-    return parse_registry(text)
+    # the packaged file cannot change while the process runs
+    return parse_registry((Path(__file__).parent / "data" / "seeds.txt").read_text(encoding="utf-8"))
 
 
 def seed_registry() -> Registry:

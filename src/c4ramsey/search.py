@@ -163,6 +163,7 @@ def _snippet(t: Optional[TargetGraph], cap: Optional[int] = None) -> str:
         text = "ACCEPT\n"
     elif kind == tg.CYCLE4_KIND:
         text = _C4
+    # K3 and K4: the _clique_in test below at need 1 and 2, inline to save a call a node
     elif kind == tg.CLIQUE and k == 3:
         text = "if not {a}[u] & {a}[v]:\n    ACCEPT\n"
     elif kind == tg.CLIQUE and k == 4:

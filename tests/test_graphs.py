@@ -21,7 +21,7 @@ from c4ramsey import (
     partition_check,
     search_coloring,
 )
-from c4ramsey.graphs import _coloring_from_lines, pair_iter
+from c4ramsey.graphs import _clique_in, _coloring_from_lines, pair_iter
 from c4ramsey.targets import CYCLE4, book, clique, empty_graph, star, with_isolated
 
 from conftest import brute_contains, brute_first_copy, random_graph, two_five_cycles
@@ -318,6 +318,25 @@ class TestContainsTarget:
         g.add_edge(blades[0][0], blades[-1][1])
         assert contains_target(g, CYCLE4)
         assert find_target_copy(g, CYCLE4) is not None
+
+    def test_clique_in_agrees_with_brute_force(self):
+        # the search kernel asks within the common neighbourhood of an
+        # edge's ends, so the candidates are a random set of vertices
+        rng = random.Random("clique-in")
+        seen = {need: set() for need in range(7)}
+        for _ in range(400):
+            n = rng.randint(1, 10)
+            g = random_graph(rng, n, rng.choice([0.3, 0.6, 0.9]))
+            cand = rng.getrandbits(n)
+            pos = {v: i for i, v in enumerate(v for v in range(n) if cand >> v & 1)}
+            sub = SimpleGraph(max(len(pos), 1), [(pos[u], pos[v]) for u, v in g.edges() if u in pos and v in pos])
+            for need in range(7):
+                got = _clique_in(g.adj, cand, need)
+                want = brute_contains(sub, clique(need)) if need and pos else need == 0
+                assert got == want, (g, bin(cand), need)
+                seen[need].add(got)
+        assert seen.pop(0) == {True}
+        assert all(got == {True, False} for got in seen.values())
 
     def test_c4_equals_common_neighbor_rule(self):
         rng = random.Random(99)

@@ -4,6 +4,8 @@ TargetGraph, TargetList, RamseyFact, BoundQuery, SearchBudget,
 SearchOutcome and DerivationTree each compare and hash by their fields
 (DerivationTree by identity), print as Name(field=value, ...), refuse
 assignment and deletion, and come back equal from pickle and deepcopy.
+EdgeColoring, a SearchOutcome's witness, and SimpleGraph pickle through
+their constructors too, at every protocol.
 """
 
 import copy
@@ -18,6 +20,7 @@ from c4ramsey import (
     RamseyFact,
     SearchBudget,
     SearchOutcome,
+    SimpleGraph,
     derive,
     seed_registry,
 )
@@ -28,9 +31,7 @@ K3_REPR = "TargetGraph(kind='clique', k=3, base=None)"
 C4_K3_REPR = f"TargetList(targets=({C4_REPR}, {K3_REPR}))"
 
 
-# Protocols 0 and 1 cannot pickle a __slots__ class without __getstate__,
-# such as EdgeColoring, a SearchOutcome's witness.
-PROTOCOLS = range(2, pickle.HIGHEST_PROTOCOL + 1)
+PROTOCOLS = range(0, pickle.HIGHEST_PROTOCOL + 1)
 
 
 def fact(value=7):
@@ -123,6 +124,15 @@ def test_deepcopy_round_trip(name):
     y = copy.deepcopy(x)
     assert y == x and hash(y) == hash(x)
     assert (repr(y), str(y)) == (repr(x), str(x))
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_simple_graph_pickle_round_trip(protocol):
+    x = SimpleGraph(5, [(0, 1), (1, 4), (2, 3)])
+    for y in (pickle.loads(pickle.dumps(x, protocol)), copy.deepcopy(x)):
+        assert y == x and hash(y) == hash(x) and repr(y) == repr(x)
+        y.add_edge(0, 2)
+        assert y != x and not x.has_edge(0, 2)
 
 
 def test_target_graph_hashes_by_its_name():

@@ -12,7 +12,8 @@ from pathlib import Path
 import c4ramsey
 
 BOUNDED = {
-    # one level per clique vertex still needed: depth <= k + 1 for K_k
+    # one level per clique vertex still needed, down to an edge scan:
+    # depth <= k - 1 for K_k, k >= 2
     "graphs._clique_in",
     # base + tK1 to its base, which with_isolated never makes a base + sK1
     # again: depth <= 2
